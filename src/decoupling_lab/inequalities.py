@@ -406,10 +406,9 @@ def check_tail_comparison(
         d_star = pair.seq.d_star
         for t in ts:
             d_mass[t] = float(probs[d_star > t].sum())
-        for rows, stats in joint_blocks(pair):
-            w = probs[rows][:, None] * probs[None, :]
+        for weights, stats in joint_blocks(pair, ("e_star",)):
             for t in ts:
-                e_mass[t] = e_mass.get(t, 0.0) + float(w[stats["e_star"] > t].sum())
+                e_mass[t] = e_mass.get(t, 0.0) + float(weights[stats["e_star"] > t].sum())
         reports = []
         for t in ts:
             for name, lhs, rhs in (
@@ -716,14 +715,13 @@ def moment_phi(pair: TangentPair, phi: MomentFunctional, statistic: str) -> floa
         return float(phi(seq.space.norms(seq.terminal)) @ probs)
     if statistic not in ("g_norm", "g_star"):
         raise ValueError(f"unknown statistic {statistic!r}")
+    key = "g_terminal" if statistic == "g_norm" else "g_star"
     total = 0.0
-    for rows, stats in joint_blocks(pair):
-        w = probs[rows][:, None] * probs[None, :]
+    for weights, stats in joint_blocks(pair, (key,)):
+        values = stats[key]
         if statistic == "g_norm":
-            vals = phi(seq.space.norms(stats["g_terminal"]))
-        else:
-            vals = phi(stats["g_star"])
-        total += float(np.sum(w * vals))
+            values = seq.space.norms(values)
+        total += float(np.sum(weights * phi(values)))
     return total
 
 

@@ -14,9 +14,10 @@ innovation index gives e_n(w, w~) = table[u_{n-1}(w), j_n(w~)], which has the
 same conditional law as d_n given F_{n-1} and is conditionally independent
 across n given the full first-coordinate path.
 
-Everything here is exact: expectations are finite sums over paths or over
-(path, path) pairs of the product space, guarded by JOINT_LIMIT.  A sampling
-routine with counter-based streams covers models too large to enumerate.
+Everything here is exact: expectations are finite sums over paths or, on the
+product space, over (head, path) pairs from joint_blocks, guarded by
+JOINT_LIMIT.  A sampling routine with counter-based streams covers models too
+large to enumerate.
 """
 from __future__ import annotations
 
@@ -125,10 +126,6 @@ class FiltrationTree:
     def nodes_at(self, n: int) -> np.ndarray:
         """Depth-n node id of every path, shape (path_count,)."""
         return np.arange(self.path_count, dtype=np.int64) // self.stride(n)
-
-    def level_pick(self, n: int) -> np.ndarray:
-        """Level-n innovation index of every path (n >= 1)."""
-        return self.nodes_at(n) % self.sizes[n - 1]
 
     def ancestor(self, node_ids: np.ndarray, n: int, k: int) -> np.ndarray:
         """Depth-k ancestors of depth-n node ids (k <= n)."""
@@ -551,6 +548,8 @@ def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> Ch
     if pair.mode == "decoupled":
         # the conditional law given a path depends on its depth-(N-1) prefix
         pair.require_enumerable()
+        # second coordinate: outcome (j_1..j_N) with product mass, shared by all nodes
+        combos = np.array(list(itertools.product(*[range(a) for a in tree.sizes])))
         for u in range(tree.num_nodes(depth - 1)):
             level_ids, level_masses = [], []
             grid = 1
@@ -568,8 +567,6 @@ def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> Ch
                 grid *= len(uniq)
             if grid > JOINT_LIMIT:
                 raise EnumerationError("factorization grid too large")
-            # enumerate the second coordinate: outcome (j_1..j_N) with product mass
-            combos = np.array(list(itertools.product(*[range(a) for a in tree.sizes])))
             joint_masses = tree.path_probs
             joint_keys = tuple(level_ids[n][combos[:, n]] for n in range(depth))
             worst = max(worst, _factorization_gap(level_masses, joint_keys,
@@ -625,49 +622,73 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
     return TangentPair(small, pair.mode), TangentPair(big, pair.mode)
 
 
-def joint_blocks(pair: TangentPair, budget: int = JOINT_LIMIT,
-                 block_rows: int | None = None):
-    """Iterate the product space in blocks of first-coordinate paths.
+JOINT_STATS = ("g_terminal", "e_star", "g_star")
 
-    Yields (omega_slice, stats) where stats has per-(omega, omega~) arrays:
-    g_terminal (rows, paths, dim), e_star and g_star (rows, paths).
+
+def joint_blocks(pair: TangentPair, stats=JOINT_STATS, budget: int = JOINT_LIMIT,
+                 block_rows: int | None = None):
+    """The exact joint engine: iterate the product space in blocks of heads.
+
+    The g side reads the first coordinate only through the table rows it
+    picks: through the depth-(N-1) prefix in decoupled mode, not at all in
+    copy mode.  So the heads are the depth-(N-1) nodes (decoupled) or the root
+    alone (copy), each weighted by the mass of the paths under it, and every
+    head meets every second-coordinate path.
+
+    Yields (weights, stats): weights (rows, paths) is the joint mass of each
+    (head, omega~) outcome, summing to one over all blocks; stats holds only
+    the requested statistics, g_terminal (rows, paths, dim), e_star and g_star
+    (rows, paths).  Within a block the statistics grow level by level along
+    the omega~ tree, so each partial sum g_n is formed once per depth-n node.
+    Blocks hold about 2M floats of g_terminal.
     """
+    unknown = set(stats) - set(JOINT_STATS)
+    if unknown:
+        raise ValueError(f"unknown joint statistics {sorted(unknown)}")
     pair.require_enumerable(budget)
     seq, tree = pair.seq, pair.tree
-    paths = tree.path_count
-    dim = seq.dim
+    depth, dim, paths = tree.depth, seq.dim, tree.path_count
+    if pair.mode == "decoupled":
+        heads, head_probs = tree.num_nodes(depth - 1), tree.node_probs(depth - 1)
+    else:
+        heads, head_probs = 1, np.ones(1)
     if block_rows is None:
-        block_rows = max(1, min(paths, 2_000_000 // max(1, paths * dim)))
-    picks = [tree.level_pick(n) for n in range(1, tree.depth + 1)]
-    for start in range(0, paths, block_rows):
-        stop = min(start + block_rows, paths)
-        rows = stop - start
-        g = np.zeros((rows, paths, dim))
-        e_star = np.zeros((rows, paths))
-        g_star = np.zeros((rows, paths))
-        for n in range(1, tree.depth + 1):
+        block_rows = max(1, min(heads, 2_000_000 // max(1, paths * dim)))
+    need_g = "g_terminal" in stats or "g_star" in stats
+    for start in range(0, heads, block_rows):
+        block = np.arange(start, min(start + block_rows, heads))
+        rows = len(block)
+        # statistics at the depth-n nodes of the omega~ tree, n = 0 first
+        g = np.zeros((rows, 1, dim))
+        e_star = np.zeros((rows, 1))
+        g_star = np.zeros((rows, 1))
+        for n in range(1, depth + 1):
+            table = seq.tables[n - 1]
             if pair.mode == "decoupled":
-                parents = tree.ancestor(tree.nodes_at(tree.depth)[start:stop],
-                                        tree.depth, n - 1)
-                rows_ids = parents[:, None] * tree.sizes[n - 1] + picks[n - 1][None, :]
-                inc = seq.increments(n)[rows_ids]
+                # one row per head, shared by every omega~ node
+                inc = table[tree.ancestor(block, depth - 1, n - 1)][:, None]
             else:
-                inc = np.broadcast_to(seq.path_increments(n)[None, :, :],
-                                      (rows, paths, dim))
-            g = g + inc
-            e_star = np.maximum(e_star, seq.space.norms(inc))
-            g_star = np.maximum(g_star, seq.space.norms(g))
-        yield slice(start, stop), {"g_terminal": g, "e_star": e_star, "g_star": g_star}
+                # the omega~ node picks the row, as for d_n on the first coordinate
+                inc = table[None]
+            nodes = tree.num_nodes(n)
+            if need_g:
+                g = (g[:, :, None, :] + inc).reshape(rows, nodes, dim)
+            if "e_star" in stats:
+                e_star = np.maximum(e_star[:, :, None],
+                                    seq.space.norms(inc)).reshape(rows, nodes)
+            if "g_star" in stats:
+                g_star = np.maximum(np.repeat(g_star, tree.sizes[n - 1], axis=1),
+                                    seq.space.norms(g))
+        out = {"g_terminal": g, "e_star": e_star, "g_star": g_star}
+        weights = head_probs[block, None] * tree.path_probs[None, :]
+        yield weights, {key: out[key] for key in stats}
 
 
 def g_terminal_moment(pair: TangentPair, p: float) -> float:
-    """E ||g_N||^p by full product-space enumeration."""
-    seq, tree = pair.seq, pair.tree
+    """E ||g_N||^p, exact: one norm per (head, omega~) outcome."""
     total = 0.0
-    probs = tree.path_probs
-    for rows, stats in joint_blocks(pair):
-        weights = probs[rows][:, None] * probs[None, :]
-        total += float(np.sum(weights * seq.space.norms(stats["g_terminal"]) ** p))
+    for weights, stats in joint_blocks(pair, ("g_terminal",)):
+        total += float(np.sum(weights * pair.space.norms(stats["g_terminal"]) ** p))
     return total
 
 

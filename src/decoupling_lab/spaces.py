@@ -45,10 +45,12 @@ class Space:
                 raise SpaceError(f"bad dimension {d!r}")
             if self.kind != "sup" and not (0 < q < math.inf):
                 raise SpaceError(f"exponent {q!r} out of range; use sup_norm for q=inf")
+        # computed once; not a field, so equality, hashing and pickling are unchanged
+        object.__setattr__(self, "_dim", math.prod(int(d) for _, d in self.shape))
 
     @property
     def dim(self) -> int:
-        return int(np.prod([d for _, d in self.shape]))
+        return self._dim
 
     @property
     def r(self) -> float:
@@ -148,7 +150,12 @@ def format_space(space: Space) -> str:
         return f"linf:{space.dim}"
     if space.kind == "lp":
         q, d = space.shape[0]
-        q_text = f"{q:g}"
-        return f"lp:{q_text}:{d}"
-    inner = ",".join(f"{q:g}x{d}" for q, d in space.shape)
+        return f"lp:{_format_exponent(q)}:{d}"
+    inner = ",".join(f"{_format_exponent(q)}x{d}" for q, d in space.shape)
     return f"nested:{inner}"
+
+
+def _format_exponent(q: float) -> str:
+    """Short ``:g`` text when it parses back to q, else the lossless repr."""
+    text = f"{q:g}"
+    return text if float(text) == q else repr(q)

@@ -175,6 +175,9 @@ def gamma_norm(
         if not is_hilbert_like(space):
             raise ModelError("exact gamma norms need an inner-product norm")
         sq = np.einsum("pnmx,n->p", coefs ** 2, lengths)
+        if space.kind == "nested":
+            # all exponents 2: ||x||^2 averages x_i^2 with weight 1 / prod d_i
+            sq = sq / space.dim
         return np.sqrt(sq)
     gen = stream(seed, "gamma-inner")
     draws = gen.normal(size=(inner, proc.intervals, proc.rank))

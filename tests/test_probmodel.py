@@ -297,13 +297,104 @@ def test_sign_randomized_budget():
 def test_joint_blocks_cover_product_space():
     gen = stream(23, "blocks")
     pair = pm.random_pair(gen, euclid(2), max_depth=3)
-    probs = pair.tree.path_probs
-    mass = 0.0
-    for rows, stats in pm.joint_blocks(pair, block_rows=3):
-        w = probs[rows][:, None] * probs[None, :]
-        assert stats["g_terminal"].shape[:2] == w.shape
+    tree = pair.tree
+    mass, rows = 0.0, 0
+    for w, stats in pm.joint_blocks(pair, block_rows=3):
+        assert w.shape[0] <= 3 and w.shape[1] == tree.path_count
+        assert stats["g_terminal"].shape == w.shape + (2,)
+        assert stats["e_star"].shape == stats["g_star"].shape == w.shape
         mass += float(w.sum())
+        rows += w.shape[0]
     assert mass == pytest.approx(1.0, abs=1e-12)
+    # one row per depth-(N-1) head: the g side reads omega only through it
+    assert rows == tree.num_nodes(tree.depth - 1)
+
+
+# reference for the joint engine: every (omega, omega~) pair, by direct loops
+
+ENGINE_LEVELS = (
+    pm.Level((1.0, -1.0), (0.5, 0.5)),
+    pm.Level((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+    pm.Level((-0.5, 2.0), (0.7, 0.3)),
+    pm.Level((-1.0, 0.5, 3.0), (0.2, 0.5, 0.3)),
+)
+
+
+def engine_pair(case, mode, symmetric, letters):
+    """Random pair on a random tree of depth 1..4 whose levels have 2 or up
+    to 3 letters; the case number fixes the depth, the space and the draws."""
+    gen = stream(case, "engine-ref")
+    choices = [lv for lv in ENGINE_LEVELS
+               if lv.size <= letters and (lv.probs == lv.probs[::-1]) == symmetric]
+    tree = pm.FiltrationTree([choices[int(gen.integers(len(choices)))]
+                              for _ in range(1 + case % 4)])
+    space = (euclid(2), seq_lp(0.5, 3), sup_norm(2))[case % 3]
+    make = pm.random_multiplier_sequence if symmetric else pm.random_general_sequence
+    return pm.TangentPair(make(gen, tree, space), mode)
+
+
+def naive_joint(pair):
+    """(mass, ||g_N||, e*, g*) of every (omega, omega~) pair of the product space."""
+    seq, tree, space = pair.seq, pair.tree, pair.space
+    probs = tree.path_probs
+    out = []
+    for w in range(tree.path_count):
+        for wt in range(tree.path_count):
+            g = np.zeros(seq.dim)
+            e_star = g_star = 0.0
+            for n in range(1, tree.depth + 1):
+                owner = w if pair.mode == "decoupled" else wt
+                parent = owner // tree.stride(n - 1)
+                letter = (wt // tree.stride(n)) % tree.sizes[n - 1]
+                e = seq.tables[n - 1][parent, letter]
+                g = g + e
+                e_star = max(e_star, space.norm(e))
+                g_star = max(g_star, space.norm(g))
+            out.append((probs[w] * probs[wt], space.norm(g), e_star, g_star))
+    return np.array(out)
+
+
+def phi_ref(x):
+    return np.log1p(x) * x ** 1.5
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "copy"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("letters", [2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
+    pair = engine_pair(case, mode, symmetric, letters)
+    ref = naive_joint(pair)
+    mass, g_norm, e_star, g_star = ref.T
+    ts = (0.5, 1.0, 2.5)
+    want = ([float(mass @ g_norm ** p) for p in (0.5, 1.0, 2.0, 3.0)]
+            + [float(mass @ (e_star > t)) for t in ts]
+            + [float(mass @ phi_ref(g_star))])
+    for block_rows in (1, None):
+        got = np.zeros(len(want))
+        total = 0.0
+        for w, stats in pm.joint_blocks(pair, block_rows=block_rows):
+            total += float(w.sum())
+            norms = pair.space.norms(stats["g_terminal"])
+            got += ([float(np.sum(w * norms ** p)) for p in (0.5, 1.0, 2.0, 3.0)]
+                    + [float(w[stats["e_star"] > t].sum()) for t in ts]
+                    + [float(np.sum(w * phi_ref(stats["g_star"])))])
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # a caller gets only what it asks for, with the same values
+    for key in pm.JOINT_STATS:
+        part = [stats for _, stats in pm.joint_blocks(pair, (key,))]
+        full = [stats for _, stats in pm.joint_blocks(pair)]
+        assert all(set(a) == {key} for a in part)
+        for a, b in zip(part, full):
+            assert np.array_equal(a[key], b[key])
+    assert pm.g_terminal_moment(pair, 2.0) == pytest.approx(want[2], rel=1e-12)
+
+
+def test_joint_blocks_rejects_unknown_statistic():
+    pair = pm.decouple(unit_pw_seq(2))
+    with pytest.raises(ValueError, match="unknown joint statistics"):
+        next(pm.joint_blocks(pair, ("f_star",)))
 
 
 # ---------------------------------------------------------------------------

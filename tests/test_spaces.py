@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_r_exponent():
 def test_dim():
     assert euclid(3).dim == 3
     assert nested([(1.0, 2), (3.0, 5)]).dim == 10
+
+
+def test_cached_dim_keeps_equality_hash_and_pickling():
+    for space in ALL_SPACES:
+        twin = parse_space(format_space(space))
+        assert twin == space and hash(twin) == hash(space)
+        clone = pickle.loads(pickle.dumps(space))
+        assert clone == space and hash(clone) == hash(space)
+        assert clone.dim == space.dim == math.prod(d for _, d in space.shape)
+        assert repr(clone) == repr(space)
 
 
 def test_lu_examples():
@@ -167,6 +178,34 @@ def test_parse_format_round_trip():
         assert parse_space(format_space(space)) == space
     for space in ALL_SPACES:
         assert parse_space(format_space(space)) == space
+
+
+def test_format_space_lossless():
+    # the short text stays whenever it reads back exactly, so reports keep their bytes
+    assert format_space(seq_lp(0.5, 4)) == "lp:0.5:4"
+    assert format_space(nested([(1.0, 2), (3.0, 2)])) == "nested:1x2,3x2"
+    assert format_space(seq_lp(0.1234567, 4)) == "lp:0.1234567:4"
+    assert parse_space("lp:0.1234567:4").shape[0][0] == 0.1234567
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    d=st.integers(1, 64),
+)
+def test_format_parse_round_trip_lp(q, d):
+    space = seq_lp(q, d)
+    assert parse_space(format_space(space)) == space
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(
+    st.tuples(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+              st.integers(1, 4)),
+    min_size=1, max_size=3))
+def test_format_parse_round_trip_nested(levels):
+    space = nested(levels)
+    assert parse_space(format_space(space)) == space
 
 
 def test_parse_errors():

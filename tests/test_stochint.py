@@ -189,6 +189,22 @@ def test_ito_isometry_at_p2():
     assert out["kappa_over_p"] == pytest.approx(out["kappa"] / 2.0)
 
 
+def test_kappa_agrees_across_equivalent_hilbert_spaces():
+    # l2:8, lp:2:8 and nested:2x4,2x2 differ by the scale 1/sqrt(8) at most,
+    # and kappa is scale invariant
+    drv = st.BrownianDriver(2, steps=16)
+    outs = [st.bdg_experiment(space, 2.0, "deterministic", drv, 500, seed=3)
+            for space in (euclid(8), seq_lp(2.0, 8), nested([(2.0, 4), (2.0, 2)]))]
+    for out in outs[1:]:
+        assert out["kappa"] == pytest.approx(outs[0]["kappa"], rel=1e-12)
+    # exact gamma norms obey the Ito isometry in the nested norm too
+    nested_out = outs[2]
+    assert nested_out["gamma_moment"] == pytest.approx(outs[0]["gamma_moment"] / 8.0,
+                                                       rel=1e-12)
+    assert nested_out["terminal_moment"] == pytest.approx(
+        nested_out["gamma_moment"], abs=4.5 * nested_out["terminal_se"])
+
+
 def test_bdg_experiment_adapted_sign_gamma_exact():
     # signs never change coefficient magnitude, so gamma is deterministic
     drv = st.BrownianDriver(4, steps=16)
