@@ -10,6 +10,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -242,23 +243,12 @@ def _cmd_atlas(args) -> int:
 
 
 def _write(args, report: dict, rows: list[dict], columns: list[str]):
-    if args.format == "csv":
-        if args.out:
-            rp.write_csv(args.out, rows, columns)
+    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as handle:
+        if args.format == "csv":
+            rp.write_csv(handle, rows, columns)
         else:
-            import csv as _csv
-
-            writer = _csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        return
-    text = rp.canonical_json(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+            handle.write(rp.canonical_json(report) + "\n")
 
 
 def _add_common(sub):

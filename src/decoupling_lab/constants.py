@@ -28,7 +28,7 @@ from .probmodel import (
     sign_randomized_moment,
     symmetric_three_point,
 )
-from .reports import canonical_json, config_hash
+from .reports import config_hash
 from .rng import chunk_streams, stream
 from .spaces import Space, format_space, parse_space
 
@@ -265,8 +265,6 @@ def ratio(
         raise ValueError(f"unknown method {method!r}")
     if direction in ("decouple-upper", "randomized-minus"):
         num, den = f_mom, other
-    elif direction == "decouple-lower":
-        num, den = other, f_mom
     else:
         num, den = other, f_mom
     if den <= 0:

@@ -26,6 +26,7 @@ from .probmodel import (
     TangentPair,
     joint_blocks,
     sample_paths,
+    symmetry_gap,
 )
 from .spaces import Space, lu_constants
 
@@ -155,17 +156,7 @@ class FiniteLaw:
         object.__setattr__(self, "probs", probs)
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
-        mass: dict[bytes, float] = {}
-        rows: dict[bytes, np.ndarray] = {}
-        for row, pr in zip(self.values, self.probs):
-            key = (row + 0.0).tobytes()
-            mass[key] = mass.get(key, 0.0) + pr
-            rows[key] = row
-        for key, m in mass.items():
-            neg = (-rows[key] + 0.0).tobytes()
-            if abs(mass.get(neg, 0.0) - m) > tol:
-                return False
-        return True
+        return symmetry_gap(self.values, self.probs) <= tol
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,10 @@ class ProductModel:
             Level(tuple(map(tuple, law.values)), tuple(law.probs)) for law in self.laws
         )
         tree = FiltrationTree(levels)
-        return AdaptedSequence.from_rule(tree, self.space, lambda n, hist, value: value)
+        # every level is independent of the past: its law's atoms on each parent
+        tables = [np.broadcast_to(law.values, (tree.num_nodes(n),) + law.values.shape)
+                  for n, law in enumerate(self.laws)]
+        return AdaptedSequence(tree, self.space, tables)
 
 
 def conditional_models(pair: TangentPair) -> list[tuple[float, ProductModel]]:
@@ -399,7 +393,6 @@ def check_tail_comparison(
     P(e* > t) <= 2 P(d* > t) and P(d* > t) <= 2 P(e* > t).
     """
     if method == "exact":
-        pair.require_enumerable()
         probs = pair.tree.path_probs
         d_mass = {}
         e_mass = {}
@@ -500,12 +493,6 @@ def window_conditional_norm(pair: TangentPair, p: float, k: int, l: int) -> np.n
     return vals ** (1.0 / p)
 
 
-def conditional_norm(pair: TangentPair, p: float, n: int | None = None) -> np.ndarray:
-    """T_p(f^n) as a vector over sample paths (constant on depth-(n-1) atoms)."""
-    n = pair.seq.depth if n is None else n
-    node_vals = window_conditional_norm(pair, p, 0, n)
-    return node_vals[pair.tree.nodes_at(n - 1)]
-
 def conditional_norm_star(pair: TangentPair, p: float) -> np.ndarray:
     """T*_p(f) = max_n T_p(f^n), per path."""
     seq, tree = pair.seq, pair.tree
@@ -513,42 +500,6 @@ def conditional_norm_star(pair: TangentPair, p: float) -> np.ndarray:
     for n in range(1, seq.depth + 1):
         out = np.maximum(out, window_conditional_norm(pair, p, 0, n)[tree.nodes_at(n - 1)])
     return out
-
-
-def conditional_norm_mc(
-    pair: TangentPair,
-    p: float,
-    n: int | None = None,
-    outer: int = 1024,
-    inner: int = 256,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nested Monte Carlo estimate of T_p(f^n) for models too big to enumerate.
-
-    Draws ``outer`` base paths; for each, ``inner`` decoupled resamples of
-    (e_1..e_n) estimate the conditional p-th moment.  Returns (path ids,
-    estimates).  The inner average is unbiased for T_p^p, so aggregate tests
-    should compare p-th powers.
-    """
-    from .rng import stream
-
-    seq, tree = pair.seq, pair.tree
-    if pair.mode != "decoupled":
-        raise ModelError("conditional window norms need a decoupled pair")
-    n = seq.depth if n is None else n
-    gen = stream(seed, "tp-outer")
-    idx = gen.choice(tree.path_count, size=outer, p=tree.path_probs)
-    nodes = tree.nodes_at(n - 1)[idx]
-    total = np.zeros((outer, inner, seq.dim))
-    rows_iota = np.arange(outer)[:, None]
-    for m in range(1, n + 1):
-        parents = tree.ancestor(nodes, n - 1, m - 1)
-        picks = gen.choice(
-            len(tree.levels[m - 1].values), size=(outer, inner), p=tree.level_probs(m)
-        )
-        total += seq.tables[m - 1][parents][rows_iota, picks]
-    vals = np.mean(seq.space.norms(total) ** p, axis=1) ** (1.0 / p)
-    return idx, vals
 
 
 @dataclass(frozen=True)
@@ -778,30 +729,6 @@ def check_extrapolation(
             "constant": const,
             "phi": phi.name,
         },
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs * (1 + 1e-12) + 1e-300,
-        margin=rhs - lhs,
-    )
-
-
-def check_asym_blowup(
-    pair: TangentPair,
-    phi: MomentFunctional,
-    constant: float,
-    r: float | None = None,
-) -> IneqReport:
-    """Conditionally symmetric upgrade: E Phi(f*) <= C E Phi(||g||) implies
-    the asymmetric bound E Phi(f*) <= K E Phi(||g||) with
-    K = 2^(q/r) (2^(1+q/r) C + 1) after dropping the symmetry assumption."""
-    space = pair.seq.space
-    r = space.r if r is None else r
-    k_const = 2.0 ** (phi.q / r) * (2.0 ** (1.0 + phi.q / r) * constant + 1.0)
-    lhs = moment_phi(pair, phi, "f_star")
-    rhs = k_const * moment_phi(pair, phi, "g_norm")
-    return IneqReport(
-        inequality="asymmetric-phi-domination",
-        params={"q": phi.q, "r": r, "base_constant": constant, "constant": k_const},
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs * (1 + 1e-12) + 1e-300,

@@ -34,6 +34,8 @@ from .spaces import Space, format_space, parse_space
 
 # Hard ceiling on exact product-space enumeration (outcome pairs).
 JOINT_LIMIT = 10_000_000
+# Floats held by one block of an exact enumerator (joint_blocks, sign patterns).
+BLOCK_FLOATS = 2_000_000
 
 
 class EnumerationError(RuntimeError):
@@ -50,10 +52,36 @@ def _value_tuple(value):
     return tuple(float(v) for v in value)
 
 
-def _negate(value):
-    if isinstance(value, float):
-        return -value
-    return tuple(-v for v in value)
+def _atom(vec) -> bytes:
+    """Exact label of a vector atom; 0.0 and -0.0 share one label."""
+    return (np.asarray(vec) + 0.0).tobytes()
+
+
+def _merge_law(vectors, probs) -> dict:
+    """A finite law as {atom label: mass}; masses add up in input order."""
+    masses: dict[bytes, object] = {}
+    for vec, p in zip(vectors, probs):
+        key = _atom(vec)
+        masses[key] = masses.get(key, 0 * p) + p
+    return masses
+
+
+def _law_gap(law_a: dict, law_b: dict) -> float:
+    keys = set(law_a) | set(law_b)
+    return max(float(abs(law_a.get(k, 0) - law_b.get(k, 0))) for k in keys)
+
+
+def _law_ids(vectors, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Atom id of every vector and the mass of every atom, ids in first-seen order."""
+    law = _merge_law(vectors, probs)
+    index = {key: i for i, key in enumerate(law)}
+    return np.array([index[_atom(v)] for v in vectors]), np.array(list(law.values()))
+
+
+def symmetry_gap(vectors, probs) -> float:
+    """Largest mass gap between the law of the vectors and that of their negatives."""
+    vectors = np.asarray(vectors)
+    return _law_gap(_merge_law(vectors, probs), _merge_law(-vectors, probs))
 
 
 @dataclass(frozen=True)
@@ -158,13 +186,6 @@ class FiltrationTree:
             probs = [p * q for p in probs for q in level.probs_exact]
         return probs
 
-    def node_histories(self, n: int) -> list[tuple]:
-        """Innovation-value histories of depth-n nodes, in node-id order."""
-        histories = [()]
-        for level in self.levels[:n]:
-            histories = [h + (v,) for h in histories for v in level.values]
-        return histories
-
 
 def paley_walsh(depth: int, exact: bool = False) -> FiltrationTree:
     """Dyadic Rademacher tree: +-1 innovations, probability 1/2 each."""
@@ -197,20 +218,6 @@ class AdaptedSequence:
             want = (tree.num_nodes(n - 1), tree.sizes[n - 1], space.dim)
             if table.shape != want:
                 raise ModelError(f"level {n} table has shape {table.shape}, want {want}")
-
-    @classmethod
-    def from_rule(cls, tree: FiltrationTree, space: Space, rule) -> "AdaptedSequence":
-        """Build tables from rule(n, history, innovation_value) -> vector."""
-        tables = []
-        for n in range(1, tree.depth + 1):
-            level = tree.levels[n - 1]
-            histories = tree.node_histories(n - 1)
-            table = np.zeros((len(histories), level.size, space.dim))
-            for u, history in enumerate(histories):
-                for j, value in enumerate(level.values):
-                    table[u, j] = np.asarray(rule(n, history, value), dtype=float)
-            tables.append(table)
-        return cls(tree, space, tables)
 
     @classmethod
     def from_multipliers(cls, tree: FiltrationTree, space: Space, multipliers) -> "AdaptedSequence":
@@ -295,42 +302,12 @@ class AdaptedSequence:
     def terminal_moment(self, p: float) -> float:
         return float(self.tree.path_probs @ self.space.norms(self.terminal) ** p)
 
-    def window(self, k: int, l: int) -> "AdaptedSequence":
-        """Keep increments with k < n <= l, zero elsewhere."""
-        if not (0 <= k <= l <= self.depth):
-            raise ModelError(f"bad window ({k}, {l}]")
-        tables = [t if k < n <= l else np.zeros_like(t)
-                  for n, t in enumerate(self.tables, start=1)]
-        return AdaptedSequence(self.tree, self.space, tables)
-
-    def stopped(self, remain: "StoppingRule") -> "AdaptedSequence":
-        """Increments 1{tau >= n} d_n (stopped sequence)."""
-        keep = remain.keep_masks()
-        tables = [t * keep[n - 1][:, None, None]
-                  for n, t in enumerate(self.tables, start=1)]
-        return AdaptedSequence(self.tree, self.space, tables)
-
-    def started(self, remain: "StoppingRule") -> "AdaptedSequence":
-        """Increments 1{tau < n} d_n (started sequence)."""
-        keep = remain.keep_masks()
-        tables = [t * (1.0 - keep[n - 1][:, None, None])
-                  for n, t in enumerate(self.tables, start=1)]
-        return AdaptedSequence(self.tree, self.space, tables)
-
     def is_conditionally_symmetric(self, tol: float = 1e-12) -> bool:
         """True when every conditional increment law is negation-invariant."""
-        for n in range(1, self.depth + 1):
+        for n, table in enumerate(self.tables, start=1):
             probs = self.tree.level_probs(n)
-            for row in self.tables[n - 1]:
-                masses: dict[bytes, float] = {}
-                for vec, p in zip(row, probs):
-                    key = (vec + 0.0).tobytes()
-                    masses[key] = masses.get(key, 0.0) + p
-                for vec, p in zip(row, probs):
-                    key = (-vec + 0.0).tobytes()
-                    masses[key] = masses.get(key, 0.0) - p
-                if any(abs(m) > tol for m in masses.values()):
-                    return False
+            if any(symmetry_gap(row, probs) > tol for row in table):
+                return False
         return True
 
 
@@ -369,60 +346,6 @@ def sequence_from_spec(spec: dict) -> AdaptedSequence:
     return AdaptedSequence(
         FiltrationTree(levels), parse_space(spec["space"]), spec["tables"]
     )
-
-
-class StoppingRule:
-    """A stopping time as stop/continue decisions on tree nodes.
-
-    decisions[n] is a boolean array over depth-n nodes; tau is the first depth
-    whose decision along the path is True (tree depth + 1 when none is).
-    Decisions at depth n read only the depth-n history, so tau is a genuine
-    stopping time by construction.
-    """
-
-    def __init__(self, tree: FiltrationTree, decisions):
-        self.tree = tree
-        self.decisions = [np.asarray(d, dtype=bool).reshape(tree.num_nodes(n))
-                          for n, d in enumerate(decisions)]
-        if len(self.decisions) != tree.depth + 1:
-            raise ModelError("need decisions for depths 0..N")
-
-    @classmethod
-    def from_rule(cls, tree: FiltrationTree, rule) -> "StoppingRule":
-        """rule(n, history) -> bool, evaluated on every node."""
-        decisions = []
-        for n in range(tree.depth + 1):
-            decisions.append([bool(rule(n, h)) for h in tree.node_histories(n)])
-        return cls(tree, decisions)
-
-    @classmethod
-    def never(cls, tree: FiltrationTree) -> "StoppingRule":
-        return cls(tree, [np.zeros(tree.num_nodes(n), dtype=bool)
-                          for n in range(tree.depth + 1)])
-
-    def stopped_by(self, n: int) -> np.ndarray:
-        """1{tau <= n} as a depth-n node function."""
-        out = np.zeros(1, dtype=bool)
-        for m in range(n + 1):
-            if m > 0:
-                out = np.repeat(out, self.tree.sizes[m - 1])
-            out = out | self.decisions[m]
-        return out
-
-    def keep_masks(self) -> list[np.ndarray]:
-        """Per level n, 1{tau >= n} as a float array over depth-(n-1) nodes."""
-        masks = []
-        for n in range(1, self.tree.depth + 1):
-            masks.append((~self.stopped_by(n - 1)).astype(float))
-        return masks
-
-    def tau(self) -> np.ndarray:
-        """Stopping depth per path; depth+1 encodes 'never stopped'."""
-        out = np.full(self.tree.path_count, self.tree.depth + 1, dtype=np.int64)
-        for n in range(self.tree.depth, -1, -1):
-            hit = self.decisions[n][self.tree.nodes_at(n)]
-            out[hit] = n
-        return out
 
 
 class TangentPair:
@@ -473,19 +396,6 @@ class CheckResult:
     ok: bool
     gap: float
     detail: str = ""
-
-
-def _merge_law(vectors, probs):
-    masses: dict[bytes, object] = {}
-    for vec, p in zip(vectors, probs):
-        key = (np.asarray(vec) + 0.0).tobytes()
-        masses[key] = masses.get(key, 0 * p) + p
-    return masses
-
-
-def _law_gap(law_a: dict, law_b: dict) -> float:
-    keys = set(law_a) | set(law_b)
-    return max(float(abs(law_a.get(k, 0) - law_b.get(k, 0))) for k in keys)
 
 
 def verify_tangency(pair: TangentPair, tol: float = 1e-12,
@@ -555,16 +465,10 @@ def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> Ch
             grid = 1
             for n in range(1, depth + 1):
                 anc = tree.ancestor(np.array([u]), depth - 1, n - 1)[0]
-                row = seq.tables[n - 1][anc]
-                keys = [(vec + 0.0).tobytes() for vec in row]
-                uniq = sorted(set(keys))
-                index = {k: i for i, k in enumerate(uniq)}
-                ids = np.array([index[k] for k in keys])
-                masses = np.zeros(len(uniq))
-                np.add.at(masses, ids, tree.level_probs(n))
+                ids, masses = _law_ids(seq.tables[n - 1][anc], tree.level_probs(n))
                 level_ids.append(ids)
                 level_masses.append(masses)
-                grid *= len(uniq)
+                grid *= len(masses)
             if grid > JOINT_LIMIT:
                 raise EnumerationError("factorization grid too large")
             joint_masses = tree.path_probs
@@ -578,16 +482,10 @@ def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> Ch
         grid = 1
         per_path_ids = []
         for n in range(1, depth + 1):
-            vecs = seq.path_increments(n)
-            keys = [(vec + 0.0).tobytes() for vec in vecs]
-            uniq = sorted(set(keys))
-            index = {k: i for i, k in enumerate(uniq)}
-            ids = np.array([index[k] for k in keys])
-            masses = np.zeros(len(uniq))
-            np.add.at(masses, ids, tree.path_probs)
+            ids, masses = _law_ids(seq.path_increments(n), tree.path_probs)
             level_masses.append(masses)
             per_path_ids.append(ids)
-            grid *= len(uniq)
+            grid *= len(masses)
         if grid > JOINT_LIMIT:
             raise EnumerationError("factorization grid too large")
         worst = _factorization_gap(level_masses, tuple(per_path_ids),
@@ -640,7 +538,7 @@ def joint_blocks(pair: TangentPair, stats=JOINT_STATS, budget: int = JOINT_LIMIT
     the requested statistics, g_terminal (rows, paths, dim), e_star and g_star
     (rows, paths).  Within a block the statistics grow level by level along
     the omega~ tree, so each partial sum g_n is formed once per depth-n node.
-    Blocks hold about 2M floats of g_terminal.
+    Blocks hold about BLOCK_FLOATS floats of g_terminal.
     """
     unknown = set(stats) - set(JOINT_STATS)
     if unknown:
@@ -653,7 +551,7 @@ def joint_blocks(pair: TangentPair, stats=JOINT_STATS, budget: int = JOINT_LIMIT
     else:
         heads, head_probs = 1, np.ones(1)
     if block_rows is None:
-        block_rows = max(1, min(heads, 2_000_000 // max(1, paths * dim)))
+        block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, paths * dim)))
     need_g = "g_terminal" in stats or "g_star" in stats
     for start in range(0, heads, block_rows):
         block = np.arange(start, min(start + block_rows, heads))
@@ -693,17 +591,25 @@ def g_terminal_moment(pair: TangentPair, p: float) -> float:
 
 
 def sign_randomized_moment(seq: AdaptedSequence, p: float) -> float:
-    """E || sum_k eps_k d_k ||^p over independent Rademacher signs, exact."""
-    n = seq.depth
-    combos = seq.tree.path_count * 2 ** n
+    """E || sum_k eps_k d_k ||^p over independent Rademacher signs, exact.
+
+    The 2^N sign patterns are taken in blocks of about BLOCK_FLOATS floats.
+    """
+    n, paths = seq.depth, seq.tree.path_count
+    combos = paths * 2 ** n
     if combos > JOINT_LIMIT:
         raise EnumerationError(f"{combos} sign-path combinations exceed budget")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    total = np.zeros((2 ** n, seq.tree.path_count, seq.dim))
-    for m in range(1, n + 1):
-        total += signs[:, m - 1][:, None, None] * seq.path_increments(m)[None, :, :]
-    norms = seq.space.norms(total) ** p
-    return float(norms.mean(axis=0) @ seq.tree.path_probs)
+    incs = [seq.path_increments(m) for m in range(1, n + 1)]
+    rows = max(1, BLOCK_FLOATS // max(1, paths * seq.dim))
+    total = np.zeros(paths)
+    for start in range(0, 2 ** n, rows):
+        block = signs[start:start + rows]
+        sums = np.zeros((len(block), paths, seq.dim))
+        for m, inc in enumerate(incs):
+            sums += block[:, m, None, None] * inc[None, :, :]
+        total += np.sum(seq.space.norms(sums) ** p, axis=0)
+    return float((total / 2 ** n) @ seq.tree.path_probs)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -73,20 +72,8 @@ def pmap(fn, items, workers: int = 1):
         return list(pool.map(fn, items))
 
 
-def write_csv(path, rows: list[dict], columns: list[str]):
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def emit_plot_data(entries) -> dict:
-    """Flatten (key, value) entries to a dict; duplicate keys keep the last
-    value and print a warning to stderr."""
-    out = {}
-    for key, value in entries:
-        if key in out:
-            print(f"warning: duplicate plot key {key!r}, keeping last value", file=sys.stderr)
-        out[key] = value
-    return out
+def write_csv(handle, rows: list[dict], columns: list[str]):
+    """CSV rows to an open text handle (opened with newline="" for files)."""
+    writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)

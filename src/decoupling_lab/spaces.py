@@ -86,9 +86,6 @@ class Space:
             out = np.mean(out ** q, axis=-1) ** (1.0 / q)
         return out
 
-    def describe(self) -> str:
-        return format_space(self)
-
 
 def euclid(d: int) -> Space:
     return Space("euclid", ((2.0, int(d)),))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -290,119 +290,6 @@ def bdg_sweep(
         bdg_experiment(space, p, family, driver, paths, seed=seed, intervals=intervals)
         for p in ps
     ]
-
-
-def bdg_core_check(
-    space: Space,
-    p: float,
-    v_rule: Callable,
-    n: int,
-    samples: int,
-    seed: int = 0,
-) -> dict:
-    """Realized constant in the discrete Gaussian core inequality.
-
-    lhs = (E sup_j ||sum_{i<=j} g_i v_{i-1}||^p)^(1/p) with standard normal
-    g_i and predictable X-valued v_{i-1} = v_rule(i, g_1..g_{i-1}); rhs uses
-    an independent copy of the Gaussians from a disjoint stream against the
-    same coefficients.  v_rule receives only the strictly earlier g's.
-    """
-    lhs_acc, rhs_acc = 0.0, 0.0
-    for start, stop, gen in chunk_streams(seed, "core-g", samples):
-        count = stop - start
-        gs = gen.normal(size=(count, n))
-        tilde = stream(seed, "core-tilde", start).normal(size=(count, n))
-        running = np.zeros((count, space.dim))
-        decoupled = np.zeros((count, space.dim))
-        best = np.zeros(count)
-        for i in range(1, n + 1):
-            past = gs[:, : i - 1].copy()
-            past.flags.writeable = False
-            try:
-                v = np.asarray(v_rule(i, past), dtype=float)
-            except IndexError as exc:
-                raise ModelError(
-                    f"coefficient v_{i - 1} read a Gaussian at or after its slot"
-                ) from exc
-            if v.shape == (space.dim,):
-                v = np.broadcast_to(v, (count, space.dim))
-            if v.shape != (count, space.dim):
-                raise ModelError(f"v rule returned shape {v.shape}")
-            running = running + gs[:, i - 1][:, None] * v
-            decoupled = decoupled + tilde[:, i - 1][:, None] * v
-            best = np.maximum(best, space.norms(running))
-        lhs_acc += float(np.sum(best ** p))
-        rhs_acc += float(np.sum(space.norms(decoupled) ** p))
-    lhs = (lhs_acc / samples) ** (1.0 / p)
-    rhs = (rhs_acc / samples) ** (1.0 / p)
-    if rhs == 0.0:
-        raise ModelError("decoupled side vanished")
-    return {
-        "inequality": "bdg-core",
-        "p": p,
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "lhs": lhs,
-        "rhs": rhs,
-        "realized_c": lhs / rhs,
-    }
-
-
-def type2_embedding_check(
-    space: Space,
-    family: str,
-    p: float,
-    driver: BrownianDriver,
-    paths: int,
-    seed: int = 0,
-    intervals: int = 4,
-    inner: int = GAMMA_INNER,
-) -> dict:
-    """E sup^p against the time-L^2 norm of pointwise Gaussian-sum norms.
-
-    Only meaningful with type-2 geometry; accepted spaces are euclidean ones
-    and SeqLp with exponent >= 2.
-    """
-    if not (space.kind == "euclid" or (space.kind == "lp" and space.shape[0][0] >= 2.0)):
-        raise ModelError("type-2 check needs Euclid or SeqLp(q >= 2)")
-    proc = make_family(family, space, driver, intervals=intervals)
-    proc.check_driver(driver)
-    lengths = np.diff(driver.grid[list(proc.partition)])
-    sup_acc, rhs_acc = 0.0, 0.0
-    count_done = 0
-    for start, stop, dW in driver.increment_chunks(paths, seed):
-        values = integrate(proc, driver, dW)
-        norms = space.norms(values)
-        coefs = proc.coefficients(dW)
-        if space.kind == "euclid":
-            point_sq = np.einsum("pnmx->pn", coefs ** 2)
-        else:
-            gen = stream(seed, "type2-inner", start)
-            draws = gen.normal(size=(inner, proc.rank))
-            series = np.einsum("im,pnmx->ipnx", draws, coefs)
-            point_sq = np.mean(space.norms(series) ** 2, axis=0)
-        rhs_path = np.sqrt(point_sq @ lengths)
-        sup_acc += float(np.sum(norms.max(axis=1) ** p))
-        rhs_acc += float(np.sum(rhs_path ** p))
-        count_done = stop
-    lhs = sup_acc / count_done
-    rhs = rhs_acc / count_done
-    if rhs == 0.0 and lhs == 0.0:
-        return {"inequality": "type2-embedding", "p": p, "lhs": 0.0, "rhs": 0.0,
-                "ratio": 0.0, "status": "vacuous", "samples": paths, "seed": seed}
-    ratio = (lhs / rhs) ** (1.0 / p)
-    return {
-        "inequality": "type2-embedding",
-        "p": p,
-        "family": family,
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": ratio,
-        "status": "ok",
-        "samples": paths,
-        "seed": seed,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,15 @@ def test_product_model():
         model.scaled([1.0])
     with pytest.raises(pm.ModelError):
         iq.ProductModel(euclid(2), (rad,))
+    # every parent node of level n carries the atoms of law n
+    gen = stream(6, "product-tables")
+    laws = tuple(iq.random_symmetric_law(gen, 2, atoms) for atoms in (1, 3, 2))
+    seq = iq.ProductModel(euclid(2), laws).to_sequence()
+    for n, law in enumerate(laws, start=1):
+        table = seq.tables[n - 1]
+        assert table.shape == (seq.tree.num_nodes(n - 1),) + law.values.shape
+        for u in range(table.shape[0]):
+            assert np.array_equal(table[u], law.values)
 
 
 def test_conditional_models_recompose_g_moment():
@@ -248,7 +257,8 @@ def test_tail_comparison_mc():
 def test_conditional_norm_on_signs():
     pair = unit_pw_pair(3)
     for n in (1, 2, 3):
-        vals = iq.conditional_norm(pair, 2.0, n)
+        vals = iq.window_conditional_norm(pair, 2.0, 0, n)[pair.tree.nodes_at(n - 1)]
+        assert vals.shape == (pair.tree.path_count,)
         assert np.allclose(vals, math.sqrt(n), atol=1e-12)
     star = iq.conditional_norm_star(pair, 2.0)
     assert np.allclose(star, math.sqrt(3.0), atol=1e-12)
@@ -260,9 +270,14 @@ def test_conditional_norm_dual_route():
     tree = pm.random_tree(gen, 4)
     seq = pm.random_general_sequence(gen, tree, seq_lp(0.5, 2))
     pair = pm.decouple(seq)
+    n = tree.depth
     for p in (0.5, 1.0, 2.0):
-        lhs = float(iq.conditional_norm(pair, p) ** p @ pair.tree.path_probs)
+        t_p = iq.window_conditional_norm(pair, p, 0, n)[tree.nodes_at(n - 1)]
+        lhs = float(t_p ** p @ tree.path_probs)
         assert lhs == pytest.approx(pm.g_terminal_moment(pair, p), rel=1e-12)
+        # the running sup over n dominates the last window
+        star = iq.conditional_norm_star(pair, p)
+        assert np.all(star >= t_p)
 
 
 def test_window_norm_validation():
@@ -272,23 +287,6 @@ def test_window_norm_validation():
     copy = pm.independent_copy(pair.seq)
     with pytest.raises(pm.ModelError):
         iq.window_conditional_norm(copy, 2.0, 0, 1)
-
-
-def test_conditional_norm_mc():
-    gen = stream(13, "tp-mc")
-    tree = pm.random_tree(gen, 3)
-    seq = pm.random_general_sequence(gen, tree, euclid(2))
-    pair = pm.decouple(seq)
-    idx, vals = iq.conditional_norm_mc(pair, 2.0, outer=2000, inner=128, seed=3)
-    idx2, vals2 = iq.conditional_norm_mc(pair, 2.0, outer=2000, inner=128, seed=3)
-    assert np.array_equal(idx, idx2) and np.array_equal(vals, vals2)
-    est = float(np.mean(vals ** 2))
-    se = float(np.std(vals ** 2) / math.sqrt(vals.size))
-    assert abs(est - pm.g_terminal_moment(pair, 2.0)) <= 5 * se + 1e-9
-    # T_p(f^1) is known on each depth-0 atom, so pathwise agreement is testable
-    one, got = iq.conditional_norm_mc(pair, 2.0, n=1, outer=8, inner=8192, seed=5)
-    exact = iq.conditional_norm(pair, 2.0, n=1)
-    assert np.allclose(got, exact[one], rtol=0.15, atol=1e-6)
 
 
 def test_bmo_profile_on_signs():
@@ -408,17 +406,6 @@ def test_extrapolation_with_phi_log():
     pair = pm.random_pair(gen, euclid(2), max_depth=3)
     rep = iq.check_extrapolation(pair, 1.0, 2.0, phi=iq.power_log(2.0))
     assert rep.holds and rep.params["phi"] == "power_log(2)"
-
-
-def test_asym_blowup():
-    gen = stream(18, "asym")
-    tree = pm.random_tree(gen, 3)
-    seq = pm.random_general_sequence(gen, tree, euclid(2))
-    pair = pm.decouple(seq)
-    base = iq.check_extrapolation(pair, 2.0, 2.0)
-    rep = iq.check_asym_blowup(pair, iq.power(2.0), base.params["constant"])
-    assert rep.holds
-    assert rep.params["constant"] > base.params["constant"]
 
 
 def test_davis_pathwise_on_signs():

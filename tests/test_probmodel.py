@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -62,13 +63,6 @@ def test_exact_probabilities():
     assert not pm.paley_walsh(2).exact
 
 
-def test_node_histories():
-    tree = pm.paley_walsh(2)
-    hist = tree.node_histories(2)
-    assert hist[0] == (1.0, 1.0)
-    assert hist[3] == (-1.0, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # adapted sequences
 
@@ -99,56 +93,6 @@ def test_from_multipliers_validation():
         pm.AdaptedSequence.from_multipliers(
             tree, euclid(1), [np.ones((2, 1)), np.ones((2, 1))]
         )
-
-
-def test_window():
-    seq = unit_pw_seq(3)
-    full = seq.window(0, 3)
-    for a, b in zip(full.tables, seq.tables):
-        assert np.array_equal(a, b)
-    empty = seq.window(1, 1)
-    assert all(not t.any() for t in empty.tables)
-    mid = seq.window(1, 2)
-    assert not mid.tables[0].any()
-    assert np.array_equal(mid.tables[1], seq.tables[1])
-    assert not mid.tables[2].any()
-    with pytest.raises(pm.ModelError):
-        seq.window(2, 1)
-
-
-def test_stopping_rule_tau():
-    seq = unit_pw_seq(3)
-    tree = seq.tree
-    rule = pm.StoppingRule.from_rule(tree, lambda n, h: abs(sum(h)) >= 2)
-    tau = rule.tau()
-    sums = seq.partial_sums[:, :, 0]
-    expect = []
-    for row in np.abs(sums) >= 2:
-        hits = np.nonzero(row)[0]
-        expect.append(hits[0] if hits.size else tree.depth + 1)
-    assert list(tau) == expect
-
-
-def test_stop_start_partition():
-    seq = unit_pw_seq(3)
-    rule = pm.StoppingRule.from_rule(seq.tree, lambda n, h: n >= 2 and h[0] > 0)
-    stopped, started = seq.stopped(rule), seq.started(rule)
-    for a, b, c in zip(stopped.tables, started.tables, seq.tables):
-        assert np.allclose(a + b, c)
-    never = pm.StoppingRule.never(seq.tree)
-    assert all(np.array_equal(a, b) for a, b in zip(seq.stopped(never).tables, seq.tables))
-    at_root = pm.StoppingRule.from_rule(seq.tree, lambda n, h: n == 0)
-    assert all(not t.any() for t in seq.stopped(at_root).tables)
-    assert all(np.array_equal(a, b) for a, b in zip(seq.started(at_root).tables, seq.tables))
-
-
-def test_stopped_by_is_monotone():
-    tree = pm.paley_walsh(3)
-    rule = pm.StoppingRule.from_rule(tree, lambda n, h: n == 1 and h[0] > 0)
-    assert not rule.stopped_by(0).any()
-    one = rule.stopped_by(1)
-    assert list(one) == [True, False]
-    assert list(rule.stopped_by(2)) == [True, True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +230,32 @@ def test_sign_randomization_matches_decoupling():
         assert pm.sign_randomized_moment(seq, p) == pytest.approx(
             pm.g_terminal_moment(pair, p), rel=1e-12
         )
+
+
+def sign_moment_one_array(seq, p):
+    """E||sum eps_k d_k||^p from one (2^N, paths, dim) array of signed sums."""
+    n = seq.depth
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    total = np.zeros((2 ** n, seq.tree.path_count, seq.dim))
+    for m in range(1, n + 1):
+        total += signs[:, m - 1][:, None, None] * seq.path_increments(m)[None, :, :]
+    return float((seq.space.norms(total) ** p).mean(axis=0) @ seq.tree.path_probs)
+
+
+def test_sign_randomized_moment_in_blocks():
+    # within one block the sums are formed in the same order as in one array
+    gen = stream(24, "sign-blocks")
+    tree = pm.FiltrationTree(pm.symmetric_three_point(3).levels + pm.paley_walsh(2).levels)
+    small = pm.random_general_sequence(gen, tree, seq_lp(0.5, 3))
+    for p in (0.5, 2.0):
+        assert pm.sign_randomized_moment(small, p) == sign_moment_one_array(small, p)
+    # 2^9 sign patterns x 512 paths x 16 coordinates: three blocks, the last short
+    tree = pm.paley_walsh(9)
+    seq = pm.random_multiplier_sequence(gen, tree, sup_norm(16))
+    assert 2 ** 9 * tree.path_count * 16 > 2 * pm.BLOCK_FLOATS
+    for p in (1.0, 3.0):
+        assert pm.sign_randomized_moment(seq, p) == pytest.approx(
+            sign_moment_one_array(seq, p), rel=1e-12)
 
 
 def test_sign_randomized_budget():

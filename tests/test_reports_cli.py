@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction
@@ -58,17 +59,13 @@ def test_pmap_preserves_order():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "rows.csv"
-    rp.write_csv(path, [{"a": 1, "b": 2, "junk": 9}, {"a": 3}], ["a", "b"])
+    with open(path, "w", newline="") as handle:
+        rp.write_csv(handle, [{"a": 1, "b": 2, "junk": 9}, {"a": 3}], ["a", "b"])
     lines = path.read_text().splitlines()
     assert lines == ["a,b", "1,2", "3,"]
-    rp.write_csv(path, [], ["a", "b"])
-    assert path.read_text().splitlines() == ["a,b"]
-
-
-def test_emit_plot_data_warns_on_duplicates(capsys):
-    out = rp.emit_plot_data([("k", 1), ("j", 2), ("k", 3)])
-    assert out == {"k": 3, "j": 2}
-    assert "duplicate plot key" in capsys.readouterr().err
+    buffer = io.StringIO()
+    rp.write_csv(buffer, [], ["a", "b"])
+    assert buffer.getvalue().splitlines() == ["a,b"]
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +118,17 @@ def test_bounds_csv_output(tmp_path, capsys):
     ])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[0] == "formula,value,expression,applies,condition"
+    # one writer serves both: atlas rows are the same bytes on stdout and in --out
+    atlas = ["atlas", "--spaces", "l2:2,linf:2", "--ps", "1,2", "--trials", "6",
+             "--restarts", "1", "--depth", "2", "--format", "csv", "--workers", "1"]
+    atlas_out = tmp_path / "atlas.csv"
+    assert cli.main([*atlas, "--out", str(atlas_out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(atlas) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert stdout == atlas_out.read_bytes()
+    assert stdout.startswith(b"space,p,direction,ratio,")
+    assert stdout.count(b"\r\n") == 5  # header and one row per cell
 
 
 def test_bad_space_is_a_config_error(capsys):

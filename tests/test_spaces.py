@@ -212,7 +212,3 @@ def test_parse_errors():
     for text in ("l3:4", "lp:2", "nested:1x", "l2:0", "l2:two", ""):
         with pytest.raises(SpaceError):
             parse_space(text)
-
-
-def test_describe():
-    assert euclid(4).describe() == "l2:4"

@@ -232,48 +232,6 @@ def test_bdg_sweep_orders_results():
     assert all(r["family"] == "deterministic" for r in rows)
 
 
-def test_bdg_core_check_identity_at_n1():
-    out = st.bdg_core_check(euclid(1), 2.0, lambda i, past: np.ones(1), 1, 20_000, seed=3)
-    assert out["realized_c"] == pytest.approx(1.0, rel=0.05)
-    assert out["inequality"] == "bdg-core"
-
-
-def test_bdg_core_check_doob_range():
-    out = st.bdg_core_check(
-        euclid(2), 2.0, lambda i, past: np.eye(2)[i % 2], 5, 20_000, seed=4
-    )
-    assert 1.0 <= out["realized_c"] <= 2.1
-
-
-def test_bdg_core_check_rejects_cheating_rule():
-    def cheat(i, past):
-        return past[:, i - 1][:, None] * np.ones((1, 1))
-
-    with pytest.raises(ModelError, match="at or after its slot"):
-        st.bdg_core_check(euclid(1), 2.0, cheat, 3, 256, seed=0)
-
-    def misshapen(i, past):
-        return np.ones(4)
-
-    with pytest.raises(ModelError, match="v rule returned shape"):
-        st.bdg_core_check(euclid(1), 2.0, misshapen, 2, 256, seed=0)
-
-
-def test_type2_check_spaces():
-    drv = st.BrownianDriver(2, steps=16)
-    out = st.type2_embedding_check(euclid(2), "deterministic", 2.0, drv, 2000, seed=0)
-    assert out["status"] == "ok"
-    assert 0.5 < out["ratio"] <= 2.2  # Doob keeps the p=2 ratio under 2
-    lp_out = st.type2_embedding_check(
-        seq_lp(3.0, 2), "rotating", 2.0, drv, 300, seed=0, inner=64
-    )
-    assert lp_out["status"] == "ok" and lp_out["ratio"] > 0
-    with pytest.raises(ModelError, match="type-2"):
-        st.type2_embedding_check(seq_lp(0.5, 2), "deterministic", 2.0, drv, 100)
-    with pytest.raises(ModelError, match="type-2"):
-        st.type2_embedding_check(sup_norm(2), "deterministic", 2.0, drv, 100)
-
-
 def test_make_family_validation():
     drv = st.BrownianDriver(2, steps=2)
     with pytest.raises(ModelError, match="more intervals"):
