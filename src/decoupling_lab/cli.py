@@ -42,6 +42,24 @@ def _resolve_seed(value) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, which must be positive and finite."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    return parse
+
+
+def _positive_floats(text: str) -> list[float]:
+    """An argparse type: a comma-separated list of positive finite numbers."""
+    return [_positive(float)(x) for x in text.split(",") if x.strip()]
+
+
 # ---------------------------------------------------------------------------
 # verify suite workers (module-level so they pickle for process pools)
 
@@ -185,9 +203,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_bdg(args) -> int:
     seed = _resolve_seed(args.seed)
     space = parse_space(args.space)
-    driver = st.BrownianDriver(
-        dim=args.driver_dim or space.dim, horizon=args.horizon, steps=args.steps
-    )
+    driver_dim = space.dim if args.driver_dim is None else args.driver_dim
+    driver = st.BrownianDriver(dim=driver_dim, horizon=args.horizon, steps=args.steps)
     rows = st.bdg_sweep(space, args.p, args.family, driver, args.samples, seed=seed)
     config = {
         "command": "bdg", "space": args.space, "p": args.p, "family": args.family,
@@ -217,17 +234,16 @@ def _atlas_cell(task: tuple) -> dict:
 def _cmd_atlas(args) -> int:
     seed = _resolve_seed(args.seed)
     spaces = [s.strip() for s in args.spaces.split(",") if s.strip()]
-    ps = [float(x) for x in args.ps.split(",") if x.strip()]
     for text in spaces:
         parse_space(text)
     tasks = [
         (space, p, args.direction, args.family, args.trials, args.restarts, args.depth, seed)
         for space in spaces
-        for p in ps
+        for p in args.ps
     ]
     rows = rp.pmap(_atlas_cell, tasks, workers=args.workers)
     config = {
-        "command": "atlas", "spaces": spaces, "ps": ps,
+        "command": "atlas", "spaces": spaces, "ps": args.ps,
         "direction": args.direction, "family": args.family,
         "budget": args.trials, "restarts": args.restarts, "depth": args.depth,
     }
@@ -268,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run inequality suites on randomized finite models")
     v.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     v.add_argument("--space", default="l2:4")
-    v.add_argument("--p", type=float, default=2.0)
+    v.add_argument("--p", type=_positive(float), default=2.0)
     v.add_argument("--depth", type=int, default=3)
     v.add_argument("--trials", type=int, default=50)
     _add_common(v)
@@ -276,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = subs.add_parser("estimate", help="search model families for large observed ratios")
     e.add_argument("--space", required=True)
-    e.add_argument("--p", type=float, default=2.0)
+    e.add_argument("--p", type=_positive(float), default=2.0)
     e.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
     e.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
     e.add_argument("--depth", type=int, default=3)
@@ -299,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("bdg", help="Monte Carlo BDG ratio experiments")
     g.add_argument("--space", default="l2:4")
-    g.add_argument("--p", type=float, nargs="+", default=[1.0, 2.0, 4.0, 8.0])
+    g.add_argument("--p", type=_positive(float), nargs="+", default=[1.0, 2.0, 4.0, 8.0])
     g.add_argument("--family", choices=("deterministic", "rotating", "adapted-sign"),
                    default="adapted-sign")
-    g.add_argument("--samples", type=int, default=20000, help="simulated paths")
+    g.add_argument("--samples", type=_positive(int), default=20000, help="simulated paths")
     g.add_argument("--steps", type=int, default=64)
     g.add_argument("--horizon", type=float, default=1.0)
-    g.add_argument("--driver-dim", dest="driver_dim", type=int, default=None)
+    g.add_argument("--driver-dim", dest="driver_dim", type=_positive(int), default=None)
     _add_common(g)
     g.set_defaults(fn=_cmd_bdg)
 
     a = subs.add_parser("atlas", help="ratio sweep over a space x p grid")
     a.add_argument("--spaces", default="l2:2,l2:4,linf:2,linf:4")
-    a.add_argument("--ps", default="1,2,4")
+    a.add_argument("--ps", type=_positive_floats, default="1,2,4")
     a.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
     a.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
     a.add_argument("--depth", type=int, default=3)

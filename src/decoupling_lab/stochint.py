@@ -2,9 +2,12 @@
 
 Everything is exact on the driver's grid: step processes align to grid
 points, so the integral is a finite sum and the only randomness is the
-driver's.  Path simulation is chunked so a 10^5-path experiment stays inside
-a few megabytes, and every chunk has its own counter-based stream, which
-makes results independent of chunking and worker count.
+driver's.  Paths are simulated in chunks of rng.CHUNK, and the Monte Carlo
+gamma norm takes its inner draws in blocks of about BLOCK_FLOATS floats, so
+memory grows with the grid and dimensions of one chunk but not with the path
+count or the inner-draw count; three floats per path are kept.  Every chunk
+has its own counter-based stream, which makes results independent of
+chunking and worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .probmodel import ModelError
+from .probmodel import BLOCK_FLOATS, ModelError
 from .rng import chunk_streams, stream
 from .spaces import Space
 
@@ -131,16 +134,16 @@ def constant_process(partition, vectors, x_dim: int, name: str = "deterministic"
     return StepProcess(partition, rank, x_dim, rule, name=name)
 
 
-def integrate(proc: StepProcess, driver: BrownianDriver, dW: np.ndarray) -> np.ndarray:
+def integrate(
+    proc: StepProcess, driver: BrownianDriver, dW: np.ndarray, coefs: np.ndarray
+) -> np.ndarray:
     """Integral paths at every grid point, shape (paths, steps+1, x_dim).
 
-    Exact: within partition interval n the integrand is frozen, so each grid
-    step contributes coef_n . dW_k.
+    ``coefs`` is ``proc.coefficients(dW)``.  Exact: within partition interval
+    n the integrand is frozen, so each grid step contributes coef_n . dW_k.
     """
     proc.check_driver(driver)
-    coefs = proc.coefficients(dW)
-    paths = dW.shape[0]
-    out = np.zeros((paths, driver.steps + 1, proc.x_dim))
+    out = np.zeros((dW.shape[0], driver.steps + 1, proc.x_dim))
     interval_of = np.searchsorted(np.array(proc.partition), np.arange(driver.steps), side="right")
     for k in range(driver.steps):
         n = interval_of[k]
@@ -153,7 +156,7 @@ def integrate(proc: StepProcess, driver: BrownianDriver, dW: np.ndarray) -> np.n
 def gamma_norm(
     proc: StepProcess,
     driver: BrownianDriver,
-    dW: np.ndarray,
+    coefs: np.ndarray,
     space: Space,
     inner: int = GAMMA_INNER,
     seed: int = 0,
@@ -161,15 +164,16 @@ def gamma_norm(
 ) -> np.ndarray:
     """Per-path Gaussian-series norm of the frozen integrand.
 
-    The integral operator of a step process maps an orthonormal basis of
-    L^2(0,T;R^m) to sqrt(dt_n) xi_{nm}, so the squared norm is
+    ``coefs`` is ``proc.coefficients`` of the paths.  The integral operator of
+    a step process maps an orthonormal basis of L^2(0,T;R^m) to
+    sqrt(dt_n) xi_{nm}, so the squared norm is
     E || sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm} ||^2: a closed form when the
-    norm is euclidean, a small Monte Carlo average otherwise.
+    norm is euclidean, a small Monte Carlo average otherwise.  The average
+    takes the inner draws in blocks of about BLOCK_FLOATS floats of series and
+    adds each draw's squared norms in draw order.
     """
     proc.check_driver(driver)
-    coefs = proc.coefficients(dW)
-    grid = driver.grid
-    lengths = np.diff(grid[list(proc.partition)])
+    lengths = np.diff(driver.grid[list(proc.partition)])
     exact = is_hilbert_like(space) if exact is None else exact
     if exact:
         if not is_hilbert_like(space):
@@ -182,48 +186,41 @@ def gamma_norm(
     gen = stream(seed, "gamma-inner")
     draws = gen.normal(size=(inner, proc.intervals, proc.rank))
     scaled = np.einsum("inm,n->inm", draws, np.sqrt(lengths))
-    series = np.einsum("inm,pnmx->ipx", scaled, coefs)
-    return np.sqrt(np.mean(space.norms(series) ** 2, axis=0))
+    paths = coefs.shape[0]
+    rows = max(1, BLOCK_FLOATS // max(1, paths * proc.x_dim))
+    total = np.zeros(paths)
+    for start in range(0, inner, rows):
+        series = np.einsum("inm,pnmx->ipx", scaled[start:start + rows], coefs)
+        for sq in space.norms(series) ** 2:
+            total += sq
+    return np.sqrt(total / inner)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathStats:
-    """Per-path summary statistics accumulated over chunks."""
+    """Per-path sup, terminal and gamma norms of one simulation."""
 
     sup: np.ndarray
     terminal: np.ndarray
     gamma: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "PathStats":
-        return cls(np.zeros(0), np.zeros(0), np.zeros(0))
-
-    def extend(self, sup, terminal, gamma):
-        self.sup = np.concatenate([self.sup, sup])
-        self.terminal = np.concatenate([self.terminal, terminal])
-        self.gamma = np.concatenate([self.gamma, gamma])
-
 
 def simulate(
-    proc: StepProcess,
-    driver: BrownianDriver,
-    space: Space,
-    paths: int,
-    seed: int = 0,
-    inner: int = GAMMA_INNER,
+    proc: StepProcess, driver: BrownianDriver, space: Space, paths: int, seed: int = 0
 ) -> PathStats:
     """Chunked simulation collecting sup, terminal and gamma norms per path."""
     if space.dim != proc.x_dim:
         raise ModelError("space dimension does not match the process")
-    stats = PathStats.empty()
+    stats = PathStats(np.empty(paths), np.empty(paths), np.empty(paths))
     exact = is_hilbert_like(space)
     for start, stop, dW in driver.increment_chunks(paths, seed):
-        values = integrate(proc, driver, dW)
-        norms = space.norms(values)
-        gam = gamma_norm(
-            proc, driver, dW, space, inner=inner, seed=(seed << 20) + start, exact=exact
+        coefs = proc.coefficients(dW)
+        norms = space.norms(integrate(proc, driver, dW, coefs))
+        stats.sup[start:stop] = norms.max(axis=1)
+        stats.terminal[start:stop] = norms[:, -1]
+        stats.gamma[start:stop] = gamma_norm(
+            proc, driver, coefs, space, inner=GAMMA_INNER, seed=(seed << 20) + start, exact=exact
         )
-        stats.extend(norms.max(axis=1), norms[:, -1], gam)
     return stats
 
 
@@ -235,48 +232,6 @@ def _moment(values: np.ndarray, p: float) -> tuple[float, float]:
     return mean, se
 
 
-def bdg_experiment(
-    space: Space,
-    p: float,
-    family: str,
-    driver: BrownianDriver,
-    paths: int,
-    seed: int = 0,
-    intervals: int = 4,
-    inner: int = GAMMA_INNER,
-) -> dict:
-    """Estimate kappa_p = (E sup^p / E gamma^p)^(1/p) for one process family."""
-    proc = make_family(family, space, driver, intervals=intervals)
-    stats = simulate(proc, driver, space, paths, seed=seed, inner=inner)
-    sup_mom, sup_se = _moment(stats.sup, p)
-    gam_mom, gam_se = _moment(stats.gamma, p)
-    term_mom, term_se = _moment(stats.terminal, p)
-    if gam_mom == 0.0 and sup_mom == 0.0:
-        return {
-            "family": family, "p": p, "paths": paths, "seed": seed,
-            "sup_moment": 0.0, "gamma_moment": 0.0, "terminal_moment": 0.0,
-            "kappa": 0.0, "kappa_over_p": 0.0, "status": "vacuous",
-        }
-    if gam_mom == 0.0:
-        raise ModelError("gamma moment vanished on a nonzero integral")
-    kappa = (sup_mom / gam_mom) ** (1.0 / p)
-    return {
-        "family": family,
-        "p": p,
-        "paths": paths,
-        "seed": seed,
-        "sup_moment": sup_mom,
-        "sup_se": sup_se,
-        "gamma_moment": gam_mom,
-        "gamma_se": gam_se,
-        "terminal_moment": term_mom,
-        "terminal_se": term_se,
-        "kappa": kappa,
-        "kappa_over_p": kappa / p,
-        "status": "ok",
-    }
-
-
 def bdg_sweep(
     space: Space,
     ps: Sequence[float],
@@ -284,12 +239,25 @@ def bdg_sweep(
     driver: BrownianDriver,
     paths: int,
     seed: int = 0,
-    intervals: int = 4,
 ) -> list[dict]:
-    return [
-        bdg_experiment(space, p, family, driver, paths, seed=seed, intervals=intervals)
-        for p in ps
-    ]
+    """Estimate kappa_p = (E sup^p / E gamma^p)^(1/p) for one process family
+    at each p, every row from the same simulated paths."""
+    stats = simulate(make_family(family, space, driver), driver, space, paths, seed=seed)
+    rows = []
+    for p in ps:
+        row = {"family": family, "p": p, "paths": paths, "seed": seed, "status": "ok"}
+        for name in ("sup", "gamma", "terminal"):
+            row[f"{name}_moment"], row[f"{name}_se"] = _moment(getattr(stats, name), p)
+        if row["gamma_moment"] == 0.0:
+            if row["sup_moment"] != 0.0:
+                raise ModelError("gamma moment vanished on a nonzero integral")
+            row["status"] = "vacuous"
+            kappa = 0.0
+        else:
+            kappa = (row["sup_moment"] / row["gamma_moment"]) ** (1.0 / p)
+        row["kappa"], row["kappa_over_p"] = kappa, kappa / p
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

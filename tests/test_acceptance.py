@@ -234,7 +234,7 @@ def test_09_brownian_isometry_and_moment_ratios():
     with criterion(9, "stochastic-integrals") as out:
         start = time.monotonic()
         driver = st.BrownianDriver(4, horizon=1.0, steps=64)
-        iso = st.bdg_experiment(euclid(4), 2.0, "deterministic", driver, 100_000, seed=11)
+        iso = st.bdg_sweep(euclid(4), [2.0], "deterministic", driver, 100_000, seed=11)[0]
         iso_ratio = iso["terminal_moment"] / iso["gamma_moment"]
         rel_se = iso["sup_se"] / iso["sup_moment"] + iso["terminal_se"] / iso["terminal_moment"]
         doob_ok = iso["sup_moment"] <= 4.0 * iso["terminal_moment"] * (1.0 + 3.0 * rel_se)

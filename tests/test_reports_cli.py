@@ -145,6 +145,26 @@ def test_bad_env_seed(monkeypatch, capsys):
     assert "DECOUPLING_LAB_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bdg", "--p", "0"],
+    ["bdg", "--p", "-1"],
+    ["bdg", "--p", "inf"],
+    ["bdg", "--samples", "0"],
+    ["bdg", "--driver-dim", "0"],
+    ["estimate", "--space", "l2:2", "--p", "0"],
+    ["estimate", "--space", "l2:2", "--p", "-2"],
+    ["atlas", "--ps", "1,0"],
+    ["atlas", "--ps", "1,nan"],
+    ["verify", "--suite", "extrapolation", "--p", "0"],
+])
+def test_non_positive_exponents_and_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--workers", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err and "Traceback" not in err
+
+
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
     via_flag = tmp_path / "flag.json"
     via_env = tmp_path / "env.json"

@@ -5,6 +5,7 @@ import pytest
 
 import decoupling_lab.stochint as st
 from decoupling_lab.probmodel import ModelError
+from decoupling_lab.rng import stream
 from decoupling_lab.spaces import euclid, nested, seq_lp, sup_norm
 
 
@@ -101,7 +102,7 @@ def test_integrate_matches_manual_sum():
     e1, e2 = np.eye(2)
     proc = st.constant_process([0, 4, 8], [[e1, e2], [2 * e1, -e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(16, 3)))
-    vals = st.integrate(proc, drv, dW)
+    vals = st.integrate(proc, drv, dW, proc.coefficients(dW))
     assert vals.shape == (16, 9, 2)
     np.testing.assert_array_equal(vals[:, 0], 0.0)
     first = dW[:, :4, 0].sum(axis=1)
@@ -121,7 +122,9 @@ def test_integrate_is_linear():
     tripled = st.constant_process([0, 4, 8], [[3 * e1, 3 * e2], [3 * e2, 3 * e1]], 2)
     _, _, dW = next(iter(drv.increment_chunks(32, 5)))
     np.testing.assert_allclose(
-        st.integrate(tripled, drv, dW), 3.0 * st.integrate(base, drv, dW), atol=1e-12
+        st.integrate(tripled, drv, dW, tripled.coefficients(dW)),
+        3.0 * st.integrate(base, drv, dW, base.coefficients(dW)),
+        atol=1e-12,
     )
 
 
@@ -129,7 +132,7 @@ def test_gamma_norm_exact_for_basis_coefficients():
     drv = st.BrownianDriver(4, steps=16)
     proc = st.make_family("deterministic", euclid(4), drv, intervals=4)
     _, _, dW = next(iter(drv.increment_chunks(10, 0)))
-    gam = st.gamma_norm(proc, drv, dW, euclid(4))
+    gam = st.gamma_norm(proc, drv, proc.coefficients(dW), euclid(4))
     # per (interval, direction) one unit vector: squared norm = rank * horizon
     np.testing.assert_array_equal(gam, np.full(10, 2.0))
 
@@ -141,8 +144,8 @@ def test_gamma_norm_scales_linearly():
     scaled = st.constant_process([0, 8], [[3 * e1, 3 * e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(6, 0)))
     np.testing.assert_allclose(
-        st.gamma_norm(scaled, drv, dW, euclid(2)),
-        3.0 * st.gamma_norm(base, drv, dW, euclid(2)),
+        st.gamma_norm(scaled, drv, scaled.coefficients(dW), euclid(2)),
+        3.0 * st.gamma_norm(base, drv, base.coefficients(dW), euclid(2)),
         atol=1e-12,
     )
 
@@ -154,11 +157,28 @@ def test_gamma_norm_mc_matches_two_sided_max():
     e1, e2 = np.eye(2)
     proc = st.constant_process([0, 4], [[e1, e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(3, 0)))
-    gam = st.gamma_norm(proc, drv, dW, sup_norm(2), inner=50_000, seed=9)
+    coefs = proc.coefficients(dW)
+    gam = st.gamma_norm(proc, drv, coefs, sup_norm(2), inner=50_000, seed=9)
     want = math.sqrt(1.0 + 2.0 / math.pi)
     np.testing.assert_allclose(gam, np.full(3, want), rtol=0.02)
     with pytest.raises(ModelError, match="inner-product"):
-        st.gamma_norm(proc, drv, dW, sup_norm(2), exact=True)
+        st.gamma_norm(proc, drv, coefs, sup_norm(2), exact=True)
+
+
+def test_gamma_norm_mc_in_blocks(monkeypatch):
+    # blocks of 7 draws leave a partial last block at inner = 50; the running
+    # total must equal the mean over one (inner, paths, dim) series array
+    drv = st.BrownianDriver(3, steps=8)
+    space = seq_lp(0.5, 3)
+    proc = st.make_family("adapted-sign", space, drv)
+    _, _, dW = next(iter(drv.increment_chunks(40, 2)))
+    coefs = proc.coefficients(dW)
+    monkeypatch.setattr(st, "BLOCK_FLOATS", 7 * 40 * 3)
+    gam = st.gamma_norm(proc, drv, coefs, space, inner=50, seed=6)
+    draws = stream(6, "gamma-inner").normal(size=(50, proc.intervals, proc.rank))
+    lengths = np.diff(drv.grid[list(proc.partition)])
+    series = np.einsum("inm,pnmx->ipx", np.einsum("inm,n->inm", draws, np.sqrt(lengths)), coefs)
+    np.testing.assert_array_equal(gam, np.sqrt(np.mean(space.norms(series) ** 2, axis=0)))
 
 
 def test_simulate_shapes_and_determinism():
@@ -179,7 +199,7 @@ def test_simulate_shapes_and_determinism():
 def test_ito_isometry_at_p2():
     # E ||integral_T||^2 equals the squared gamma norm for deterministic rows
     drv = st.BrownianDriver(2, steps=32)
-    out = st.bdg_experiment(euclid(2), 2.0, "deterministic", drv, 20_000, seed=2)
+    out = st.bdg_sweep(euclid(2), [2.0], "deterministic", drv, 20_000, seed=2)[0]
     assert out["gamma_moment"] == pytest.approx(2.0, abs=1e-12)  # rank * horizon
     assert out["terminal_moment"] == pytest.approx(2.0, abs=4.5 * out["terminal_se"])
     # Doob at p = 2: E sup^2 <= 4 E terminal^2, observed well inside
@@ -193,7 +213,7 @@ def test_kappa_agrees_across_equivalent_hilbert_spaces():
     # l2:8, lp:2:8 and nested:2x4,2x2 differ by the scale 1/sqrt(8) at most,
     # and kappa is scale invariant
     drv = st.BrownianDriver(2, steps=16)
-    outs = [st.bdg_experiment(space, 2.0, "deterministic", drv, 500, seed=3)
+    outs = [st.bdg_sweep(space, [2.0], "deterministic", drv, 500, seed=3)[0]
             for space in (euclid(8), seq_lp(2.0, 8), nested([(2.0, 4), (2.0, 2)]))]
     for out in outs[1:]:
         assert out["kappa"] == pytest.approx(outs[0]["kappa"], rel=1e-12)
@@ -208,7 +228,7 @@ def test_kappa_agrees_across_equivalent_hilbert_spaces():
 def test_bdg_experiment_adapted_sign_gamma_exact():
     # signs never change coefficient magnitude, so gamma is deterministic
     drv = st.BrownianDriver(4, steps=16)
-    out = st.bdg_experiment(euclid(4), 3.0, "adapted-sign", drv, 600, seed=1)
+    out = st.bdg_sweep(euclid(4), [3.0], "adapted-sign", drv, 600, seed=1)[0]
     assert out["gamma_moment"] == 2.0 ** 3
     assert out["gamma_se"] == 0.0
     assert out["kappa"] == pytest.approx((out["sup_moment"] / 8.0) ** (1 / 3), rel=1e-12)
@@ -220,7 +240,7 @@ def test_bdg_experiment_vacuous(monkeypatch):
         st, "make_family",
         lambda *a, **k: st.constant_process([0, 8], [[np.zeros(2)]], 2),
     )
-    out = st.bdg_experiment(euclid(2), 2.0, "deterministic", drv, 50, seed=0)
+    out = st.bdg_sweep(euclid(2), [2.0], "deterministic", drv, 50, seed=0)[0]
     assert out["status"] == "vacuous"
     assert out["kappa"] == 0.0
 
@@ -230,6 +250,35 @@ def test_bdg_sweep_orders_results():
     rows = st.bdg_sweep(euclid(2), [1.0, 2.0], "deterministic", drv, 200, seed=0)
     assert [r["p"] for r in rows] == [1.0, 2.0]
     assert all(r["family"] == "deterministic" for r in rows)
+
+
+def test_bdg_sweep_simulates_once(monkeypatch):
+    # four exponents over two chunks: one simulation, coefficients once per chunk
+    calls = {"simulate": 0, "coefficients": 0}
+    simulate, coefficients = st.simulate, st.StepProcess.coefficients
+
+    def counted_simulate(*args, **kwargs):
+        calls["simulate"] += 1
+        return simulate(*args, **kwargs)
+
+    def counted_coefficients(self, dW):
+        calls["coefficients"] += 1
+        return coefficients(self, dW)
+
+    monkeypatch.setattr(st, "simulate", counted_simulate)
+    monkeypatch.setattr(st.StepProcess, "coefficients", counted_coefficients)
+    drv = st.BrownianDriver(2, steps=8)
+    rows = st.bdg_sweep(euclid(2), [1.0, 2.0, 4.0, 8.0], "adapted-sign", drv, 4100, seed=0)
+    assert len(rows) == 4
+    assert calls == {"simulate": 1, "coefficients": 2}
+
+
+def test_bdg_sweep_rows_match_single_exponent():
+    drv = st.BrownianDriver(2, steps=8)
+    ps = [0.5, 1.0, 3.0]
+    rows = st.bdg_sweep(sup_norm(2), ps, "adapted-sign", drv, 300, seed=4)
+    for p, row in zip(ps, rows):
+        assert row == st.bdg_sweep(sup_norm(2), [p], "adapted-sign", drv, 300, seed=4)[0]
 
 
 def test_make_family_validation():
