@@ -28,6 +28,8 @@ VERIFY_SUITES = (
     "tangency", "levy", "contraction", "symsum", "revkol",
     "tail", "goodlambda", "davis", "extrapolation", "all",
 )
+# suites on random product models, which need at least two levels
+PRODUCT_SUITES = ("levy", "contraction", "revkol")
 
 
 def _resolve_seed(value) -> int:
@@ -56,8 +58,11 @@ def _positive(kind):
 
 
 def _positive_floats(text: str) -> list[float]:
-    """An argparse type: a comma-separated list of positive finite numbers."""
-    return [_positive(float)(x) for x in text.split(",") if x.strip()]
+    """An argparse type: a non-empty comma-separated list of positive finite numbers."""
+    values = [_positive(float)(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got no number in {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +87,7 @@ def _verify_one(task: tuple) -> list[dict]:
             })
         return out
 
-    if suite in ("levy", "contraction", "revkol"):
+    if suite in PRODUCT_SUITES:
         model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
         seq = model.to_sequence()
         sups = seq.space.norms(seq.partial_sums).max(axis=1)
@@ -134,6 +139,9 @@ def _verify_one(task: tuple) -> list[dict]:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
+    product_suites = [s for s in suites if s in PRODUCT_SUITES]
+    if args.depth < 2 and product_suites:
+        raise ValueError(f"--depth must be at least 2 for the {', '.join(product_suites)} suites")
     tasks = [
         (suite, args.space, args.p, args.depth, index, seed)
         for suite in suites
@@ -234,6 +242,8 @@ def _atlas_cell(task: tuple) -> dict:
 def _cmd_atlas(args) -> int:
     seed = _resolve_seed(args.seed)
     spaces = [s.strip() for s in args.spaces.split(",") if s.strip()]
+    if not spaces:
+        raise ValueError(f"--spaces names no space: {args.spaces!r}")
     for text in spaces:
         parse_space(text)
     tasks = [
@@ -285,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     v.add_argument("--space", default="l2:4")
     v.add_argument("--p", type=_positive(float), default=2.0)
-    v.add_argument("--depth", type=int, default=3)
-    v.add_argument("--trials", type=int, default=50)
+    v.add_argument("--depth", type=_positive(int), default=3)
+    v.add_argument("--trials", type=_positive(int), default=50)
     _add_common(v)
     v.set_defaults(fn=_cmd_verify)
 
@@ -295,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=_positive(float), default=2.0)
     e.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
     e.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
-    e.add_argument("--depth", type=int, default=3)
-    e.add_argument("--trials", type=int, default=400, help="search evaluation budget")
-    e.add_argument("--restarts", type=int, default=4)
+    e.add_argument("--depth", type=_positive(int), default=3)
+    e.add_argument("--trials", type=_positive(int), default=400, help="search evaluation budget")
+    e.add_argument("--restarts", type=_positive(int), default=4)
     _add_common(e)
     e.set_defaults(fn=_cmd_estimate)
 
@@ -319,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", choices=("deterministic", "rotating", "adapted-sign"),
                    default="adapted-sign")
     g.add_argument("--samples", type=_positive(int), default=20000, help="simulated paths")
-    g.add_argument("--steps", type=int, default=64)
-    g.add_argument("--horizon", type=float, default=1.0)
+    g.add_argument("--steps", type=_positive(int), default=64)
+    g.add_argument("--horizon", type=_positive(float), default=1.0)
     g.add_argument("--driver-dim", dest="driver_dim", type=_positive(int), default=None)
     _add_common(g)
     g.set_defaults(fn=_cmd_bdg)
@@ -330,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--ps", type=_positive_floats, default="1,2,4")
     a.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
     a.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
-    a.add_argument("--depth", type=int, default=3)
-    a.add_argument("--trials", type=int, default=120, help="search budget per cell")
-    a.add_argument("--restarts", type=int, default=2)
+    a.add_argument("--depth", type=_positive(int), default=3)
+    a.add_argument("--trials", type=_positive(int), default=120, help="search budget per cell")
+    a.add_argument("--restarts", type=_positive(int), default=2)
     _add_common(a)
     a.set_defaults(fn=_cmd_atlas)
 

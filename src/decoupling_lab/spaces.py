@@ -77,13 +77,20 @@ class Space:
             return np.sqrt(np.sum(arr * arr, axis=-1))
         if self.kind == "sup":
             return np.max(np.abs(arr), axis=-1)
+        # powers act in place on the one |arr| temporary
         if self.kind == "lp":
             q = self.shape[0][0]
-            return np.sum(np.abs(arr) ** q, axis=-1) ** (1.0 / q)
+            out = np.abs(arr)
+            out **= q
+            out = np.sum(out, axis=-1)
+            out **= 1.0 / q
+            return out
         # nested: fold from the innermost level outward, uniform weights
         out = np.abs(arr).reshape(arr.shape[:-1] + tuple(d for _, d in self.shape))
         for q, _ in reversed(self.shape):
-            out = np.mean(out ** q, axis=-1) ** (1.0 / q)
+            out **= q
+            out = np.mean(out, axis=-1)
+            out **= 1.0 / q
         return out
 
 

@@ -2,12 +2,15 @@
 
 Everything is exact on the driver's grid: step processes align to grid
 points, so the integral is a finite sum and the only randomness is the
-driver's.  Paths are simulated in chunks of rng.CHUNK, and the Monte Carlo
-gamma norm takes its inner draws in blocks of about BLOCK_FLOATS floats, so
-memory grows with the grid and dimensions of one chunk but not with the path
-count or the inner-draw count; three floats per path are kept.  Every chunk
-has its own counter-based stream, which makes results independent of
-chunking and worker count.
+driver's.  Paths are simulated in chunks of rng.CHUNK.  The Monte Carlo
+gamma norm multiplies a block of scaled inner draws by the chunk's
+coefficients, laid out as one (intervals*rank, x_dim*paths) matrix, and
+reduces the norm over the resulting (draw, x_dim, path) array; a block, the
+norm's temporary included, holds at most BLOCK_FLOATS floats.  So memory
+grows with the grid and dimensions of one chunk but not with the path count
+or the inner-draw count; three floats per path are kept.  Every chunk has its
+own counter-based stream, which makes results independent of chunking and
+worker count.
 """
 
 from __future__ import annotations
@@ -168,9 +171,16 @@ def gamma_norm(
     a step process maps an orthonormal basis of L^2(0,T;R^m) to
     sqrt(dt_n) xi_{nm}, so the squared norm is
     E || sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm} ||^2: a closed form when the
-    norm is euclidean, a small Monte Carlo average otherwise.  The average
-    takes the inner draws in blocks of about BLOCK_FLOATS floats of series and
-    adds each draw's squared norms in draw order.
+    norm is euclidean, a small Monte Carlo average otherwise.
+
+    The average is one matrix product per block of inner draws: the scaled
+    draws, shape (inner, intervals*rank), times the coefficients laid out once
+    as a contiguous (intervals*rank, x_dim*paths) matrix give each draw's
+    series as an (x_dim, paths) slab, so the norm reduces across x_dim element
+    by element over contiguous rows of paths.  A block holds the series, the
+    norm's |series| temporary and the norms, (2*x_dim + 1)*paths floats per
+    draw, within BLOCK_FLOATS; each draw's squared norms are added in draw
+    order.
     """
     proc.check_driver(driver)
     lengths = np.diff(driver.grid[list(proc.partition)])
@@ -184,14 +194,17 @@ def gamma_norm(
             sq = sq / space.dim
         return np.sqrt(sq)
     gen = stream(seed, "gamma-inner")
-    draws = gen.normal(size=(inner, proc.intervals, proc.rank))
-    scaled = np.einsum("inm,n->inm", draws, np.sqrt(lengths))
-    paths = coefs.shape[0]
-    rows = max(1, BLOCK_FLOATS // max(1, paths * proc.x_dim))
+    scaled = gen.normal(size=(inner, proc.intervals, proc.rank))
+    scaled *= np.sqrt(lengths)[:, None]
+    scaled = scaled.reshape(inner, -1)
+    paths, x_dim = coefs.shape[0], proc.x_dim
+    mat = np.ascontiguousarray(coefs.transpose(1, 2, 3, 0)).reshape(-1, x_dim * paths)
+    rows = max(1, BLOCK_FLOATS // max(1, (2 * x_dim + 1) * paths))
     total = np.zeros(paths)
     for start in range(0, inner, rows):
-        series = np.einsum("inm,pnmx->ipx", scaled[start:start + rows], coefs)
-        for sq in space.norms(series) ** 2:
+        series = (scaled[start:start + rows] @ mat).reshape(-1, x_dim, paths)
+        norms = space.norms(np.moveaxis(series, 1, -1))
+        for sq in np.square(norms, out=norms):
             total += sq
     return np.sqrt(total / inner)
 

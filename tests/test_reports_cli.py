@@ -156,6 +156,14 @@ def test_bad_env_seed(monkeypatch, capsys):
     ["atlas", "--ps", "1,0"],
     ["atlas", "--ps", "1,nan"],
     ["verify", "--suite", "extrapolation", "--p", "0"],
+    ["verify", "--depth", "0"],
+    ["verify", "--trials", "0"],
+    ["estimate", "--space", "l2:2", "--trials", "0"],
+    ["estimate", "--space", "l2:2", "--restarts", "0"],
+    ["atlas", "--trials", "0"],
+    ["atlas", "--ps", ","],
+    ["bdg", "--steps", "0"],
+    ["bdg", "--horizon", "0"],
 ])
 def test_non_positive_exponents_and_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -163,6 +171,18 @@ def test_non_positive_exponents_and_counts_exit_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be positive" in err and "Traceback" not in err
+    assert f"argument {argv[-2]}:" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "levy", "--depth", "1"], "--depth"),
+    (["atlas", "--spaces", ","], "--spaces"),
+])
+def test_empty_model_configs_exit_2(argv, flag, capsys):
+    # product models need two levels; an atlas needs a space
+    assert cli.main([*argv, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 import decoupling_lab.stochint as st
 from decoupling_lab.probmodel import ModelError
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, nested, seq_lp, sup_norm
+from decoupling_lab.spaces import euclid, nested, parse_space, seq_lp, sup_norm
 
 
 def test_is_hilbert_like():
@@ -173,12 +178,74 @@ def test_gamma_norm_mc_in_blocks(monkeypatch):
     proc = st.make_family("adapted-sign", space, drv)
     _, _, dW = next(iter(drv.increment_chunks(40, 2)))
     coefs = proc.coefficients(dW)
-    monkeypatch.setattr(st, "BLOCK_FLOATS", 7 * 40 * 3)
+    # 7 draws of (2 * dim + 1) * paths floats: series, |series| and norms
+    monkeypatch.setattr(st, "BLOCK_FLOATS", 7 * (2 * 3 + 1) * 40)
     gam = st.gamma_norm(proc, drv, coefs, space, inner=50, seed=6)
     draws = stream(6, "gamma-inner").normal(size=(50, proc.intervals, proc.rank))
     lengths = np.diff(drv.grid[list(proc.partition)])
     series = np.einsum("inm,pnmx->ipx", np.einsum("inm,n->inm", draws, np.sqrt(lengths)), coefs)
     np.testing.assert_array_equal(gam, np.sqrt(np.mean(space.norms(series) ** 2, axis=0)))
+
+
+def _einsum_gamma(proc, drv, coefs, space, inner, seed):
+    """The Gaussian-series formula as one einsum per 64 draws: mean over the
+    draws of ||sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm}||^2, square-rooted."""
+    draws = stream(seed, "gamma-inner").normal(size=(inner, proc.intervals, proc.rank))
+    scaled = draws * np.sqrt(np.diff(drv.grid[list(proc.partition)]))[:, None]
+    total = sum(
+        (space.norms(np.einsum("inm,pnmx->ipx", scaled[i:i + 64], coefs)) ** 2).sum(axis=0)
+        for i in range(0, inner, 64)
+    )
+    return np.sqrt(total / inner)
+
+
+@pytest.mark.parametrize("text", ["linf:4", "linf:16", "lp:0.5:3", "lp:3:4", "nested:1x2,3x2"])
+def test_gamma_norm_mc_matches_series_formula(text):
+    # 300 paths at the default block budget leave a partial last block of draws
+    space = parse_space(text)
+    drv = st.BrownianDriver(min(space.dim, 3), steps=8)
+    proc = st.make_family("adapted-sign", space, drv)
+    _, _, dW = next(iter(drv.increment_chunks(300, 4)))
+    coefs = proc.coefficients(dW)
+    assert st.GAMMA_INNER % (st.BLOCK_FLOATS // ((2 * space.dim + 1) * 300)) != 0
+    gam = st.gamma_norm(proc, drv, coefs, space, seed=8)
+    np.testing.assert_allclose(gam, _einsum_gamma(proc, drv, coefs, space, st.GAMMA_INNER, 8),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("text", ["linf:16", "lp:3:16", "lp:0.5:16"])
+def test_gamma_norm_mc_memory_within_block_budget(monkeypatch, text):
+    # blocks of 32 draws; the coefficient matrix (4 intervals, rank 1) is small
+    # next to a block, so an (inner, paths, dim) series, or a norm temporary
+    # the budget does not count, overruns the bound by at least 1 MiB
+    space, paths, inner = parse_space(text), 256, 200
+    drv = st.BrownianDriver(1, steps=8)
+    proc = st.make_family("adapted-sign", space, drv)
+    _, _, dW = next(iter(drv.increment_chunks(paths, 1)))
+    coefs = proc.coefficients(dW)
+    monkeypatch.setattr(st, "BLOCK_FLOATS", 32 * (2 * space.dim + 1) * paths)
+    tracemalloc.start()
+    try:
+        st.gamma_norm(proc, drv, coefs, space, inner=inner, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = inner * proc.intervals * proc.rank
+    assert peak <= 8 * (st.BLOCK_FLOATS + coefs.size + draws) + 256 * 1024
+
+
+def test_bdg_report_does_not_depend_on_blas_threads():
+    # the MC gamma norm runs through BLAS; the report bytes must not move with
+    # its thread count
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "decoupling_lab.cli", "bdg", "--space", "linf:4",
+            "--samples", "512", "--seed", "0", "--workers", "1"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1] and outs[0].startswith(b"{")
 
 
 def test_simulate_shapes_and_determinism():
