@@ -22,7 +22,7 @@ from . import probmodel as pm
 from . import reports as rp
 from . import stochint as st
 from .rng import stream
-from .spaces import SpaceError, parse_space
+from .spaces import SpaceError, parse_space, split_spaces
 
 VERIFY_SUITES = (
     "tangency", "levy", "contraction", "symsum", "revkol",
@@ -119,9 +119,7 @@ def _verify_one(task: tuple) -> list[dict]:
         reports = iq.check_tail_comparison(pair, ts)
     elif suite == "goodlambda":
         b = 0.5
-        profile = iq.bmo_condition(pair, p, 0.0)
-        A = profile.d_hat * b ** (-1.0 / p) if profile.d_hat > 0 else 1.0
-        reports = iq.check_goodlambda(pair, p, A=A, b=b)
+        reports = iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)
     elif suite == "davis":
         reports = [iq.check_davis_pathwise(pair)]
     elif suite == "extrapolation":
@@ -241,7 +239,7 @@ def _atlas_cell(task: tuple) -> dict:
 
 def _cmd_atlas(args) -> int:
     seed = _resolve_seed(args.seed)
-    spaces = [s.strip() for s in args.spaces.split(",") if s.strip()]
+    spaces = split_spaces(args.spaces)
     if not spaces:
         raise ValueError(f"--spaces names no space: {args.spaces!r}")
     for text in spaces:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .probmodel import (
@@ -29,7 +28,7 @@ from .probmodel import (
     symmetric_three_point,
 )
 from .reports import config_hash
-from .rng import chunk_streams, stream
+from .rng import stream
 from .spaces import Space, format_space, parse_space
 
 DIRECTIONS = (
@@ -54,6 +53,8 @@ class SymbolicConstant:
 
     @property
     def value(self) -> float:
+        import mpmath as mp  # loaded on first use: most runs never need it
+
         with mp.workdps(50):
             return float(
                 mp.mpf(self.coeff) * mp.power(2, mp.mpf(self.exp2)) * mp.e ** mp.mpf(self.expe)
@@ -100,6 +101,8 @@ def extrapolation_constant(p: float, q: float, A: float, b: float, r: float = 1.
     threshold = 2.0 ** (-2.0 * p / rho + p - 1.0)
     if not 0 < b < threshold:
         raise ValueError(f"b must lie in (0, {threshold:.6g}) for rho={rho:g}")
+    import mpmath as mp
+
     with mp.workdps(50):
         pp, qq, aa, bb, rr = map(mp.mpf, (p, q, A, b, rho))
         beta = (mp.power(2, 2 * pp / rr - pp + 1) * bb) ** (-1 / qq)
@@ -214,21 +217,6 @@ def _require_pair(target) -> TangentPair:
     raise ModelError(f"cannot measure ratios on {type(target).__name__}")
 
 
-def _randomized_moment_mc(seq: AdaptedSequence, p: float, samples: int, seed: int) -> float:
-    probs = seq.tree.path_probs
-    incs = [seq.path_increments(n) for n in range(1, seq.depth + 1)]
-    total = 0.0
-    for start, stop, gen in chunk_streams(seed, "randomized", samples):
-        count = stop - start
-        idx = gen.choice(probs.size, size=count, p=probs)
-        sums = np.zeros((count, seq.dim))
-        for n in range(seq.depth):
-            eps = gen.integers(0, 2, size=count) * 2.0 - 1.0
-            sums += eps[:, None] * incs[n][idx]
-        total += float(np.sum(seq.space.norms(sums) ** p))
-    return total / samples
-
-
 def ratio(
     target,
     p: float,
@@ -242,7 +230,8 @@ def ratio(
     decouple-upper measures (E||f||^p / E||g||^p)^(1/p), whose supremum over
     models is the upper decoupling constant; decouple-lower the reciprocal
     ratio.  randomized-plus/minus compare f against the sign-randomized sum
-    sum_k eps_k d_k in the corresponding order.
+    sum_k eps_k d_k in the corresponding order.  method "mc" samples the
+    decoupled pair and so covers the two decouple directions only.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -255,12 +244,13 @@ def ratio(
         else:
             other = sign_randomized_moment(seq, p)
     elif method == "mc":
+        if not direction.startswith("decouple"):
+            raise ValueError(
+                f"method 'mc' supports only the decouple-upper and decouple-lower "
+                f"directions, got {direction!r}; use method 'exact'")
         batch = sample_paths(pair, samples, seed)
         f_mom = float(np.mean(seq.space.norms(batch.f_terminal) ** p))
-        if direction.startswith("decouple"):
-            other = float(np.mean(seq.space.norms(batch.g_terminal) ** p))
-        else:
-            other = _randomized_moment_mc(seq, p, samples, seed)
+        other = float(np.mean(seq.space.norms(batch.g_terminal) ** p))
     else:
         raise ValueError(f"unknown method {method!r}")
     if direction in ("decouple-upper", "randomized-minus"):

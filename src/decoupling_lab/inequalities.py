@@ -10,6 +10,7 @@ bound separates the two sides, so sampling noise cannot produce a false red.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -59,7 +60,9 @@ class IneqReport:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        # field by field: dataclasses.asdict deep-copies params and extra
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["params"], out["extra"] = dict(self.params), dict(self.extra)
         # numpy scalars confuse canonical JSON
         for key in ("lhs", "rhs", "margin"):
             out[key] = float(out[key])
@@ -118,7 +121,9 @@ class MomentFunctional:
         return np.array([self.fn(float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
 
 
+@functools.lru_cache(maxsize=64)
 def power(q: float) -> MomentFunctional:
+    """t^q; one instance per q, so its growth contract is checked once."""
     return MomentFunctional(lambda t: t ** q, q, name=f"power({q:g})")
 
 
@@ -452,53 +457,28 @@ def check_tail_comparison(
 # the conditional p-norm of windows, its running sup, and the BMO profile
 
 
-def _window_inner(pair: TangentPair, k: int, l: int):
-    """Per depth-(l-1) node: picks and probs enumerating innovations k+1..l."""
-    tree = pair.tree
-    sizes = [len(tree.levels[m - 1].values) for m in range(k + 1, l + 1)]
-    combos = math.prod(sizes)
-    picks = np.zeros((l - k, combos), dtype=np.int64)
-    probs = np.ones(combos)
-    rep = combos
-    for i, m in enumerate(range(k + 1, l + 1)):
-        rep //= sizes[i]
-        tile = combos // (rep * sizes[i])
-        idx = np.tile(np.repeat(np.arange(sizes[i]), rep), tile)
-        picks[i] = idx
-        probs *= tree.level_probs(m)[idx]
-    return picks, probs
-
-
 def window_conditional_norm(pair: TangentPair, p: float, k: int, l: int) -> np.ndarray:
-    """T_p of the window (k, l]: one value per depth-(l-1) node.
+    """T_p of the window (k, l]: one value per depth-(l-1) node (read-only).
 
     T_p(f over (k,l]) at an atom is (E[ ||sum_{k<m<=l} e_m||^p | F_inf ])^(1/p);
     in the frozen-table model the conditional law is the product of the table
-    rows along the atom's history, so this is a finite sum.
+    rows along the atom's history, so this is a finite sum.  The value is read
+    from the pair's window table at p, which builds every window once.
     """
-    seq, tree = pair.seq, pair.tree
     if pair.mode != "decoupled":
         raise ModelError("conditional window norms need a decoupled pair")
-    if not 0 <= k < l <= seq.depth:
+    if not 0 <= k < l <= pair.seq.depth:
         raise ModelError(f"bad window ({k}, {l}]")
-    pair.require_enumerable()
-    nodes = tree.num_nodes(l - 1)
-    picks, probs = _window_inner(pair, k, l)
-    node_ids = np.arange(nodes)
-    total = np.zeros((nodes, picks.shape[1], seq.dim))
-    for i, m in enumerate(range(k + 1, l + 1)):
-        parents = tree.ancestor(node_ids, l - 1, m - 1)
-        total += seq.tables[m - 1][parents][:, picks[i], :]
-    vals = seq.space.norms(total) ** p @ probs
-    return vals ** (1.0 / p)
+    return pair.window_table(p).norms[k, l]
 
 
 def conditional_norm_star(pair: TangentPair, p: float) -> np.ndarray:
     """T*_p(f) = max_n T_p(f^n), per path."""
     seq, tree = pair.seq, pair.tree
+    norms = pair.window_table(p).norms
     out = np.zeros(tree.path_count)
     for n in range(1, seq.depth + 1):
-        out = np.maximum(out, window_conditional_norm(pair, p, 0, n)[tree.nodes_at(n - 1)])
+        out = np.maximum(out, norms[0, n][tree.nodes_at(n - 1)])
     return out
 
 
@@ -523,52 +503,42 @@ class BmoProfile:
 
 
 def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
-    seq, tree = pair.seq, pair.tree
-    pair.require_enumerable()
-    sums = seq.partial_sums
-    path_probs = tree.path_probs
-    b_hat, d_hat = 0.0, 0.0
+    """The window profile at threshold A, read from the pair's window table."""
+    table = pair.window_table(p)
+    b_hat = 0.0
     cheb_ok = True
     worst = (0, 1)
     worst_atom = 0
-    count = 0
-    for k in range(seq.depth):
-        for l in range(k + 1, seq.depth + 1):
-            count += 1
-            t_nodes = window_conditional_norm(pair, p, k, l)
-            t_paths = t_nodes[tree.nodes_at(l - 1)]
-            win = seq.space.norms(sums[:, l] - sums[:, k])
-            atoms = tree.num_nodes(k - 1) if k > 0 else 1
-            stride = tree.path_count // atoms
-            node_stride = tree.num_nodes(l - 1) // atoms
-            for b in range(atoms):
-                rows = slice(b * stride, (b + 1) * stride)
-                pb = path_probs[rows]
-                mass = pb.sum()
-                if mass <= 0:
-                    continue
-                t_sup = float(t_nodes[b * node_stride : (b + 1) * node_stride].max())
-                pcond = float(pb[win[rows] > A * t_sup].sum()) / mass
-                num = float(pb @ (win[rows] ** p)) / mass
-                den = float(pb @ (t_paths[rows] ** p)) / mass
-                ratio = (num / den) ** (1.0 / p) if den > 0 else 0.0
-                if pcond > b_hat:
-                    b_hat, worst, worst_atom = pcond, (k, l), b
-                d_hat = max(d_hat, ratio)
-                if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
-                    cheb_ok = False
-    if A > 0 and b_hat > d_hat ** p / A ** p + 1e-12:
+    for (k, l), (win, probs, atoms) in table.atoms.items():
+        for b, mass, t_sup, num in atoms:
+            pcond = float(probs[b][win[b] > A * t_sup].sum()) / mass
+            if pcond > b_hat:
+                b_hat, worst, worst_atom = pcond, (k, l), b
+            if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
+                cheb_ok = False
+    if A > 0 and b_hat > table.d_hat ** p / A ** p + 1e-12:
         cheb_ok = False
     return BmoProfile(
         p=p,
         A=A,
         b_hat=b_hat,
-        d_hat=d_hat,
+        d_hat=table.d_hat,
         chebyshev_ok=cheb_ok,
         worst_window=worst,
         worst_atom=worst_atom,
-        windows=count,
+        windows=len(table.atoms),
     )
+
+
+def calibrated_A(pair: TangentPair, p: float, b: float) -> float:
+    """The threshold A at which the window profile certifies smallness b.
+
+    Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
+    certifies level b for any pair with finite window ratios (A = 1 when
+    d_hat = 0).
+    """
+    d_hat = pair.window_table(p).d_hat
+    return d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0
 
 
 def check_goodlambda(
@@ -703,11 +673,8 @@ def check_extrapolation(
         b = threshold / 2.0
     if not 0 < b < threshold:
         raise ModelError(f"b must lie in (0, {threshold:.6g})")
-    profile0 = bmo_condition(pair, p, 0.0)
     if A is None:
-        # Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
-        # certifies smallness at level b for any pair with finite window ratios
-        A = profile0.d_hat * b ** (-1.0 / p) if profile0.d_hat > 0 else 1.0
+        A = calibrated_A(pair, p, b)
     profile = bmo_condition(pair, p, A)
     if profile.b_hat > b:
         raise ModelError(
@@ -725,7 +692,7 @@ def check_extrapolation(
             "b": b,
             "rho": rho,
             "b_hat": profile.b_hat,
-            "d_hat": profile0.d_hat,
+            "d_hat": profile.d_hat,
             "constant": const,
             "phi": phi.name,
         },

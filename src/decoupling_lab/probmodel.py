@@ -15,9 +15,10 @@ same conditional law as d_n given F_{n-1} and is conditionally independent
 across n given the full first-coordinate path.
 
 Everything here is exact: expectations are finite sums over paths or, on the
-product space, over (head, path) pairs from joint_blocks, guarded by
-JOINT_LIMIT.  A sampling routine with counter-based streams covers models too
-large to enumerate.
+product space, over (head, path) pairs from joint_blocks and over the
+innovation combos of each window in WindowTable, guarded by JOINT_LIMIT.  A
+sampling routine with counter-based streams covers models too large to
+enumerate.
 """
 from __future__ import annotations
 
@@ -363,6 +364,7 @@ class TangentPair:
             raise ModelError(f"unknown tangent mode {mode!r}")
         self.seq = seq
         self.mode = mode
+        self._window_tables: dict[float, WindowTable] = {}
 
     @property
     def tree(self) -> FiltrationTree:
@@ -379,6 +381,13 @@ class TangentPair:
         if self.joint_outcomes() > budget:
             raise EnumerationError(
                 f"{self.joint_outcomes()} joint outcomes exceed budget {budget}")
+
+    def window_table(self, p: float) -> "WindowTable":
+        """The conditional window table at exponent p, built on first use."""
+        table = self._window_tables.get(p)
+        if table is None:
+            table = self._window_tables[p] = WindowTable(self, p)
+        return table
 
 
 def decouple(seq: AdaptedSequence) -> TangentPair:
@@ -588,6 +597,76 @@ def g_terminal_moment(pair: TangentPair, p: float) -> float:
     for weights, stats in joint_blocks(pair, ("g_terminal",)):
         total += float(np.sum(weights * pair.space.norms(stats["g_terminal"]) ** p))
     return total
+
+
+class WindowTable:
+    """Conditional p-norms of every window (k, l] of a decoupled pair, built once.
+
+    norms[k, l] holds T_p of the window at each depth-(l-1) node,
+    (E[ ||sum_{k<m<=l} e_m||^p | F_inf])^(1/p): given F_inf the e_m are
+    independent with the table rows along the node's history as laws, so this
+    is a finite sum over the innovation combos of levels k+1..l.  For each
+    start k a forward recursion in l extends the combos by one level, adding
+    its increments to the window sums in level order, so each of the
+    N(N+1)/2 windows is formed once; ``windows_built`` counts them.
+
+    atoms[k, l] holds what the good-lambda profile needs of the window that
+    does not depend on its threshold A, per atom b of F_{k-1} (F_0 for k <= 1):
+    ``win``, the norm ||f_l - f_k|| of each path, and ``probs``, the path
+    masses, both shaped (atoms, paths per atom); and one (b, mass, t_sup, num)
+    per atom, with t_sup the largest T_p over the atom's nodes and num the
+    conditional E ||f_l - f_k||^p.  d_hat is the largest conditional ratio
+    (num / E[T_p^p | atom])^(1/p) over windows and atoms.
+    """
+
+    def __init__(self, pair: TangentPair, p: float):
+        if pair.mode != "decoupled":
+            raise ModelError("conditional window norms need a decoupled pair")
+        pair.require_enumerable()
+        seq, tree = pair.seq, pair.tree
+        depth, dim, space = seq.depth, seq.dim, seq.space
+        self.windows_built = 0
+        self.norms: dict[tuple[int, int], np.ndarray] = {}
+        for k in range(depth):
+            # window (k, k+1]: the level's own rows, one combo per innovation
+            total, probs = seq.tables[k], tree.level_probs(k + 1)
+            for l in range(k + 1, depth + 1):
+                if l > k + 1:
+                    # node u*a + j at depth l-1 adds its row to the sums of its parent u
+                    parents, a = tree.num_nodes(l - 2), tree.sizes[l - 2]
+                    rows = seq.tables[l - 1].reshape(parents, a, 1, tree.sizes[l - 1], dim)
+                    total = (total[:, None, :, None] + rows).reshape(parents * a, -1, dim)
+                    probs = np.multiply.outer(probs, tree.level_probs(l)).reshape(-1)
+                vals = space.norms(total) ** p @ probs
+                norms = vals ** (1.0 / p)
+                norms.flags.writeable = False
+                self.norms[k, l] = norms
+                self.windows_built += 1
+
+        sums, path_probs = seq.partial_sums, tree.path_probs
+        self.atoms: dict[tuple[int, int], tuple] = {}
+        d_hat = 0.0
+        for (k, l), t_nodes in self.norms.items():
+            t_paths = t_nodes[tree.nodes_at(l - 1)]
+            win = space.norms(sums[:, l] - sums[:, k])
+            atoms = tree.num_nodes(max(k - 1, 0))
+            stride = tree.path_count // atoms
+            node_stride = tree.num_nodes(l - 1) // atoms
+            stats = []
+            for b in range(atoms):
+                rows = slice(b * stride, (b + 1) * stride)
+                pb = path_probs[rows]
+                mass = pb.sum()
+                if mass <= 0:
+                    continue
+                t_sup = float(t_nodes[b * node_stride:(b + 1) * node_stride].max())
+                num = float(pb @ (win[rows] ** p)) / mass
+                den = float(pb @ (t_paths[rows] ** p)) / mass
+                d_hat = max(d_hat, (num / den) ** (1.0 / p) if den > 0 else 0.0)
+                stats.append((b, mass, t_sup, num))
+            self.atoms[k, l] = (win.reshape(atoms, stride),
+                                path_probs.reshape(atoms, stride), stats)
+        self.d_hat = d_hat
 
 
 def sign_randomized_moment(seq: AdaptedSequence, p: float) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +67,8 @@ def pmap(fn, items, workers: int = 1):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -147,6 +147,29 @@ def parse_space(text: str) -> Space:
     raise SpaceError(f"bad space spec {text!r}")
 
 
+_SPEC_KINDS = ("l2:", "linf:", "lp:", "nested:")
+
+
+def split_spaces(text: str) -> list[str]:
+    """Split a comma-separated list of space specs.
+
+    A comma separates two specs only where the next one starts with a kind
+    (``l2:``, ``linf:``, ``lp:``, ``nested:``); any other comma belongs to
+    the levels of a nested spec, so ``l2:4,nested:1x2,3x2`` is two spaces.
+    Blank items are dropped.
+    """
+    specs: list[str] = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if specs and not item.startswith(_SPEC_KINDS):
+            specs[-1] += "," + item
+        else:
+            specs.append(item)
+    return specs
+
+
 def format_space(space: Space) -> str:
     if space.kind == "euclid":
         return f"l2:{space.dim}"

@@ -216,6 +216,14 @@ def test_ratio_mc_agrees_with_exact():
     assert ct.ratio(pair, 2.0, method="mc", samples=40_000, seed=1) == mc
 
 
+@pytest.mark.parametrize("direction", ["randomized-plus", "randomized-minus"])
+def test_ratio_mc_covers_only_the_decouple_directions(direction):
+    pair = pm.random_pair(stream(7, "mc"), sup_norm(2), max_depth=3)
+    with pytest.raises(ValueError, match="decouple-upper and decouple-lower"):
+        ct.ratio(pair, 2.0, direction, method="mc", samples=100)
+    assert ct.ratio(pair, 2.0, direction) > 0
+
+
 # ---------------------------------------------------------------------------
 # witnesses and search
 

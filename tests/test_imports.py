@@ -1,6 +1,10 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and importing the
+CLI loads neither mpmath nor the process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,12 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_defers_mpmath_and_the_process_pool():
+    code = ("import sys, decoupling_lab.cli; "
+            "print(sorted(m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, seq_lp, sup_norm
+from decoupling_lab.spaces import euclid, nested, seq_lp, sup_norm
 
 
 def unit_pw_pair(depth):
@@ -32,6 +35,20 @@ def test_report_as_dict():
     assert isinstance(d["lhs"], float) and d["holds"] is True
 
 
+def test_report_as_dict_matches_asdict():
+    rep = iq.IneqReport("x", {"t": 1, "m": [0.0, 1.0]}, np.float64(1.5), 2.0,
+                        np.bool_(True), np.float64(0.5), status="vacuous",
+                        extra={"grid": [{"lambda": 1.0}]})
+    want = dataclasses.asdict(rep)
+    for key in ("lhs", "rhs", "margin"):
+        want[key] = float(want[key])
+    got = rep.as_dict()
+    assert got == want and list(got) == list(want)
+    assert all(type(got[key]) is float for key in ("lhs", "rhs", "margin"))
+    got["params"]["t"] = 2
+    assert rep.params["t"] == 1
+
+
 # ---------------------------------------------------------------------------
 # moment functionals
 
@@ -39,6 +56,7 @@ def test_report_as_dict():
 def test_power_functional():
     phi = iq.power(2.0)
     assert phi(3.0) == 9.0
+    assert iq.power(2.0) is phi and iq.power(3.0) is not phi
     out = phi(np.array([1.0, 2.0]))
     assert np.allclose(out, [1.0, 4.0])
 
@@ -309,6 +327,131 @@ def test_bmo_chebyshev_chain_randomized():
         assert prof.chebyshev_ok
         assert 0.0 <= prof.b_hat <= 1.0
         assert prof.d_hat >= 1.0 - 1e-9  # the full window (0, N] has ratio 1
+
+
+# ---------------------------------------------------------------------------
+# the window table against per-window reference formulas
+
+
+def reference_window_norm(pair, p, k, l):
+    """T_p of the window (k, l] by its own enumeration of levels k+1..l."""
+    seq, tree = pair.seq, pair.tree
+    sizes = [tree.sizes[m - 1] for m in range(k + 1, l + 1)]
+    combos = math.prod(sizes)
+    picks = np.zeros((l - k, combos), dtype=np.int64)
+    probs = np.ones(combos)
+    rep = combos
+    for i, m in enumerate(range(k + 1, l + 1)):
+        rep //= sizes[i]
+        idx = np.tile(np.repeat(np.arange(sizes[i]), rep), combos // (rep * sizes[i]))
+        picks[i] = idx
+        probs *= tree.level_probs(m)[idx]
+    node_ids = np.arange(tree.num_nodes(l - 1))
+    total = np.zeros((node_ids.size, combos, seq.dim))
+    for i, m in enumerate(range(k + 1, l + 1)):
+        parents = tree.ancestor(node_ids, l - 1, m - 1)
+        total += seq.tables[m - 1][parents][:, picks[i], :]
+    return (seq.space.norms(total) ** p @ probs) ** (1.0 / p)
+
+
+def reference_bmo(pair, p, A):
+    """The window profile at A, every statistic recomputed per window and atom."""
+    seq, tree = pair.seq, pair.tree
+    sums, path_probs = seq.partial_sums, tree.path_probs
+    b_hat, d_hat, cheb_ok, worst, worst_atom, count = 0.0, 0.0, True, (0, 1), 0, 0
+    for k in range(seq.depth):
+        for l in range(k + 1, seq.depth + 1):
+            count += 1
+            t_nodes = reference_window_norm(pair, p, k, l)
+            t_paths = t_nodes[tree.nodes_at(l - 1)]
+            win = seq.space.norms(sums[:, l] - sums[:, k])
+            atoms = tree.num_nodes(k - 1) if k > 0 else 1
+            stride = tree.path_count // atoms
+            node_stride = tree.num_nodes(l - 1) // atoms
+            for b in range(atoms):
+                rows = slice(b * stride, (b + 1) * stride)
+                pb = path_probs[rows]
+                mass = pb.sum()
+                t_sup = float(t_nodes[b * node_stride:(b + 1) * node_stride].max())
+                pcond = float(pb[win[rows] > A * t_sup].sum()) / mass
+                num = float(pb @ (win[rows] ** p)) / mass
+                den = float(pb @ (t_paths[rows] ** p)) / mass
+                if pcond > b_hat:
+                    b_hat, worst, worst_atom = pcond, (k, l), b
+                d_hat = max(d_hat, (num / den) ** (1.0 / p) if den > 0 else 0.0)
+                if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
+                    cheb_ok = False
+    if A > 0 and b_hat > d_hat ** p / A ** p + 1e-12:
+        cheb_ok = False
+    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, worst, worst_atom, count)
+
+
+TABLE_SPACES = [euclid(4), seq_lp(0.5, 3), sup_norm(3), nested([(1.0, 2), (3.0, 2)])]
+
+
+def table_pairs(label, count=8):
+    """Random depth-4 pairs, symmetric and general, on two- and three-letter trees."""
+    gen = stream(21, "window-table", label)
+    for i in range(count):
+        space = TABLE_SPACES[i % len(TABLE_SPACES)]
+        tree = pm.random_tree(gen, 4, symmetric=bool(i % 3))
+        build = pm.random_multiplier_sequence if i % 2 else pm.random_general_sequence
+        yield pm.decouple(build(gen, tree, space))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_window_table_matches_per_window_formula(p):
+    for pair in table_pairs(p, count=16):
+        table = pair.window_table(p)
+        depth = pair.seq.depth
+        assert list(table.norms) == [(k, l) for k in range(depth) for l in range(k + 1, depth + 1)]
+        assert table.windows_built == depth * (depth + 1) // 2
+        for (k, l), norms in table.norms.items():
+            np.testing.assert_array_equal(norms, reference_window_norm(pair, p, k, l))
+            assert iq.window_conditional_norm(pair, p, k, l) is norms
+        assert pair.window_table(p) is table
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_bmo_condition_matches_brute_force(p):
+    b = 0.5
+    for pair in table_pairs(f"bmo-{p}"):
+        at_zero = reference_bmo(pair, p, 0.0)
+        A = at_zero.d_hat * b ** (-1.0 / p) if at_zero.d_hat > 0 else 1.0
+        assert iq.calibrated_A(pair, p, b) == A
+        for a in (0.0, A, 0.5 * A):
+            got, want = iq.bmo_condition(pair, p, a), reference_bmo(pair, p, a)
+            for name in want.__dataclass_fields__:
+                assert getattr(got, name) == getattr(want, name), name
+
+
+def test_window_table_is_read_only():
+    pair = unit_pw_pair(2)
+    norms = iq.window_conditional_norm(pair, 2.0, 0, 2)
+    with pytest.raises(ValueError):
+        norms[0] = 0.0
+
+
+def test_verify_trial_builds_each_window_once(monkeypatch):
+    import decoupling_lab.cli as cli
+
+    builds = []
+    init = pm.WindowTable.__init__
+
+    def counted(table, pair, p):
+        init(table, pair, p)
+        builds.append((pair, p, table.windows_built))
+
+    monkeypatch.setattr(pm.WindowTable, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "all", "--space", "l2:3", "--depth", "4",
+                         "--trials", "1", "--seed", "0", "--workers", "1"]) == 0
+    # the goodlambda and the extrapolation suite each draw one pair
+    assert len(builds) == 2
+    assert builds[0][0] is not builds[1][0]
+    for pair, p, built in builds:
+        depth = pair.seq.depth
+        assert p == 2.0 and built == depth * (depth + 1) // 2
 
 
 # ---------------------------------------------------------------------------

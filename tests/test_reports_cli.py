@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -281,6 +282,34 @@ def test_atlas_command(tmp_path):
     assert len(report["results"]) == 4
     for row in report["results"]:
         assert "witness" not in row and "witness_hash" in row
+
+
+def test_atlas_sweeps_nested_spaces(tmp_path):
+    out = tmp_path / "atlas.json"
+    assert cli.main([
+        "atlas", "--spaces", "lp:0.7:2,nested:1x2,3x2", "--ps", "1,2", "--depth", "2",
+        "--trials", "10", "--restarts", "1", "--seed", "0", "--workers", "1", "--out", str(out),
+    ]) == 0
+    report = _load(out)
+    assert report["config"]["spaces"] == ["lp:0.7:2", "nested:1x2,3x2"]
+    assert [(row["space"], row["p"]) for row in report["results"]] == [
+        ("lp:0.7:2", 1.0), ("lp:0.7:2", 2.0), ("nested:1x2,3x2", 1.0), ("nested:1x2,3x2", 2.0)]
+
+
+# sha256 of small good-lambda and extrapolation reports: a change to the window
+# code that moves any byte of them fails here
+WINDOW_SUITE_SHA256 = {
+    "goodlambda": "e22ddce3364317731d700ed9f3fc90ba52eba55817b808c60542b63e4110b541",
+    "extrapolation": "bad5e3e0ec59d8dfe9d8670c49d1b7380606a24a6456821d242ab613b86d6796",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WINDOW_SUITE_SHA256))
+def test_window_suite_reports_are_pinned(suite, capsys):
+    assert cli.main(["verify", "--suite", suite, "--space", "l2:3", "--depth", "3",
+                     "--trials", "10", "--seed", "0", "--workers", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == WINDOW_SUITE_SHA256[suite]
 
 
 def test_bdg_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from decoupling_lab.spaces import (
     nested,
     parse_space,
     seq_lp,
+    split_spaces,
     sup_norm,
 )
 
@@ -212,3 +213,14 @@ def test_parse_errors():
     for text in ("l3:4", "lp:2", "nested:1x", "l2:0", "l2:two", ""):
         with pytest.raises(SpaceError):
             parse_space(text)
+
+
+def test_split_spaces():
+    plain = "l2:2,l2:4,linf:2,linf:4"
+    assert split_spaces(plain) == plain.split(",")
+    assert split_spaces(" l2:2 , ,nested:1x2,3x2,lp:0.7:2,") == [
+        "l2:2", "nested:1x2,3x2", "lp:0.7:2"]
+    assert split_spaces("nested:0.5x3, 4x2,linf:8") == ["nested:0.5x3,4x2", "linf:8"]
+    assert split_spaces(" , ") == []
+    for text in split_spaces("lp:0.7:2,nested:1x2,3x2,nested:2x2,1x3,2x2"):
+        assert format_space(parse_space(text)) == text
