@@ -72,21 +72,23 @@ def _positive_floats(text: str) -> list[float]:
 def _verify_one(task: tuple) -> list[dict]:
     suite, space_text, p, depth, index, seed = task
     space = parse_space(space_text)
-    out: list[dict] = []
     gen = stream(seed, "verify", suite, index)
-
-    if suite in ("tangency",):
+    if suite == "tangency":
         pair = pm.random_pair(gen, space, max_depth=depth, symmetric=bool(index % 2))
-        tan = pm.verify_tangency(pair)
-        ci = pm.verify_conditional_independence(pair)
-        for label, res in (("tangency", tan), ("conditional-independence", ci)):
-            out.append({
-                "inequality": label, "model": index, "holds": res.ok,
-                "lhs": res.gap, "rhs": 0.0, "margin": -res.gap,
-                "method": "exact", "detail": res.detail,
-            })
-        return out
+        checks = (("tangency", pm.verify_tangency(pair)),
+                  ("conditional-independence", pm.verify_conditional_independence(pair)))
+        rows = [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
+                 "margin": -res.gap, "method": "exact", "detail": res.detail}
+                for label, res in checks]
+    else:
+        rows = [rep.as_dict() for rep in _suite_reports(suite, space, p, depth, index, gen)]
+    for row in rows:
+        row["model"] = index
+    return rows
 
+
+def _suite_reports(suite: str, space, p: float, depth: int, index: int, gen) -> list:
+    """The inequality reports of one trial of a suite other than tangency."""
     if suite in PRODUCT_SUITES:
         model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
         seq = model.to_sequence()
@@ -94,44 +96,27 @@ def _verify_one(task: tuple) -> list[dict]:
         scale = float(np.quantile(sups, 0.7)) or 1.0
         t = scale * float(gen.choice([0.5, 1.0, 1.5]))
         if suite == "levy":
-            rep = iq.check_levy(model, t, variant=("max-sum", "max-term")[index % 2])
-        elif suite == "contraction":
+            return [iq.check_levy(model, t, variant=("max-sum", "max-term")[index % 2])]
+        if suite == "contraction":
             mults = gen.integers(0, 2, size=len(model.laws)).astype(float)
-            rep = iq.check_contraction(model, mults, t)
-        else:
-            rep = iq.check_reverse_kolmogorov(model, t, p)
-        d = rep.as_dict()
-        d["model"] = index
-        return [d]
-
+            return [iq.check_contraction(model, mults, t)]
+        return [iq.check_reverse_kolmogorov(model, t, p)]
     if suite == "symsum":
         xi = iq.random_symmetric_law(gen, space.dim)
         zeta = iq.random_symmetric_law(gen, space.dim)
-        rep = iq.check_symsum(space, xi, zeta, p)
-        d = rep.as_dict()
-        d["model"] = index
-        return [d]
-
+        return [iq.check_symsum(space, xi, zeta, p)]
     pair = pm.random_pair(gen, space, max_depth=depth, symmetric=True)
     if suite == "tail":
-        d_star = pair.seq.d_star
-        ts = sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
-        reports = iq.check_tail_comparison(pair, ts)
-    elif suite == "goodlambda":
+        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
+        return iq.check_tail_comparison(pair, ts)
+    if suite == "goodlambda":
         b = 0.5
-        reports = iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)
-    elif suite == "davis":
-        reports = [iq.check_davis_pathwise(pair)]
-    elif suite == "extrapolation":
-        reports = [iq.check_extrapolation(pair, p, q=2.0)]
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    rows = []
-    for rep in reports:
-        d = rep.as_dict()
-        d["model"] = index
-        rows.append(d)
-    return rows
+        return iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)
+    if suite == "davis":
+        return [iq.check_davis_pathwise(pair)]
+    if suite == "extrapolation":
+        return [iq.check_extrapolation(pair, p, q=2.0)]
+    raise ValueError(f"unknown suite {suite!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -155,8 +140,7 @@ def _cmd_verify(args) -> int:
     _write(args, report, rows, columns=[
         "inequality", "model", "holds", "lhs", "rhs", "margin", "method", "status",
     ])
-    bad = [r for r in rows if r.get("holds") is False and r.get("method", "exact") == "exact"]
-    return 1 if bad else 0
+    return 1 if any(r.get("holds") is False for r in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +250,19 @@ def _cmd_atlas(args) -> int:
 # plumbing
 
 
+def _require_writable(path: str):
+    """Refuse an --out path that cannot be written, before the command runs."""
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if not os.path.isdir(folder) or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write --out {path!r}")
+
+
 def _write(args, report: dict, rows: list[dict], columns: list[str]):
-    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    try:
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     with out as handle:
         if args.format == "csv":
             rp.write_csv(handle, rows, columns)
@@ -277,7 +272,8 @@ def _write(args, report: dict, rows: list[dict], columns: list[str]):
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (env DECOUPLING_LAB_SEED, then 0)")
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--workers", type=_positive(int), default=os.cpu_count() or 1,
+                     help="worker processes, at most one per task")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -351,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _require_writable(args.out)
         return args.fn(args)
     except (SpaceError, pm.ModelError, pm.EnumerationError, ValueError) as exc:
         print(f"decoupling-lab: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -356,14 +355,12 @@ def search_worst_case(
     restarts: int = 4,
     seed: int = 0,
     depth: int = 3,
-    init: Sequence[float] | None = None,
 ) -> ConstantEstimate:
     """Greedy coordinate-ascent search for a large observed ratio.
 
     Deterministic for fixed (seed, family, depth): candidates are visited in
     a fixed order and the budget counts ratio evaluations, so enlarging the
     budget extends the same trajectory and the result is monotone in it.
-    ``init`` warm-starts the first restart.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -384,11 +381,8 @@ def search_worst_case(
     for restart in range(restarts):
         if evals >= budget:
             break
-        if restart == 0 and init is not None:
-            flat = np.asarray(init, dtype=float).reshape(slots).copy()
-        else:
-            gen = stream(seed, "search", family, restart)
-            flat = np.array(alphabet)[gen.integers(0, len(alphabet), size=slots)]
+        gen = stream(seed, "search", family, restart)
+        flat = np.array(alphabet)[gen.integers(0, len(alphabet), size=slots)]
         evals += 1
         val = evaluate(flat)
         if val > best_val:

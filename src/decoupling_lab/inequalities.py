@@ -2,9 +2,7 @@
 
 Every checker returns an :class:`IneqReport` rather than a bare bool so that
 callers (tests, the CLI, the atlas) can record the two sides, the margin and
-the method actually used.  Exact checks enumerate the finite model; Monte
-Carlo variants only ever *flag* a violation when a one-sided 99.9% Wilson
-bound separates the two sides, so sampling noise cannot produce a false red.
+the method actually used.  Every check enumerates its finite model exactly.
 """
 
 from __future__ import annotations
@@ -26,12 +24,9 @@ from .probmodel import (
     ModelError,
     TangentPair,
     joint_blocks,
-    sample_paths,
     symmetry_gap,
 )
 from .spaces import Space, lu_constants
-
-WILSON_Z = 3.0902  # one-sided 99.9%
 
 
 class PhiError(ValueError):
@@ -67,16 +62,6 @@ class IneqReport:
         for key in ("lhs", "rhs", "margin"):
             out[key] = float(out[key])
         return out
-
-
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    if trials <= 0:
-        return 0.0, 1.0
-    phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 # ---------------------------------------------------------------------------
@@ -202,42 +187,10 @@ class ProductModel:
         return AdaptedSequence(tree, self.space, tables)
 
 
-def conditional_models(pair: TangentPair) -> list[tuple[float, ProductModel]]:
-    """Decompose the decoupled side into per-atom independent-sum models.
-
-    Conditioned on a terminal node of the base filtration, the decoupled
-    increments are independent with laws given by the frozen table rows, so
-    each depth-(N-1) node contributes one weighted :class:`ProductModel`.
-    """
-    pair.require_enumerable()
-    if pair.mode != "decoupled":
-        raise ModelError("conditional product structure needs a decoupled pair")
-    seq, tree = pair.seq, pair.tree
-    n = seq.depth
-    out = []
-    weights = tree.node_probs(n - 1)
-    for node in range(tree.num_nodes(n - 1)):
-        laws = []
-        for m in range(1, n + 1):
-            parent = int(tree.ancestor(np.array([node]), n - 1, m - 1)[0])
-            laws.append(FiniteLaw(seq.tables[m - 1][parent], tree.level_probs(m)))
-        out.append((float(weights[node]), ProductModel(seq.space, tuple(laws))))
-    return out
-
-
-def _as_weighted_models(target) -> tuple[list[tuple[float, ProductModel]], Space]:
-    if isinstance(target, ProductModel):
-        return [(1.0, target)], target.space
-    if isinstance(target, TangentPair):
-        return conditional_models(target), target.seq.space
-    raise ModelError(f"cannot interpret {type(target).__name__} as independent sums")
-
-
-def _require_symmetric(models, tol=1e-12):
-    for _, model in models:
-        for law in model.laws:
-            if not law.is_symmetric(tol):
-                raise ModelError("increment laws must be symmetric for this bound")
+def _require_symmetric(model: ProductModel):
+    for law in model.laws:
+        if not law.is_symmetric():
+            raise ModelError("increment laws must be symmetric for this bound")
 
 
 # ---------------------------------------------------------------------------
@@ -245,41 +198,29 @@ def _require_symmetric(models, tol=1e-12):
 
 
 def _sum_stats(model: ProductModel):
+    """Partial-sum norms, increment norms and path masses of the enumerated sum."""
     seq = model.to_sequence()
-    sums = seq.partial_sums
-    norms = seq.space.norms(sums)
-    inc_norms = seq.increment_norms
-    return seq, norms, inc_norms, seq.tree.path_probs
+    return seq.space.norms(seq.partial_sums), seq.increment_norms, seq.tree.path_probs
 
 
-def check_levy(target, t: float, p: float = 1.0, variant: str = "max-sum") -> IneqReport:
-    """P(max ||S_k|| > t) <= 2 P(||S_n|| > 2^(1-1/r) t), conditionally.
+def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqReport:
+    """P(max ||S_k|| > t) <= 2 P(||S_n|| > 2^(1-1/r) t) for an independent symmetric sum.
 
     ``variant`` picks the running-max of partial sums ("max-sum") or of the
-    individual terms ("max-term"); both hold with the same constants.  ``p``
-    only enters through r = min(1, p_space) via the space, so it is accepted
-    for symmetry with the other checkers but unused.
+    individual terms ("max-term"); both hold with the same constants.
     """
     if variant not in ("max-sum", "max-term"):
         raise ValueError(f"unknown variant {variant!r}")
-    models, space = _as_weighted_models(target)
-    _require_symmetric(models)
+    _require_symmetric(model)
+    space = model.space
     thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
-    worst = None
-    for weight, model in models:
-        seq, norms, inc_norms, probs = _sum_stats(model)
-        if variant == "max-sum":
-            stat = norms[:, 1:].max(axis=1)
-        else:
-            stat = inc_norms.max(axis=1)
-        lhs = float(probs[stat > t].sum())
-        rhs = 2.0 * float(probs[norms[:, -1] > thresh].sum())
-        if worst is None or rhs - lhs < worst[1] - worst[0]:
-            worst = (lhs, rhs, weight)
-    lhs, rhs, _ = worst
+    norms, inc_norms, probs = _sum_stats(model)
+    stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else inc_norms.max(axis=1)
+    lhs = float(probs[stat > t].sum())
+    rhs = 2.0 * float(probs[norms[:, -1] > thresh].sum())
     return IneqReport(
         inequality=f"levy-{variant}",
-        params={"t": t, "r": space.r, "atoms": len(models)},
+        params={"t": t, "r": space.r, "atoms": 1},
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs + 1e-12,
@@ -287,26 +228,20 @@ def check_levy(target, t: float, p: float = 1.0, variant: str = "max-sum") -> In
     )
 
 
-def check_contraction(target, multipliers: Sequence[float], t: float) -> IneqReport:
+def check_contraction(model: ProductModel, multipliers: Sequence[float], t: float) -> IneqReport:
     """Zero-one contraction: dropping terms costs at most the Levy constant."""
-    models, space = _as_weighted_models(target)
-    _require_symmetric(models)
+    _require_symmetric(model)
     mults = [float(m) for m in multipliers]
     if any(m not in (0.0, 1.0) for m in mults):
         raise ModelError("contraction multipliers must be 0 or 1")
-    thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
-    worst = None
-    for weight, model in models:
-        _, norms_full, _, probs = _sum_stats(model)
-        _, norms_sub, _, _ = _sum_stats(model.scaled(mults))
-        lhs = float(probs[norms_sub[:, -1] > t].sum())
-        rhs = 2.0 * float(probs[norms_full[:, -1] > thresh].sum())
-        if worst is None or rhs - lhs < worst[1] - worst[0]:
-            worst = (lhs, rhs)
-    lhs, rhs = worst
+    thresh = 2.0 ** (1.0 - 1.0 / model.space.r) * t
+    norms_full, _, probs = _sum_stats(model)
+    norms_sub, _, _ = _sum_stats(model.scaled(mults))
+    lhs = float(probs[norms_sub[:, -1] > t].sum())
+    rhs = 2.0 * float(probs[norms_full[:, -1] > thresh].sum())
     return IneqReport(
         inequality="contraction-01",
-        params={"t": t, "multipliers": mults, "atoms": len(models)},
+        params={"t": t, "multipliers": mults, "atoms": 1},
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs + 1e-12,
@@ -337,29 +272,18 @@ def check_symsum(space: Space, xi: FiniteLaw, zeta: FiniteLaw, p: float) -> Ineq
     )
 
 
-def check_reverse_kolmogorov(target, t: float, p: float) -> IneqReport:
+def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqReport:
     """Lower tail bound for the running max of an independent symmetric sum.
 
     P(max ||S_k|| > t) >= 2^(p-1) [u_{p/r}^{-2} - (t^p + E max||xi_k||^p) / E||S_n||^p].
     Vacuous (and trivially true) when the sum is a.s. zero.
     """
-    models, space = _as_weighted_models(target)
-    _require_symmetric(models)
+    _require_symmetric(model)
+    space = model.space
     _, upper = lu_constants(p / space.r)
-    worst = None
-    status = "ok"
-    for weight, model in models:
-        _, norms, inc_norms, probs = _sum_stats(model)
-        denom = float((norms[:, -1] ** p) @ probs)
-        if denom <= 0:
-            status = "vacuous"
-            continue
-        lhs = float(probs[norms[:, 1:].max(axis=1) > t].sum())
-        star = float((inc_norms.max(axis=1) ** p) @ probs)
-        rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom)
-        if worst is None or lhs - rhs < worst[0] - worst[1]:
-            worst = (lhs, rhs)
-    if worst is None:
+    norms, inc_norms, probs = _sum_stats(model)
+    denom = float((norms[:, -1] ** p) @ probs)
+    if denom <= 0:
         return IneqReport(
             inequality="reverse-kolmogorov",
             params={"t": t, "p": p},
@@ -369,15 +293,16 @@ def check_reverse_kolmogorov(target, t: float, p: float) -> IneqReport:
             margin=0.0,
             status="vacuous",
         )
-    lhs, rhs = worst
+    lhs = float(probs[norms[:, 1:].max(axis=1) > t].sum())
+    star = float((inc_norms.max(axis=1) ** p) @ probs)
+    rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom)
     return IneqReport(
         inequality="reverse-kolmogorov",
-        params={"t": t, "p": p, "r": space.r, "atoms": len(models)},
+        params={"t": t, "p": p, "r": space.r, "atoms": 1},
         lhs=lhs,
         rhs=rhs,
         holds=lhs >= rhs - 1e-12,
         margin=lhs - rhs,
-        status=status,
     )
 
 
@@ -385,69 +310,33 @@ def check_reverse_kolmogorov(target, t: float, p: float) -> IneqReport:
 # tail comparison between a sequence and its decoupled companion
 
 
-def check_tail_comparison(
-    pair: TangentPair,
-    ts: Sequence[float],
-    method: str = "exact",
-    samples: int = 200_000,
-    seed: int = 0,
-) -> list[IneqReport]:
+def check_tail_comparison(pair: TangentPair, ts: Sequence[float]) -> list[IneqReport]:
     """Two-sided tail equivalence of the running maxes d* and e*.
 
     For every threshold t both directions are checked:
     P(e* > t) <= 2 P(d* > t) and P(d* > t) <= 2 P(e* > t).
     """
-    if method == "exact":
-        probs = pair.tree.path_probs
-        d_mass = {}
-        e_mass = {}
-        d_star = pair.seq.d_star
+    probs = pair.tree.path_probs
+    d_star = pair.seq.d_star
+    d_mass = {t: float(probs[d_star > t].sum()) for t in ts}
+    e_mass = {}
+    for weights, stats in joint_blocks(pair, ("e_star",)):
         for t in ts:
-            d_mass[t] = float(probs[d_star > t].sum())
-        for weights, stats in joint_blocks(pair, ("e_star",)):
-            for t in ts:
-                e_mass[t] = e_mass.get(t, 0.0) + float(weights[stats["e_star"] > t].sum())
-        reports = []
-        for t in ts:
-            for name, lhs, rhs in (
-                ("tail-e-by-d", e_mass[t], 2.0 * d_mass[t]),
-                ("tail-d-by-e", d_mass[t], 2.0 * e_mass[t]),
-            ):
-                reports.append(
-                    IneqReport(
-                        inequality=name,
-                        params={"t": t},
-                        lhs=lhs,
-                        rhs=rhs,
-                        holds=lhs <= rhs + 1e-12,
-                        margin=rhs - lhs,
-                    )
-                )
-        return reports
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    batch = sample_paths(pair, samples, seed)
+            e_mass[t] = e_mass.get(t, 0.0) + float(weights[stats["e_star"] > t].sum())
     reports = []
     for t in ts:
-        d_count = int(np.count_nonzero(batch.d_star > t))
-        e_count = int(np.count_nonzero(batch.e_star > t))
-        for name, khi, klo in (("tail-e-by-d", e_count, d_count), ("tail-d-by-e", d_count, e_count)):
-            lo, _ = wilson_interval(khi, samples)
-            _, hi = wilson_interval(klo, samples)
-            lhs, rhs = khi / samples, 2.0 * klo / samples
-            # flag only when the 99.9% bands themselves separate
-            holds = lo <= 2.0 * hi
+        for name, lhs, rhs in (
+            ("tail-e-by-d", e_mass[t], 2.0 * d_mass[t]),
+            ("tail-d-by-e", d_mass[t], 2.0 * e_mass[t]),
+        ):
             reports.append(
                 IneqReport(
                     inequality=name,
                     params={"t": t},
                     lhs=lhs,
                     rhs=rhs,
-                    holds=holds,
+                    holds=lhs <= rhs + 1e-12,
                     margin=rhs - lhs,
-                    method="mc",
-                    samples=samples,
-                    seed=seed,
                 )
             )
     return reports

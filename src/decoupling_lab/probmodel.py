@@ -277,20 +277,14 @@ class AdaptedSequence:
         return out
 
     @cached_property
-    def f_star_levels(self) -> np.ndarray:
-        return np.maximum.accumulate(self.space.norms(self.partial_sums), axis=1)
-
-    @property
     def f_star(self) -> np.ndarray:
-        return self.f_star_levels[:, self.depth]
+        """max_n ||f_n|| per path."""
+        return self.space.norms(self.partial_sums).max(axis=1)
 
     @cached_property
-    def d_star_levels(self) -> np.ndarray:
-        return np.maximum.accumulate(self.increment_norms, axis=1)
-
-    @property
     def d_star(self) -> np.ndarray:
-        return self.d_star_levels[:, self.depth]
+        """max_n ||d_n|| per path."""
+        return self.increment_norms.max(axis=1)
 
     def node_d_star(self, n: int) -> np.ndarray:
         """Running max of increment norms as a depth-n node function."""
@@ -377,10 +371,10 @@ class TangentPair:
     def joint_outcomes(self) -> int:
         return self.tree.path_count ** 2
 
-    def require_enumerable(self, budget: int = JOINT_LIMIT):
-        if self.joint_outcomes() > budget:
+    def require_enumerable(self):
+        if self.joint_outcomes() > JOINT_LIMIT:
             raise EnumerationError(
-                f"{self.joint_outcomes()} joint outcomes exceed budget {budget}")
+                f"{self.joint_outcomes()} joint outcomes exceed budget {JOINT_LIMIT}")
 
     def window_table(self, p: float) -> "WindowTable":
         """The conditional window table at exponent p, built on first use."""
@@ -407,19 +401,17 @@ class CheckResult:
     detail: str = ""
 
 
-def verify_tangency(pair: TangentPair, tol: float = 1e-12,
-                    exact: bool | None = None) -> CheckResult:
+def verify_tangency(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
     """Check L(e_n | F_inf) = L(d_n | F_{n-1}) on every atom, every level.
 
     The conditional law of d_n on a depth-(n-1) atom is read off the increment
     table row; the conditional law of e_n given a full path is rebuilt from the
     pair's mode.  Laws are compared as finite measures on exact value labels.
-    With exact=True (default on trees built with exact rational probabilities)
-    masses are Fractions and the comparison is exact.
+    On trees built with exact rational probabilities the masses are Fractions
+    and the comparison is exact.
     """
     seq, tree = pair.seq, pair.tree
-    if exact is None:
-        exact = tree.exact
+    exact = tree.exact
     worst = 0.0
     for n in range(1, tree.depth + 1):
         if exact:
@@ -532,8 +524,7 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
 JOINT_STATS = ("g_terminal", "e_star", "g_star")
 
 
-def joint_blocks(pair: TangentPair, stats=JOINT_STATS, budget: int = JOINT_LIMIT,
-                 block_rows: int | None = None):
+def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = None):
     """The exact joint engine: iterate the product space in blocks of heads.
 
     The g side reads the first coordinate only through the table rows it
@@ -552,7 +543,7 @@ def joint_blocks(pair: TangentPair, stats=JOINT_STATS, budget: int = JOINT_LIMIT
     unknown = set(stats) - set(JOINT_STATS)
     if unknown:
         raise ValueError(f"unknown joint statistics {sorted(unknown)}")
-    pair.require_enumerable(budget)
+    pair.require_enumerable()
     seq, tree = pair.seq, pair.tree
     depth, dim, paths = tree.depth, seq.dim, tree.path_count
     if pair.mode == "decoupled":
@@ -693,22 +684,14 @@ def sign_randomized_moment(seq: AdaptedSequence, p: float) -> float:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Monte Carlo draws from the joint law of a tangent pair."""
+    """Monte Carlo draws of (f_N, g_N) from the joint law of a tangent pair."""
 
     f_terminal: np.ndarray
     g_terminal: np.ndarray
-    f_star: np.ndarray
-    d_star: np.ndarray
-    e_star: np.ndarray
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return len(self.f_star)
 
 
 def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
-    """Draw (f_N, g_N, f*, d*, e*) replicas.
+    """Draw (f_N, g_N) replicas.
 
     Replica r is deterministic given (seed, r): draws come from the stream of
     chunk r // rng.CHUNK, with the fixed order "all first-coordinate levels,
@@ -718,40 +701,26 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
     dim, depth = seq.dim, tree.depth
     f_terminal = np.zeros((count, dim))
     g_terminal = np.zeros((count, dim))
-    f_star = np.zeros(count)
-    d_star = np.zeros(count)
-    e_star = np.zeros(count)
     for start, stop, gen in rng.chunk_streams(seed, "sample-paths", count):
         rows = stop - start
         picks = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.level_probs(n))
                  for n in range(1, depth + 1)]
         picks_t = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.level_probs(n))
                    for n in range(1, depth + 1)]
-        f = np.zeros((rows, dim))
-        g = np.zeros((rows, dim))
-        fs = np.zeros(rows)
-        ds = np.zeros(rows)
-        es = np.zeros(rows)
+        f = f_terminal[start:stop]
+        g = g_terminal[start:stop]
         node = np.zeros(rows, dtype=np.int64)
         node_t = np.zeros(rows, dtype=np.int64)
         for n in range(1, depth + 1):
             child = node * tree.sizes[n - 1] + picks[n - 1]
             child_t = node_t * tree.sizes[n - 1] + picks_t[n - 1]
-            d_inc = seq.increments(n)[child]
+            f += seq.increments(n)[child]
             if pair.mode == "decoupled":
-                e_inc = seq.increments(n)[node * tree.sizes[n - 1] + picks_t[n - 1]]
+                g += seq.increments(n)[node * tree.sizes[n - 1] + picks_t[n - 1]]
             else:
-                e_inc = seq.increments(n)[child_t]
-            f += d_inc
-            g += e_inc
-            fs = np.maximum(fs, seq.space.norms(f))
-            ds = np.maximum(ds, seq.space.norms(d_inc))
-            es = np.maximum(es, seq.space.norms(e_inc))
+                g += seq.increments(n)[child_t]
             node, node_t = child, child_t
-        sl = slice(start, stop)
-        f_terminal[sl], g_terminal[sl] = f, g
-        f_star[sl], d_star[sl], e_star[sl] = fs, ds, es
-    return SampleBatch(f_terminal, g_terminal, f_star, d_star, e_star, seed)
+    return SampleBatch(f_terminal, g_terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +729,14 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
 MULT_ALPHABET = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
 
 
-def random_tree(gen: np.random.Generator, max_depth: int, max_alphabet: int = 3,
+def random_tree(gen: np.random.Generator, max_depth: int,
                 symmetric: bool = True) -> FiltrationTree:
+    """Depth 1..max_depth; symmetric levels are fair signs or three-point laws."""
     depth = int(gen.integers(1, max_depth + 1))
     levels = []
     for _ in range(depth):
         if symmetric:
-            if max_alphabet >= 3 and gen.random() < 0.5:
+            if gen.random() < 0.5:
                 scale = float(gen.choice([1.0, math.sqrt(3.0), 2.0]))
                 center = float(gen.choice([0.5, 2.0 / 3.0]))
                 side = (1.0 - center) / 2.0
@@ -804,8 +774,8 @@ def random_general_sequence(gen: np.random.Generator, tree: FiltrationTree,
 
 
 def random_pair(gen: np.random.Generator, space: Space, max_depth: int,
-                max_alphabet: int = 3, symmetric: bool = True) -> TangentPair:
-    tree = random_tree(gen, max_depth, max_alphabet, symmetric=symmetric)
+                symmetric: bool = True) -> TangentPair:
+    tree = random_tree(gen, max_depth, symmetric=symmetric)
     if symmetric:
         seq = random_multiplier_sequence(gen, tree, space)
     else:

@@ -59,13 +59,16 @@ def envelope(kind: str, config: dict, results, *, seed: int, method: str, sample
 
 
 def pmap(fn, items, workers: int = 1):
-    """Order-preserving map, optionally across processes.
+    """Order-preserving map, optionally across at most one process per item.
 
     Results come back in input order either way, so a report built from the
-    output is byte-identical whatever ``workers`` is.
+    output is byte-identical whatever ``workers`` is.  The pool is capped at
+    the item count because a fork-started pool launches all of its processes
+    at the first submit.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 

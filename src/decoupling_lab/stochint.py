@@ -106,8 +106,8 @@ class StepProcess:
         paths = dW.shape[0]
         out = np.zeros((paths, self.intervals, self.rank, self.x_dim))
         for n in range(1, self.intervals + 1):
+            # a read-only view: the rule sees dW's own memory but cannot write it
             past = dW[:, : self.partition[n - 1], :]
-            past = past.copy()
             past.flags.writeable = False
             for m in range(self.rank):
                 try:

@@ -277,18 +277,6 @@ def test_search_on_hilbert_space_finds_nothing():
     assert est.ratio == pytest.approx(1.0, abs=1e-9)
 
 
-def test_search_warm_start():
-    base = ct.search_worst_case(
-        sup_norm(2), 2.0, family="supnorm-signs", budget=800, restarts=4, seed=0
-    )
-    flat = np.concatenate([np.ravel(m) for m in base.witness["multipliers"]])
-    warm = ct.search_worst_case(
-        sup_norm(2), 2.0, family="supnorm-signs",
-        budget=1, restarts=1, seed=0, init=flat,
-    )
-    assert warm.ratio == pytest.approx(base.ratio, abs=1e-12)
-
-
 def test_search_validation():
     with pytest.raises(ValueError, match="unknown family"):
         ct.search_worst_case(euclid(2), 2.0, family="mystery")

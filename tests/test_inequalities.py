@@ -19,14 +19,10 @@ def unit_pw_pair(depth):
     return pm.decouple(seq)
 
 
-def test_wilson_interval():
-    assert iq.wilson_interval(0, 0) == (0.0, 1.0)
-    lo, hi = iq.wilson_interval(0, 100)
-    assert lo == 0.0 and 0.0 < hi < 0.2
-    lo2, hi2 = iq.wilson_interval(50, 100)
-    assert lo < lo2 < 0.5 < hi2
-    lo3, _ = iq.wilson_interval(100, 100)
-    assert lo3 > 0.8
+def rademacher_model(depth):
+    """The sum of depth independent fair signs."""
+    rad = iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    return iq.ProductModel(euclid(1), (rad,) * depth)
 
 
 def test_report_as_dict():
@@ -128,30 +124,12 @@ def test_product_model():
             assert np.array_equal(table[u], law.values)
 
 
-def test_conditional_models_recompose_g_moment():
-    gen = stream(5, "cond-models")
-    pair = pm.random_pair(gen, euclid(2), max_depth=3)
-    models = iq.conditional_models(pair)
-    assert sum(w for w, _ in models) == pytest.approx(1.0, abs=1e-12)
-    total = 0.0
-    for w, model in models:
-        total += w * model.to_sequence().terminal_moment(2.0)
-    assert total == pytest.approx(pm.g_terminal_moment(pair, 2.0), rel=1e-12)
-
-
-def test_conditional_models_need_decoupled_mode():
-    pair = pm.independent_copy(unit_pw_pair(2).seq)
-    with pytest.raises(pm.ModelError):
-        iq.conditional_models(pair)
-
-
 # ---------------------------------------------------------------------------
 # distributional bounds for symmetric sums
 
 
 def test_levy_sharp_on_signs():
-    pair = unit_pw_pair(3)
-    rep = iq.check_levy(pair, 1.5)
+    rep = iq.check_levy(rademacher_model(3), 1.5)
     assert rep.holds
     assert rep.lhs == pytest.approx(0.5)
     assert rep.rhs == pytest.approx(0.5)
@@ -159,10 +137,10 @@ def test_levy_sharp_on_signs():
 
 
 def test_levy_max_term_variant():
-    rep = iq.check_levy(unit_pw_pair(3), 1.5, variant="max-term")
+    rep = iq.check_levy(rademacher_model(3), 1.5, variant="max-term")
     assert rep.holds and rep.lhs == 0.0
     with pytest.raises(ValueError):
-        iq.check_levy(unit_pw_pair(2), 1.0, variant="median")
+        iq.check_levy(rademacher_model(2), 1.0, variant="median")
 
 
 def test_levy_quasinorm_threshold():
@@ -217,11 +195,11 @@ def test_symsum_quasinorm():
 
 
 def test_reverse_kolmogorov():
-    pair = unit_pw_pair(3)
-    rep = iq.check_reverse_kolmogorov(pair, 0.0, 1.0)
+    model = rademacher_model(3)
+    rep = iq.check_reverse_kolmogorov(model, 0.0, 1.0)
     assert rep.holds and rep.lhs == pytest.approx(1.0)
     # huge threshold makes the right side negative, trivially true
-    far = iq.check_reverse_kolmogorov(pair, 50.0, 2.0)
+    far = iq.check_reverse_kolmogorov(model, 50.0, 2.0)
     assert far.holds and far.rhs < 0
     null = iq.FiniteLaw(np.array([0.0]), np.array([1.0]))
     degenerate = iq.ProductModel(euclid(1), (null, null))
@@ -255,17 +233,6 @@ def test_tail_comparison_exact():
     # beyond the support both tails vanish
     last_pair = [r for r in reports if r.params["t"] == ts[-1]]
     assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in last_pair)
-
-
-def test_tail_comparison_mc():
-    gen = stream(11, "tail-mc")
-    pair = pm.random_pair(gen, euclid(2), max_depth=4)
-    reports = iq.check_tail_comparison(
-        pair, [float(np.median(pair.seq.d_star))], method="mc", samples=20_000, seed=3
-    )
-    assert all(r.holds and r.method == "mc" and r.samples == 20_000 for r in reports)
-    with pytest.raises(ValueError):
-        iq.check_tail_comparison(pair, [1.0], method="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_sample_paths_deterministic():
     assert np.array_equal(a.g_terminal, b.g_terminal)
     c = pm.sample_paths(pair, 500, seed=8)
     assert not np.array_equal(a.f_terminal, c.f_terminal)
-    assert a.count == 500
+    assert len(a.f_terminal) == 500
 
 
 def test_sample_paths_moments_agree():

@@ -58,6 +58,33 @@ def test_pmap_preserves_order():
     assert rp.pmap(_square, [], workers=3) == []
 
 
+def test_pmap_starts_at_most_one_process_per_item(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert rp.pmap(_square, range(3), workers=500) == [0, 1, 4]
+    assert rp.pmap(_square, range(7), workers=2) == [0, 1, 4, 9, 16, 25, 36]
+    assert rp.pmap(_square, [4], workers=500) == [16]
+    assert sizes == [3, 2]
+
+
 def test_write_csv(tmp_path):
     path = tmp_path / "rows.csv"
     with open(path, "w", newline="") as handle:
@@ -165,6 +192,8 @@ def test_bad_env_seed(monkeypatch, capsys):
     ["atlas", "--ps", ","],
     ["bdg", "--steps", "0"],
     ["bdg", "--horizon", "0"],
+    ["verify", "--suite", "davis", "--trials", "2", "--workers", "0"],
+    ["verify", "--suite", "davis", "--trials", "2", "--workers", "-3"],
 ])
 def test_non_positive_exponents_and_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -184,6 +213,26 @@ def test_empty_model_configs_exit_2(argv, flag, capsys):
     assert cli.main([*argv, "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["bounds", "--formula", "logdim-lower", "--p", "2", "--d", "4",
+            "--workers", "1", "--out", str(target)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decoupling-lab:") and str(target) in err and "Traceback" not in err
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_bounds", lambda args: ran.append(args) or 0)
+    assert cli.main(argv) == 2 and not ran
+    capsys.readouterr()
+    # a path that fails only when it is opened is a configuration error too
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_require_writable", lambda path: None)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decoupling-lab:") and str(target) in err and "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
@@ -296,20 +345,60 @@ def test_atlas_sweeps_nested_spaces(tmp_path):
         ("lp:0.7:2", 1.0), ("lp:0.7:2", 2.0), ("nested:1x2,3x2", 1.0), ("nested:1x2,3x2", 2.0)]
 
 
-# sha256 of small good-lambda and extrapolation reports: a change to the window
-# code that moves any byte of them fails here
+# sha256 of small verify reports (--depth 3 --trials 10 --seed 0), every suite
+# on a Banach and a quasi-Banach space: a change to any checker, model builder
+# or window table that moves a byte of them fails here
 WINDOW_SUITE_SHA256 = {
-    "goodlambda": "e22ddce3364317731d700ed9f3fc90ba52eba55817b808c60542b63e4110b541",
-    "extrapolation": "bad5e3e0ec59d8dfe9d8670c49d1b7380606a24a6456821d242ab613b86d6796",
+    "tangency": {
+        "l2:3": "8cb3435c4477331e632a0dc95867ddcefa09c234a72b0099db3bec727b08226d",
+        "lp:0.5:3": "86024e955ee59f2977d1c6a6851e4e6af7e8834cd895da3ef09a84db1ebfd542",
+    },
+    "levy": {
+        "l2:3": "87e640e51d07d5ae3c7b123421f5d38e87b2bf65db332655f80cc3621f426ae9",
+        "lp:0.5:3": "e6656ff28254435fe9286c486c401c5bbe718b849d705291071f03155011c06a",
+    },
+    "contraction": {
+        "l2:3": "27e7a51acbdceec80113b2d32e597d0b50b0487ad315a8034ac05f6eb295fb2b",
+        "lp:0.5:3": "8a32daad491855bfa60ef88b2238676d35af2ef0b60e17fe3fc6235c602800a8",
+    },
+    "symsum": {
+        "l2:3": "08e084ae430a541b2401e8eb3689f6c1cf95030c369239a89f4307e7336b9169",
+        "lp:0.5:3": "d5ffcea14c6298d46916f2ad20e7606393517f16c9c1942ba235fab9445be704",
+    },
+    "revkol": {
+        "l2:3": "6291f06fa59f19bc66f58fc0a5f01c395a81468dbc258bd3d725968a67fe4038",
+        "lp:0.5:3": "b2c62f823672f8cd8d021335fc4a50f1c83447b5c67934fba38b4328dcd1bd5f",
+    },
+    "tail": {
+        "l2:3": "45d26c9a06fd52df72270056ddd0a893b3fe2d68f3161d77ce0ae1e9d5ee0e5f",
+        "lp:0.5:3": "296ba93bcb8981fab128e38b98b668892c4f57eb5cd3925d3e47db5847ed415f",
+    },
+    "goodlambda": {
+        "l2:3": "e22ddce3364317731d700ed9f3fc90ba52eba55817b808c60542b63e4110b541",
+        "lp:0.5:3": "5f388fbcb091b57af60f0c8e98c2b576a23656c105761675f3cf6b61fc7de61c",
+    },
+    "davis": {
+        "l2:3": "9aede4a4e7371f3827a0a52436400d86e8f66f4e9339cd957c7b9b7469191181",
+        "lp:0.5:3": "5e5b24ec64cac5e0bd60c00bc5794143d3e910a5660c7d3701cca8bc35b85e6d",
+    },
+    "extrapolation": {
+        "l2:3": "bad5e3e0ec59d8dfe9d8670c49d1b7380606a24a6456821d242ab613b86d6796",
+        "lp:0.5:3": "ea0e09b24ae966e831351bab27c42cd3f7292de8dd7be64c0deab9f47e2f8499",
+    },
+    "all": {
+        "l2:3": "6331a06e26a6131078856fed0188a979160404966c317b06bb87839dc9e7eb92",
+        "lp:0.5:3": "20ea1bb99e81b22a0611639b1cc4414feb383c9ae3c35ad55813e15920634cad",
+    },
 }
 
 
 @pytest.mark.parametrize("suite", sorted(WINDOW_SUITE_SHA256))
 def test_window_suite_reports_are_pinned(suite, capsys):
-    assert cli.main(["verify", "--suite", suite, "--space", "l2:3", "--depth", "3",
-                     "--trials", "10", "--seed", "0", "--workers", "1"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == WINDOW_SUITE_SHA256[suite]
+    for space, want in WINDOW_SUITE_SHA256[suite].items():
+        assert cli.main(["verify", "--suite", suite, "--space", space, "--depth", "3",
+                         "--trials", "10", "--seed", "0", "--workers", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == want, space
 
 
 def test_bdg_command(tmp_path, capsys):

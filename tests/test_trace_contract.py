@@ -1,8 +1,8 @@
 """The benchmark's per-layer tracer (perfbench/tracing.py) wraps package
 functions from outside by name and binds its counting hooks to their
-positional arguments.  These tests run it over one toy job per subcommand, so
-a renamed or re-signatured traced function fails here and not only in the
-benchmark's own suite."""
+positional arguments.  These tests run it over toy jobs of every subcommand and
+every verify suite, so a renamed or re-signatured traced function fails here
+and not only in the benchmark's own suite."""
 
 import contextlib
 import io
@@ -16,6 +16,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 JOBS = [
     ["verify", "--suite", "levy", "--space", "l2:2", "--depth", "3", "--trials", "4"],
+    ["verify", "--suite", "all", "--space", "lp:0.5:2", "--depth", "2", "--trials", "2"],
     ["estimate", "--space", "l2:2", "--depth", "2", "--trials", "10", "--restarts", "1"],
     ["bounds", "--formula", "extrap-c", "--p", "2", "--q", "4", "--A", "2", "--b", "0.1"],
     ["bdg", "--space", "linf:2", "--samples", "300", "--steps", "8"],
