@@ -16,15 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probmodel import (
+    BATCH_FLOATS,
     AdaptedSequence,
     ModelError,
     TangentPair,
     decouple,
     g_terminal_moment,
+    g_terminal_moments,
+    multiplier_tables,
     paley_walsh,
+    require_joint_walk,
+    require_sign_patterns,
     sample_paths,
     sign_randomized_moment,
     symmetric_three_point,
+    terminal_moments,
 )
 from .reports import config_hash
 from .rng import stream
@@ -252,6 +258,11 @@ def ratio(
         other = float(np.mean(seq.space.norms(batch.g_terminal) ** p))
     else:
         raise ValueError(f"unknown method {method!r}")
+    return _moment_ratio(f_mom, other, p, direction)
+
+
+def _moment_ratio(f_mom: float, other: float, p: float, direction: str) -> float:
+    """The direction's ratio of E||f_N||^p and the other side's p-th moment."""
     if direction in ("decouple-upper", "randomized-minus"):
         num, den = f_mom, other
     else:
@@ -259,6 +270,21 @@ def ratio(
     if den <= 0:
         raise ModelError("degenerate model: zero moment in the denominator")
     return (num / den) ** (1.0 / p)
+
+
+def multiplier_ratios(tree, space: Space, flats: np.ndarray, p: float,
+                      direction: str) -> list[float]:
+    """ratio(decouple(from_multipliers(...)), p, direction) of each row of
+    flats (flat multiplier vectors on one tree), bit for bit, in one pass of
+    the moment engines over the batch."""
+    tables = multiplier_tables(tree, _split_multipliers(tree, space.dim, flats))
+    f_moms = terminal_moments(tree, space, tables, p)
+    if direction.startswith("decouple"):
+        others = g_terminal_moments(tree, space, tables, p)
+    else:
+        others = [sign_randomized_moment(AdaptedSequence(tree, space, [t[b] for t in tables]), p)
+                  for b in range(len(flats))]
+    return [_moment_ratio(f, other, p, direction) for f, other in zip(f_moms, others)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +324,14 @@ def _family_tree(kind: str, depth: int):
 
 
 def _split_multipliers(tree, dim: int, flat: np.ndarray) -> list[np.ndarray]:
-    """Flat slot vector back into per-level multiplier matrices."""
+    """Flat slot vectors (..., slots) back into per-level multiplier arrays
+    (..., num_nodes(n-1), dim)."""
     out = []
     offset = 0
     for n in range(1, tree.depth + 1):
         count = tree.num_nodes(n - 1) * dim
-        out.append(flat[offset : offset + count].reshape(tree.num_nodes(n - 1), dim))
+        shape = flat.shape[:-1] + (tree.num_nodes(n - 1), dim)
+        out.append(flat[..., offset : offset + count].reshape(shape))
         offset += count
     return out
 
@@ -361,6 +389,13 @@ def search_worst_case(
     Deterministic for fixed (seed, family, depth): candidates are visited in
     a fixed order and the budget counts ratio evaluations, so enlarging the
     budget extends the same trajectory and the result is monotone in it.
+
+    A candidate differs from the current model in one slot, and accepting a
+    letter changes only that slot, so each slot's letters are measured in one
+    batch (multiplier_ratios, at most BATCH_FLOATS joint floats at a time)
+    before the sequential accept rule is replayed over them.  Once a letter
+    is accepted the slot's original letter comes up again; that candidate is
+    the model before the slot, so its value is the one already measured.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -369,12 +404,19 @@ def search_worst_case(
     if family == "supnorm-signs" and space.kind != "sup":
         raise ModelError("supnorm-signs searches sup-norm spaces")
     tree = _family_tree(tree_kind, depth)
+    # refuse a model too large to measure before anything of its size exists
+    if direction.startswith("decouple"):
+        walk = require_joint_walk(tree)
+    else:
+        require_sign_patterns(tree)
+        walk = tree.path_count
+    batch = max(1, BATCH_FLOATS // (walk * space.dim))
     slots = sum(tree.num_nodes(n - 1) for n in range(1, depth + 1)) * space.dim
 
-    def evaluate(flat: np.ndarray) -> float:
-        mults = _split_multipliers(tree, space.dim, flat)
-        seq = AdaptedSequence.from_multipliers(tree, space, mults)
-        return ratio(decouple(seq), p, direction)
+    def evaluate(flats: np.ndarray) -> list[float]:
+        return [value for start in range(0, len(flats), batch)
+                for value in multiplier_ratios(tree, space, flats[start:start + batch],
+                                               p, direction)]
 
     best_flat, best_val = None, -math.inf
     evals = 0
@@ -384,30 +426,36 @@ def search_worst_case(
         gen = stream(seed, "search", family, restart)
         flat = np.array(alphabet)[gen.integers(0, len(alphabet), size=slots)]
         evals += 1
-        val = evaluate(flat)
+        (val,) = evaluate(flat[None])
         if val > best_val:
             best_flat, best_val = flat.copy(), val
         improved = True
         while improved and evals < budget:
             improved = False
             for slot in range(slots):
+                if evals >= budget:
+                    break
+                original = flat[slot]
+                letters = [x for x in alphabet if x != original][:budget - evals]
+                cands = np.repeat(flat[None], len(letters), axis=0)
+                cands[:, slot] = letters
+                values = dict(zip(letters, evaluate(cands)))
+                values[original] = val
                 for letter in alphabet:
                     if letter == flat[slot]:
                         continue
                     if evals >= budget:
                         break
-                    cand = flat.copy()
-                    cand[slot] = letter
                     evals += 1
-                    cand_val = evaluate(cand)
-                    if cand_val > val + 1e-15:
-                        flat, val = cand, cand_val
+                    if values[letter] > val + 1e-15:
+                        flat[slot], val = letter, values[letter]
                         improved = True
                         if val > best_val:
                             best_flat, best_val = flat.copy(), val
-                else:
-                    continue
-                break
-    return estimate_from_flat(
+    est = estimate_from_flat(
         family, depth, space, best_flat, p, direction, evaluations=evals, seed=seed
     )
+    if est.ratio != best_val:
+        # the batched values must be those of the model measured on its own
+        raise RuntimeError(f"witness replays to {est.ratio!r}, the search measured {best_val!r}")
+    return est

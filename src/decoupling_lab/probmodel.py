@@ -37,6 +37,9 @@ from .spaces import Space, format_space, parse_space
 JOINT_LIMIT = 10_000_000
 # Floats held by one block of an exact enumerator (joint_blocks, sign patterns).
 BLOCK_FLOATS = 2_000_000
+# Joint-space floats (candidates x heads x paths x dim) one batched evaluation
+# of several models on one tree may hold; a larger model runs as a batch of one.
+BATCH_FLOATS = 65_536
 
 
 class EnumerationError(RuntimeError):
@@ -229,17 +232,13 @@ class AdaptedSequence:
         """
         if len(multipliers) != tree.depth:
             raise ModelError("need one multiplier array per level")
-        tables = []
-        for n in range(1, tree.depth + 1):
-            level = tree.levels[n - 1]
-            values = np.array(level.values, dtype=float)
-            if values.ndim != 1:
+        mults = [np.asarray(m, dtype=float) for m in multipliers]
+        for n, mult in enumerate(mults, start=1):
+            if np.array(tree.levels[n - 1].values).ndim != 1:
                 raise ModelError("multiplier sequences need scalar innovations")
-            mult = np.asarray(multipliers[n - 1], dtype=float)
             if mult.shape != (tree.num_nodes(n - 1), space.dim):
                 raise ModelError(f"multiplier {n} has shape {mult.shape}")
-            tables.append(values[None, :, None] * mult[:, None, :])
-        return cls(tree, space, tables)
+        return cls(tree, space, multiplier_tables(tree, mults))
 
     @property
     def depth(self) -> int:
@@ -295,7 +294,7 @@ class AdaptedSequence:
         return out
 
     def terminal_moment(self, p: float) -> float:
-        return float(self.tree.path_probs @ self.space.norms(self.terminal) ** p)
+        return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
 
     def is_conditionally_symmetric(self, tol: float = 1e-12) -> bool:
         """True when every conditional increment law is negation-invariant."""
@@ -304,6 +303,29 @@ class AdaptedSequence:
             if any(symmetry_gap(row, probs) > tol for row in table):
                 return False
         return True
+
+
+def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
+    """Increment tables d_n = xi_n * v_n of multiplier arrays shaped
+    (..., num_nodes(n-1), dim); the leading axes carry over to the tables."""
+    return [np.array(level.values)[:, None] * mult[..., None, :]
+            for level, mult in zip(tree.levels, multipliers)]
+
+
+def terminal_moments(tree: FiltrationTree, space: Space, tables, p: float) -> list[float]:
+    """E ||f_N||^p of each of a batch of sequences on one tree.
+
+    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  f_n grows
+    level by level along the tree, once per depth-n node, into C-ordered
+    arrays, so each sequence's norms and path-weighted sum (one contiguous row)
+    are formed as for it alone and its value does not depend on the batch.
+    """
+    batch, dim = len(tables[0]), space.dim
+    f = np.zeros((batch, 1, dim))
+    for n, table in enumerate(tables, start=1):
+        f = (f[:, :, None, :] + table).reshape(batch, tree.num_nodes(n), dim)
+    values = space.norms(f) ** p
+    return [float(tree.path_probs @ row) for row in values]
 
 
 def sequence_spec(seq: AdaptedSequence) -> dict:
@@ -524,70 +546,100 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
 JOINT_STATS = ("g_terminal", "e_star", "g_star")
 
 
-def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = None):
-    """The exact joint engine: iterate the product space in blocks of heads.
+def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
+    """The (head, omega~) outcomes the joint engine walks on this tree, or
+    EnumerationError past JOINT_LIMIT: depth-(N-1) heads (decoupled) or the
+    root alone (copy), times the paths."""
+    heads = tree.num_nodes(tree.depth - 1) if mode == "decoupled" else 1
+    walk = heads * tree.path_count
+    if walk > JOINT_LIMIT:
+        raise EnumerationError(f"{walk} joint outcomes exceed budget {JOINT_LIMIT}")
+    return walk
 
-    The g side reads the first coordinate only through the table rows it
-    picks: through the depth-(N-1) prefix in decoupled mode, not at all in
-    copy mode.  So the heads are the depth-(N-1) nodes (decoupled) or the root
-    alone (copy), each weighted by the mass of the paths under it, and every
-    head meets every second-coordinate path.
+
+def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str = "decoupled",
+                         stats=JOINT_STATS, block_rows: int | None = None):
+    """The exact joint engine for a batch of sequences on one tree.
+
+    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The g side reads
+    the first coordinate only through the table rows it picks: through the
+    depth-(N-1) prefix in decoupled mode, not at all in copy mode.  So the
+    heads are the depth-(N-1) nodes (decoupled) or the root alone (copy), each
+    weighted by the mass of the paths under it, and every head meets every
+    second-coordinate path.
 
     Yields (weights, stats): weights (rows, paths) is the joint mass of each
-    (head, omega~) outcome, summing to one over all blocks; stats holds only
-    the requested statistics, g_terminal (rows, paths, dim), e_star and g_star
-    (rows, paths).  Within a block the statistics grow level by level along
-    the omega~ tree, so each partial sum g_n is formed once per depth-n node.
-    Blocks hold about BLOCK_FLOATS floats of g_terminal.
+    (head, omega~) outcome, summing to one over all blocks and shared by the
+    batch; stats holds only the requested statistics, g_terminal
+    (batch, rows, paths, dim), e_star and g_star (batch, rows, paths).  Within
+    a block the statistics grow level by level along the omega~ tree, so each
+    partial sum g_n is formed once per depth-n node, elementwise and for each
+    sequence as for it alone.  Block rows are counted across the batch: a
+    block holds about BLOCK_FLOATS floats of g_terminal.
     """
     unknown = set(stats) - set(JOINT_STATS)
     if unknown:
         raise ValueError(f"unknown joint statistics {sorted(unknown)}")
-    pair.require_enumerable()
-    seq, tree = pair.seq, pair.tree
-    depth, dim, paths = tree.depth, seq.dim, tree.path_count
-    if pair.mode == "decoupled":
-        heads, head_probs = tree.num_nodes(depth - 1), tree.node_probs(depth - 1)
-    else:
-        heads, head_probs = 1, np.ones(1)
+    depth, dim, paths = tree.depth, space.dim, tree.path_count
+    heads = require_joint_walk(tree, mode) // paths
+    head_probs = tree.node_probs(depth - 1) if mode == "decoupled" else np.ones(1)
+    batch = len(tables[0])
     if block_rows is None:
-        block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, paths * dim)))
+        block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
     need_g = "g_terminal" in stats or "g_star" in stats
     for start in range(0, heads, block_rows):
         block = np.arange(start, min(start + block_rows, heads))
         rows = len(block)
         # statistics at the depth-n nodes of the omega~ tree, n = 0 first
-        g = np.zeros((rows, 1, dim))
-        e_star = np.zeros((rows, 1))
-        g_star = np.zeros((rows, 1))
+        g = np.zeros((batch, rows, 1, dim))
+        e_star = np.zeros((batch, rows, 1))
+        g_star = np.zeros((batch, rows, 1))
         for n in range(1, depth + 1):
-            table = seq.tables[n - 1]
-            if pair.mode == "decoupled":
+            table = tables[n - 1]
+            if mode == "decoupled":
                 # one row per head, shared by every omega~ node
-                inc = table[tree.ancestor(block, depth - 1, n - 1)][:, None]
+                inc = table[:, tree.ancestor(block, depth - 1, n - 1)][:, :, None]
             else:
                 # the omega~ node picks the row, as for d_n on the first coordinate
-                inc = table[None]
+                inc = table[:, None]
             nodes = tree.num_nodes(n)
             if need_g:
-                g = (g[:, :, None, :] + inc).reshape(rows, nodes, dim)
+                g = (g[:, :, :, None, :] + inc).reshape(batch, rows, nodes, dim)
             if "e_star" in stats:
-                e_star = np.maximum(e_star[:, :, None],
-                                    seq.space.norms(inc)).reshape(rows, nodes)
+                e_star = np.maximum(e_star[:, :, :, None],
+                                    space.norms(inc)).reshape(batch, rows, nodes)
             if "g_star" in stats:
-                g_star = np.maximum(np.repeat(g_star, tree.sizes[n - 1], axis=1),
-                                    seq.space.norms(g))
+                g_star = np.maximum(np.repeat(g_star, tree.sizes[n - 1], axis=2),
+                                    space.norms(g))
         out = {"g_terminal": g, "e_star": e_star, "g_star": g_star}
         weights = head_probs[block, None] * tree.path_probs[None, :]
         yield weights, {key: out[key] for key in stats}
 
 
+def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = None):
+    """batched_joint_blocks for one pair: the same blocks with the batch axis dropped."""
+    tables = [t[None] for t in pair.seq.tables]
+    for weights, out in batched_joint_blocks(pair.tree, pair.space, tables, pair.mode,
+                                             stats, block_rows):
+        yield weights, {key: value[0] for key, value in out.items()}
+
+
+def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,
+                       mode: str = "decoupled") -> list[float]:
+    """E ||g_N||^p of each of a batch of sequences, exact: one norm per
+    (head, omega~) outcome, each sequence's blocks summed as for it alone."""
+    totals = [0.0] * len(tables[0])
+    for weights, stats in batched_joint_blocks(tree, space, tables, mode, ("g_terminal",)):
+        values = space.norms(stats["g_terminal"]) ** p
+        for b, row in enumerate(values):
+            totals[b] += float(np.sum(weights * row))
+    return totals
+
+
 def g_terminal_moment(pair: TangentPair, p: float) -> float:
-    """E ||g_N||^p, exact: one norm per (head, omega~) outcome."""
-    total = 0.0
-    for weights, stats in joint_blocks(pair, ("g_terminal",)):
-        total += float(np.sum(weights * pair.space.norms(stats["g_terminal"]) ** p))
-    return total
+    """E ||g_N||^p of one pair, the batch of one of g_terminal_moments."""
+    return g_terminal_moments(pair.tree, pair.space, [t[None] for t in pair.seq.tables],
+                              p, pair.mode)[0]
 
 
 class WindowTable:
@@ -660,15 +712,22 @@ class WindowTable:
         self.d_hat = d_hat
 
 
+def require_sign_patterns(tree: FiltrationTree) -> int:
+    """The (sign pattern, path) combinations sign_randomized_moment sums over,
+    or EnumerationError past JOINT_LIMIT."""
+    combos = tree.path_count * 2 ** tree.depth
+    if combos > JOINT_LIMIT:
+        raise EnumerationError(f"{combos} sign-path combinations exceed budget")
+    return combos
+
+
 def sign_randomized_moment(seq: AdaptedSequence, p: float) -> float:
     """E || sum_k eps_k d_k ||^p over independent Rademacher signs, exact.
 
     The 2^N sign patterns are taken in blocks of about BLOCK_FLOATS floats.
     """
     n, paths = seq.depth, seq.tree.path_count
-    combos = paths * 2 ** n
-    if combos > JOINT_LIMIT:
-        raise EnumerationError(f"{combos} sign-path combinations exceed budget")
+    require_sign_patterns(seq.tree)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     incs = [seq.path_increments(m) for m in range(1, n + 1)]
     rows = max(1, BLOCK_FLOATS // max(1, paths * seq.dim))

@@ -160,6 +160,26 @@ def test_enumeration_guard():
         pair.require_enumerable()
 
 
+def test_joint_engine_budgets_heads_times_paths():
+    # the engine walks depth-(N-1) heads x paths, not path_count^2 pairs
+    assert pm.require_joint_walk(pm.paley_walsh(12)) == 2048 * 4096 <= pm.JOINT_LIMIT
+    assert pm.require_joint_walk(pm.paley_walsh(12), "copy") == 4096
+    with pytest.raises(pm.EnumerationError, match="33554432 joint outcomes"):
+        pm.require_joint_walk(pm.paley_walsh(13))
+    # refused before a block is formed
+    pair = pm.decouple(unit_pw_seq(13))
+    with pytest.raises(pm.EnumerationError):
+        pm.g_terminal_moment(pair, 2.0)
+    with pytest.raises(pm.EnumerationError):
+        next(pm.joint_blocks(pair, ("e_star",)))
+    # the window table and the factorization check keep their own budgets
+    with pytest.raises(pm.EnumerationError):
+        pm.decouple(unit_pw_seq(12)).window_table(2.0)
+    assert pm.require_sign_patterns(pm.paley_walsh(11)) == 2048 * 2048
+    with pytest.raises(pm.EnumerationError):
+        pm.require_sign_patterns(pm.paley_walsh(12))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), symmetric=st.booleans())
 def test_random_pairs_are_tangent(seed, symmetric):

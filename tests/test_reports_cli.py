@@ -215,6 +215,20 @@ def test_empty_model_configs_exit_2(argv, flag, capsys):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--space", "linf:2", "--p", "2", "--depth", "30", "--trials", "2"],
+    ["estimate", "--space", "linf:2", "--depth", "30", "--direction", "randomized-plus"],
+    ["atlas", "--spaces", "linf:2", "--ps", "2", "--depth", "30", "--trials", "2"],
+])
+def test_too_large_search_models_exit_2_before_the_start_is_drawn(argv, monkeypatch, capsys):
+    # a depth-30 tree has 2^31 - 2 multiplier slots: 16 GiB of start letters
+    monkeypatch.setattr(cli.ct, "stream", lambda *labels: pytest.fail("drew a start"))
+    assert cli.main([*argv, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decoupling-lab:") and "exceed budget" in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
     target = tmp_path / "missing" / "x.json"
     argv = ["bounds", "--formula", "logdim-lower", "--p", "2", "--d", "4",
@@ -399,6 +413,33 @@ def test_window_suite_reports_are_pinned(suite, capsys):
                          "--trials", "10", "--seed", "0", "--workers", "1"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == want, space
+
+
+# sha256 of search reports (--seed 0, default budgets), taken before the
+# search measured each slot's letters as one batch: a change to a candidate's
+# value, to the trajectory or to a witness fails here (the search refuses to
+# report a best value its witness does not replay to bit for bit)
+SEARCH_ATLAS = ["atlas", "--spaces", "l2:2,linf:4,lp:0.5:3,nested:1x2,3x2", "--ps", "1,2",
+                "--depth", "3"]
+SEARCH_SHA256 = {
+    "decouple-upper": "78212fdea495c681b17e6481aab2c82ce324d5d166c8a2e1375f6397800c44ea",
+    "decouple-lower": "c2c031d7c67fa81d80cb51f004dd5798d0cbee196d5119bf71cd3ba50777bb2b",
+    "randomized-plus": "34eab03c7b81e5130c834d7a8136450567e9b9ab5b7f1d59ab13bd4881461111",
+}
+GAUSSIAN_ESTIMATE = ["estimate", "--space", "nested:1x2,3x2", "--p", "3",
+                     "--family", "gaussian-multipliers", "--depth", "3", "--trials", "200",
+                     "--restarts", "2"]
+GAUSSIAN_ESTIMATE_SHA256 = "b100d2a7843e5f4e6a2b498affafedd3664bc44182498da270e757a21836de12"
+
+
+@pytest.mark.parametrize("argv, want", [
+    *[([*SEARCH_ATLAS, "--direction", direction], digest)
+      for direction, digest in SEARCH_SHA256.items()],
+    (GAUSSIAN_ESTIMATE, GAUSSIAN_ESTIMATE_SHA256),
+])
+def test_search_reports_are_pinned(argv, want, capsys):
+    assert cli.main([*argv, "--seed", "0", "--workers", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_bdg_command(tmp_path, capsys):
