@@ -24,7 +24,6 @@ from .probmodel import (
     ModelError,
     TangentPair,
     joint_blocks,
-    symmetry_gap,
 )
 from .spaces import Space, lu_constants
 
@@ -62,6 +61,17 @@ class IneqReport:
         for key in ("lhs", "rhs", "margin"):
             out[key] = float(out[key])
         return out
+
+
+def _one_sided(inequality: str, params: dict, lhs: float, rhs: float,
+               lower: bool = False) -> IneqReport:
+    """The report of lhs <= rhs (or lhs >= rhs when lower), up to 1e-12."""
+    if lower:
+        holds, margin = lhs >= rhs - 1e-12, lhs - rhs
+    else:
+        holds, margin = lhs <= rhs + 1e-12, rhs - lhs
+    return IneqReport(inequality=inequality, params=params, lhs=lhs, rhs=rhs,
+                      holds=holds, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -126,64 +136,44 @@ def power_log(q: float) -> MomentFunctional:
 
 
 @dataclass(frozen=True)
-class FiniteLaw:
-    """A finitely supported law on the space: rows of values with weights."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            # scalar atoms for a one-dimensional space
-            values = values[:, None]
-        probs = np.asarray(self.probs, dtype=float)
-        if values.shape[0] != probs.shape[0]:
-            raise ModelError("values and probs must align")
-        if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ModelError("probs must be positive and sum to 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return symmetry_gap(self.values, self.probs) <= tol
-
-
-@dataclass(frozen=True)
 class ProductModel:
-    """Sum of independent increments, each with its own finite law."""
+    """Sum of independent increments, each with its own finite law.
+
+    The laws are the levels of the model's filtration tree: scalar atoms on a
+    one-dimensional space, or (size, dim) vector atoms.
+    """
 
     space: Space
-    laws: tuple[FiniteLaw, ...]
+    laws: tuple[Level, ...]
 
     def __post_init__(self):
         for law in self.laws:
-            if law.values.shape[1] != self.space.dim:
+            if law.values.reshape(law.size, -1).shape[1] != self.space.dim:
                 raise ModelError("law dimension does not match space")
 
     @property
     def outcome_count(self) -> int:
-        return math.prod(law.values.shape[0] for law in self.laws)
+        return math.prod(law.size for law in self.laws)
 
     def scaled(self, multipliers: Sequence[float]) -> "ProductModel":
         if len(multipliers) != len(self.laws):
             raise ModelError("need one multiplier per increment")
-        laws = tuple(
-            FiniteLaw(m * law.values, law.probs)
-            for m, law in zip(multipliers, self.laws)
-        )
+        laws = tuple(Level(m * law.values, law.probs)
+                     for m, law in zip(multipliers, self.laws))
         return ProductModel(self.space, laws)
 
     def to_sequence(self) -> AdaptedSequence:
-        if self.outcome_count > JOINT_LIMIT:
-            raise EnumerationError("product model too large to enumerate")
-        levels = tuple(
-            Level(tuple(map(tuple, law.values)), tuple(law.probs)) for law in self.laws
-        )
-        tree = FiltrationTree(levels)
+        # the enumerated sequence holds f_0..f_N for every outcome
+        floats = self.outcome_count * (len(self.laws) + 1) * self.space.dim
+        if floats > JOINT_LIMIT:
+            raise EnumerationError(
+                f"product model needs {floats} partial-sum floats, over budget {JOINT_LIMIT}")
+        tree = FiltrationTree(self.laws)
         # every level is independent of the past: its law's atoms on each parent
-        tables = [np.broadcast_to(law.values, (tree.num_nodes(n),) + law.values.shape)
-                  for n, law in enumerate(self.laws)]
+        tables = []
+        for n, law in enumerate(self.laws):
+            atoms = law.values.reshape(law.size, -1)
+            tables.append(np.broadcast_to(atoms, (tree.num_nodes(n),) + atoms.shape))
         return AdaptedSequence(tree, self.space, tables)
 
 
@@ -218,14 +208,7 @@ def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqR
     stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else inc_norms.max(axis=1)
     lhs = float(probs[stat > t].sum())
     rhs = 2.0 * float(probs[norms[:, -1] > thresh].sum())
-    return IneqReport(
-        inequality=f"levy-{variant}",
-        params={"t": t, "r": space.r, "atoms": 1},
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + 1e-12,
-        margin=rhs - lhs,
-    )
+    return _one_sided(f"levy-{variant}", {"t": t, "r": space.r, "atoms": 1}, lhs, rhs)
 
 
 def check_contraction(model: ProductModel, multipliers: Sequence[float], t: float) -> IneqReport:
@@ -239,22 +222,14 @@ def check_contraction(model: ProductModel, multipliers: Sequence[float], t: floa
     norms_sub, _, _ = _sum_stats(model.scaled(mults))
     lhs = float(probs[norms_sub[:, -1] > t].sum())
     rhs = 2.0 * float(probs[norms_full[:, -1] > thresh].sum())
-    return IneqReport(
-        inequality="contraction-01",
-        params={"t": t, "multipliers": mults, "atoms": 1},
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + 1e-12,
-        margin=rhs - lhs,
-    )
+    return _one_sided("contraction-01", {"t": t, "multipliers": mults, "atoms": 1}, lhs, rhs)
 
 
-def check_symsum(space: Space, xi: FiniteLaw, zeta: FiniteLaw, p: float) -> IneqReport:
+def check_symsum(space: Space, xi: Level, zeta: Level, p: float) -> IneqReport:
     """E||xi||^p <= 2^(1-p) u_{p/r} E||xi + zeta||^p for independent symmetric zeta."""
     if not zeta.is_symmetric():
         raise ModelError("zeta must be symmetric")
-    model = ProductModel(space, (FiniteLaw(xi.values, xi.probs), zeta))
-    seq = model.to_sequence()
+    seq = ProductModel(space, (xi, zeta)).to_sequence()
     probs = seq.tree.path_probs
     lhs = float(
         (space.norms(seq.path_increments(1)) ** p) @ probs
@@ -262,14 +237,7 @@ def check_symsum(space: Space, xi: FiniteLaw, zeta: FiniteLaw, p: float) -> Ineq
     total = space.norms(seq.partial_sums[:, -1]) ** p
     _, upper = lu_constants(p / space.r)
     rhs = 2.0 ** (1.0 - p) * upper * float(total @ probs)
-    return IneqReport(
-        inequality="symmetric-summand",
-        params={"p": p, "r": space.r},
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + 1e-12,
-        margin=rhs - lhs,
-    )
+    return _one_sided("symmetric-summand", {"p": p, "r": space.r}, lhs, rhs)
 
 
 def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqReport:
@@ -296,14 +264,8 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
     lhs = float(probs[norms[:, 1:].max(axis=1) > t].sum())
     star = float((inc_norms.max(axis=1) ** p) @ probs)
     rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom)
-    return IneqReport(
-        inequality="reverse-kolmogorov",
-        params={"t": t, "p": p, "r": space.r, "atoms": 1},
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs - 1e-12,
-        margin=lhs - rhs,
-    )
+    return _one_sided("reverse-kolmogorov", {"t": t, "p": p, "r": space.r, "atoms": 1},
+                      lhs, rhs, lower=True)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +287,8 @@ def check_tail_comparison(pair: TangentPair, ts: Sequence[float]) -> list[IneqRe
             e_mass[t] = e_mass.get(t, 0.0) + float(weights[stats["e_star"] > t].sum())
     reports = []
     for t in ts:
-        for name, lhs, rhs in (
-            ("tail-e-by-d", e_mass[t], 2.0 * d_mass[t]),
-            ("tail-d-by-e", d_mass[t], 2.0 * e_mass[t]),
-        ):
-            reports.append(
-                IneqReport(
-                    inequality=name,
-                    params={"t": t},
-                    lhs=lhs,
-                    rhs=rhs,
-                    holds=lhs <= rhs + 1e-12,
-                    margin=rhs - lhs,
-                )
-            )
+        reports.append(_one_sided("tail-e-by-d", {"t": t}, e_mass[t], 2.0 * d_mass[t]))
+        reports.append(_one_sided("tail-d-by-e", {"t": t}, d_mass[t], 2.0 * e_mass[t]))
     return reports
 
 
@@ -592,13 +542,13 @@ def check_extrapolation(
     )
 
 
-def random_symmetric_law(gen, dim: int, atoms: int = 2) -> FiniteLaw:
+def random_symmetric_law(gen, dim: int, atoms: int = 2) -> Level:
     """Symmetric finitely supported law: random atoms paired with negations."""
     alphabet = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     rows = alphabet[gen.integers(0, alphabet.size, size=(atoms, dim))]
     weights = gen.integers(1, 4, size=atoms).astype(float)
     weights /= 2.0 * weights.sum()
-    return FiniteLaw(np.vstack([rows, -rows]), np.concatenate([weights, weights]))
+    return Level(np.vstack([rows, -rows]), np.concatenate([weights, weights]))
 
 
 def random_product_model(gen, space: Space, levels: int = 3, atoms: int = 2) -> ProductModel:

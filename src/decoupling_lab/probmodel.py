@@ -50,12 +50,6 @@ class ModelError(ValueError):
     pass
 
 
-def _value_tuple(value):
-    if isinstance(value, (int, float)):
-        return float(value)
-    return tuple(float(v) for v in value)
-
-
 def _atom(vec) -> bytes:
     """Exact label of a vector atom; 0.0 and -0.0 share one label."""
     return (np.asarray(vec) + 0.0).tobytes()
@@ -88,22 +82,26 @@ def symmetry_gap(vectors, probs) -> float:
     return _law_gap(_merge_law(vectors, probs), _merge_law(-vectors, probs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Level:
-    """One innovation level: a finite alphabet with probabilities.
+    """A finite law: an innovation level of a tree, or one term of a product model.
 
-    probs_exact optionally carries the same probabilities as Fractions, which
-    switches tangency verification to exact rational arithmetic.
+    values is a read-only float array, shaped (size,) for scalar atoms or
+    (size, dim) for vector atoms.  probs_exact optionally carries the same
+    probabilities as Fractions, which switches tangency verification to exact
+    rational arithmetic.
     """
 
-    values: tuple
+    values: np.ndarray
     probs: tuple
     probs_exact: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_value_tuple(v) for v in self.values))
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.values) != len(self.probs) or not self.values:
+        if values.ndim == 0 or len(values) != len(self.probs) or not self.probs:
             raise ModelError("values and probs must be non-empty and aligned")
         if any(p <= 0 for p in self.probs):
             raise ModelError("probabilities must be strictly positive")
@@ -118,6 +116,9 @@ class Level:
     @property
     def size(self) -> int:
         return len(self.values)
+
+    def is_symmetric(self, tol: float = 1e-12) -> bool:
+        return symmetry_gap(self.values, self.probs) <= tol
 
 
 class FiltrationTree:
@@ -169,10 +170,7 @@ class FiltrationTree:
 
     @cached_property
     def path_probs(self) -> np.ndarray:
-        probs = np.ones(1)
-        for level in self.levels:
-            probs = np.multiply.outer(probs, np.array(level.probs)).reshape(-1)
-        return probs
+        return self.node_probs(self.depth)
 
     def node_probs(self, n: int) -> np.ndarray:
         probs = np.ones(1)
@@ -234,7 +232,7 @@ class AdaptedSequence:
             raise ModelError("need one multiplier array per level")
         mults = [np.asarray(m, dtype=float) for m in multipliers]
         for n, mult in enumerate(mults, start=1):
-            if np.array(tree.levels[n - 1].values).ndim != 1:
+            if tree.levels[n - 1].values.ndim != 1:
                 raise ModelError("multiplier sequences need scalar innovations")
             if mult.shape != (tree.num_nodes(n - 1), space.dim):
                 raise ModelError(f"multiplier {n} has shape {mult.shape}")
@@ -308,7 +306,7 @@ class AdaptedSequence:
 def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
     """Increment tables d_n = xi_n * v_n of multiplier arrays shaped
     (..., num_nodes(n-1), dim); the leading axes carry over to the tables."""
-    return [np.array(level.values)[:, None] * mult[..., None, :]
+    return [level.values[:, None] * mult[..., None, :]
             for level, mult in zip(tree.levels, multipliers)]
 
 
@@ -333,7 +331,7 @@ def sequence_spec(seq: AdaptedSequence) -> dict:
     levels = []
     for level in seq.tree.levels:
         entry = {
-            "values": [list(v) if isinstance(v, tuple) else v for v in level.values],
+            "values": level.values.tolist(),
             "probs": list(level.probs),
         }
         if level.probs_exact is not None:
@@ -354,11 +352,8 @@ def sequence_from_spec(spec: dict) -> AdaptedSequence:
     for entry in spec["levels"]:
         exact = entry.get("probs_exact")
         levels.append(
-            Level(
-                tuple(tuple(v) if isinstance(v, list) else v for v in entry["values"]),
-                tuple(entry["probs"]),
-                tuple(Fraction(s) for s in exact) if exact is not None else None,
-            )
+            Level(entry["values"], entry["probs"],
+                  tuple(Fraction(s) for s in exact) if exact is not None else None)
         )
     return AdaptedSequence(
         FiltrationTree(levels), parse_space(spec["space"]), spec["tables"]

@@ -1,15 +1,18 @@
-"""Every module of the package uses every name it imports, and importing the
-CLI loads neither mpmath nor the process pool."""
+"""Every module of the package uses every name it imports, every top-level
+name it defines is referred to somewhere, and importing the CLI loads neither
+mpmath nor the process pool."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "decoupling_lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "decoupling_lab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,6 +54,63 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> dict[str, tuple[int, int]]:
+    """Each top-level def, class and assigned name, with the lines of its definition."""
+    names = {}
+    for node in ast.parse(source).body:
+        span = (node.lineno, node.end_lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = span
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = span
+    return names
+
+
+def unreferenced_names(source: str, others: list[str]) -> list[str]:
+    """Top-level names of source that occur as a whole word nowhere outside
+    their own definition, neither in source nor in the other texts."""
+    lines = source.splitlines()
+    unused = []
+    for name, (first, last) in top_level_names(source).items():
+        rest = "\n".join(lines[:first - 1] + lines[last:])
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for text in (rest, *others)):
+            unused.append(name)
+    return unused
+
+
+def test_checker_flags_unreferenced_names():
+    source = (
+        "LIMIT = 3\n"
+        "A, (B, C) = 1, (2, 3)\n"
+        "def f(x):\n"
+        "    \"f calls f.\"\n"
+        "    return f(x - 1) + LIMIT + A\n"
+        "def g():\n"
+        "    return g()\n"
+        "class Seen:\n"
+        "    pass\n"
+    )
+    assert unreferenced_names(source, ["print(f, B, Seen_not)"]) == ["C", "g", "Seen"]
+
+
+def _corpus() -> dict[Path, str]:
+    return {path: path.read_text()
+            for folder in ("src", "tests", "perfbench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_top_level_names(path):
+    corpus = _corpus()
+    others = [text for other, text in corpus.items() if other != path.resolve()]
+    assert unreferenced_names(path.read_text(), others) == []
 
 
 def test_cli_import_defers_mpmath_and_the_process_pool():

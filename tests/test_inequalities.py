@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def unit_pw_pair(depth):
 
 def rademacher_model(depth):
     """The sum of depth independent fair signs."""
-    rad = iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    rad = iq.Level(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
     return iq.ProductModel(euclid(1), (rad,) * depth)
 
 
@@ -43,6 +44,15 @@ def test_report_as_dict_matches_asdict():
     assert all(type(got[key]) is float for key in ("lhs", "rhs", "margin"))
     got["params"]["t"] = 2
     assert rep.params["t"] == 1
+
+
+def test_one_sided_reports_allow_1e_12():
+    upper = iq._one_sided("x", {"t": 1.0}, 1.0 + 1e-13, 1.0)
+    assert upper.holds and upper.margin == 1.0 - (1.0 + 1e-13) and upper.params == {"t": 1.0}
+    assert not iq._one_sided("x", {}, 1.0 + 1e-11, 1.0).holds
+    lower = iq._one_sided("x", {}, 1.0, 1.0 + 1e-13, lower=True)
+    assert lower.holds and lower.margin == 1.0 - (1.0 + 1e-13)
+    assert not iq._one_sided("x", {}, 1.0, 1.0 + 1e-11, lower=True).holds
 
 
 # ---------------------------------------------------------------------------
@@ -84,25 +94,25 @@ def test_functional_growth_contract_enforced():
 
 
 def test_finite_law_validation():
-    law = iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
-    assert law.values.shape == (2, 1)
+    law = iq.Level(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    assert law.values.shape == (2,)
     with pytest.raises(pm.ModelError):
-        iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.7, 0.7]))
+        iq.Level(np.array([1.0, -1.0]), np.array([0.7, 0.7]))
     with pytest.raises(pm.ModelError):
-        iq.FiniteLaw(np.array([1.0]), np.array([0.5, 0.5]))
+        iq.Level(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 def test_finite_law_symmetry():
-    assert iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5])).is_symmetric()
-    assert not iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.7, 0.3])).is_symmetric()
+    assert iq.Level(np.array([1.0, -1.0]), np.array([0.5, 0.5])).is_symmetric()
+    assert not iq.Level(np.array([1.0, -1.0]), np.array([0.7, 0.3])).is_symmetric()
     # duplicate rows must be aggregated before comparing masses
-    dup = iq.FiniteLaw(np.array([1.0, 1.0, -1.0]), np.array([0.25, 0.25, 0.5]))
+    dup = iq.Level(np.array([1.0, 1.0, -1.0]), np.array([0.25, 0.25, 0.5]))
     assert dup.is_symmetric()
-    assert iq.FiniteLaw(np.array([0.0, 0.0]), np.array([0.5, 0.5])).is_symmetric()
+    assert iq.Level(np.array([0.0, 0.0]), np.array([0.5, 0.5])).is_symmetric()
 
 
 def test_product_model():
-    rad = iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    rad = iq.Level(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
     model = iq.ProductModel(euclid(1), (rad, rad))
     assert model.outcome_count == 4
     seq = model.to_sequence()
@@ -122,6 +132,54 @@ def test_product_model():
         assert table.shape == (seq.tree.num_nodes(n - 1),) + law.values.shape
         for u in range(table.shape[0]):
             assert np.array_equal(table[u], law.values)
+
+
+def test_to_sequence_levels_are_the_model_laws(monkeypatch):
+    gen = stream(6, "product-levels")
+    laws = tuple(iq.random_symmetric_law(gen, 2, atoms) for atoms in (1, 3, 2))
+    model = iq.ProductModel(euclid(2), laws)
+    monkeypatch.setattr(pm.Level, "__post_init__", lambda self: pytest.fail("built a Level"))
+    seq = model.to_sequence()
+    assert len(seq.tree.levels) == len(laws)
+    assert all(level is law for level, law in zip(seq.tree.levels, laws))
+
+
+def test_product_model_budget_counts_path_sum_floats(monkeypatch):
+    # 11 levels of 4 atoms on l2:4: 4^11 outcomes x 12 partial sums x 4 coordinates
+    gen = stream(6, "product-budget")
+    model = iq.random_product_model(gen, euclid(4), levels=11)
+    assert model.outcome_count == 4 ** 11
+    tracemalloc.start()
+    try:
+        with pytest.raises(pm.EnumerationError, match=f"{4 ** 11 * 12 * 4} partial-sum floats"):
+            model.to_sequence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the rule is floats <= JOINT_LIMIT, outcomes x (levels + 1) x dim
+    small = iq.random_product_model(gen, euclid(4), levels=3)
+    monkeypatch.setattr(iq, "JOINT_LIMIT", 4 ** 3 * 4 * 4)
+    assert small.to_sequence().tree.path_count == 4 ** 3
+    monkeypatch.setattr(iq, "JOINT_LIMIT", 4 ** 3 * 4 * 4 - 1)
+    with pytest.raises(pm.EnumerationError, match="over budget"):
+        small.to_sequence()
+
+
+def test_scalar_and_column_atoms_give_the_same_reports():
+    gen = stream(9, "scalar-column")
+    columns = tuple(iq.random_symmetric_law(gen, 1, atoms) for atoms in (1, 2, 3))
+    scalars = tuple(iq.Level(law.values[:, 0], law.probs) for law in columns)
+    assert all(law.values.shape == (law.size,) for law in scalars)
+    by_column = iq.ProductModel(euclid(1), columns)
+    by_scalar = iq.ProductModel(euclid(1), scalars)
+    for t in (0.0, 0.5, 1.0, 2.5):
+        for variant in ("max-sum", "max-term"):
+            assert (iq.check_levy(by_scalar, t, variant).as_dict()
+                    == iq.check_levy(by_column, t, variant).as_dict())
+        for p in (0.5, 1.0, 3.0):
+            assert (iq.check_reverse_kolmogorov(by_scalar, t, p).as_dict()
+                    == iq.check_reverse_kolmogorov(by_column, t, p).as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +210,7 @@ def test_levy_quasinorm_threshold():
 
 
 def test_levy_rejects_asymmetric():
-    law = iq.FiniteLaw(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
+    law = iq.Level(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
     model = iq.ProductModel(euclid(1), (law, law))
     with pytest.raises(pm.ModelError, match="symmetric"):
         iq.check_levy(model, 1.0)
@@ -170,15 +228,15 @@ def test_contraction():
 
 
 def test_symsum_point_mass_cases():
-    one = iq.FiniteLaw(np.array([1.0]), np.array([1.0]))
-    rad = iq.FiniteLaw(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    one = iq.Level(np.array([1.0]), np.array([1.0]))
+    rad = iq.Level(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
     # adding a fair sign to a unit point mass: sharp at p = 1
     rep = iq.check_symsum(euclid(1), one, rad, 1.0)
     assert rep.holds and rep.margin == pytest.approx(0.0, abs=1e-12)
     rep2 = iq.check_symsum(euclid(1), one, rad, 2.0)
     assert rep2.holds and rep2.lhs == pytest.approx(1.0) and rep2.rhs == pytest.approx(2.0)
     # degenerate zero summand: the bound collapses to E||xi||^p <= c E||xi||^p
-    null = iq.FiniteLaw(np.array([0.0]), np.array([1.0]))
+    null = iq.Level(np.array([0.0]), np.array([1.0]))
     rep3 = iq.check_symsum(euclid(1), one, null, 1.0)
     assert rep3.holds and rep3.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -190,7 +248,7 @@ def test_symsum_quasinorm():
     rep = iq.check_symsum(seq_lp(0.5, 2), xi, zeta, 0.7)
     assert rep.holds and rep.params["r"] == 0.5
     with pytest.raises(pm.ModelError, match="symmetric"):
-        bad = iq.FiniteLaw(np.array([1.0]), np.array([1.0]))
+        bad = iq.Level(np.array([1.0]), np.array([1.0]))
         iq.check_symsum(euclid(1), xi, bad, 1.0)
 
 
@@ -201,7 +259,7 @@ def test_reverse_kolmogorov():
     # huge threshold makes the right side negative, trivially true
     far = iq.check_reverse_kolmogorov(model, 50.0, 2.0)
     assert far.holds and far.rhs < 0
-    null = iq.FiniteLaw(np.array([0.0]), np.array([1.0]))
+    null = iq.Level(np.array([0.0]), np.array([1.0]))
     degenerate = iq.ProductModel(euclid(1), (null, null))
     rep0 = iq.check_reverse_kolmogorov(degenerate, 1.0, 2.0)
     assert rep0.holds and rep0.status == "vacuous"
@@ -554,7 +612,7 @@ def test_random_symmetric_law():
     for _ in range(5):
         law = iq.random_symmetric_law(gen, 3)
         assert law.is_symmetric()
-        assert law.probs.sum() == pytest.approx(1.0)
+        assert sum(law.probs) == pytest.approx(1.0)
 
 
 def test_random_product_model():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
 from decoupling_lab.spaces import euclid, seq_lp, sup_norm
@@ -46,6 +48,19 @@ def test_level_validation():
         pm.Level((1.0, -1.0), (1.0, 0.0))
     with pytest.raises(pm.ModelError):
         pm.Level((1.0,), (0.5, 0.5))
+
+
+def test_level_values_are_read_only():
+    atoms = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    level = pm.Level(atoms, (0.5, 0.5))
+    with pytest.raises(ValueError):
+        level.values[0, 0] = 2.0
+    # the level holds its own copy of the atoms
+    atoms[0, 0] = 2.0
+    assert level.values[0, 0] == 1.0
+    assert level.values.dtype == float and level.values.shape == (2, 2)
+    scalar = pm.Level((1, -1), (0.5, 0.5))
+    assert scalar.values.shape == (2,) and not scalar.values.flags.writeable
 
 
 def test_ancestor_consistency():
@@ -454,6 +469,33 @@ def test_sequence_spec_round_trip():
     for a, b in zip(seq.tables, back.tables):
         assert np.array_equal(a, b)
     assert pm.verify_tangency(pm.decouple(back)).ok
+
+
+# sha256 of the JSON of three specs: scalar levels with exact probabilities, a
+# scalar level then a vector level (with int and -0.0 atoms), and a product model
+# with vector laws; taken when Level kept its atoms as tuples of floats
+SEQUENCE_SPEC_SHA256 = "735a379a5bdac15ef0ce1db4c19935b68577a1bd63d5657a6a346bdd635eb081"
+
+
+def test_sequence_spec_json_is_pinned():
+    scalar = pm.random_general_sequence(stream(7, "ser"), pm.paley_walsh(3, exact=True),
+                                        seq_lp(0.5, 2))
+    tree = pm.FiltrationTree([pm.Level((1, -0.0, -2.5), (0.25, 0.5, 0.25)),
+                              pm.Level(((1.0, 0), (-0.0, 2.0)), (0.5, 0.5))])
+    tables = [np.arange(6.0).reshape(1, 3, 2), -np.arange(12.0).reshape(3, 2, 2)]
+    mixed = pm.AdaptedSequence(tree, euclid(2), tables)
+    gen = stream(6, "spec-pin")
+    laws = tuple(iq.random_symmetric_law(gen, 2, atoms) for atoms in (1, 3))
+    product = iq.ProductModel(euclid(2), laws).to_sequence()
+    seqs = (scalar, mixed, product)
+    text = json.dumps([pm.sequence_spec(s) for s in seqs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEQUENCE_SPEC_SHA256
+    for seq, spec in zip(seqs, json.loads(text)):
+        back = pm.sequence_from_spec(spec)
+        for a, b in zip(seq.tree.levels, back.tree.levels):
+            assert np.array_equal(a.values, b.values) and a.probs == b.probs
+        for a, b in zip(seq.tables, back.tables):
+            assert np.array_equal(a, b)
 
 
 def test_sequence_spec_round_trip_inexact():

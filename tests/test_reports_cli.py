@@ -229,6 +229,16 @@ def test_too_large_search_models_exit_2_before_the_start_is_drawn(argv, monkeypa
     assert "Traceback" not in err
 
 
+def test_too_large_product_models_exit_2(capsys):
+    # trial 1 draws 10 levels: 4^10 outcomes x 11 partial sums x 4 coordinates
+    argv = ["verify", "--suite", "levy", "--space", "l2:4", "--depth", "12", "--trials", "2",
+            "--seed", "0", "--workers", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decoupling-lab:") and "46137344 partial-sum floats" in err
+    assert "over budget" in err and "Traceback" not in err
+
+
 def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
     target = tmp_path / "missing" / "x.json"
     argv = ["bounds", "--formula", "logdim-lower", "--p", "2", "--d", "4",
