@@ -91,7 +91,7 @@ def _suite_reports(suite: str, space, p: float, depth: int, index: int, gen) -> 
     """The inequality reports of one trial of a suite other than tangency."""
     if suite in PRODUCT_SUITES:
         model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
-        scale = float(np.quantile(model.to_sequence().f_star, 0.7)) or 1.0
+        scale = float(np.quantile(model.sequence.f_star, 0.7)) or 1.0
         t = scale * float(gen.choice([0.5, 1.0, 1.5]))
         if suite == "levy":
             return [iq.check_levy(model, t, variant=("max-sum", "max-term")[index % 2])]

@@ -162,6 +162,11 @@ class ProductModel:
                      for m, law in zip(multipliers, self.laws))
         return ProductModel(self.space, laws)
 
+    @functools.cached_property
+    def sequence(self) -> AdaptedSequence:
+        """The enumerated sequence, built once per model (to_sequence)."""
+        return self.to_sequence()
+
     def to_sequence(self) -> AdaptedSequence:
         # the enumerated sequence holds f_0..f_N for every outcome
         floats = self.outcome_count * (len(self.laws) + 1) * self.space.dim
@@ -189,8 +194,8 @@ def _require_symmetric(model: ProductModel):
 
 def _sum_stats(model: ProductModel):
     """Partial-sum norms, increment norms and path masses of the enumerated sum."""
-    seq = model.to_sequence()
-    return seq.space.norms(seq.partial_sums), seq.increment_norms, seq.tree.path_probs
+    seq = model.sequence
+    return seq.partial_sum_norms, seq.increment_norms, seq.tree.path_probs
 
 
 def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqReport:
@@ -475,13 +480,9 @@ def moment_phi(pair: TangentPair, phi: MomentFunctional, statistic: str) -> floa
         return float(phi(seq.space.norms(seq.terminal)) @ probs)
     if statistic not in ("g_norm", "g_star"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    key = "g_terminal" if statistic == "g_norm" else "g_star"
     total = 0.0
-    for weights, stats in joint_blocks(pair, (key,)):
-        values = stats[key]
-        if statistic == "g_norm":
-            values = seq.space.norms(values)
-        total += float(np.sum(weights * phi(values)))
+    for weights, stats in joint_blocks(pair, (statistic,)):
+        total += float(np.sum(weights * phi(stats[statistic])))
     return total
 
 

@@ -169,6 +169,20 @@ class FiltrationTree:
         return np.array(self.levels[n - 1].probs, dtype=float)
 
     @cached_property
+    def digit_reversed(self) -> tuple[np.ndarray, ...]:
+        """Per depth n, the node ids in digit-reversed order: the depth-n node
+        with innovations j_1..j_n sits at position sum_m j_m * num_nodes(m-1)."""
+        orders = [np.zeros(1, dtype=np.int64)]
+        for a in self.sizes:
+            orders.append((orders[-1][None, :] * a + np.arange(a)[:, None]).reshape(-1))
+        return tuple(orders)
+
+    @cached_property
+    def from_digit_reversed(self) -> np.ndarray:
+        """The digit-reversed position of every path, in path order."""
+        return np.argsort(self.digit_reversed[self.depth])
+
+    @cached_property
     def path_probs(self) -> np.ndarray:
         return self.node_probs(self.depth)
 
@@ -274,9 +288,14 @@ class AdaptedSequence:
         return out
 
     @cached_property
+    def partial_sum_norms(self) -> np.ndarray:
+        """||f_0||..||f_N|| per path, shape (path_count, depth+1)."""
+        return self.space.norms(self.partial_sums)
+
+    @cached_property
     def f_star(self) -> np.ndarray:
         """max_n ||f_n|| per path."""
-        return self.space.norms(self.partial_sums).max(axis=1)
+        return self.partial_sum_norms.max(axis=1)
 
     @cached_property
     def d_star(self) -> np.ndarray:
@@ -538,7 +557,7 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
     return TangentPair(small, pair.mode), TangentPair(big, pair.mode)
 
 
-JOINT_STATS = ("g_terminal", "e_star", "g_star")
+JOINT_STATS = ("g_norm", "e_star", "g_star")
 
 
 def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
@@ -565,12 +584,19 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
 
     Yields (weights, stats): weights (rows, paths) is the joint mass of each
     (head, omega~) outcome, summing to one over all blocks and shared by the
-    batch; stats holds only the requested statistics, g_terminal
-    (batch, rows, paths, dim), e_star and g_star (batch, rows, paths).  Within
-    a block the statistics grow level by level along the omega~ tree, so each
+    batch; stats holds only the requested statistics, each shaped
+    (batch, rows, paths): g_norm (||g_N||), e_star and g_star.  Block rows are
+    counted across the batch: a block holds about BLOCK_FLOATS floats of g_N.
+
+    Within a block g grows level by level along the omega~ tree, so each
     partial sum g_n is formed once per depth-n node, elementwise and for each
-    sequence as for it alone.  Block rows are counted across the batch: a
-    block holds about BLOCK_FLOATS floats of g_terminal.
+    sequence as for it alone.  g is laid out dim-major, (batch, rows, dim,
+    nodes), with the omega~ nodes in digit-reversed order
+    (FiltrationTree.digit_reversed), so each level is one C-ordered broadcast
+    add whose inner loop runs over the nodes, and Space.norms folds the
+    coordinates over contiguous slabs.  The statistics are put back in the
+    natural path order before they are yielded, so every value is the one
+    the natural layout gives, bit for bit.
     """
     unknown = set(stats) - set(JOINT_STATS)
     if unknown:
@@ -581,34 +607,39 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
     batch = len(tables[0])
     if block_rows is None:
         block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
-    need_g = "g_terminal" in stats or "g_star" in stats
+    need_g = "g_norm" in stats or "g_star" in stats
     for start in range(0, heads, block_rows):
         block = np.arange(start, min(start + block_rows, heads))
         rows = len(block)
         # statistics at the depth-n nodes of the omega~ tree, n = 0 first
-        g = np.zeros((batch, rows, 1, dim))
+        g = np.zeros((batch, rows, dim, 1))
         e_star = np.zeros((batch, rows, 1))
         g_star = np.zeros((batch, rows, 1))
         for n in range(1, depth + 1):
-            table = tables[n - 1]
+            table, parents = tables[n - 1], tree.num_nodes(n - 1)
             if mode == "decoupled":
                 # one row per head, shared by every omega~ node
-                inc = table[:, tree.ancestor(block, depth - 1, n - 1)][:, :, None]
+                inc = table[:, tree.ancestor(block, depth - 1, n - 1), :, None]
             else:
                 # the omega~ node picks the row, as for d_n on the first coordinate
-                inc = table[:, None]
-            nodes = tree.num_nodes(n)
+                inc = table[:, tree.digit_reversed[n - 1]].swapaxes(1, 2)[:, None]
+            # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
+            # of omega~ node q adds innovation j
+            shape = (batch, rows, tree.num_nodes(n))
             if need_g:
-                g = (g[:, :, :, None, :] + inc).reshape(batch, rows, nodes, dim)
+                g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
+                           order="C").reshape(batch, rows, dim, -1)
             if "e_star" in stats:
-                e_star = np.maximum(e_star[:, :, :, None],
-                                    space.norms(inc)).reshape(batch, rows, nodes)
+                e_star = np.maximum(e_star[:, :, None, :], space.norms(inc),
+                                    order="C").reshape(shape)
             if "g_star" in stats:
-                g_star = np.maximum(np.repeat(g_star, tree.sizes[n - 1], axis=2),
-                                    space.norms(g))
-        out = {"g_terminal": g, "e_star": e_star, "g_star": g_star}
+                norms = space.norms(g.swapaxes(2, 3)).reshape(batch, rows, -1, parents)
+                g_star = np.maximum(g_star[:, :, None, :], norms, order="C").reshape(shape)
+        out = {"e_star": e_star, "g_star": g_star}
+        if "g_norm" in stats:
+            out["g_norm"] = space.norms(g.swapaxes(2, 3))
         weights = head_probs[block, None] * tree.path_probs[None, :]
-        yield weights, {key: out[key] for key in stats}
+        yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
 
 
 def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = None):
@@ -622,12 +653,13 @@ def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = 
 def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,
                        mode: str = "decoupled") -> list[float]:
     """E ||g_N||^p of each of a batch of sequences, exact: one norm per
-    (head, omega~) outcome, each sequence's blocks summed as for it alone."""
+    (head, omega~) outcome, each sequence's blocks summed as for it alone (its
+    own reduction over a contiguous (rows, paths) slab)."""
     totals = [0.0] * len(tables[0])
-    for weights, stats in batched_joint_blocks(tree, space, tables, mode, ("g_terminal",)):
-        values = space.norms(stats["g_terminal"]) ** p
-        for b, row in enumerate(values):
-            totals[b] += float(np.sum(weights * row))
+    for weights, stats in batched_joint_blocks(tree, space, tables, mode, ("g_norm",)):
+        weighted = weights * stats["g_norm"] ** p
+        for b, row in enumerate(weighted):
+            totals[b] += float(np.add.reduce(row, axis=None))
     return totals
 
 
@@ -646,7 +678,9 @@ class WindowTable:
     is a finite sum over the innovation combos of levels k+1..l.  For each
     start k a forward recursion in l extends the combos by one level, adding
     its increments to the window sums in level order, so each of the
-    N(N+1)/2 windows is formed once; ``windows_built`` counts them.
+    N(N+1)/2 windows is formed once; ``windows_built`` counts them.  The
+    largest window, (0, N], holds num_nodes(N-1) x path_count x dim floats;
+    past JOINT_LIMIT of them the table is refused before anything is built.
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
     does not depend on its threshold A, per atom b of F_{k-1} (F_0 for k <= 1):
@@ -663,6 +697,11 @@ class WindowTable:
         pair.require_enumerable()
         seq, tree = pair.seq, pair.tree
         depth, dim, space = seq.depth, seq.dim, seq.space
+        # the largest window, (0, N], holds a sum per depth-(N-1) node and combo
+        floats = tree.num_nodes(depth - 1) * tree.path_count * dim
+        if floats > JOINT_LIMIT:
+            raise EnumerationError(
+                f"window table needs {floats} floats, over budget {JOINT_LIMIT}")
         self.windows_built = 0
         self.norms: dict[tuple[int, int], np.ndarray] = {}
         for k in range(depth):

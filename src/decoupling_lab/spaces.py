@@ -16,6 +16,7 @@ euclid and sup): the triangle inequality holds for ||.||^r with constant one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ import numpy as np
 # Single-vector norms switch to exact compensated accumulation above this
 # dimension; below it numpy's pairwise summation is already at rounding level.
 _FSUM_DIM = 1000
+# numpy adds a contiguous axis shorter than this left to right, one element
+# after the other, and longer ones pairwise (tests/test_spaces.py checks it).
+_FOLD_DIM = 8
 
 
 class SpaceError(ValueError):
@@ -69,29 +73,57 @@ class Space:
         return float(self.norms(x[None, :])[0])
 
     def norms(self, arr) -> np.ndarray:
-        """Vectorized norm over the trailing axis of ``arr``."""
+        """Vectorized norm over the trailing axis of ``arr``.
+
+        The result does not depend on how ``arr`` is laid out in memory: it
+        is, bit for bit, what numpy's reductions give over a C-contiguous
+        trailing axis.  The coordinates are folded column by column, which
+        is fast when the trailing axis is outermost in memory (an
+        ``np.moveaxis`` view of a dim-major array): a running max for sup,
+        and for sums over fewer than _FOLD_DIM coordinates a left-to-right
+        sum, which is how numpy adds a contiguous axis that short.  Longer
+        sums are numpy's pairwise ``np.sum`` over a temporary laid out
+        coordinates last.
+        """
         arr = np.asarray(arr, dtype=float)
         if arr.shape[-1] != self.dim:
             raise SpaceError(f"trailing axis must be {self.dim}, got {arr.shape[-1]}")
-        if self.kind == "euclid":
-            return np.sqrt(np.sum(arr * arr, axis=-1))
         if self.kind == "sup":
-            return np.max(np.abs(arr), axis=-1)
+            return _fold(np.maximum, np.abs(arr))
+        if max(d for _, d in self.shape) < _FOLD_DIM:
+            order, total = "K", functools.partial(_fold, np.add)
+        else:
+            order, total = "C", functools.partial(np.sum, axis=-1)
+        if self.kind == "euclid":
+            return np.sqrt(total(np.multiply(arr, arr, order=order)))
         # powers act in place on the one |arr| temporary
         if self.kind == "lp":
             q = self.shape[0][0]
-            out = np.abs(arr)
+            out = np.abs(arr, order=order)
             out **= q
-            out = np.sum(out, axis=-1)
+            out = total(out)
             out **= 1.0 / q
             return out
-        # nested: fold from the innermost level outward, uniform weights
-        out = np.abs(arr).reshape(arr.shape[:-1] + tuple(d for _, d in self.shape))
-        for q, _ in reversed(self.shape):
+        # nested: fold from the innermost level outward, uniform weights (a
+        # mean is numpy's sum divided by the count)
+        out = np.abs(arr, order=order).reshape(arr.shape[:-1] + tuple(d for _, d in self.shape))
+        for q, d in reversed(self.shape):
             out **= q
-            out = np.mean(out, axis=-1)
+            out = total(out)
+            out /= d
             out **= 1.0 / q
         return out
+
+
+def _fold(op, x: np.ndarray) -> np.ndarray:
+    """The binary ufunc op applied across the trailing axis from the left,
+    one column x[..., i] at a time, into a new C-ordered array."""
+    if x.shape[-1] == 1:
+        return x[..., 0].copy()
+    out = op(x[..., 0], x[..., 1], out=np.empty(x.shape[:-1]))
+    for i in range(2, x.shape[-1]):
+        op(out, x[..., i], out=out)
+    return out
 
 
 def euclid(d: int) -> Space:

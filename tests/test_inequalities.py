@@ -166,6 +166,23 @@ def test_product_model_budget_counts_path_sum_floats(monkeypatch):
         small.to_sequence()
 
 
+def test_product_suites_build_each_model_once(monkeypatch):
+    import decoupling_lab.cli as cli
+
+    built = []
+    to_sequence = iq.ProductModel.to_sequence
+    monkeypatch.setattr(iq.ProductModel, "to_sequence",
+                        lambda model: built.append(model) or to_sequence(model))
+    # contraction measures the model and its 0-1 scaled copy, two models
+    for suite, models in (("levy", 1), ("revkol", 1), ("contraction", 2), ("symsum", 1)):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", suite, "--space", "l2:2", "--trials", "10",
+                             "--seed", "0", "--workers", "1"]) == 0
+        assert len(built) == 10 * models, suite
+        assert len({id(model) for model in built}) == len(built), suite
+
+
 def test_scalar_and_column_atoms_give_the_same_reports():
     gen = stream(9, "scalar-column")
     columns = tuple(iq.random_symmetric_law(gen, 1, atoms) for atoms in (1, 2, 3))
@@ -455,6 +472,42 @@ def test_window_table_is_read_only():
     norms = iq.window_conditional_norm(pair, 2.0, 0, 2)
     with pytest.raises(ValueError):
         norms[0] = 0.0
+
+
+def test_window_table_budget_counts_window_floats(monkeypatch):
+    # Paley-Walsh depth 11 on l2:5: the (0, 11] window holds 1024 heads x 2048
+    # combos x 5 coordinates, over the budget though 2048^2 path pairs are not
+    seq = pm.random_multiplier_sequence(stream(3, "window-budget"), pm.paley_walsh(11), euclid(5))
+    pair = pm.decouple(seq)
+    pair.require_enumerable()
+    tracemalloc.start()
+    try:
+        with pytest.raises(pm.EnumerationError, match=f"needs {1024 * 2048 * 5} floats"):
+            pair.window_table(2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the rule is num_nodes(N-1) x path_count x dim <= JOINT_LIMIT: on
+    # Paley-Walsh depth 3 and l2:3, 4 x 8 x 3 = 96 floats and 8^2 path pairs
+    gen = stream(4, "window-budget")
+    small = pm.random_multiplier_sequence(gen, pm.paley_walsh(3), euclid(3))
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 96)
+    assert pm.decouple(small).window_table(2.0).windows_built == 6
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 95)
+    with pytest.raises(pm.EnumerationError, match="needs 96 floats, over budget 95"):
+        pm.decouple(small).window_table(2.0)
+
+
+def test_verify_exits_2_on_a_window_table_over_budget(monkeypatch, capsys):
+    import decoupling_lab.cli as cli
+
+    # every depth-2 tree on l2:16 has at most 9^2 path pairs but at least
+    # 2 x 4 x 16 = 128 window floats
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 100)
+    assert cli.main(["verify", "--suite", "goodlambda", "--space", "l2:16", "--depth", "2",
+                     "--trials", "6", "--seed", "0", "--workers", "1"]) == 2
+    assert "floats, over budget 100" in capsys.readouterr().err
 
 
 def test_verify_trial_builds_each_window_once(monkeypatch):

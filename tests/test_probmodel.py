@@ -306,7 +306,7 @@ def test_joint_blocks_cover_product_space():
     mass, rows = 0.0, 0
     for w, stats in pm.joint_blocks(pair, block_rows=3):
         assert w.shape[0] <= 3 and w.shape[1] == tree.path_count
-        assert stats["g_terminal"].shape == w.shape + (2,)
+        assert stats["g_norm"].shape == w.shape
         assert stats["e_star"].shape == stats["g_star"].shape == w.shape
         mass += float(w.sum())
         rows += w.shape[0]
@@ -380,7 +380,7 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
         total = 0.0
         for w, stats in pm.joint_blocks(pair, block_rows=block_rows):
             total += float(w.sum())
-            norms = pair.space.norms(stats["g_terminal"])
+            norms = stats["g_norm"]
             got += ([float(np.sum(w * norms ** p)) for p in (0.5, 1.0, 2.0, 3.0)]
                     + [float(w[stats["e_star"] > t].sum()) for t in ts]
                     + [float(np.sum(w * phi_ref(stats["g_star"])))])
@@ -394,6 +394,50 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
         for a, b in zip(part, full):
             assert np.array_equal(a[key], b[key])
     assert pm.g_terminal_moment(pair, 2.0) == pytest.approx(want[2], rel=1e-12)
+
+
+def naive_outcomes(pair):
+    """||g_N||, e* and g* of every (head, omega~) outcome the engine walks, by
+    direct loops: heads are the depth-(N-1) nodes (decoupled) or the root (copy)."""
+    seq, tree, space = pair.seq, pair.tree, pair.space
+    depth = tree.depth
+    heads = tree.num_nodes(depth - 1) if pair.mode == "decoupled" else 1
+    out = np.zeros((3, heads, tree.path_count))
+    for head in range(heads):
+        for wt in range(tree.path_count):
+            g = np.zeros(seq.dim)
+            e_star = g_star = 0.0
+            for n in range(1, depth + 1):
+                if pair.mode == "decoupled":
+                    parent = head // (tree.num_nodes(depth - 1) // tree.num_nodes(n - 1))
+                else:
+                    parent = wt // tree.stride(n - 1)
+                e = seq.tables[n - 1][parent, (wt // tree.stride(n)) % tree.sizes[n - 1]]
+                g = g + e
+                e_star = max(e_star, space.norm(e))
+                g_star = max(g_star, space.norm(g))
+            out[:, head, wt] = space.norm(g), e_star, g_star
+    return out
+
+
+DEEP_LEVELS = (ENGINE_LEVELS[1], ENGINE_LEVELS[0], ENGINE_LEVELS[3], ENGINE_LEVELS[2],
+               ENGINE_LEVELS[0], ENGINE_LEVELS[1])
+
+
+@pytest.mark.parametrize("mode, depth", [("decoupled", 4), ("decoupled", 5),
+                                         ("copy", 4), ("copy", 5), ("copy", 6)])
+def test_joint_blocks_match_naive_outcomes_at_depth(mode, depth):
+    # two- and three-letter levels mixed: the digit-reversed omega~ order and
+    # the copy-mode row pick differ from the natural order only at such depths
+    tree = pm.FiltrationTree(DEEP_LEVELS[:depth])
+    for space in (euclid(2), seq_lp(0.5, 3), sup_norm(2)):
+        gen = stream(depth, "engine-deep", mode, str(space))
+        pair = pm.TangentPair(pm.random_general_sequence(gen, tree, space), mode)
+        want = naive_outcomes(pair)
+        for block_rows in (1, None):
+            blocks = [stats for _, stats in pm.joint_blocks(pair, block_rows=block_rows)]
+            for i, key in enumerate(pm.JOINT_STATS):
+                np.testing.assert_array_equal(np.concatenate([b[key] for b in blocks]), want[i])
 
 
 def test_joint_blocks_rejects_unknown_statistic():

@@ -452,6 +452,31 @@ def test_search_reports_are_pinned(argv, want, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
+# sha256 of estimate reports on the joint engine at exact-large sizes (--seed 0),
+# taken before g was grown dim-major: the two benchmark models (Paley-Walsh
+# depth 8 on linf:4, three-point depth 5 on lp:0.5:3), a sum over 16
+# coordinates (np.sum, not the fold) and a nested space at depth 6
+ENGINE_SHA256 = {
+    ("linf:4", "4", "paley-walsh-multipliers", "8", "8"):
+        "3182d6d78caff40631c01d4b5bf86dae8684c0283544593e713c802d9672e230",
+    ("lp:0.5:3", "1", "gaussian-multipliers", "5", "10"):
+        "0afb456fc73017b4c20d30c8b18446ac0dba9acd903ef58bd3dfb282a156a759",
+    ("l2:16", "3", "paley-walsh-multipliers", "5", "8"):
+        "f692380f8fb8ed22a0f0f1d6870a9685d6dcde33072477e0f7336e4e533ce7b4",
+    ("nested:1x2,3x2", "2", "paley-walsh-multipliers", "6", "8"):
+        "929228bc010fc22a3d2ca5a83ead05df30e75bec2bba7a700503ab4a801ff00f",
+}
+
+
+@pytest.mark.parametrize("space, p, family, depth, trials", sorted(ENGINE_SHA256))
+def test_engine_estimates_are_pinned(space, p, family, depth, trials, capsys):
+    assert cli.main(["estimate", "--space", space, "--p", p, "--family", family,
+                     "--depth", depth, "--trials", trials, "--restarts", "1",
+                     "--seed", "0", "--workers", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ENGINE_SHA256[space, p, family, depth, trials]
+
+
 def test_bdg_command(tmp_path, capsys):
     out = tmp_path / "bdg.json"
     rc = cli.main([

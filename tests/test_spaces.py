@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoupling_lab.rng import stream
 from decoupling_lab.spaces import (
+    _FOLD_DIM,
     Space,
     SpaceError,
     euclid,
@@ -145,6 +147,99 @@ def test_norms_vectorized_shapes():
     out = space.norms(arr)
     assert out.shape == (2, 4)
     assert out[0, 0] == pytest.approx(math.sqrt(0.0 + 1.0 + 4.0))
+
+
+# ---------------------------------------------------------------------------
+# the norm kernel against numpy's own reductions, bit for bit
+
+KERNEL_DIMS = (*range(1, 10), 16)
+
+
+def kernel_spaces(d):
+    """Every kind at dimension d; nested both as one level and split in two."""
+    spaces = [euclid(d), sup_norm(d), seq_lp(0.5, d), seq_lp(1.0, d), seq_lp(3.0, d),
+              nested([(0.7, d)])]
+    for a in range(2, d):
+        if d % a == 0:
+            spaces.append(nested([(1.0, a), (3.0, d // a)]))
+    return spaces
+
+
+def reference_norms(space, arr):
+    """The reductions numpy makes over the trailing axis of arr as it is laid
+    out: np.max(np.abs(a), -1), np.sum and, per nested level, np.mean."""
+    if space.kind == "sup":
+        return np.max(np.abs(arr), axis=-1)
+    if space.kind == "euclid":
+        return np.sqrt(np.sum(arr * arr, axis=-1))
+    out = np.abs(arr).reshape(arr.shape[:-1] + tuple(d for _, d in space.shape))
+    for q, _ in reversed(space.shape):
+        out **= q
+        out = np.mean(out, axis=-1) if space.kind == "nested" else np.sum(out, axis=-1)
+        out **= 1.0 / q
+    return out
+
+
+def awkward_values(shape, label):
+    """Signed values from 1e-300 to 1e300 with +-0.0, +-inf and nan mixed in;
+    the first half of the vectors spans 1e-3 to 1e3 only, where the order of
+    a sum shows in its last bits."""
+    gen = stream(0, "norm-kernel", label)
+    exponents = gen.uniform(-300, 300, size=shape)
+    exponents[:shape[0] // 2] /= 100.0
+    out = gen.choice([-1.0, 1.0], size=shape) * 10.0 ** exponents
+    flat = out.reshape(-1)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300, -1.0])
+    picks = gen.integers(0, flat.size, size=flat.size // 8)
+    flat[picks] = special[gen.integers(0, len(special), size=len(picks))]
+    flat[:shape[-1]] = -0.0  # one all-negative-zero vector
+    return out
+
+
+def layouts(d, label):
+    """The same 30 vectors as a C-contiguous (30, d) array, as its transposed
+    view and as a (2, 3, 5, d) view of a dim-major array, the layout the
+    joint engine passes."""
+    base = awkward_values((2, 3, 5, d), label)
+    contiguous = base.reshape(30, d)
+    swapped = np.ascontiguousarray(contiguous.T).T
+    dim_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(base, -1, 2)), 2, -1)
+    assert d == 1 or not (swapped.flags.c_contiguous or dim_major.flags.c_contiguous)
+    return contiguous, swapped, dim_major
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_norm_kernel_matches_numpy_reductions(d):
+    with np.errstate(all="ignore"):
+        for space in kernel_spaces(d):
+            contiguous, swapped, dim_major = layouts(d, f"{space} kernel")
+            want = reference_norms(space, contiguous)
+            np.testing.assert_array_equal(space.norms(contiguous), want, str(space))
+            # any layout gives the bits of the C-contiguous one
+            np.testing.assert_array_equal(space.norms(swapped), want, str(space))
+            np.testing.assert_array_equal(space.norms(dim_major).reshape(-1), want.reshape(-1),
+                                          str(space))
+            if space.kind == "sup" or max(n for _, n in space.shape) < _FOLD_DIM:
+                # numpy reduces a short or a max axis the same way in any layout
+                np.testing.assert_array_equal(reference_norms(space, swapped), want)
+
+
+def test_numpy_adds_a_short_contiguous_axis_left_to_right():
+    # the kernel folds sums over fewer than _FOLD_DIM coordinates left to right
+    # because numpy's np.sum does so; this fails if numpy stops doing it
+    gen = np.random.default_rng(8)
+    for d in range(2, _FOLD_DIM):
+        a = gen.choice([-1.0, 1.0], size=(4000, d)) * 10.0 ** gen.uniform(-8, 8, size=(4000, d))
+        fold = a[:, 0].copy()
+        for i in range(1, d):
+            fold += a[:, i]
+        np.testing.assert_array_equal(np.sum(a, axis=-1), fold)
+        if d > 2:
+            # the values tell summation orders apart, so the check has teeth
+            right = a[:, -1].copy()
+            for i in range(d - 2, -1, -1):
+                right += a[:, i]
+            assert not np.array_equal(right, fold)
 
 
 def test_dimension_mismatch():
