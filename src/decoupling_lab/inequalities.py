@@ -155,13 +155,6 @@ class ProductModel:
     def outcome_count(self) -> int:
         return math.prod(law.size for law in self.laws)
 
-    def scaled(self, multipliers: Sequence[float]) -> "ProductModel":
-        if len(multipliers) != len(self.laws):
-            raise ModelError("need one multiplier per increment")
-        laws = tuple(Level(m * law.values, law.probs)
-                     for m, law in zip(multipliers, self.laws))
-        return ProductModel(self.space, laws)
-
     @functools.cached_property
     def sequence(self) -> AdaptedSequence:
         """The enumerated sequence, built once per model (to_sequence)."""
@@ -217,16 +210,27 @@ def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqR
 
 
 def check_contraction(model: ProductModel, multipliers: Sequence[float], t: float) -> IneqReport:
-    """Zero-one contraction: dropping terms costs at most the Levy constant."""
+    """Zero-one contraction: dropping terms costs at most the Levy constant.
+
+    The kept sub-sum is read off the model's own enumeration: its terminal
+    vector adds the path increments of the levels with multiplier 1, in level
+    order, the same float additions a model of the 0-1 scaled laws makes.
+    """
     _require_symmetric(model)
     mults = [float(m) for m in multipliers]
+    if len(mults) != len(model.laws):
+        raise ModelError("need one multiplier per increment")
     if any(m not in (0.0, 1.0) for m in mults):
         raise ModelError("contraction multipliers must be 0 or 1")
     thresh = 2.0 ** (1.0 - 1.0 / model.space.r) * t
-    norms_full, _, probs = _sum_stats(model)
-    norms_sub, _, _ = _sum_stats(model.scaled(mults))
-    lhs = float(probs[norms_sub[:, -1] > t].sum())
-    rhs = 2.0 * float(probs[norms_full[:, -1] > thresh].sum())
+    seq = model.sequence
+    probs = seq.tree.path_probs
+    sub = np.zeros((seq.tree.path_count, seq.dim))
+    for n, m in enumerate(mults, start=1):
+        if m == 1.0:
+            sub += seq.path_increments(n)
+    lhs = float(probs[model.space.norms(sub) > t].sum())
+    rhs = 2.0 * float(probs[seq.partial_sum_norms[:, -1] > thresh].sum())
     return _one_sided("contraction-01", {"t": t, "multipliers": mults, "atoms": 1}, lhs, rhs)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
@@ -57,10 +56,10 @@ def _atom(vec) -> bytes:
 
 def _merge_law(vectors, probs) -> dict:
     """A finite law as {atom label: mass}; masses add up in input order."""
-    masses: dict[bytes, object] = {}
+    masses: dict[bytes, float] = {}
     for vec, p in zip(vectors, probs):
         key = _atom(vec)
-        masses[key] = masses.get(key, 0 * p) + p
+        masses[key] = masses.get(key, 0.0) + p
     return masses
 
 
@@ -87,14 +86,12 @@ class Level:
     """A finite law: an innovation level of a tree, or one term of a product model.
 
     values is a read-only float array, shaped (size,) for scalar atoms or
-    (size, dim) for vector atoms.  probs_exact optionally carries the same
-    probabilities as Fractions, which switches tangency verification to exact
-    rational arithmetic.
+    (size, dim) for vector atoms, all finite.  probs is a tuple of finite,
+    strictly positive float masses summing to one (to 1e-9).
     """
 
     values: np.ndarray
     probs: tuple
-    probs_exact: tuple | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -103,15 +100,12 @@ class Level:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if values.ndim == 0 or len(values) != len(self.probs) or not self.probs:
             raise ModelError("values and probs must be non-empty and aligned")
-        if any(p <= 0 for p in self.probs):
-            raise ModelError("probabilities must be strictly positive")
+        if not np.isfinite(values).all():
+            raise ModelError("values must be finite")
+        if not all(0 < p < math.inf for p in self.probs):
+            raise ModelError("probabilities must be finite and strictly positive")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ModelError("probabilities must sum to one")
-        if self.probs_exact is not None:
-            exact = tuple(Fraction(p) for p in self.probs_exact)
-            if len(exact) != len(self.values) or sum(exact) != 1:
-                raise ModelError("exact probabilities must match and sum to one")
-            object.__setattr__(self, "probs_exact", exact)
 
     @property
     def size(self) -> int:
@@ -192,21 +186,10 @@ class FiltrationTree:
             probs = np.multiply.outer(probs, np.array(level.probs)).reshape(-1)
         return probs
 
-    @property
-    def exact(self) -> bool:
-        return all(level.probs_exact is not None for level in self.levels)
 
-    def node_probs_exact(self, n: int) -> list[Fraction]:
-        probs = [Fraction(1)]
-        for level in self.levels[:n]:
-            probs = [p * q for p in probs for q in level.probs_exact]
-        return probs
-
-
-def paley_walsh(depth: int, exact: bool = False) -> FiltrationTree:
+def paley_walsh(depth: int) -> FiltrationTree:
     """Dyadic Rademacher tree: +-1 innovations, probability 1/2 each."""
-    half = (Fraction(1, 2), Fraction(1, 2)) if exact else None
-    return FiltrationTree([Level((1.0, -1.0), (0.5, 0.5), half) for _ in range(depth)])
+    return FiltrationTree([Level((1.0, -1.0), (0.5, 0.5)) for _ in range(depth)])
 
 
 def symmetric_three_point(depth: int, scale: float = math.sqrt(3.0),
@@ -347,33 +330,17 @@ def terminal_moments(tree: FiltrationTree, space: Space, tables, p: float) -> li
 
 def sequence_spec(seq: AdaptedSequence) -> dict:
     """Plain-data description of a sequence, suitable for JSON round trips."""
-    levels = []
-    for level in seq.tree.levels:
-        entry = {
-            "values": level.values.tolist(),
-            "probs": list(level.probs),
-        }
-        if level.probs_exact is not None:
-            entry["probs_exact"] = [
-                f"{p.numerator}/{p.denominator}" for p in level.probs_exact
-            ]
-        levels.append(entry)
     return {
         "space": format_space(seq.space),
-        "levels": levels,
+        "levels": [{"values": level.values.tolist(), "probs": list(level.probs)}
+                   for level in seq.tree.levels],
         "tables": [t.tolist() for t in seq.tables],
     }
 
 
 def sequence_from_spec(spec: dict) -> AdaptedSequence:
     """Rebuild a sequence from the output of sequence_spec."""
-    levels = []
-    for entry in spec["levels"]:
-        exact = entry.get("probs_exact")
-        levels.append(
-            Level(entry["values"], entry["probs"],
-                  tuple(Fraction(s) for s in exact) if exact is not None else None)
-        )
+    levels = [Level(entry["values"], entry["probs"]) for entry in spec["levels"]]
     return AdaptedSequence(
         FiltrationTree(levels), parse_space(spec["space"]), spec["tables"]
     )
@@ -442,18 +409,13 @@ def verify_tangency(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
 
     The conditional law of d_n on a depth-(n-1) atom is read off the increment
     table row; the conditional law of e_n given a full path is rebuilt from the
-    pair's mode.  Laws are compared as finite measures on exact value labels.
-    On trees built with exact rational probabilities the masses are Fractions
-    and the comparison is exact.
+    pair's mode.  Laws are finite measures on exact value labels with float
+    masses, equal when no label's masses differ by more than tol.
     """
     seq, tree = pair.seq, pair.tree
-    exact = tree.exact
     worst = 0.0
     for n in range(1, tree.depth + 1):
-        if exact:
-            level_probs = tree.levels[n - 1].probs_exact
-        else:
-            level_probs = tree.levels[n - 1].probs
+        level_probs = tree.levels[n - 1].probs
         table = seq.tables[n - 1]
         d_laws = [_merge_law(row, level_probs) for row in table]
         if pair.mode == "decoupled":
@@ -464,9 +426,7 @@ def verify_tangency(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
                 worst = max(worst, _law_gap(d_laws[u], e_law))
         else:
             # full copy: e-law given any path is the unconditional law of d_n
-            node_probs = (tree.node_probs_exact(n) if exact
-                          else tree.node_probs(n))
-            e_law = _merge_law(seq.increments(n), node_probs)
+            e_law = _merge_law(seq.increments(n), tree.node_probs(n))
             for u in range(tree.num_nodes(n - 1)):
                 worst = max(worst, _law_gap(d_laws[u], e_law))
     return CheckResult(worst <= tol, worst, "tangency")

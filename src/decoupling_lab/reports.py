@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,8 +25,6 @@ def _coerce(obj):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")

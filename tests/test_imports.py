@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, every top-level
 name it defines is referred to somewhere, and importing the CLI loads neither
-mpmath nor the process pool."""
+mpmath, the process pool nor fractions."""
 
 import ast
 import os
@@ -115,7 +115,8 @@ def test_no_unreferenced_top_level_names(path):
 
 def test_cli_import_defers_mpmath_and_the_process_pool():
     code = ("import sys, decoupling_lab.cli; "
-            "print(sorted(m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules))")
+            "print(sorted(m for m in ('mpmath', 'concurrent.futures.process', 'fractions') "
+            "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

@@ -10,7 +10,7 @@ import pytest
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, nested, seq_lp, sup_norm
+from decoupling_lab.spaces import euclid, format_space, nested, seq_lp, sup_norm
 
 
 def unit_pw_pair(depth):
@@ -117,10 +117,6 @@ def test_product_model():
     assert model.outcome_count == 4
     seq = model.to_sequence()
     assert seq.terminal_moment(2.0) == pytest.approx(2.0)
-    scaled = model.scaled([2.0, 0.0])
-    assert scaled.to_sequence().terminal_moment(2.0) == pytest.approx(4.0)
-    with pytest.raises(pm.ModelError):
-        model.scaled([1.0])
     with pytest.raises(pm.ModelError):
         iq.ProductModel(euclid(2), (rad,))
     # every parent node of level n carries the atoms of law n
@@ -173,13 +169,13 @@ def test_product_suites_build_each_model_once(monkeypatch):
     to_sequence = iq.ProductModel.to_sequence
     monkeypatch.setattr(iq.ProductModel, "to_sequence",
                         lambda model: built.append(model) or to_sequence(model))
-    # contraction measures the model and its 0-1 scaled copy, two models
-    for suite, models in (("levy", 1), ("revkol", 1), ("contraction", 2), ("symsum", 1)):
+    # contraction reads its sub-sum off the model's own enumeration
+    for suite in ("levy", "revkol", "contraction", "symsum"):
         built.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--suite", suite, "--space", "l2:2", "--trials", "10",
                              "--seed", "0", "--workers", "1"]) == 0
-        assert len(built) == 10 * models, suite
+        assert len(built) == 10, suite
         assert len({id(model) for model in built}) == len(built), suite
 
 
@@ -242,6 +238,41 @@ def test_contraction():
     assert iq.check_contraction(model, [1.0, 0.0, 1.0], 0.4).holds
     with pytest.raises(pm.ModelError, match="0 or 1"):
         iq.check_contraction(model, [0.5, 1.0, 1.0], 0.9)
+    with pytest.raises(pm.ModelError, match="one multiplier per increment"):
+        iq.check_contraction(model, [1.0, 1.0], 0.9)
+
+
+@pytest.mark.parametrize("space", [euclid(1), euclid(4), euclid(9), seq_lp(0.5, 3),
+                                   seq_lp(1.5, 10), sup_norm(4), nested([(1, 2), (3, 2)])],
+                         ids=format_space)
+def test_contraction_sub_sum_matches_the_scaled_model_bit_for_bit(space, monkeypatch):
+    """The masked sum of the model's path increments has the terminal norms of
+    the model whose laws are scaled by the 0-1 multipliers, -0.0 atoms and all."""
+    gen = stream(13, "contraction-bits")
+    norms = type(space).norms
+    signed_zeros = 0
+    for _ in range(12):
+        base = iq.random_product_model(gen, space, levels=int(gen.integers(2, 5)),
+                                       atoms=int(gen.integers(1, 4)))
+        # non-dyadic atoms, so that the order of the additions shows in the bits
+        model = iq.ProductModel(space, tuple(iq.Level(gen.uniform(0.1, 3.0) * law.values,
+                                                      law.probs) for law in base.laws))
+        mults = [float(m) for m in gen.integers(0, 2, size=len(model.laws))]
+        scaled = iq.ProductModel(space, tuple(iq.Level(m * law.values, law.probs)
+                                              for m, law in zip(mults, model.laws)))
+        # a 0 multiplier turns the law's negative atoms into -0.0 increments
+        signed_zeros += sum(np.signbit(law.values[law.values == 0]).any()
+                            for law in scaled.laws)
+        want = scaled.to_sequence().partial_sum_norms[:, -1]
+        # the sub-sum's norms are the one per-path vector the check takes
+        seen = []
+        monkeypatch.setattr(type(space), "norms",
+                            lambda self, arr: seen.append(norms(self, arr)) or seen[-1])
+        iq.check_contraction(model, mults, 1.0)
+        monkeypatch.undo()
+        [got] = [out for out in seen if out.ndim == 1]
+        np.testing.assert_array_equal(got, want)
+    assert signed_zeros > 0
 
 
 def test_symsum_point_mass_cases():

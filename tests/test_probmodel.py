@@ -14,9 +14,9 @@ from decoupling_lab.rng import stream
 from decoupling_lab.spaces import euclid, seq_lp, sup_norm
 
 
-def unit_pw_seq(depth, dim=1, exact=False):
+def unit_pw_seq(depth, dim=1):
     """Unit-multiplier sign sequence: d_n = xi_n e_1."""
-    tree = pm.paley_walsh(depth, exact=exact)
+    tree = pm.paley_walsh(depth)
     mults = [np.tile(np.eye(dim)[0], (tree.num_nodes(n - 1), 1)) for n in range(1, depth + 1)]
     return pm.AdaptedSequence.from_multipliers(tree, euclid(dim), mults)
 
@@ -50,6 +50,22 @@ def test_level_validation():
         pm.Level((1.0,), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("values, probs", [
+    ((1.0, -1.0), (float("nan"), 0.5)),
+    ((1.0, -1.0), (float("inf"), 0.5)),
+    ((float("nan"), -1.0), (0.5, 0.5)),
+    (((1.0, float("inf")), (-1.0, 0.0)), (0.5, 0.5)),
+])
+def test_level_rejects_non_finite_input(values, probs):
+    with pytest.raises(pm.ModelError, match="finite"):
+        pm.Level(values, probs)
+    # the same level read back from JSON text, which spells them NaN and Infinity
+    spec = pm.sequence_spec(unit_pw_seq(1))
+    spec["levels"][0] = {"values": values, "probs": probs}
+    with pytest.raises(pm.ModelError, match="finite"):
+        pm.sequence_from_spec(json.loads(json.dumps(spec)))
+
+
 def test_level_values_are_read_only():
     atoms = np.array([[1.0, 0.0], [-1.0, 0.0]])
     level = pm.Level(atoms, (0.5, 0.5))
@@ -69,13 +85,6 @@ def test_ancestor_consistency():
     up = tree.ancestor(ids, 2, 1)
     assert list(up) == [i // 3 for i in range(9)]
     assert list(tree.ancestor(ids, 2, 0)) == [0] * 9
-
-
-def test_exact_probabilities():
-    tree = pm.paley_walsh(2, exact=True)
-    assert tree.exact
-    assert sum(tree.node_probs_exact(2)) == 1
-    assert not pm.paley_walsh(2).exact
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +124,7 @@ def test_from_multipliers_validation():
 
 
 def test_tangency_exact_mode():
-    tree = pm.paley_walsh(3, exact=True)
+    tree = pm.paley_walsh(3)
     gen = stream(11, "tangency")
     seq = pm.random_multiplier_sequence(gen, tree, euclid(2))
     res = pm.verify_tangency(pm.decouple(seq))
@@ -503,27 +512,29 @@ def test_symmetry_means_sign_flip_invariance():
 
 
 def test_sequence_spec_round_trip():
-    tree = pm.paley_walsh(3, exact=True)
+    tree = pm.paley_walsh(3)
     gen = stream(7, "ser")
     seq = pm.random_general_sequence(gen, tree, seq_lp(0.5, 2))
     spec = pm.sequence_spec(seq)
     back = pm.sequence_from_spec(json.loads(json.dumps(spec)))
-    assert back.tree.exact
     assert back.space == seq.space
+    assert [level.probs for level in back.tree.levels] == [level.probs for level in tree.levels]
     for a, b in zip(seq.tables, back.tables):
         assert np.array_equal(a, b)
-    assert pm.verify_tangency(pm.decouple(back)).ok
+    res = pm.verify_tangency(pm.decouple(back))
+    assert res.ok and res.gap == 0
 
 
-# sha256 of the JSON of three specs: scalar levels with exact probabilities, a
-# scalar level then a vector level (with int and -0.0 atoms), and a product model
-# with vector laws; taken when Level kept its atoms as tuples of floats
-SEQUENCE_SPEC_SHA256 = "735a379a5bdac15ef0ce1db4c19935b68577a1bd63d5657a6a346bdd635eb081"
+# sha256 of the JSON of three specs: scalar Paley-Walsh levels, a scalar level
+# then a vector level (with int and -0.0 atoms), and a product model with vector
+# laws.  Re-taken when masses became floats only: the new JSON is the old one
+# with the first spec's "probs_exact" entries removed, and the other two specs
+# keep their JSON byte for byte.
+SEQUENCE_SPEC_SHA256 = "d48ce8696c5d7c2efa331dc3c63ced001a142cb40390e8190c8ee4ca129cceb1"
 
 
 def test_sequence_spec_json_is_pinned():
-    scalar = pm.random_general_sequence(stream(7, "ser"), pm.paley_walsh(3, exact=True),
-                                        seq_lp(0.5, 2))
+    scalar = pm.random_general_sequence(stream(7, "ser"), pm.paley_walsh(3), seq_lp(0.5, 2))
     tree = pm.FiltrationTree([pm.Level((1, -0.0, -2.5), (0.25, 0.5, 0.25)),
                               pm.Level(((1.0, 0), (-0.0, 2.0)), (0.5, 0.5))])
     tables = [np.arange(6.0).reshape(1, 3, 2), -np.arange(12.0).reshape(3, 2, 2)]
@@ -547,5 +558,4 @@ def test_sequence_spec_round_trip_inexact():
     mults = [np.full((tree.num_nodes(n - 1), 1), float(n)) for n in (1, 2)]
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(1), mults)
     back = pm.sequence_from_spec(pm.sequence_spec(seq))
-    assert not back.tree.exact
     assert np.allclose(back.terminal, seq.terminal)

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +18,11 @@ def test_canonical_json_sorts_and_coerces():
         "f": np.float64(0.5),
         "flag": np.bool_(True),
         "arr": np.arange(3),
-        "frac": Fraction(-1, 3),
         "tags": {3, 1, 2},
     })
     assert json.loads(blob) == {
         "i": 3, "f": 0.5, "flag": True, "arr": [0, 1, 2],
-        "frac": "-1/3", "tags": [1, 2, 3],
+        "tags": [1, 2, 3],
     }
     with pytest.raises(ValueError):
         rp.canonical_json({"x": float("nan")})
