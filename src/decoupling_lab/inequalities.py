@@ -185,12 +185,6 @@ def _require_symmetric(model: ProductModel):
 # distributional bounds for independent symmetric sums
 
 
-def _sum_stats(model: ProductModel):
-    """Partial-sum norms, increment norms and path masses of the enumerated sum."""
-    seq = model.sequence
-    return seq.partial_sum_norms, seq.increment_norms, seq.tree.path_probs
-
-
 def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqReport:
     """P(max ||S_k|| > t) <= 2 P(||S_n|| > 2^(1-1/r) t) for an independent symmetric sum.
 
@@ -202,8 +196,9 @@ def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqR
     _require_symmetric(model)
     space = model.space
     thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
-    norms, inc_norms, probs = _sum_stats(model)
-    stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else inc_norms.max(axis=1)
+    seq = model.sequence
+    norms, probs = seq.partial_sum_norms, seq.tree.path_probs
+    stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else seq.d_star
     lhs = float(probs[stat > t].sum())
     rhs = 2.0 * float(probs[norms[:, -1] > thresh].sum())
     return _one_sided(f"levy-{variant}", {"t": t, "r": space.r, "atoms": 1}, lhs, rhs)
@@ -258,7 +253,8 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
     _require_symmetric(model)
     space = model.space
     _, upper = lu_constants(p / space.r)
-    norms, inc_norms, probs = _sum_stats(model)
+    seq = model.sequence
+    norms, probs = seq.partial_sum_norms, seq.tree.path_probs
     denom = float((norms[:, -1] ** p) @ probs)
     if denom <= 0:
         return IneqReport(
@@ -271,7 +267,7 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
             status="vacuous",
         )
     lhs = float(probs[norms[:, 1:].max(axis=1) > t].sum())
-    star = float((inc_norms.max(axis=1) ** p) @ probs)
+    star = float((seq.d_star ** p) @ probs)
     rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom)
     return _one_sided("reverse-kolmogorov", {"t": t, "p": p, "r": space.r, "atoms": 1},
                       lhs, rhs, lower=True)

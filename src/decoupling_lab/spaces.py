@@ -79,19 +79,24 @@ class Space:
         is, bit for bit, what numpy's reductions give over a C-contiguous
         trailing axis.  The coordinates are folded column by column, which
         is fast when the trailing axis is outermost in memory (an
-        ``np.moveaxis`` view of a dim-major array): a running max for sup,
-        and for sums over fewer than _FOLD_DIM coordinates a left-to-right
-        sum, which is how numpy adds a contiguous axis that short.  Longer
-        sums are numpy's pairwise ``np.sum`` over a temporary laid out
-        coordinates last.
+        ``np.moveaxis`` view of a dim-major array).  Sup takes |x| one column
+        at a time into a running max, so it holds two floats per vector and
+        no |arr| temporary.  Sums over fewer than _FOLD_DIM coordinates are a
+        left-to-right sum, which is how numpy adds a contiguous axis that
+        short.  Longer sums are numpy's pairwise ``np.sum`` over a temporary
+        laid out coordinates last.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape[-1] != self.dim:
             raise SpaceError(f"trailing axis must be {self.dim}, got {arr.shape[-1]}")
         if self.kind == "sup":
-            return _fold(np.maximum, np.abs(arr))
+            out = np.abs(arr[..., 0], out=np.empty(arr.shape[:-1]))
+            col = np.empty_like(out)
+            for i in range(1, self.dim):
+                np.maximum(out, np.abs(arr[..., i], out=col), out=out)
+            return out
         if max(d for _, d in self.shape) < _FOLD_DIM:
-            order, total = "K", functools.partial(_fold, np.add)
+            order, total = "K", _fold_sum
         else:
             order, total = "C", functools.partial(np.sum, axis=-1)
         if self.kind == "euclid":
@@ -115,14 +120,14 @@ class Space:
         return out
 
 
-def _fold(op, x: np.ndarray) -> np.ndarray:
-    """The binary ufunc op applied across the trailing axis from the left,
-    one column x[..., i] at a time, into a new C-ordered array."""
+def _fold_sum(x: np.ndarray) -> np.ndarray:
+    """The sum across the trailing axis from the left, one column x[..., i]
+    at a time, into a new C-ordered array."""
     if x.shape[-1] == 1:
         return x[..., 0].copy()
-    out = op(x[..., 0], x[..., 1], out=np.empty(x.shape[:-1]))
+    out = np.add(x[..., 0], x[..., 1], out=np.empty(x.shape[:-1]))
     for i in range(2, x.shape[-1]):
-        op(out, x[..., i], out=out)
+        out += x[..., i]
     return out
 
 

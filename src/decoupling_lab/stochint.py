@@ -2,15 +2,20 @@
 
 Everything is exact on the driver's grid: step processes align to grid
 points, so the integral is a finite sum and the only randomness is the
-driver's.  Paths are simulated in chunks of rng.CHUNK.  The Monte Carlo
-gamma norm multiplies a block of scaled inner draws by the chunk's
-coefficients, laid out as one (intervals*rank, x_dim*paths) matrix, and
-reduces the norm over the resulting (draw, x_dim, path) array; a block, the
-norm's temporary included, holds at most BLOCK_FLOATS floats.  So memory
-grows with the grid and dimensions of one chunk but not with the path count
-or the inner-draw count; three floats per path are kept.  Every chunk has its
-own counter-based stream, which makes results independent of chunking and
-worker count.
+driver's.  Paths are simulated in chunks of rng.CHUNK.  A chunk holds its
+driver increments (paths, steps, driver_dim), its coefficients (paths,
+intervals, rank, x_dim) and O(paths*x_dim) working floats: the integral is
+one running (paths, x_dim) sum whose norm is folded into a running sup after
+every step, the increments are dropped once it is taken, and the
+coefficients before the next chunk is drawn.  The Monte Carlo gamma norm
+multiplies a block of scaled inner draws by the chunk's coefficients, laid
+out as one (intervals*rank, x_dim*paths) matrix, and reduces the norm over
+the resulting (draw, x_dim, path) array; a block, the norm's temporary
+included, holds at most BLOCK_FLOATS floats and is freed before the next.
+So memory grows with the grid and dimensions of one chunk but not with the
+path count or the inner-draw count; three floats per path are kept (sup,
+terminal and gamma norm).  Every chunk has its own counter-based stream,
+which makes results independent of chunking and worker count.
 """
 
 from __future__ import annotations
@@ -138,22 +143,27 @@ def constant_process(partition, vectors, x_dim: int, name: str = "deterministic"
 
 
 def integrate(
-    proc: StepProcess, driver: BrownianDriver, dW: np.ndarray, coefs: np.ndarray
-) -> np.ndarray:
-    """Integral paths at every grid point, shape (paths, steps+1, x_dim).
+    proc: StepProcess, driver: BrownianDriver, dW: np.ndarray, coefs: np.ndarray, space: Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path sup and terminal norms of the integral, each of shape (paths,).
 
     ``coefs`` is ``proc.coefficients(dW)``.  Exact: within partition interval
-    n the integrand is frozen, so each grid step contributes coef_n . dW_k.
+    n the integrand is frozen, so each grid step adds coef_n . dW_k to one
+    running (paths, x_dim) sum, in step order.  The sup folds the norm of the
+    sum after every step into a running max that starts at ||f_0|| = 0, so no
+    array grows with the grid.
     """
     proc.check_driver(driver)
-    out = np.zeros((dW.shape[0], driver.steps + 1, proc.x_dim))
+    total = np.zeros((dW.shape[0], proc.x_dim))
+    sup = np.zeros(dW.shape[0])
     interval_of = np.searchsorted(np.array(proc.partition), np.arange(driver.steps), side="right")
     for k in range(driver.steps):
         n = interval_of[k]
         # sum over the first `rank` driver coordinates
-        step = np.einsum("pmx,pm->px", coefs[:, n - 1, :, :], dW[:, k, : proc.rank])
-        out[:, k + 1] = out[:, k] + step
-    return out
+        total += np.einsum("pmx,pm->px", coefs[:, n - 1, :, :], dW[:, k, : proc.rank])
+        norms = space.norms(total)
+        np.maximum(sup, norms, out=sup)
+    return sup, norms
 
 
 def gamma_norm(
@@ -206,6 +216,8 @@ def gamma_norm(
         norms = space.norms(np.moveaxis(series, 1, -1))
         for sq in np.square(norms, out=norms):
             total += sq
+        # free this block (sq is a view of it) before the next product allocates its own
+        del series, norms, sq
     return np.sqrt(total / inner)
 
 
@@ -228,12 +240,14 @@ def simulate(
     exact = is_hilbert_like(space)
     for start, stop, dW in driver.increment_chunks(paths, seed):
         coefs = proc.coefficients(dW)
-        norms = space.norms(integrate(proc, driver, dW, coefs))
-        stats.sup[start:stop] = norms.max(axis=1)
-        stats.terminal[start:stop] = norms[:, -1]
+        stats.sup[start:stop], stats.terminal[start:stop] = integrate(
+            proc, driver, dW, coefs, space
+        )
+        del dW  # the gamma norm reads only the coefficients
         stats.gamma[start:stop] = gamma_norm(
             proc, driver, coefs, space, inner=GAMMA_INNER, seed=(seed << 20) + start, exact=exact
         )
+        del coefs  # before the next chunk is drawn
     return stats
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import tracemalloc
@@ -177,6 +178,22 @@ def test_product_suites_build_each_model_once(monkeypatch):
                              "--seed", "0", "--workers", "1"]) == 0
         assert len(built) == 10, suite
         assert len({id(model) for model in built}) == len(built), suite
+
+
+def test_levy_suite_forms_increment_norms_only_for_max_term(monkeypatch):
+    # the levy suite alternates max-sum and max-term; only max-term reads the
+    # increment norms, so 10 trials build them 5 times
+    import decoupling_lab.cli as cli
+
+    built = []
+    increment_norms = pm.AdaptedSequence.increment_norms.func
+    counted = functools.cached_property(lambda seq: built.append(seq) or increment_norms(seq))
+    counted.__set_name__(pm.AdaptedSequence, "increment_norms")
+    monkeypatch.setattr(pm.AdaptedSequence, "increment_norms", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "levy", "--space", "l2:2", "--trials", "10",
+                         "--seed", "0", "--workers", "1"]) == 0
+    assert len(built) == 5
 
 
 def test_scalar_and_column_atoms_give_the_same_reports():

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,24 @@ def test_norm_kernel_matches_numpy_reductions(d):
             if space.kind == "sup" or max(n for _, n in space.shape) < _FOLD_DIM:
                 # numpy reduces a short or a max axis the same way in any layout
                 np.testing.assert_array_equal(reference_norms(space, swapped), want)
+            if space.kind == "sup":
+                for view in (contiguous, swapped, dim_major):
+                    np.testing.assert_array_equal(space.norms(view), np.abs(view).max(-1))
+
+
+def test_sup_norms_make_no_abs_copy():
+    # the sup kernel takes |x| one column at a time: it holds the result and
+    # one column, not a |arr| temporary the size of arr
+    space = sup_norm(8)
+    arr = np.moveaxis(np.ones((4, 8, 4096)), 1, -1)  # dim-major (rows, paths, dim)
+    space.norms(arr[:1, :1])  # first-use allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        space.norms(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes / 2
 
 
 def test_numpy_adds_a_short_contiguous_axis_left_to_right():

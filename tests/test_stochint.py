@@ -10,7 +10,7 @@ import pytest
 
 import decoupling_lab.stochint as st
 from decoupling_lab.probmodel import ModelError
-from decoupling_lab.rng import stream
+from decoupling_lab.rng import CHUNK, stream
 from decoupling_lab.spaces import euclid, nested, parse_space, seq_lp, sup_norm
 
 
@@ -107,17 +107,19 @@ def test_integrate_matches_manual_sum():
     e1, e2 = np.eye(2)
     proc = st.constant_process([0, 4, 8], [[e1, e2], [2 * e1, -e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(16, 3)))
-    vals = st.integrate(proc, drv, dW, proc.coefficients(dW))
-    assert vals.shape == (16, 9, 2)
-    np.testing.assert_array_equal(vals[:, 0], 0.0)
+    space = euclid(2)
+    sup, terminal = st.integrate(proc, drv, dW, proc.coefficients(dW), space)
+    assert sup.shape == terminal.shape == (16,)
     first = dW[:, :4, 0].sum(axis=1)
     second = dW[:, :4, 1].sum(axis=1)
     manual_end = np.stack(
         [first + 2.0 * dW[:, 4:, 0].sum(axis=1), second - dW[:, 4:, 1].sum(axis=1)], axis=1
     )
-    np.testing.assert_allclose(vals[:, -1], manual_end, atol=1e-12)
-    # midpoint only sees the first interval's coefficients
-    np.testing.assert_allclose(vals[:, 4], np.stack([first, second], axis=1), atol=1e-12)
+    np.testing.assert_allclose(terminal, space.norms(manual_end), atol=1e-12)
+    # the midpoint only sees the first interval's coefficients, and the sup sees it
+    midpoint = space.norms(np.stack([first, second], axis=1))
+    assert np.all(sup >= midpoint - 1e-12)
+    assert np.all(sup >= terminal)
 
 
 def test_integrate_is_linear():
@@ -126,11 +128,79 @@ def test_integrate_is_linear():
     base = st.constant_process([0, 4, 8], [[e1, e2], [e2, e1]], 2)
     tripled = st.constant_process([0, 4, 8], [[3 * e1, 3 * e2], [3 * e2, 3 * e1]], 2)
     _, _, dW = next(iter(drv.increment_chunks(32, 5)))
-    np.testing.assert_allclose(
-        st.integrate(tripled, drv, dW, tripled.coefficients(dW)),
-        3.0 * st.integrate(base, drv, dW, base.coefficients(dW)),
-        atol=1e-12,
-    )
+    got = st.integrate(tripled, drv, dW, tripled.coefficients(dW), euclid(2))
+    want = st.integrate(base, drv, dW, base.coefficients(dW), euclid(2))
+    for tripled_norms, base_norms in zip(got, want):
+        np.testing.assert_allclose(tripled_norms, 3.0 * base_norms, atol=1e-12)
+
+
+def _full_grid_norms(proc, drv, dW, coefs, space):
+    """The integral at every grid point as one (paths, steps+1, x_dim) array,
+    then its norms: the max over the grid and the last point."""
+    out = np.zeros((dW.shape[0], drv.steps + 1, proc.x_dim))
+    interval_of = np.searchsorted(np.array(proc.partition), np.arange(drv.steps), side="right")
+    for k in range(drv.steps):
+        n = interval_of[k]
+        step = np.einsum("pmx,pm->px", coefs[:, n - 1, :, :], dW[:, k, : proc.rank])
+        out[:, k + 1] = out[:, k] + step
+    norms = space.norms(out)
+    return norms.max(axis=1), norms[:, -1]
+
+
+@pytest.mark.parametrize("text", ["l2:3", "l2:9", "linf:4", "lp:0.5:3", "lp:3:8",
+                                  "nested:1x2,3x2"])
+def test_integrate_matches_the_full_grid_bit_for_bit(text):
+    # 10 steps in 4 intervals give the partition 0, 2, 5, 8, 10; 4100 paths
+    # leave a 4-path last chunk
+    space = parse_space(text)
+    drv = st.BrownianDriver(min(space.dim, 3), steps=10)
+    for family in ("deterministic", "rotating", "adapted-sign"):
+        proc = st.make_family(family, space, drv)
+        assert len(set(np.diff(proc.partition))) > 1
+        chunks = list(drv.increment_chunks(4100, 6))
+        assert [stop - start for start, stop, _ in chunks] == [4096, 4]
+        for _, _, dW in chunks:
+            coefs = proc.coefficients(dW)
+            got = st.integrate(proc, drv, dW, coefs, space)
+            for streamed, full in zip(got, _full_grid_norms(proc, drv, dW, coefs, space)):
+                np.testing.assert_array_equal(streamed, full, f"{text} {family}")
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", ["l2:4", "linf:4", "lp:3:4"])
+def test_simulate_memory_is_one_chunk_of_increments_and_coefficients(text):
+    # a 4096-path chunk holds its increments and coefficients, then the
+    # coefficients and the gamma norm's work (the exact route squares the
+    # coefficients, the MC route lays them out again and adds a block), and
+    # O(paths * x_dim) floats besides; no array spans the grid and x_dim, and
+    # nothing of the first chunk is alive while the second is drawn.  The lp
+    # norm fills its block budget, so a block kept alive into the next shows
+    space, paths = parse_space(text), CHUNK
+    exact = st.is_hilbert_like(space)
+    integrate_peaks = []
+    for steps in (16, 128):
+        drv = st.BrownianDriver(space.dim, steps=steps)
+        proc = st.make_family("adapted-sign", space, drv)
+        st.simulate(proc, drv, space, 64)  # first-use allocations are not the chunk's
+        dW_bytes = 8 * paths * steps * drv.dim
+        coef_bytes = 8 * paths * proc.intervals * proc.rank * space.dim
+        gamma_bytes = coef_bytes + (0 if exact else 8 * st.BLOCK_FLOATS)
+        work = 8 * 8 * paths * space.dim
+        peak = _traced_peak(st.simulate, proc, drv, space, 2 * paths)
+        assert peak <= coef_bytes + max(dW_bytes, gamma_bytes) + work + 256 * 1024, steps
+        _, _, dW = next(iter(drv.increment_chunks(paths, 0)))
+        coefs = proc.coefficients(dW)
+        integrate_peaks.append(_traced_peak(st.integrate, proc, drv, dW, coefs, space))
+        assert integrate_peaks[-1] <= work, steps
+    assert integrate_peaks[1] <= integrate_peaks[0] + 64 * 1024
 
 
 def test_gamma_norm_exact_for_basis_coefficients():
