@@ -12,7 +12,10 @@ Because the table row is indexed by the *parent* node, the decoupled tangent
 copy needs no extra data: replaying the same table with a fresh independent
 innovation index gives e_n(w, w~) = table[u_{n-1}(w), j_n(w~)], which has the
 same conditional law as d_n given F_{n-1} and is conditionally independent
-across n given the full first-coordinate path.
+across n given the full first-coordinate path.  Which row e_n reads is
+decided in one place, e_rows; the joint engine, the sampler and both
+verifiers read it from there, so the verifiers check the rows the engine
+uses.
 
 Everything here is exact: expectations are finite sums over paths or, on the
 product space, over (head, path) pairs from joint_blocks and over the
@@ -353,7 +356,8 @@ class TangentPair:
     independent innovation coordinate); mode "copy" replays the whole sequence
     on the second coordinate (a full independent copy, which is *not* a
     decoupled tangent sequence once predictable data varies) and exists so the
-    verifiers have something to reject.
+    verifiers have something to reject.  e_rows gives the table row e_n reads
+    in either mode.
     """
 
     def __init__(self, seq: AdaptedSequence, mode: str = "decoupled"):
@@ -370,14 +374,6 @@ class TangentPair:
     @property
     def space(self) -> Space:
         return self.seq.space
-
-    def joint_outcomes(self) -> int:
-        return self.tree.path_count ** 2
-
-    def require_enumerable(self):
-        if self.joint_outcomes() > JOINT_LIMIT:
-            raise EnumerationError(
-                f"{self.joint_outcomes()} joint outcomes exceed budget {JOINT_LIMIT}")
 
     def window_table(self, p: float) -> "WindowTable":
         """The conditional window table at exponent p, built on first use."""
@@ -404,31 +400,67 @@ class CheckResult:
     detail: str = ""
 
 
+def e_rows(tree: FiltrationTree, mode: str, heads: np.ndarray, n: int) -> np.ndarray:
+    """The tangent rule: the level-n table row e_n reads at each depth-(N-1)
+    head and each depth-(n-1) omega~ node (digit-reversed order).  Decoupled:
+    the head's own depth-(n-1) ancestor's row, shaped (heads, 1).  Copy: the
+    omega~ node's own row, as d_n reads it, shaped (1, nodes)."""
+    if mode == "decoupled":
+        return tree.ancestor(heads, tree.depth - 1, n - 1)[:, None]
+    return tree.digit_reversed[n - 1][None, :]
+
+
+def _head_groups(tree: FiltrationTree, mode: str) -> list[np.ndarray]:
+    """The depth-(N-1) heads, grouped by the rows e_rows gives them at every
+    level and omega~ node (one law of (e_1..e_N) given F_inf per group), less
+    the heads that read their own depth-(n-1) ancestor's row (tree.ancestor)
+    everywhere: e_n then has d_n's row law on the n-th omega~ letter alone,
+    independent across n, exactly.  Refused past the joint walk budget."""
+    require_joint_walk(tree, mode)
+    depth = tree.depth
+    heads = np.arange(tree.num_nodes(depth - 1))
+    other = np.zeros(len(heads), dtype=bool)
+    for n in range(1, depth + 1):
+        rows = e_rows(tree, mode, heads, n)
+        anc = tree.ancestor(heads, depth - 1, n - 1)
+        other |= (rows.min(axis=1) != anc) | (rows.max(axis=1) != anc)
+    heads = heads[other]
+    group = np.zeros(len(heads), dtype=np.int64)
+    for n in range(1, depth + 1):
+        rows = e_rows(tree, mode, heads, n)
+        if len(rows) > 1:
+            # this level tells heads apart: split the groups by its rows
+            group = np.unique(np.column_stack([group, rows]), axis=0,
+                              return_inverse=True)[1].reshape(-1)
+    return [heads[group == g] for g in np.unique(group)]
+
+
+def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
+    """e_n at each depth-n omega~ node, natural node order, given one head."""
+    tree = seq.tree
+    rows = np.empty(tree.num_nodes(n - 1), dtype=np.int64)
+    rows[tree.digit_reversed[n - 1]] = e_rows(tree, mode, np.array([head]), n)[0]
+    return seq.tables[n - 1][rows].reshape(-1, seq.dim)
+
+
 def verify_tangency(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
     """Check L(e_n | F_inf) = L(d_n | F_{n-1}) on every atom, every level.
 
-    The conditional law of d_n on a depth-(n-1) atom is read off the increment
-    table row; the conditional law of e_n given a full path is rebuilt from the
-    pair's mode.  Laws are finite measures on exact value labels with float
-    masses, equal when no label's masses differ by more than tol.
+    The law of d_n on a depth-(n-1) atom is the increment table row; that of
+    e_n given a path mixes, by omega~ node mass, the rows e_rows gives the
+    joint engine at the path's head.  Heads that read their own ancestors'
+    rows have a gap of exactly 0.0 and are skipped (_head_groups), so a
+    correct decoupled pair gives 0.0.  Laws are finite measures on exact value
+    labels with float masses, equal when no mass differs by more than tol.
     """
     seq, tree = pair.seq, pair.tree
     worst = 0.0
-    for n in range(1, tree.depth + 1):
-        level_probs = tree.levels[n - 1].probs
-        table = seq.tables[n - 1]
-        d_laws = [_merge_law(row, level_probs) for row in table]
-        if pair.mode == "decoupled":
-            # e-law given a path with depth-(n-1) prefix u is the same table row
-            # replayed with a fresh innovation; compare per prefix.
-            for u in range(tree.num_nodes(n - 1)):
-                e_law = _merge_law(table[u], level_probs)
-                worst = max(worst, _law_gap(d_laws[u], e_law))
-        else:
-            # full copy: e-law given any path is the unconditional law of d_n
-            e_law = _merge_law(seq.increments(n), tree.node_probs(n))
-            for u in range(tree.num_nodes(n - 1)):
-                worst = max(worst, _law_gap(d_laws[u], e_law))
+    for members in _head_groups(tree, pair.mode):
+        for n in range(1, tree.depth + 1):
+            e_law = _merge_law(_e_values(seq, pair.mode, members[0], n), tree.node_probs(n))
+            for u in np.unique(tree.ancestor(members, tree.depth - 1, n - 1)):
+                d_law = _merge_law(seq.tables[n - 1][u], tree.levels[n - 1].probs)
+                worst = max(worst, _law_gap(d_law, e_law))
     return CheckResult(worst <= tol, worst, "tangency")
 
 
@@ -447,46 +479,23 @@ def _factorization_gap(level_masses, joint_keys, joint_masses) -> float:
 
 
 def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
-    """Check that the joint law of (e_1..e_N) given F_inf is the product of
-    its conditional marginals, atom by atom, by enumeration."""
+    """Check that the joint law of (e_1..e_N) given F_inf, along every omega~
+    path from the rows e_rows gives the joint engine, is the product of its
+    marginals, once per head group (_head_groups; a correct decoupled pair has
+    none, so its gap is exactly 0.0)."""
     seq, tree = pair.seq, pair.tree
-    depth = tree.depth
     worst = 0.0
-    if pair.mode == "decoupled":
-        # the conditional law given a path depends on its depth-(N-1) prefix
-        pair.require_enumerable()
-        # second coordinate: outcome (j_1..j_N) with product mass, shared by all nodes
-        combos = np.array(list(itertools.product(*[range(a) for a in tree.sizes])))
-        for u in range(tree.num_nodes(depth - 1)):
-            level_ids, level_masses = [], []
-            grid = 1
-            for n in range(1, depth + 1):
-                anc = tree.ancestor(np.array([u]), depth - 1, n - 1)[0]
-                ids, masses = _law_ids(seq.tables[n - 1][anc], tree.level_probs(n))
-                level_ids.append(ids)
-                level_masses.append(masses)
-                grid *= len(masses)
-            if grid > JOINT_LIMIT:
-                raise EnumerationError("factorization grid too large")
-            joint_masses = tree.path_probs
-            joint_keys = tuple(level_ids[n][combos[:, n]] for n in range(depth))
-            worst = max(worst, _factorization_gap(level_masses, joint_keys,
-                                                  joint_masses))
-    else:
-        # full copy: the law given any path is the law of (d_1..d_N); one check
-        pair.require_enumerable()
-        level_masses = []
-        grid = 1
-        per_path_ids = []
-        for n in range(1, depth + 1):
-            ids, masses = _law_ids(seq.path_increments(n), tree.path_probs)
+    for members in _head_groups(tree, pair.mode):
+        level_ids, level_masses = [], []
+        for n in range(1, tree.depth + 1):
+            values = _e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)]
+            ids, masses = _law_ids(values, tree.path_probs)
+            level_ids.append(ids)
             level_masses.append(masses)
-            per_path_ids.append(ids)
-            grid *= len(masses)
-        if grid > JOINT_LIMIT:
+        if math.prod(len(m) for m in level_masses) > JOINT_LIMIT:
             raise EnumerationError("factorization grid too large")
-        worst = _factorization_gap(level_masses, tuple(per_path_ids),
-                                   tree.path_probs)
+        worst = max(worst, _factorization_gap(level_masses, tuple(level_ids),
+                                              tree.path_probs))
     return CheckResult(worst <= tol, worst, "conditional independence")
 
 
@@ -536,7 +545,7 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
     """The exact joint engine for a batch of sequences on one tree.
 
     tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The g side reads
-    the first coordinate only through the table rows it picks: through the
+    the first coordinate only through the table rows e_rows picks: through the
     depth-(N-1) prefix in decoupled mode, not at all in copy mode.  So the
     heads are the depth-(N-1) nodes (decoupled) or the root alone (copy), each
     weighted by the mass of the paths under it, and every head meets every
@@ -576,15 +585,10 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
         e_star = np.zeros((batch, rows, 1))
         g_star = np.zeros((batch, rows, 1))
         for n in range(1, depth + 1):
-            table, parents = tables[n - 1], tree.num_nodes(n - 1)
-            if mode == "decoupled":
-                # one row per head, shared by every omega~ node
-                inc = table[:, tree.ancestor(block, depth - 1, n - 1), :, None]
-            else:
-                # the omega~ node picks the row, as for d_n on the first coordinate
-                inc = table[:, tree.digit_reversed[n - 1]].swapaxes(1, 2)[:, None]
+            parents = tree.num_nodes(n - 1)
             # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
             # of omega~ node q adds innovation j
+            inc = tables[n - 1][:, e_rows(tree, mode, block, n)].swapaxes(2, 3)
             shape = (batch, rows, tree.num_nodes(n))
             if need_g:
                 g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
@@ -639,8 +643,10 @@ class WindowTable:
     start k a forward recursion in l extends the combos by one level, adding
     its increments to the window sums in level order, so each of the
     N(N+1)/2 windows is formed once; ``windows_built`` counts them.  The
-    largest window, (0, N], holds num_nodes(N-1) x path_count x dim floats;
-    past JOINT_LIMIT of them the table is refused before anything is built.
+    largest window, (0, N], holds W = num_nodes(N-1) x path_count x dim
+    floats, and norming it holds W more and W / d innermost sums (d the
+    innermost width of the space); past JOINT_LIMIT floats alive at that peak
+    the table is refused before anything is built.
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
     does not depend on its threshold A, per atom b of F_{k-1} (F_0 for k <= 1):
@@ -654,11 +660,13 @@ class WindowTable:
     def __init__(self, pair: TangentPair, p: float):
         if pair.mode != "decoupled":
             raise ModelError("conditional window norms need a decoupled pair")
-        pair.require_enumerable()
         seq, tree = pair.seq, pair.tree
         depth, dim, space = seq.depth, seq.dim, seq.space
-        # the largest window, (0, N], holds a sum per depth-(N-1) node and combo
-        floats = tree.num_nodes(depth - 1) * tree.path_count * dim
+        # the largest window, (0, N], holds a sum per depth-(N-1) node and combo;
+        # while it is normed, a |x| (or x^2) temporary of its size and that
+        # temporary's sums over the innermost coordinates are alive beside it
+        window = tree.num_nodes(depth - 1) * tree.path_count * dim
+        floats = 2 * window + window // space.shape[-1][1]
         if floats > JOINT_LIMIT:
             raise EnumerationError(
                 f"window table needs {floats} floats, over budget {JOINT_LIMIT}")
@@ -748,7 +756,8 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
 
     Replica r is deterministic given (seed, r): draws come from the stream of
     chunk r // rng.CHUNK, with the fixed order "all first-coordinate levels,
-    then all second-coordinate levels" inside a chunk.
+    then all second-coordinate levels" inside a chunk.  g_N adds the rows
+    e_rows gives at the replica's first-coordinate head and its omega~ node.
     """
     seq, tree = pair.seq, pair.tree
     dim, depth = seq.dim, tree.depth
@@ -763,16 +772,18 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
         f = f_terminal[start:stop]
         g = g_terminal[start:stop]
         node = np.zeros(rows, dtype=np.int64)
-        node_t = np.zeros(rows, dtype=np.int64)
         for n in range(1, depth + 1):
-            child = node * tree.sizes[n - 1] + picks[n - 1]
-            child_t = node_t * tree.sizes[n - 1] + picks_t[n - 1]
-            f += seq.increments(n)[child]
-            if pair.mode == "decoupled":
-                g += seq.increments(n)[node * tree.sizes[n - 1] + picks_t[n - 1]]
-            else:
-                g += seq.increments(n)[child_t]
-            node, node_t = child, child_t
+            node = node * tree.sizes[n - 1] + picks[n - 1]
+            f += seq.increments(n)[node]
+        head = tree.ancestor(node, depth, depth - 1)
+        # digit-reversed position of the replica's depth-(n-1) omega~ node
+        position = np.zeros(rows, dtype=np.int64)
+        for n in range(1, depth + 1):
+            parents = tree.num_nodes(n - 1)
+            table_rows = np.broadcast_to(e_rows(tree, pair.mode, head, n), (rows, parents))
+            row = table_rows[np.arange(rows), position]
+            g += seq.increments(n)[row * tree.sizes[n - 1] + picks_t[n - 1]]
+            position += picks_t[n - 1] * parents
     return SampleBatch(f_terminal, g_terminal)
 
 

@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Single-vector norms switch to exact compensated accumulation above this
-# dimension; below it numpy's pairwise summation is already at rounding level.
-_FSUM_DIM = 1000
 # numpy adds a contiguous axis shorter than this left to right, one element
 # after the other, and longer ones pairwise (tests/test_spaces.py checks it).
 _FOLD_DIM = 8
@@ -62,15 +59,6 @@ class Space:
         if self.kind in ("euclid", "sup"):
             return 1.0
         return min(1.0, min(q for q, _ in self.shape))
-
-    def norm(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise SpaceError(f"expected shape ({self.dim},), got {x.shape}")
-        if self.dim > _FSUM_DIM and self.kind in ("euclid", "lp"):
-            q = 2.0 if self.kind == "euclid" else self.shape[0][0]
-            return math.fsum(abs(v) ** q for v in x) ** (1.0 / q)
-        return float(self.norms(x[None, :])[0])
 
     def norms(self, arr) -> np.ndarray:
         """Vectorized norm over the trailing axis of ``arr``.

@@ -523,35 +523,57 @@ def test_window_table_is_read_only():
 
 
 def test_window_table_budget_counts_window_floats(monkeypatch):
-    # Paley-Walsh depth 11 on l2:5: the (0, 11] window holds 1024 heads x 2048
-    # combos x 5 coordinates, over the budget though 2048^2 path pairs are not
+    # Paley-Walsh depth 11 on l2:5: the (0, 11] window holds W = 1024 heads x
+    # 2048 combos x 5 coordinates, over the budget though its 1024 x 2048 walk is not
     seq = pm.random_multiplier_sequence(stream(3, "window-budget"), pm.paley_walsh(11), euclid(5))
     pair = pm.decouple(seq)
-    pair.require_enumerable()
+    pm.require_joint_walk(pair.tree)
+    window = 1024 * 2048 * 5
     tracemalloc.start()
     try:
-        with pytest.raises(pm.EnumerationError, match=f"needs {1024 * 2048 * 5} floats"):
+        with pytest.raises(pm.EnumerationError, match=f"needs {2 * window + window // 5} floats"):
             pair.window_table(2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    # the rule is num_nodes(N-1) x path_count x dim <= JOINT_LIMIT: on
-    # Paley-Walsh depth 3 and l2:3, 4 x 8 x 3 = 96 floats and 8^2 path pairs
+    # the rule is 2 W + W / d <= JOINT_LIMIT, d the innermost width: on
+    # Paley-Walsh depth 3 and l2:3, W = 4 x 8 x 3 = 96 and 2 W + W / 3 = 224
     gen = stream(4, "window-budget")
     small = pm.random_multiplier_sequence(gen, pm.paley_walsh(3), euclid(3))
-    monkeypatch.setattr(pm, "JOINT_LIMIT", 96)
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 224)
     assert pm.decouple(small).window_table(2.0).windows_built == 6
-    monkeypatch.setattr(pm, "JOINT_LIMIT", 95)
-    with pytest.raises(pm.EnumerationError, match="needs 96 floats, over budget 95"):
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 223)
+    with pytest.raises(pm.EnumerationError, match="needs 224 floats, over budget 223"):
         pm.decouple(small).window_table(2.0)
+
+
+@pytest.mark.parametrize("space", [euclid(4), euclid(1), sup_norm(3),
+                                   nested([(1.0, 3), (2.0, 2)])], ids=format_space)
+def test_window_table_peak_within_budget(monkeypatch, space):
+    # at the budget's edge the build holds no more floats than the budget
+    seq = pm.random_multiplier_sequence(stream(5, "window-peak"), pm.paley_walsh(9), space)
+    seq.partial_sums
+    window = 256 * 512 * space.dim
+    limit = 2 * window + window // space.shape[-1][1]
+    monkeypatch.setattr(pm, "JOINT_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        pm.decouple(seq).window_table(2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * limit + 2 ** 20
+    monkeypatch.setattr(pm, "JOINT_LIMIT", limit - 1)
+    with pytest.raises(pm.EnumerationError, match="over budget"):
+        pm.decouple(seq).window_table(2.0)
 
 
 def test_verify_exits_2_on_a_window_table_over_budget(monkeypatch, capsys):
     import decoupling_lab.cli as cli
 
-    # every depth-2 tree on l2:16 has at most 9^2 path pairs but at least
-    # 2 x 4 x 16 = 128 window floats
+    # every depth-2 tree on l2:16 walks at most 3 x 9 (head, path) outcomes
+    # but has at least 2 x 4 x 16 = 128 window floats
     monkeypatch.setattr(pm, "JOINT_LIMIT", 100)
     assert cli.main(["verify", "--suite", "goodlambda", "--space", "l2:16", "--depth", "2",
                      "--trials", "6", "--seed", "0", "--workers", "1"]) == 2

@@ -177,11 +177,34 @@ def test_tangent_mode_validation():
 
 
 def test_enumeration_guard():
-    seq = unit_pw_seq(12)
-    pair = pm.decouple(seq)
-    assert pair.joint_outcomes() == 4096 ** 2
-    with pytest.raises(pm.EnumerationError):
-        pair.require_enumerable()
+    # the verifiers are admitted by the walk the joint engine makes, heads x
+    # paths: Paley-Walsh depth 12 (4096^2 path pairs) runs, depth 13 is refused
+    pair = pm.decouple(unit_pw_seq(12))
+    assert pm.verify_tangency(pair).gap == 0.0
+    assert pm.verify_conditional_independence(pair).gap == 0.0
+    deep = pm.decouple(unit_pw_seq(13))
+    for check in (pm.verify_tangency, pm.verify_conditional_independence):
+        with pytest.raises(pm.EnumerationError, match="33554432 joint outcomes"):
+            check(deep)
+
+
+def test_oversized_tangency_trial_exits_2(monkeypatch, capsys):
+    import decoupling_lab.cli as cli
+
+    argv = ["verify", "--suite", "tangency", "--space", "l2:2", "--depth", "5",
+            "--trials", "1", "--seed", "0", "--workers", "1"]
+    # the tree of trial 0, as the suite draws it
+    tree = pm.random_pair(stream(0, "verify", "tangency", 0), euclid(2), 5, False).tree
+    walk = pm.require_joint_walk(tree)
+    assert tree.path_count ** 2 > walk
+    monkeypatch.setattr(pm, "JOINT_LIMIT", walk - 1)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decoupling-lab:") and "Traceback" not in err
+    assert f"{walk} joint outcomes exceed budget {walk - 1}" in err
+    # the walk itself is the budget: path_count^2 path pairs are not counted
+    monkeypatch.setattr(pm, "JOINT_LIMIT", walk)
+    assert cli.main(argv) == 0
 
 
 def test_joint_engine_budgets_heads_times_paths():
@@ -212,6 +235,38 @@ def test_random_pairs_are_tangent(seed, symmetric):
     pair = pm.random_pair(gen, space, max_depth=5, symmetric=symmetric)
     assert pm.verify_tangency(pair).gap <= 1e-12
     assert pm.verify_conditional_independence(pair).gap <= 1e-12
+
+
+# A wrong row pick in pm.e_rows, the rule the joint engine reads, fails the
+# verifiers: they read the same rule.
+
+def shifted_ancestor(tree, mode, heads, n):
+    """e_n reads the depth-(n-2) ancestor's row, one level too high."""
+    return tree.ancestor(heads, tree.depth - 1, max(n - 2, 0))[:, None]
+
+
+def neighbour_head(tree, mode, heads, n):
+    """e_n reads the row of the next depth-(N-1) head's ancestor."""
+    heads = (np.asarray(heads) + 1) % tree.num_nodes(tree.depth - 1)
+    return tree.ancestor(heads, tree.depth - 1, n - 1)[:, None]
+
+
+@pytest.mark.parametrize("rule", [shifted_ancestor, neighbour_head])
+def test_verifiers_fail_on_a_wrong_row_pick(rule, monkeypatch, capsys):
+    import decoupling_lab.cli as cli
+
+    # |d_2| depends on xi_1, so the two level-2 rows have different laws
+    tree = pm.paley_walsh(2)
+    mults = [np.array([[1.0]]), np.array([[2.0], [1.0]])]
+    pair = pm.decouple(pm.AdaptedSequence.from_multipliers(tree, euclid(1), mults))
+    assert pm.verify_tangency(pair).gap == pm.verify_conditional_independence(pair).gap == 0.0
+    monkeypatch.setattr(pm, "e_rows", rule)
+    res = pm.verify_tangency(pair)
+    assert not res.ok and res.gap == 0.5
+    argv = ["verify", "--suite", "tangency", "--space", "l2:3", "--depth", "4",
+            "--trials", "20", "--seed", "0", "--workers", "1"]
+    assert cli.main(argv) == 1
+    assert '"holds":false' in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +417,9 @@ def naive_joint(pair):
                 letter = (wt // tree.stride(n)) % tree.sizes[n - 1]
                 e = seq.tables[n - 1][parent, letter]
                 g = g + e
-                e_star = max(e_star, space.norm(e))
-                g_star = max(g_star, space.norm(g))
-            out.append((probs[w] * probs[wt], space.norm(g), e_star, g_star))
+                e_star = max(e_star, space.norms(e[None])[0])
+                g_star = max(g_star, space.norms(g[None])[0])
+            out.append((probs[w] * probs[wt], space.norms(g[None])[0], e_star, g_star))
     return np.array(out)
 
 
@@ -423,9 +478,9 @@ def naive_outcomes(pair):
                     parent = wt // tree.stride(n - 1)
                 e = seq.tables[n - 1][parent, (wt // tree.stride(n)) % tree.sizes[n - 1]]
                 g = g + e
-                e_star = max(e_star, space.norm(e))
-                g_star = max(g_star, space.norm(g))
-            out[:, head, wt] = space.norm(g), e_star, g_star
+                e_star = max(e_star, space.norms(e[None])[0])
+                g_star = max(g_star, space.norms(g[None])[0])
+            out[:, head, wt] = space.norms(g[None])[0], e_star, g_star
     return out
 
 
@@ -447,6 +502,50 @@ def test_joint_blocks_match_naive_outcomes_at_depth(mode, depth):
             blocks = [stats for _, stats in pm.joint_blocks(pair, block_rows=block_rows)]
             for i, key in enumerate(pm.JOINT_STATS):
                 np.testing.assert_array_equal(np.concatenate([b[key] for b in blocks]), want[i])
+
+
+def naive_gaps(pair):
+    """The tangency and factorization gaps by direct loops over (omega, omega~):
+    e_n reads the row of omega's depth-(n-1) node (decoupled) or omega~'s (copy)."""
+    seq, tree = pair.seq, pair.tree
+    probs = tree.path_probs
+    tangency = independence = 0.0
+    for w in range(tree.path_count):
+        joint = {}
+        for wt in range(tree.path_count):
+            owner = w if pair.mode == "decoupled" else wt
+            key = tuple(tuple(seq.tables[n - 1][owner // tree.stride(n - 1),
+                                                (wt // tree.stride(n)) % tree.sizes[n - 1]] + 0.0)
+                        for n in range(1, tree.depth + 1))
+            joint[key] = joint.get(key, 0.0) + probs[wt]
+        marginals = []
+        for n in range(tree.depth):
+            e_law, d_law = {}, {}
+            for key, mass in joint.items():
+                e_law[key[n]] = e_law.get(key[n], 0.0) + mass
+            for value, mass in zip(seq.tables[n][w // tree.stride(n)], tree.levels[n].probs):
+                d_law[tuple(value + 0.0)] = d_law.get(tuple(value + 0.0), 0.0) + mass
+            tangency = max(tangency, *(abs(e_law.get(k, 0.0) - d_law.get(k, 0.0))
+                                       for k in e_law | d_law))
+            marginals.append(e_law)
+        if w and joint == last:
+            continue  # the same law as for omega - 1 (every omega in copy mode)
+        last = joint
+        for combo in itertools.product(*(m.items() for m in marginals)):
+            mass = math.prod(m for _, m in combo)
+            independence = max(independence, abs(joint.get(tuple(k for k, _ in combo), 0.0) - mass))
+    return tangency, independence
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "copy"])
+@pytest.mark.parametrize("case", range(8))
+def test_verifiers_match_naive_gaps(mode, case):
+    # asymmetric two- and three-letter levels, depth 1..4: omega~ node masses
+    # differ, so a row read at the wrong omega~ node moves the copy's gaps
+    pair = engine_pair(case, mode, False, 3)
+    tangency, independence = naive_gaps(pair)
+    assert pm.verify_tangency(pair).gap == pytest.approx(tangency, abs=1e-12)
+    assert pm.verify_conditional_independence(pair).gap == pytest.approx(independence, abs=1e-12)
 
 
 def test_joint_blocks_rejects_unknown_statistic():
