@@ -662,9 +662,7 @@ class WindowTable:
             raise ModelError("conditional window norms need a decoupled pair")
         seq, tree = pair.seq, pair.tree
         depth, dim, space = seq.depth, seq.dim, seq.space
-        # the largest window, (0, N], holds a sum per depth-(N-1) node and combo;
-        # while it is normed, a |x| (or x^2) temporary of its size and that
-        # temporary's sums over the innermost coordinates are alive beside it
+        # the (0, N] window, a |x| or x^2 temporary as large, and its innermost sums
         window = tree.num_nodes(depth - 1) * tree.path_count * dim
         floats = 2 * window + window // space.shape[-1][1]
         if floats > JOINT_LIMIT:
