@@ -30,6 +30,10 @@ VERIFY_SUITES = (
 )
 # suites on random product models, which need at least two levels
 PRODUCT_SUITES = ("levy", "contraction", "revkol")
+# suites whose trials are checked on stacked product models
+STACKED_SUITES = PRODUCT_SUITES + ("symsum",)
+VERIFY_COLUMNS = ["inequality", "model", "holds", "lhs", "rhs", "margin", "method", "status"]
+SEARCH_COLUMNS = ["space", "p", "direction", "ratio", "method", "samples", "seed", "witness_hash"]
 
 
 def _resolve_seed(value) -> int:
@@ -69,52 +73,112 @@ def _positive_floats(text: str) -> list[float]:
 # verify suite workers (module-level so they pickle for process pools)
 
 
-def _verify_one(task: tuple) -> list[dict]:
-    suite, space_text, p, depth, index, seed = task
+def _verify_one(task: tuple) -> tuple[list[str], bool]:
+    """One range of a suite's trials: its rows encoded batch by batch, with
+    one encoding per batch, and whether some row has holds=false."""
+    suite, space_text, p, depth, start, stop, seed, fmt = task
     space = parse_space(space_text)
-    gen = stream(seed, "verify", suite, index)
+    chunks, failed = [], False
+    for rows in _row_batches(suite, space, p, depth, range(start, stop), seed):
+        failed = failed or any(row.get("holds") is False for row in rows)
+        chunks.append(rp.encode_rows(rows, fmt, VERIFY_COLUMNS))
+    return chunks, failed
+
+
+def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int):
+    """The rows of the trials, batch by batch in index order; each trial draws
+    from its own stream.  A pair-suite trial is a batch of its own.  Product-
+    suite trials run in batches of consecutive trials whose models enumerate
+    at most BATCH_FLOATS partial-sum floats together (a model over that runs
+    alone), checked one shape at a time on one stacked enumeration."""
+    if suite not in STACKED_SUITES:
+        for index in indices:
+            gen = stream(seed, "verify", suite, index)
+            pair = pm.random_pair(gen, space, max_depth=depth,
+                                  symmetric=suite != "tangency" or bool(index % 2))
+            yield _pair_rows(suite, pair, p, index)
+        return
+    batch, floats = [], 0
+    for index in indices:
+        draws = _product_draws(suite, space, depth, stream(seed, "verify", suite, index))
+        if batch and floats + draws[0].floats > pm.BATCH_FLOATS:
+            yield _product_rows(suite, p, batch)
+            batch, floats = [], 0
+        batch.append((index, *draws))
+        floats += draws[0].floats
+    if batch:
+        yield _product_rows(suite, p, batch)
+
+
+def _product_draws(suite: str, space, depth: int, gen) -> tuple:
+    """A product-suite trial's draws: its model, threshold factor and 0-1
+    multipliers (None where the suite takes none)."""
+    if suite == "symsum":
+        laws = (iq.random_symmetric_law(gen, space.dim), iq.random_symmetric_law(gen, space.dim))
+        return iq.ProductModel(space, laws), None, None
+    model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
+    factor = float(gen.choice([0.5, 1.0, 1.5]))
+    mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
+             if suite == "contraction" else None)
+    return model, factor, mults
+
+
+def _product_rows(suite: str, p: float, batch: list) -> list[dict]:
+    """The rows of a batch of (index, model, factor, multipliers) trials, in
+    index order, from one ProductStack per shape."""
+    shapes: dict[tuple, list] = {}
+    for trial in batch:
+        shapes.setdefault(trial[1].shape, []).append(trial)
+    reports = {}
+    for group in shapes.values():
+        reports.update(zip([trial[0] for trial in group], _product_reports(suite, p, group)))
+    rows = []
+    for index, *_ in batch:
+        row = reports[index].as_dict()
+        row["model"] = index
+        rows.append(row)
+    return rows
+
+
+def _product_reports(suite: str, p: float, group: list) -> list:
+    """The reports of trials of one shape, checked on one ProductStack."""
+    indices, models, factors, mults = zip(*group)
+    stack = iq.ProductStack(models)
+    if suite == "symsum":
+        return iq.symsum_reports(stack, p)
+    ts = [(float(np.quantile(f_star, 0.7)) or 1.0) * factor
+          for f_star, factor in zip(stack.f_star, factors)]
+    if suite == "levy":
+        return iq.levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
+    if suite == "contraction":
+        return iq.contraction_reports(stack, mults, ts)
+    return iq.reverse_kolmogorov_reports(stack, ts, p)
+
+
+def _pair_rows(suite: str, pair, p: float, index: int) -> list[dict]:
+    """The rows of trial ``index`` of a suite on a tangent pair."""
     if suite == "tangency":
-        pair = pm.random_pair(gen, space, max_depth=depth, symmetric=bool(index % 2))
         checks = (("tangency", pm.verify_tangency(pair)),
                   ("conditional-independence", pm.verify_conditional_independence(pair)))
         rows = [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
                  "margin": -res.gap, "method": "exact", "detail": res.detail}
                 for label, res in checks]
+    elif suite == "tail":
+        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
+        rows = [rep.as_dict() for rep in iq.check_tail_comparison(pair, ts)]
+    elif suite == "goodlambda":
+        b = 0.5
+        rows = [rep.as_dict() for rep in
+                iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)]
+    elif suite == "davis":
+        rows = [iq.check_davis_pathwise(pair).as_dict()]
+    elif suite == "extrapolation":
+        rows = [iq.check_extrapolation(pair, p, q=2.0).as_dict()]
     else:
-        rows = [rep.as_dict() for rep in _suite_reports(suite, space, p, depth, index, gen)]
+        raise ValueError(f"unknown suite {suite!r}")
     for row in rows:
         row["model"] = index
     return rows
-
-
-def _suite_reports(suite: str, space, p: float, depth: int, index: int, gen) -> list:
-    """The inequality reports of one trial of a suite other than tangency."""
-    if suite in PRODUCT_SUITES:
-        model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
-        scale = float(np.quantile(model.sequence.f_star, 0.7)) or 1.0
-        t = scale * float(gen.choice([0.5, 1.0, 1.5]))
-        if suite == "levy":
-            return [iq.check_levy(model, t, variant=("max-sum", "max-term")[index % 2])]
-        if suite == "contraction":
-            mults = gen.integers(0, 2, size=len(model.laws)).astype(float)
-            return [iq.check_contraction(model, mults, t)]
-        return [iq.check_reverse_kolmogorov(model, t, p)]
-    if suite == "symsum":
-        xi = iq.random_symmetric_law(gen, space.dim)
-        zeta = iq.random_symmetric_law(gen, space.dim)
-        return [iq.check_symsum(space, xi, zeta, p)]
-    pair = pm.random_pair(gen, space, max_depth=depth, symmetric=True)
-    if suite == "tail":
-        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
-        return iq.check_tail_comparison(pair, ts)
-    if suite == "goodlambda":
-        b = 0.5
-        return iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)
-    if suite == "davis":
-        return [iq.check_davis_pathwise(pair)]
-    if suite == "extrapolation":
-        return [iq.check_extrapolation(pair, p, q=2.0)]
-    raise ValueError(f"unknown suite {suite!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -123,22 +187,22 @@ def _cmd_verify(args) -> int:
     product_suites = [s for s in suites if s in PRODUCT_SUITES]
     if args.depth < 2 and product_suites:
         raise ValueError(f"--depth must be at least 2 for the {', '.join(product_suites)} suites")
+    # one range of trials per suite and worker
+    size = -(-args.trials // args.workers)
     tasks = [
-        (suite, args.space, args.p, args.depth, index, seed)
+        (suite, args.space, args.p, args.depth, start, min(start + size, args.trials), seed,
+         args.format)
         for suite in suites
-        for index in range(args.trials)
+        for start in range(0, args.trials, size)
     ]
     results = rp.pmap(_verify_one, tasks, workers=args.workers)
-    rows = [row for batch in results for row in batch]
     config = {
         "command": "verify", "suite": args.suite, "space": args.space,
         "p": args.p, "depth": args.depth, "trials": args.trials,
     }
-    report = rp.envelope("verify", config, rows, seed=seed, method="exact")
-    _write(args, report, rows, columns=[
-        "inequality", "model", "holds", "lhs", "rhs", "margin", "method", "status",
-    ])
-    return 1 if any(r.get("holds") is False for r in rows) else 0
+    report = rp.envelope("verify", config, [], seed=seed, method="exact")
+    _write(args, report, [chunk for chunks, _ in results for chunk in chunks], VERIFY_COLUMNS)
+    return 1 if any(failed for _, failed in results) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +221,8 @@ def _cmd_estimate(args) -> int:
         "direction": args.direction, "family": args.family,
         "budget": args.trials, "restarts": args.restarts, "depth": args.depth,
     }
-    rows = [est.as_dict()]
-    report = rp.envelope("estimate", config, rows, seed=seed, method=est.method)
-    _write(args, report, rows, columns=[
-        "space", "p", "direction", "ratio", "method", "samples", "seed", "witness_hash",
-    ])
+    report = rp.envelope("estimate", config, [], seed=seed, method=est.method)
+    _write_rows(args, report, [est.as_dict()], SEARCH_COLUMNS)
     return 0
 
 
@@ -181,10 +242,10 @@ def _cmd_bounds(args) -> int:
             )
         kwargs[name] = int(value) if name == "d" else value
     bound = fn(**kwargs)
-    rows = [bound.as_dict()]
     config = {"command": "bounds", "formula": args.formula, "params": kwargs}
-    report = rp.envelope("bounds", config, rows, seed=seed, method="closed-form")
-    _write(args, report, rows, columns=["formula", "value", "expression", "applies", "condition"])
+    report = rp.envelope("bounds", config, [], seed=seed, method="closed-form")
+    _write_rows(args, report, [bound.as_dict()],
+                ["formula", "value", "expression", "applies", "condition"])
     return 0
 
 
@@ -199,8 +260,8 @@ def _cmd_bdg(args) -> int:
         "steps": args.steps, "horizon": args.horizon,
         "driver_dim": driver.dim, "paths": args.samples,
     }
-    report = rp.envelope("bdg", config, rows, seed=seed, method="mc", samples=args.samples)
-    _write(args, report, rows, columns=[
+    report = rp.envelope("bdg", config, [], seed=seed, method="mc", samples=args.samples)
+    _write_rows(args, report, rows, [
         "p", "family", "kappa", "kappa_over_p", "sup_moment", "gamma_moment",
         "terminal_moment", "status",
     ])
@@ -237,10 +298,8 @@ def _cmd_atlas(args) -> int:
         "direction": args.direction, "family": args.family,
         "budget": args.trials, "restarts": args.restarts, "depth": args.depth,
     }
-    report = rp.envelope("atlas", config, rows, seed=seed, method="exact")
-    _write(args, report, rows, columns=[
-        "space", "p", "direction", "ratio", "method", "samples", "seed", "witness_hash",
-    ])
+    report = rp.envelope("atlas", config, [], seed=seed, method="exact")
+    _write_rows(args, report, rows, SEARCH_COLUMNS)
     return 0
 
 
@@ -256,16 +315,19 @@ def _require_writable(path: str):
         raise ValueError(f"cannot write --out {path!r}")
 
 
-def _write(args, report: dict, rows: list[dict], columns: list[str]):
+def _write(args, report: dict, chunks: list[str], columns: list[str]):
+    """Write ``report`` with the rows that ``chunks`` encode (rp.encode_rows)
+    as its results, once every row is encoded."""
     try:
         out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     with out as handle:
-        if args.format == "csv":
-            rp.write_csv(handle, rows, columns)
-        else:
-            handle.write(rp.canonical_json(report) + "\n")
+        rp.write_report(handle, report, chunks, args.format, columns)
+
+
+def _write_rows(args, report: dict, rows: list[dict], columns: list[str]):
+    _write(args, report, [rp.encode_rows(rows, args.format, columns)], columns)
 
 
 def _add_common(sub):

@@ -113,7 +113,9 @@ class MomentFunctional:
     def __call__(self, t):
         if np.ndim(t) == 0:
             return self.fn(float(t))
-        return np.array([self.fn(float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
+        # tolist gives the Python floats that float() gives of each element
+        values = np.ravel(np.asarray(t, dtype=float)).tolist()
+        return np.array([self.fn(x) for x in values]).reshape(np.shape(t))
 
 
 @functools.lru_cache(maxsize=64)
@@ -155,24 +157,107 @@ class ProductModel:
     def outcome_count(self) -> int:
         return math.prod(law.size for law in self.laws)
 
-    @functools.cached_property
-    def sequence(self) -> AdaptedSequence:
-        """The enumerated sequence, built once per model (to_sequence)."""
-        return self.to_sequence()
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The atom count of each law; models of one shape share their outcome space."""
+        return tuple(law.size for law in self.laws)
+
+    @property
+    def floats(self) -> int:
+        """The enumerated partial sums: outcomes x (levels + 1) x dim floats."""
+        return self.outcome_count * (len(self.laws) + 1) * self.space.dim
 
     def to_sequence(self) -> AdaptedSequence:
-        # the enumerated sequence holds f_0..f_N for every outcome
-        floats = self.outcome_count * (len(self.laws) + 1) * self.space.dim
-        if floats > JOINT_LIMIT:
-            raise EnumerationError(
-                f"product model needs {floats} partial-sum floats, over budget {JOINT_LIMIT}")
+        """The model as an adapted sequence on the tree whose levels are its laws.
+
+        Its partial sums are the model's enumeration as a stack of one
+        (ProductStack), which also refuses a model over the budget.
+        """
+        stack = ProductStack((self,))
         tree = FiltrationTree(self.laws)
         # every level is independent of the past: its law's atoms on each parent
-        tables = []
-        for n, law in enumerate(self.laws):
-            atoms = law.values.reshape(law.size, -1)
-            tables.append(np.broadcast_to(atoms, (tree.num_nodes(n),) + atoms.shape))
-        return AdaptedSequence(tree, self.space, tables)
+        tables = [np.broadcast_to(atoms[0], (tree.num_nodes(n),) + atoms.shape[1:])
+                  for n, atoms in enumerate(stack.atoms)]
+        seq = AdaptedSequence(tree, self.space, tables)
+        seq.__dict__["partial_sums"] = stack.partial_sums[0]
+        return seq
+
+
+class ProductStack:
+    """Product models of one space and shape, enumerated as one stack.
+
+    Models of one shape share their outcome space: outcome o reads atom
+    (o // stride_n) mod a_n of law n, where stride_n is the product of the
+    later laws' atom counts (the path order of the model's tree).  Every
+    array has the model on its leading axis, and each model's slab is formed
+    by the float operations it gets alone (additions level by level, norms
+    vector by vector), so its values do not depend on the stack; each check
+    reduces one model's contiguous slab at a time.  A model whose partial
+    sums exceed JOINT_LIMIT floats is refused before anything is allocated.
+    """
+
+    def __init__(self, models: Sequence[ProductModel]):
+        self.models = tuple(models)
+        self.space, self.shape = self.models[0].space, self.models[0].shape
+        for model in self.models:
+            if model.space != self.space or model.shape != self.shape:
+                raise ModelError("stacked product models need one space and one shape")
+            if model.floats > JOINT_LIMIT:
+                raise EnumerationError(f"product model needs {model.floats} partial-sum "
+                                       f"floats, over budget {JOINT_LIMIT}")
+        self.outcomes = self.models[0].outcome_count
+
+    @functools.cached_property
+    def atoms(self) -> list[np.ndarray]:
+        """Per level, the laws' atoms: (models, atoms, dim)."""
+        return [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
+                for n, size in enumerate(self.shape)]
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """Outcome masses, (models, outcomes): the laws' masses multiplied in level order."""
+        out = np.ones((len(self.models), 1))
+        for n in range(len(self.shape)):
+            masses = np.array([m.laws[n].probs for m in self.models])
+            out = (out[:, :, None] * masses[:, None, :]).reshape(len(self.models), -1)
+        return out
+
+    def _digits(self, n: int) -> np.ndarray:
+        """The atom of law n (1-based) that each outcome reads."""
+        stride = math.prod(self.shape[n:])
+        return np.arange(self.outcomes) // stride % self.shape[n - 1]
+
+    def increments(self, n: int) -> np.ndarray:
+        """The level-n increment at every outcome, (models, outcomes, dim)."""
+        return self.atoms[n - 1][:, self._digits(n)]
+
+    @functools.cached_property
+    def partial_sums(self) -> np.ndarray:
+        """f_0..f_N at every outcome, (models, outcomes, levels + 1, dim)."""
+        out = np.zeros((len(self.models), self.outcomes, len(self.shape) + 1, self.space.dim))
+        for n in range(1, len(self.shape) + 1):
+            out[:, :, n] = out[:, :, n - 1] + self.increments(n)
+        return out
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """||f_0||..||f_N|| at every outcome, (models, outcomes, levels + 1)."""
+        return self.space.norms(self.partial_sums)
+
+    @functools.cached_property
+    def f_star(self) -> np.ndarray:
+        """max_n ||f_n|| at every outcome, (models, outcomes)."""
+        return self.norms.max(axis=2)
+
+    @functools.cached_property
+    def d_star(self) -> np.ndarray:
+        """max_n ||d_n|| at every outcome, (models, outcomes), from one norm of every atom."""
+        atom_norms = np.split(self.space.norms(np.concatenate(self.atoms, axis=1)),
+                              np.cumsum(self.shape)[:-1], axis=1)
+        out = np.zeros((len(self.models), self.outcomes))
+        for n, norms in enumerate(atom_norms, start=1):
+            np.maximum(out, norms[:, self._digits(n)], out=out)
+        return out
 
 
 def _require_symmetric(model: ProductModel):
@@ -183,6 +268,9 @@ def _require_symmetric(model: ProductModel):
 
 # ---------------------------------------------------------------------------
 # distributional bounds for independent symmetric sums
+#
+# Each bound is checked on a ProductStack, one report per model; the
+# check_* functions are its stack of one.
 
 
 def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqReport:
@@ -191,17 +279,29 @@ def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqR
     ``variant`` picks the running-max of partial sums ("max-sum") or of the
     individual terms ("max-term"); both hold with the same constants.
     """
-    if variant not in ("max-sum", "max-term"):
-        raise ValueError(f"unknown variant {variant!r}")
-    _require_symmetric(model)
-    space = model.space
-    thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
-    seq = model.sequence
-    norms, probs = seq.partial_sum_norms, seq.tree.path_probs
-    stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else seq.d_star
-    lhs = float(probs[stat > t].sum())
-    rhs = 2.0 * float(probs[norms[:, -1] > thresh].sum())
-    return _one_sided(f"levy-{variant}", {"t": t, "r": space.r, "atoms": 1}, lhs, rhs)
+    return levy_reports(ProductStack((model,)), [t], [variant])[0]
+
+
+def levy_reports(stack: ProductStack, ts: Sequence[float],
+                 variants: Sequence[str]) -> list[IneqReport]:
+    """check_levy of each model of the stack, at its own t and variant."""
+    for variant in variants:
+        if variant not in ("max-sum", "max-term"):
+            raise ValueError(f"unknown variant {variant!r}")
+    for model in stack.models:
+        _require_symmetric(model)
+    r = stack.space.r
+    norms, probs = stack.norms, stack.probs
+    max_sum = norms[:, :, 1:].max(axis=2)
+    d_star = stack.d_star if "max-term" in variants else None
+    reports = []
+    for i, (t, variant) in enumerate(zip(ts, variants)):
+        thresh = 2.0 ** (1.0 - 1.0 / r) * t
+        stat = max_sum[i] if variant == "max-sum" else d_star[i]
+        lhs = float(probs[i][stat > t].sum())
+        rhs = 2.0 * float(probs[i][norms[i, :, -1] > thresh].sum())
+        reports.append(_one_sided(f"levy-{variant}", {"t": t, "r": r, "atoms": 1}, lhs, rhs))
+    return reports
 
 
 def check_contraction(model: ProductModel, multipliers: Sequence[float], t: float) -> IneqReport:
@@ -211,37 +311,59 @@ def check_contraction(model: ProductModel, multipliers: Sequence[float], t: floa
     vector adds the path increments of the levels with multiplier 1, in level
     order, the same float additions a model of the 0-1 scaled laws makes.
     """
-    _require_symmetric(model)
-    mults = [float(m) for m in multipliers]
-    if len(mults) != len(model.laws):
-        raise ModelError("need one multiplier per increment")
-    if any(m not in (0.0, 1.0) for m in mults):
-        raise ModelError("contraction multipliers must be 0 or 1")
-    thresh = 2.0 ** (1.0 - 1.0 / model.space.r) * t
-    seq = model.sequence
-    probs = seq.tree.path_probs
-    sub = np.zeros((seq.tree.path_count, seq.dim))
-    for n, m in enumerate(mults, start=1):
-        if m == 1.0:
-            sub += seq.path_increments(n)
-    lhs = float(probs[model.space.norms(sub) > t].sum())
-    rhs = 2.0 * float(probs[seq.partial_sum_norms[:, -1] > thresh].sum())
-    return _one_sided("contraction-01", {"t": t, "multipliers": mults, "atoms": 1}, lhs, rhs)
+    return contraction_reports(ProductStack((model,)), [multipliers], [t])[0]
+
+
+def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[float]],
+                        ts: Sequence[float]) -> list[IneqReport]:
+    """check_contraction of each model of the stack, with its own multipliers and t."""
+    rows = []
+    for model, row in zip(stack.models, multipliers):
+        _require_symmetric(model)
+        mults = [float(m) for m in row]
+        if len(mults) != len(model.laws):
+            raise ModelError("need one multiplier per increment")
+        if any(m not in (0.0, 1.0) for m in mults):
+            raise ModelError("contraction multipliers must be 0 or 1")
+        rows.append(mults)
+    probs = stack.probs
+    sub = np.zeros((len(rows), stack.outcomes, stack.space.dim))
+    for n in range(1, len(stack.shape) + 1):
+        kept = [i for i, mults in enumerate(rows) if mults[n - 1] == 1.0]
+        if kept:
+            sub[kept] += stack.increments(n)[kept]
+    sub_norms = stack.space.norms(sub)
+    terminal = stack.norms[:, :, -1]
+    reports = []
+    for i, (mults, t) in enumerate(zip(rows, ts)):
+        thresh = 2.0 ** (1.0 - 1.0 / stack.space.r) * t
+        lhs = float(probs[i][sub_norms[i] > t].sum())
+        rhs = 2.0 * float(probs[i][terminal[i] > thresh].sum())
+        reports.append(_one_sided("contraction-01", {"t": t, "multipliers": mults, "atoms": 1},
+                                  lhs, rhs))
+    return reports
 
 
 def check_symsum(space: Space, xi: Level, zeta: Level, p: float) -> IneqReport:
     """E||xi||^p <= 2^(1-p) u_{p/r} E||xi + zeta||^p for independent symmetric zeta."""
+    # zeta is checked before the model is built, which checks xi's dimension
     if not zeta.is_symmetric():
         raise ModelError("zeta must be symmetric")
-    seq = ProductModel(space, (xi, zeta)).to_sequence()
-    probs = seq.tree.path_probs
-    lhs = float(
-        (space.norms(seq.path_increments(1)) ** p) @ probs
-    )
-    total = space.norms(seq.partial_sums[:, -1]) ** p
+    return symsum_reports(ProductStack((ProductModel(space, (xi, zeta)),)), p)[0]
+
+
+def symsum_reports(stack: ProductStack, p: float) -> list[IneqReport]:
+    """check_symsum of each two-law model (xi, zeta) of the stack."""
+    for model in stack.models:
+        if not model.laws[1].is_symmetric():
+            raise ModelError("zeta must be symmetric")
+    space, probs = stack.space, stack.probs
+    first = space.norms(stack.increments(1)) ** p
+    total = space.norms(stack.partial_sums[:, :, -1]) ** p
     _, upper = lu_constants(p / space.r)
-    rhs = 2.0 ** (1.0 - p) * upper * float(total @ probs)
-    return _one_sided("symmetric-summand", {"p": p, "r": space.r}, lhs, rhs)
+    return [_one_sided("symmetric-summand", {"p": p, "r": space.r}, float(first[i] @ probs[i]),
+                       2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]))
+            for i in range(len(stack.models))]
 
 
 def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqReport:
@@ -250,27 +372,33 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
     P(max ||S_k|| > t) >= 2^(p-1) [u_{p/r}^{-2} - (t^p + E max||xi_k||^p) / E||S_n||^p].
     Vacuous (and trivially true) when the sum is a.s. zero.
     """
-    _require_symmetric(model)
-    space = model.space
-    _, upper = lu_constants(p / space.r)
-    seq = model.sequence
-    norms, probs = seq.partial_sum_norms, seq.tree.path_probs
-    denom = float((norms[:, -1] ** p) @ probs)
-    if denom <= 0:
-        return IneqReport(
-            inequality="reverse-kolmogorov",
-            params={"t": t, "p": p},
-            lhs=0.0,
-            rhs=0.0,
-            holds=True,
-            margin=0.0,
-            status="vacuous",
-        )
-    lhs = float(probs[norms[:, 1:].max(axis=1) > t].sum())
-    star = float((seq.d_star ** p) @ probs)
-    rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom)
-    return _one_sided("reverse-kolmogorov", {"t": t, "p": p, "r": space.r, "atoms": 1},
-                      lhs, rhs, lower=True)
+    return reverse_kolmogorov_reports(ProductStack((model,)), [t], p)[0]
+
+
+def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
+                               p: float) -> list[IneqReport]:
+    """check_reverse_kolmogorov of each model of the stack, at its own t."""
+    for model in stack.models:
+        _require_symmetric(model)
+    r = stack.space.r
+    _, upper = lu_constants(p / r)
+    norms, probs = stack.norms, stack.probs
+    terminal = norms[:, :, -1] ** p
+    max_sum = norms[:, :, 1:].max(axis=2)
+    star = stack.d_star ** p
+    reports = []
+    for i, t in enumerate(ts):
+        denom = float(terminal[i] @ probs[i])
+        if denom <= 0:
+            reports.append(IneqReport(inequality="reverse-kolmogorov", params={"t": t, "p": p},
+                                      lhs=0.0, rhs=0.0, holds=True, margin=0.0,
+                                      status="vacuous"))
+            continue
+        lhs = float(probs[i][max_sum[i] > t].sum())
+        rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + float(star[i] @ probs[i])) / denom)
+        reports.append(_one_sided("reverse-kolmogorov", {"t": t, "p": p, "r": r, "atoms": 1},
+                                  lhs, rhs, lower=True))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -73,8 +74,39 @@ def pmap(fn, items, workers: int = 1):
         return list(pool.map(fn, items))
 
 
-def write_csv(handle, rows: list[dict], columns: list[str]):
-    """CSV rows to an open text handle (opened with newline="" for files)."""
-    writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
-    writer.writeheader()
-    writer.writerows(rows)
+def encode_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
+    """A batch of report rows as text, in one encoding call: the items of a
+    canonical JSON list (no brackets) or CSV lines of ``columns`` (no header).
+    Batches of one report join with "," (JSON) or nothing (CSV)."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore").writerows(rows)
+        return buffer.getvalue()
+    return canonical_json(rows)[1:-1]
+
+
+def write_report(handle, report: dict, chunks, fmt: str, columns: list[str]):
+    """Write a report whose rows are the encoded batches ``chunks``.
+
+    JSON gives ``canonical_json`` of the report with those rows as its
+    results, and a newline; CSV gives the header and the rows.  Each chunk is
+    written as it is, so the rows are never joined into one string.  Open
+    files with newline="".
+    """
+    if fmt == "csv":
+        csv.DictWriter(handle, fieldnames=columns).writeheader()
+        for chunk in chunks:
+            handle.write(chunk)
+        return
+    text = canonical_json({**report, "results": []})
+    # keys sort, and the keys after "results" (samples, seed, tool, version)
+    # hold numbers and plain strings, so the last match is the report's own
+    cut = text.rindex('"results":[') + len('"results":[')
+    handle.write(text[:cut])
+    sep = ""
+    for chunk in chunks:
+        if chunk:
+            handle.write(sep)
+            handle.write(chunk)
+            sep = ","
+    handle.write(text[cut:] + "\n")

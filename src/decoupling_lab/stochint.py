@@ -183,14 +183,17 @@ def gamma_norm(
     E || sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm} ||^2: a closed form when the
     norm is euclidean, a small Monte Carlo average otherwise.
 
-    The average is one matrix product per block of inner draws: the scaled
-    draws, shape (inner, intervals*rank), times the coefficients laid out once
-    as a contiguous (intervals*rank, x_dim*paths) matrix give each draw's
-    series as an (x_dim, paths) slab, so the norm reduces across x_dim element
-    by element over contiguous rows of paths.  A block holds the series, the
-    norm's |series| temporary and the norms, (2*x_dim + 1)*paths floats per
-    draw, within BLOCK_FLOATS; each draw's squared norms are added in draw
-    order.
+    The closed form squares and contracts the coefficients in blocks of
+    paths, each within BLOCK_FLOATS.  The average is one matrix product per
+    block of inner draws: the scaled draws, shape (inner, intervals*rank),
+    times the coefficients laid out once as a contiguous
+    (intervals*rank, x_dim*paths) matrix give each draw's series as an
+    (x_dim, paths) slab, so the norm reduces across x_dim element by element
+    over contiguous rows of paths.  A block holds the series, the norm's
+    |series| temporary and the sums taken beside it, within BLOCK_FLOATS:
+    (2*x_dim + 1)*paths floats per draw, or (2*x_dim + x_dim/d)*paths for a
+    nested norm, whose first sums fold its innermost d coordinates.  Each
+    draw's squared norms are added in draw order.
     """
     proc.check_driver(driver)
     lengths = np.diff(driver.grid[list(proc.partition)])
@@ -198,7 +201,12 @@ def gamma_norm(
     if exact:
         if not is_hilbert_like(space):
             raise ModelError("exact gamma norms need an inner-product norm")
-        sq = np.einsum("pnmx,n->p", coefs ** 2, lengths)
+        rows = max(1, BLOCK_FLOATS // max(1, math.prod(coefs.shape[1:])))
+        sq = np.empty(coefs.shape[0])
+        for start in range(0, coefs.shape[0], rows):
+            block = np.square(coefs[start:start + rows])
+            sq[start:start + rows] = np.einsum("pnmx,n->p", block, lengths)
+            del block  # freed before the next block is squared
         if space.kind == "nested":
             # all exponents 2: ||x||^2 averages x_i^2 with weight 1 / prod d_i
             sq = sq / space.dim
@@ -209,7 +217,8 @@ def gamma_norm(
     scaled = scaled.reshape(inner, -1)
     paths, x_dim = coefs.shape[0], proc.x_dim
     mat = np.ascontiguousarray(coefs.transpose(1, 2, 3, 0)).reshape(-1, x_dim * paths)
-    rows = max(1, BLOCK_FLOATS // max(1, (2 * x_dim + 1) * paths))
+    sums = x_dim // space.shape[-1][1] if space.kind == "nested" else 1
+    rows = max(1, BLOCK_FLOATS // max(1, (2 * x_dim + sums) * paths))
     total = np.zeros(paths)
     for start in range(0, inner, rows):
         series = (scaled[start:start + rows] @ mat).reshape(-1, x_dim, paths)

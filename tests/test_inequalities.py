@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import io
+import json
 import math
 import tracemalloc
 
@@ -11,7 +12,8 @@ import pytest
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, format_space, nested, seq_lp, sup_norm
+from decoupling_lab.spaces import (euclid, format_space, lu_constants, nested, parse_space,
+                                   seq_lp, sup_norm)
 
 
 def unit_pw_pair(depth):
@@ -66,6 +68,17 @@ def test_power_functional():
     assert iq.power(2.0) is phi and iq.power(3.0) is not phi
     out = phi(np.array([1.0, 2.0]))
     assert np.allclose(out, [1.0, 4.0])
+
+
+@pytest.mark.parametrize("phi", [iq.power(0.5), iq.power(2.0), iq.power(3.7),
+                                 iq.power_log(1.0), iq.power_log(2.5)], ids=lambda phi: phi.name)
+def test_functional_on_arrays_matches_the_elementwise_calls(phi):
+    gen = np.random.default_rng(5)
+    t = np.abs(gen.standard_normal((81, 27))) * np.logspace(-3, 3, 27)
+    t[0, :4] = [0.0, 1.0, 1e-300, 2.0 ** 60]
+    for arr in (t, t.T, t[::2, 1::3], t[5, 7], np.arange(12).reshape(3, 4)):
+        want = np.array([phi.fn(float(x)) for x in np.ravel(arr)]).reshape(np.shape(arr))
+        np.testing.assert_array_equal(phi(arr), want)
 
 
 def test_power_log_is_admissible():
@@ -167,10 +180,13 @@ def test_product_suites_build_each_model_once(monkeypatch):
     import decoupling_lab.cli as cli
 
     built = []
-    to_sequence = iq.ProductModel.to_sequence
-    monkeypatch.setattr(iq.ProductModel, "to_sequence",
-                        lambda model: built.append(model) or to_sequence(model))
-    # contraction reads its sub-sum off the model's own enumeration
+    partial_sums = iq.ProductStack.partial_sums.func
+    counted = functools.cached_property(
+        lambda stack: built.extend(stack.models) or partial_sums(stack))
+    counted.__set_name__(iq.ProductStack, "partial_sums")
+    monkeypatch.setattr(iq.ProductStack, "partial_sums", counted)
+    # each model is enumerated in one stack; contraction reads its sub-sum
+    # off that enumeration
     for suite in ("levy", "revkol", "contraction", "symsum"):
         built.clear()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -180,20 +196,103 @@ def test_product_suites_build_each_model_once(monkeypatch):
         assert len({id(model) for model in built}) == len(built), suite
 
 
-def test_levy_suite_forms_increment_norms_only_for_max_term(monkeypatch):
-    # the levy suite alternates max-sum and max-term; only max-term reads the
-    # increment norms, so 10 trials build them 5 times
+def _per_trial_values(suite, model, t, p, variant, mults):
+    """(lhs, rhs) of one product-suite trial, from the model's own adapted
+    sequence (AdaptedSequence's partial sums, not a stack): the checks as they
+    ran one model at a time."""
+    space = model.space
+    tree = pm.FiltrationTree(model.laws)
+    tables = [np.broadcast_to(law.values.reshape(law.size, -1),
+                              (tree.num_nodes(n), law.size, space.dim))
+              for n, law in enumerate(model.laws)]
+    seq = pm.AdaptedSequence(tree, space, tables)
+    norms, probs = seq.partial_sum_norms, tree.path_probs
+    thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
+    _, upper = lu_constants(p / space.r)
+    if suite == "levy":
+        stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else seq.d_star
+        return float(probs[stat > t].sum()), 2.0 * float(probs[norms[:, -1] > thresh].sum())
+    if suite == "contraction":
+        sub = np.zeros((tree.path_count, seq.dim))
+        for n, m in enumerate(mults, start=1):
+            if m == 1.0:
+                sub += seq.path_increments(n)
+        return (float(probs[space.norms(sub) > t].sum()),
+                2.0 * float(probs[norms[:, -1] > thresh].sum()))
+    if suite == "revkol":
+        denom = float((norms[:, -1] ** p) @ probs)
+        star = float((seq.d_star ** p) @ probs)
+        return (float(probs[norms[:, 1:].max(axis=1) > t].sum()),
+                2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom))
+    total = space.norms(seq.partial_sums[:, -1]) ** p
+    return (float((space.norms(seq.path_increments(1)) ** p) @ probs),
+            2.0 ** (1.0 - p) * upper * float(total @ probs))
+
+
+@pytest.mark.parametrize("text", ["l2:4", "lp:0.5:3", "lp:3:8", "linf:3", "nested:1x2,3x2"])
+def test_stacked_product_reports_match_per_trial(text, monkeypatch):
     import decoupling_lab.cli as cli
 
+    space, p, depth, seed, trials = parse_space(text), 1.5, 6, 4, 24
+    stacks = []
+    init = iq.ProductStack.__init__
+    monkeypatch.setattr(iq.ProductStack, "__init__",
+                        lambda stack, models: stacks.append(models) or init(stack, models))
+    for suite in ("levy", "contraction", "revkol", "symsum"):
+        # three ranges, so shape groups span ranges as with --workers 3
+        rows = []
+        for start, stop in ((0, 7), (7, 16), (16, trials)):
+            chunks, failed = cli._verify_one((suite, text, p, depth, start, stop, seed, "json"))
+            rows += json.loads("[" + ",".join(chunks) + "]")
+            assert not failed
+        assert [row["model"] for row in rows] == list(range(trials))
+        want, alone = [], 0
+        for index in range(trials):
+            gen = stream(seed, "verify", suite, index)
+            if suite == "symsum":
+                xi, zeta = (iq.random_symmetric_law(gen, space.dim) for _ in range(2))
+                model, rep = iq.ProductModel(space, (xi, zeta)), iq.check_symsum(space, xi, zeta, p)
+                want.append(_per_trial_values(suite, model, 0.0, p, None, None))
+            else:
+                model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
+                factor = float(gen.choice([0.5, 1.0, 1.5]))
+                mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
+                         if suite == "contraction" else None)
+                f_star = model.to_sequence().partial_sum_norms.max(axis=1)
+                t = (float(np.quantile(f_star, 0.7)) or 1.0) * factor
+                variant = ("max-sum", "max-term")[index % 2]
+                want.append(_per_trial_values(suite, model, t, p, variant, mults))
+                rep = {"levy": lambda: iq.check_levy(model, t, variant),
+                       "contraction": lambda: iq.check_contraction(model, mults, t),
+                       "revkol": lambda: iq.check_reverse_kolmogorov(model, t, p)}[suite]()
+            # the checker is the stack of one, and gives the row the stack gives
+            assert {**rep.as_dict(), "model": index} == rows[index]
+            alone += model.floats > pm.BATCH_FLOATS
+        for i, key in enumerate(("lhs", "rhs")):
+            np.testing.assert_array_equal([row[key] for row in rows], [w[i] for w in want])
+        if suite != "symsum":
+            assert alone > 0, suite
+    # a stack over BATCH_FLOATS holds one model; the others hold at most that
+    for models in stacks:
+        assert len(models) == 1 or sum(m.floats for m in models) <= pm.BATCH_FLOATS
+    assert any(len(models) > 2 for models in stacks)
+
+
+def test_levy_forms_increment_norms_only_for_max_term(monkeypatch):
+    # only max-term reads d*, the increment norms (one norm per atom), so a
+    # stack forms them only when one of its trials takes that variant
     built = []
-    increment_norms = pm.AdaptedSequence.increment_norms.func
-    counted = functools.cached_property(lambda seq: built.append(seq) or increment_norms(seq))
-    counted.__set_name__(pm.AdaptedSequence, "increment_norms")
-    monkeypatch.setattr(pm.AdaptedSequence, "increment_norms", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--suite", "levy", "--space", "l2:2", "--trials", "10",
-                         "--seed", "0", "--workers", "1"]) == 0
-    assert len(built) == 5
+    d_star = iq.ProductStack.d_star.func
+    counted = functools.cached_property(lambda stack: built.append(stack) or d_star(stack))
+    counted.__set_name__(iq.ProductStack, "d_star")
+    monkeypatch.setattr(iq.ProductStack, "d_star", counted)
+    model = rademacher_model(3)
+    iq.check_levy(model, 1.0, "max-sum")
+    iq.levy_reports(iq.ProductStack((model, model)), [1.0, 0.5], ["max-sum", "max-sum"])
+    assert built == []
+    iq.levy_reports(iq.ProductStack((model, model)), [1.0, 0.5], ["max-sum", "max-term"])
+    iq.check_levy(model, 1.0, "max-term")
+    assert len(built) == 2
 
 
 def test_scalar_and_column_atoms_give_the_same_reports():
@@ -281,13 +380,14 @@ def test_contraction_sub_sum_matches_the_scaled_model_bit_for_bit(space, monkeyp
         signed_zeros += sum(np.signbit(law.values[law.values == 0]).any()
                             for law in scaled.laws)
         want = scaled.to_sequence().partial_sum_norms[:, -1]
-        # the sub-sum's norms are the one per-path vector the check takes
+        # the sub-sum's norms are the one (models, outcomes) array the check
+        # takes, here for a stack of one
         seen = []
         monkeypatch.setattr(type(space), "norms",
                             lambda self, arr: seen.append(norms(self, arr)) or seen[-1])
         iq.check_contraction(model, mults, 1.0)
         monkeypatch.undo()
-        [got] = [out for out in seen if out.ndim == 1]
+        [got] = [out[0] for out in seen if out.ndim == 2]
         np.testing.assert_array_equal(got, want)
     assert signed_zeros > 0
 

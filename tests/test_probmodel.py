@@ -537,12 +537,27 @@ def naive_gaps(pair):
     return tangency, independence
 
 
+def late_rows_pair(mode):
+    """A pair on asymmetric 3-, 2-, 3- and 2-letter levels whose rows differ
+    only at level 3: one row at parent 1, another at every other parent, and
+    one row for every parent at the other levels.  Its copy gaps then sit at
+    level 3, where the omega~ nodes' digit-reversed order is not their
+    natural order, and depend on the mass of the nodes that read parent 1's
+    row (with a row of its own at every parent the largest gap would not)."""
+    tree = pm.FiltrationTree([ENGINE_LEVELS[3], ENGINE_LEVELS[2]] * 2)
+    seq = pm.random_general_sequence(stream(8, "late-rows"), tree, euclid(2))
+    tables = [np.broadcast_to(t[:1], t.shape).copy() for t in seq.tables]
+    tables[2][1] = seq.tables[2][1]
+    return pm.TangentPair(pm.AdaptedSequence(tree, seq.space, tables), mode)
+
+
 @pytest.mark.parametrize("mode", ["decoupled", "copy"])
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(9))
 def test_verifiers_match_naive_gaps(mode, case):
     # asymmetric two- and three-letter levels, depth 1..4: omega~ node masses
-    # differ, so a row read at the wrong omega~ node moves the copy's gaps
-    pair = engine_pair(case, mode, False, 3)
+    # differ, so a row read at the wrong omega~ node moves the copy's gaps;
+    # case 8 has its copy-mode gaps past level 2 only
+    pair = engine_pair(case, mode, False, 3) if case < 8 else late_rows_pair(mode)
     tangency, independence = naive_gaps(pair)
     assert pm.verify_tangency(pair).gap == pytest.approx(tangency, abs=1e-12)
     assert pm.verify_conditional_independence(pair).gap == pytest.approx(independence, abs=1e-12)

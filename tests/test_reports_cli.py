@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,12 +87,14 @@ def test_pmap_starts_at_most_one_process_per_item(monkeypatch):
 
 def test_write_csv(tmp_path):
     path = tmp_path / "rows.csv"
+    chunks = [rp.encode_rows(rows, "csv", ["a", "b"]) for rows in
+              ([{"a": 1, "b": 2, "junk": 9}], [], [{"a": 3}])]
     with open(path, "w", newline="") as handle:
-        rp.write_csv(handle, [{"a": 1, "b": 2, "junk": 9}, {"a": 3}], ["a", "b"])
+        rp.write_report(handle, {}, chunks, "csv", ["a", "b"])
     lines = path.read_text().splitlines()
     assert lines == ["a,b", "1,2", "3,"]
     buffer = io.StringIO()
-    rp.write_csv(buffer, [], ["a", "b"])
+    rp.write_report(buffer, {}, [], "csv", ["a", "b"])
     assert buffer.getvalue().splitlines() == ["a,b"]
 
 
@@ -309,12 +313,115 @@ def test_verify_worker_count_is_invisible(tmp_path):
     assert cli.main(base + ["--workers", "1", "--out", str(serial)]) == 0
     assert cli.main(base + ["--workers", "4", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+    # every suite, in one range per suite and in two or three ranges
+    for space in ("linf:3", "nested:1x2,3x2"):
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"all-{workers}.json"
+            assert cli.main(["verify", "--suite", "all", "--trials", "7", "--space", space,
+                             "--depth", "3", "--seed", "3", "--workers", workers,
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2], space
+
+
+SUBCOMMANDS = [
+    ["verify", "--suite", "all", "--space", "lp:0.5:2", "--depth", "3", "--trials", "3"],
+    ["estimate", "--space", "l2:2", "--depth", "2", "--trials", "10", "--restarts", "1"],
+    ["bounds", "--formula", "extrap-c", "--p", "2", "--q", "4", "--A", "2", "--b", "0.1"],
+    ["bdg", "--space", "linf:2", "--p", "1", "2", "--samples", "300", "--steps", "8"],
+    ["atlas", "--spaces", "l2:2,linf:2", "--ps", "1,2", "--depth", "2", "--trials", "10",
+     "--restarts", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_spliced_report_is_the_canonical_report(argv, capsys):
+    # the writer puts the envelope around the encoded batches of rows; the
+    # result is canonical_json of the whole report, and CSV the same rows
+    base = argv + ["--seed", "0", "--workers", "1"]
+    assert cli.main(base) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["results"]
+    assert text == rp.canonical_json(report) + "\n"
+    assert cli.main(base + ["--format", "csv"]) == 0
+    table = capsys.readouterr().out
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=table.splitlines()[0].split(","),
+                            extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(report["results"])
+    assert table == buffer.getvalue()
+
+
+def test_write_report_splices_batches_into_the_canonical_report():
+    rows = [{"b": i, "a": [0.1 * i, {"z": None, "y": 'q"uote'}], "results": i % 2 == 0}
+            for i in range(7)]
+    report = rp.envelope("demo", {"results": "[]", "x": 1.5}, [], seed=3, method="exact")
+    for cuts in ((), (3,), (0, 2, 2, 7)):
+        bounds = (0, *cuts, len(rows))
+        chunks = [rp.encode_rows(rows[a:b], "json", []) for a, b in zip(bounds, bounds[1:])]
+        buffer = io.StringIO()
+        rp.write_report(buffer, report, chunks, "json", [])
+        assert buffer.getvalue() == rp.canonical_json({**report, "results": rows}) + "\n"
+    buffer = io.StringIO()
+    rp.write_report(buffer, report, [], "json", [])
+    assert buffer.getvalue() == rp.canonical_json(report) + "\n"
+
+
+def test_verify_holds_little_beyond_its_encoded_report(tmp_path):
+    # rows are encoded batch by batch and only the text is kept, so what the
+    # run holds beside that text does not grow with the trial count.  On
+    # l2:32 at depth 2 a product batch (BATCH_FLOATS) holds at most 42
+    # trials; the report of 150 trials is 0.5 MiB, and holding its rows as
+    # dicts would add 3 MiB.
+    def extra(trials):
+        out = tmp_path / f"{trials}.json"
+        argv = ["verify", "--suite", "all", "--space", "l2:32", "--depth", "2",
+                "--trials", str(trials), "--seed", "1", "--workers", "1", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.stat().st_size
+
+    extra(5)  # caches filled once per process
+    small, large = extra(50), extra(150)
+    assert large <= small + 128 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # the window table of trial 0 is over budget
+    (["verify", "--suite", "goodlambda", "--space", "l2:16", "--depth", "2", "--trials", "6"], 100),
+    # a tangency range is encoded before the levy suite's first model is refused
+    (["verify", "--suite", "all", "--space", "l2:16", "--depth", "2", "--trials", "6"], 100),
+    # trial 0 is encoded before trial 1's ten levels are refused
+    (["verify", "--suite", "levy", "--space", "l2:4", "--depth", "12", "--trials", "2"], None),
+], ids=["window-table", "after-tangency-rows", "after-a-product-batch"])
+def test_mid_run_refusal_writes_nothing(argv, limit, tmp_path, monkeypatch, capsys):
+    import decoupling_lab.inequalities as iq
+    import decoupling_lab.probmodel as pm
+
+    if limit is not None:
+        monkeypatch.setattr(pm, "JOINT_LIMIT", limit)
+        monkeypatch.setattr(iq, "JOINT_LIMIT", limit)
+    base = argv + ["--seed", "0", "--workers", "1"]
+    assert cli.main(base) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "over budget" in err and "Traceback" not in err
+    target = tmp_path / "report.json"
+    assert cli.main(base + ["--out", str(target)]) == 2
+    assert not target.exists()
 
 
 def test_verify_exit_one_on_exact_failure(monkeypatch, capsys):
     def broken(task):
-        return [{"inequality": "demo", "holds": False, "method": "exact",
+        rows = [{"inequality": "demo", "holds": False, "method": "exact",
                  "lhs": 2.0, "rhs": 1.0, "margin": -1.0, "model": 0}]
+        return [rp.encode_rows(rows, "json", cli.VERIFY_COLUMNS)], True
 
     monkeypatch.setattr(cli, "_verify_one", broken)
     rc = cli.main(["verify", "--suite", "levy", "--trials", "1", "--workers", "1"])

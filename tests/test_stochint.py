@@ -283,11 +283,15 @@ def test_gamma_norm_mc_matches_series_formula(text):
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("text", ["linf:16", "lp:3:16", "lp:0.5:16"])
+@pytest.mark.parametrize("text", ["linf:16", "lp:3:16", "lp:0.5:16", "nested:1x2,3x2",
+                                  "nested:1x16,3x2", "nested:0.5x8,3x2"])
 def test_gamma_norm_mc_memory_within_block_budget(monkeypatch, text):
-    # blocks of 32 draws; the coefficient matrix (4 intervals, rank 1) is small
-    # next to a block, so an (inner, paths, dim) series, or a norm temporary
-    # the budget does not count, overruns the bound by at least 1 MiB
+    # blocks of 32 draws for linf/lp; the coefficient matrix (4 intervals,
+    # rank 1) is small next to a block, so an (inner, paths, dim) series, or a
+    # norm temporary the budget does not count, overruns the bound by at least
+    # 1 MiB.  A nested norm's first sums (dim / 2 per vector here) are alive
+    # beside its |series| temporary: left uncounted, they overrun it on
+    # nested:1x16,3x2 and nested:0.5x8,3x2.
     space, paths, inner = parse_space(text), 256, 200
     drv = st.BrownianDriver(1, steps=8)
     proc = st.make_family("adapted-sign", space, drv)
@@ -302,6 +306,32 @@ def test_gamma_norm_mc_memory_within_block_budget(monkeypatch, text):
         tracemalloc.stop()
     draws = inner * proc.intervals * proc.rank
     assert peak <= 8 * (st.BLOCK_FLOATS + coefs.size + draws) + 256 * 1024
+
+
+@pytest.mark.parametrize("text", ["l2:1", "l2:4", "l2:9", "l2:16", "nested:2x2,2x3", "nested:2x4"])
+@pytest.mark.parametrize("family", ["deterministic", "rotating", "adapted-sign"])
+def test_exact_gamma_blocks_match_the_whole_contraction(monkeypatch, text, family):
+    space, paths = parse_space(text), 1000
+    drv = st.BrownianDriver(3, steps=12)
+    proc = st.make_family(family, space, drv)
+    _, _, dW = next(iter(drv.increment_chunks(paths, 4)))
+    coefs = proc.coefficients(dW)
+    sq = np.einsum("pnmx,n->p", coefs ** 2, np.diff(drv.grid[list(proc.partition)]))
+    want = np.sqrt(sq / space.dim if space.kind == "nested" else sq)
+    per_path = math.prod(coefs.shape[1:])
+    # one block, then blocks of 7 paths with a partial last block (1000 = 142 * 7 + 6)
+    for budget in (st.BLOCK_FLOATS, 7 * per_path):
+        monkeypatch.setattr(st, "BLOCK_FLOATS", budget)
+        np.testing.assert_array_equal(st.gamma_norm(proc, drv, coefs, space, exact=True), want)
+    # at the 7-path budget a block's squares and the per-path sums are all
+    # the route holds beside the coefficients (l2:16: 1.4 MiB of coefficients)
+    tracemalloc.start()
+    try:
+        st.gamma_norm(proc, drv, coefs, space, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (st.BLOCK_FLOATS + 2 * paths) + 64 * 1024
 
 
 def test_bdg_report_does_not_depend_on_blas_threads():
