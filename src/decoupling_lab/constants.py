@@ -356,17 +356,18 @@ def replay_witness(witness: dict) -> TangentPair:
 
 def estimate_from_flat(
     family: str, depth: int, space: Space, flat: np.ndarray, p: float, direction: str,
-    method: str = "exact", samples: int = 0, seed: int = 0, evaluations: int = 0,
+    seed: int = 0, evaluations: int = 0,
 ) -> ConstantEstimate:
+    """The exact estimate of a witness, replayed from its serialized form."""
     witness = make_witness(family, depth, space, flat)
-    value = ratio(replay_witness(witness), p, direction, method=method, samples=samples, seed=seed)
+    value = ratio(replay_witness(witness), p, direction)
     return ConstantEstimate(
         space=format_space(space),
         p=p,
         direction=direction,
         ratio=value,
-        method=method,
-        samples=samples,
+        method="exact",
+        samples=0,
         seed=seed,
         witness=witness,
         witness_hash=config_hash(witness)[:16],

@@ -20,10 +20,12 @@ from .probmodel import (
     EnumerationError,
     FiltrationTree,
     JOINT_LIMIT,
+    LAW_TOL,
     Level,
     ModelError,
     TangentPair,
     joint_blocks,
+    symmetry_gaps,
 )
 from .spaces import Space, lu_constants
 
@@ -167,20 +169,22 @@ class ProductModel:
         """The enumerated partial sums: outcomes x (levels + 1) x dim floats."""
         return self.outcome_count * (len(self.laws) + 1) * self.space.dim
 
-    def to_sequence(self) -> AdaptedSequence:
-        """The model as an adapted sequence on the tree whose levels are its laws.
+    def require_enumerable(self):
+        """EnumerationError when the partial sums exceed JOINT_LIMIT floats."""
+        if self.floats > JOINT_LIMIT:
+            raise EnumerationError(f"product model needs {self.floats} partial-sum "
+                                   f"floats, over budget {JOINT_LIMIT}")
 
-        Its partial sums are the model's enumeration as a stack of one
-        (ProductStack), which also refuses a model over the budget.
-        """
-        stack = ProductStack((self,))
+    def to_sequence(self) -> AdaptedSequence:
+        """The model as an adapted sequence on the tree whose levels are its laws;
+        a model over the budget is refused before anything is allocated."""
+        self.require_enumerable()
         tree = FiltrationTree(self.laws)
         # every level is independent of the past: its law's atoms on each parent
-        tables = [np.broadcast_to(atoms[0], (tree.num_nodes(n),) + atoms.shape[1:])
-                  for n, atoms in enumerate(stack.atoms)]
-        seq = AdaptedSequence(tree, self.space, tables)
-        seq.__dict__["partial_sums"] = stack.partial_sums[0]
-        return seq
+        tables = [np.broadcast_to(law.values.reshape(law.size, -1),
+                                  (tree.num_nodes(n), law.size, self.space.dim))
+                  for n, law in enumerate(self.laws)]
+        return AdaptedSequence(tree, self.space, tables)
 
 
 class ProductStack:
@@ -202,9 +206,7 @@ class ProductStack:
         for model in self.models:
             if model.space != self.space or model.shape != self.shape:
                 raise ModelError("stacked product models need one space and one shape")
-            if model.floats > JOINT_LIMIT:
-                raise EnumerationError(f"product model needs {model.floats} partial-sum "
-                                       f"floats, over budget {JOINT_LIMIT}")
+            model.require_enumerable()
         self.outcomes = self.models[0].outcome_count
 
     @functools.cached_property
@@ -214,13 +216,24 @@ class ProductStack:
                 for n, size in enumerate(self.shape)]
 
     @functools.cached_property
+    def masses(self) -> list[np.ndarray]:
+        """Per level, the laws' masses: (models, atoms)."""
+        return [np.stack([m.laws[n].probs for m in self.models]) for n in range(len(self.shape))]
+
+    @functools.cached_property
     def probs(self) -> np.ndarray:
         """Outcome masses, (models, outcomes): the laws' masses multiplied in level order."""
         out = np.ones((len(self.models), 1))
-        for n in range(len(self.shape)):
-            masses = np.array([m.laws[n].probs for m in self.models])
+        for masses in self.masses:
             out = (out[:, :, None] * masses[:, None, :]).reshape(len(self.models), -1)
         return out
+
+    def require_symmetric(self, levels: Sequence[int], message: str):
+        """ModelError(message) unless every model's laws at these levels
+        (0-based) are symmetric: one symmetry_gaps call per level."""
+        for n in levels:
+            if (symmetry_gaps(self.atoms[n], self.masses[n]) > LAW_TOL).any():
+                raise ModelError(message)
 
     def _digits(self, n: int) -> np.ndarray:
         """The atom of law n (1-based) that each outcome reads."""
@@ -260,17 +273,13 @@ class ProductStack:
         return out
 
 
-def _require_symmetric(model: ProductModel):
-    for law in model.laws:
-        if not law.is_symmetric():
-            raise ModelError("increment laws must be symmetric for this bound")
-
-
 # ---------------------------------------------------------------------------
 # distributional bounds for independent symmetric sums
 #
 # Each bound is checked on a ProductStack, one report per model; the
 # check_* functions are its stack of one.
+
+SYMMETRIC_LAWS = "increment laws must be symmetric for this bound"
 
 
 def check_levy(model: ProductModel, t: float, variant: str = "max-sum") -> IneqReport:
@@ -288,8 +297,7 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
     for variant in variants:
         if variant not in ("max-sum", "max-term"):
             raise ValueError(f"unknown variant {variant!r}")
-    for model in stack.models:
-        _require_symmetric(model)
+    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
     r = stack.space.r
     norms, probs = stack.norms, stack.probs
     max_sum = norms[:, :, 1:].max(axis=2)
@@ -317,9 +325,9 @@ def check_contraction(model: ProductModel, multipliers: Sequence[float], t: floa
 def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[float]],
                         ts: Sequence[float]) -> list[IneqReport]:
     """check_contraction of each model of the stack, with its own multipliers and t."""
+    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
     rows = []
     for model, row in zip(stack.models, multipliers):
-        _require_symmetric(model)
         mults = [float(m) for m in row]
         if len(mults) != len(model.laws):
             raise ModelError("need one multiplier per increment")
@@ -354,9 +362,7 @@ def check_symsum(space: Space, xi: Level, zeta: Level, p: float) -> IneqReport:
 
 def symsum_reports(stack: ProductStack, p: float) -> list[IneqReport]:
     """check_symsum of each two-law model (xi, zeta) of the stack."""
-    for model in stack.models:
-        if not model.laws[1].is_symmetric():
-            raise ModelError("zeta must be symmetric")
+    stack.require_symmetric([1], "zeta must be symmetric")
     space, probs = stack.space, stack.probs
     first = space.norms(stack.increments(1)) ** p
     total = space.norms(stack.partial_sums[:, :, -1]) ** p
@@ -378,8 +384,7 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
 def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
                                p: float) -> list[IneqReport]:
     """check_reverse_kolmogorov of each model of the stack, at its own t."""
-    for model in stack.models:
-        _require_symmetric(model)
+    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
     r = stack.space.r
     _, upper = lu_constants(p / r)
     norms, probs = stack.norms, stack.probs

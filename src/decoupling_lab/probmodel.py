@@ -35,6 +35,8 @@ import numpy as np
 from . import rng
 from .spaces import Space, format_space, parse_space
 
+# Largest mass gap at which two finite laws count as equal.
+LAW_TOL = 1e-12
 # Hard ceiling on exact product-space enumeration (outcome pairs).
 JOINT_LIMIT = 10_000_000
 # Floats held by one block of an exact enumerator (joint_blocks, sign patterns).
@@ -52,36 +54,33 @@ class ModelError(ValueError):
     pass
 
 
-def _atom(vec) -> bytes:
-    """Exact label of a vector atom; 0.0 and -0.0 share one label."""
-    return (np.asarray(vec) + 0.0).tobytes()
+def atom_ids(vectors) -> np.ndarray:
+    """The exact atom id of each row of a (count, width) batch of vectors.
+
+    Rows share an id when their bytes after + 0.0 agree, so 0.0 and -0.0 are
+    one atom, and so are NaNs with one payload; ids run 0.. in byte order.
+    Masses are np.bincount(ids, weights=probs), which adds them in input order.
+    """
+    rows = np.ascontiguousarray(vectors, dtype=float) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    return np.unique(keys, return_inverse=True)[1]
 
 
-def _merge_law(vectors, probs) -> dict:
-    """A finite law as {atom label: mass}; masses add up in input order."""
-    masses: dict[bytes, float] = {}
-    for vec, p in zip(vectors, probs):
-        key = _atom(vec)
-        masses[key] = masses.get(key, 0.0) + p
-    return masses
-
-
-def _law_gap(law_a: dict, law_b: dict) -> float:
-    keys = set(law_a) | set(law_b)
-    return max(float(abs(law_a.get(k, 0) - law_b.get(k, 0))) for k in keys)
-
-
-def _law_ids(vectors, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Atom id of every vector and the mass of every atom, ids in first-seen order."""
-    law = _merge_law(vectors, probs)
-    index = {key: i for i, key in enumerate(law)}
-    return np.array([index[_atom(v)] for v in vectors]), np.array(list(law.values()))
-
-
-def symmetry_gap(vectors, probs) -> float:
-    """Largest mass gap between the law of the vectors and that of their negatives."""
-    vectors = np.asarray(vectors)
-    return _law_gap(_merge_law(vectors, probs), _merge_law(-vectors, probs))
+def symmetry_gaps(values, probs) -> np.ndarray:
+    """Per law of a batch, the largest mass gap between the law of its atoms
+    and that of their negatives: values (laws, atoms[, dim]), probs (laws, atoms)."""
+    laws, atoms = np.shape(probs)
+    vectors = np.asarray(values, dtype=float).reshape(laws, 1, atoms, -1)
+    # each atom keyed by its law's index, so that every id belongs to one law
+    law = np.broadcast_to(np.arange(laws, dtype=float)[:, None, None, None], (laws, 2, atoms, 1))
+    ids = atom_ids(np.concatenate([law, np.concatenate([vectors, -vectors], axis=1)],
+                                  axis=3).reshape(laws * 2 * atoms, -1)).reshape(laws, 2, atoms)
+    count = int(ids.max()) + 1
+    weights = np.ravel(probs)
+    gap = np.abs(np.bincount(ids[:, 0].reshape(-1), weights, count)
+                 - np.bincount(ids[:, 1].reshape(-1), weights, count))
+    # every atom of a law, or of its negative, is one of the law's ids
+    return gap[ids].reshape(laws, -1).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,33 +88,38 @@ class Level:
     """A finite law: an innovation level of a tree, or one term of a product model.
 
     values is a read-only float array, shaped (size,) for scalar atoms or
-    (size, dim) for vector atoms, all finite.  probs is a tuple of finite,
-    strictly positive float masses summing to one (to 1e-9).
+    (size, dim) for vector atoms, all finite.  probs is a read-only float
+    array, shaped (size,), of finite, strictly positive masses summing to one
+    (to 1e-9).
     """
 
     values: np.ndarray
-    probs: tuple
+    probs: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
+        probs = np.array(self.probs, dtype=float)
+        values.flags.writeable = probs.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if values.ndim == 0 or len(values) != len(self.probs) or not self.probs:
+        object.__setattr__(self, "probs", probs)
+        if values.ndim == 0 or probs.ndim != 1 or len(values) != len(probs) or not len(probs):
             raise ModelError("values and probs must be non-empty and aligned")
         if not np.isfinite(values).all():
             raise ModelError("values must be finite")
-        if not all(0 < p < math.inf for p in self.probs):
+        # the masses as Python floats: faster than ufuncs on a few atoms, and
+        # summed left to right
+        masses = probs.tolist()
+        if not all(0 < p < math.inf for p in masses):
             raise ModelError("probabilities must be finite and strictly positive")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if abs(sum(masses) - 1.0) > 1e-9:
             raise ModelError("probabilities must sum to one")
 
     @property
     def size(self) -> int:
         return len(self.values)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return symmetry_gap(self.values, self.probs) <= tol
+    def is_symmetric(self) -> bool:
+        return bool(symmetry_gaps(self.values[None], self.probs[None])[0] <= LAW_TOL)
 
 
 class FiltrationTree:
@@ -162,9 +166,6 @@ class FiltrationTree:
         factor = self._counts[n] // self._counts[k]
         return np.asarray(node_ids, dtype=np.int64) // factor
 
-    def level_probs(self, n: int) -> np.ndarray:
-        return np.array(self.levels[n - 1].probs, dtype=float)
-
     @cached_property
     def digit_reversed(self) -> tuple[np.ndarray, ...]:
         """Per depth n, the node ids in digit-reversed order: the depth-n node
@@ -186,7 +187,7 @@ class FiltrationTree:
     def node_probs(self, n: int) -> np.ndarray:
         probs = np.ones(1)
         for level in self.levels[:n]:
-            probs = np.multiply.outer(probs, np.array(level.probs)).reshape(-1)
+            probs = np.multiply.outer(probs, level.probs).reshape(-1)
         return probs
 
 
@@ -288,22 +289,14 @@ class AdaptedSequence:
         """max_n ||d_n|| per path."""
         return self.increment_norms.max(axis=1)
 
-    def node_d_star(self, n: int) -> np.ndarray:
-        """Running max of increment norms as a depth-n node function."""
-        out = np.zeros(1)
-        for m in range(1, n + 1):
-            norms = self.space.norms(self.increments(m))
-            out = np.maximum(np.repeat(out, self.tree.sizes[m - 1]), norms)
-        return out
-
     def terminal_moment(self, p: float) -> float:
         return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
 
-    def is_conditionally_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_conditionally_symmetric(self) -> bool:
         """True when every conditional increment law is negation-invariant."""
-        for n, table in enumerate(self.tables, start=1):
-            probs = self.tree.level_probs(n)
-            if any(symmetry_gap(row, probs) > tol for row in table):
+        for level, table in zip(self.tree.levels, self.tables):
+            probs = np.broadcast_to(level.probs, table.shape[:2])
+            if (symmetry_gaps(table, probs) > LAW_TOL).any():
                 return False
         return True
 
@@ -335,7 +328,7 @@ def sequence_spec(seq: AdaptedSequence) -> dict:
     """Plain-data description of a sequence, suitable for JSON round trips."""
     return {
         "space": format_space(seq.space),
-        "levels": [{"values": level.values.tolist(), "probs": list(level.probs)}
+        "levels": [{"values": level.values.tolist(), "probs": level.probs.tolist()}
                    for level in seq.tree.levels],
         "tables": [t.tolist() for t in seq.tables],
     }
@@ -443,60 +436,51 @@ def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
     return seq.tables[n - 1][rows].reshape(-1, seq.dim)
 
 
-def verify_tangency(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
+def verify_tangency(pair: TangentPair) -> CheckResult:
     """Check L(e_n | F_inf) = L(d_n | F_{n-1}) on every atom, every level.
 
     The law of d_n on a depth-(n-1) atom is the increment table row; that of
     e_n given a path mixes, by omega~ node mass, the rows e_rows gives the
     joint engine at the path's head.  Heads that read their own ancestors'
     rows have a gap of exactly 0.0 and are skipped (_head_groups), so a
-    correct decoupled pair gives 0.0.  Laws are finite measures on exact value
-    labels with float masses, equal when no mass differs by more than tol.
+    correct decoupled pair gives 0.0.  Laws are finite measures on exact atoms
+    (atom_ids) with float masses, equal when no mass differs by more than
+    LAW_TOL.  Each level's e-law and rows share one set of atom ids.
     """
     seq, tree = pair.seq, pair.tree
     worst = 0.0
     for members in _head_groups(tree, pair.mode):
         for n in range(1, tree.depth + 1):
-            e_law = _merge_law(_e_values(seq, pair.mode, members[0], n), tree.node_probs(n))
-            for u in np.unique(tree.ancestor(members, tree.depth - 1, n - 1)):
-                d_law = _merge_law(seq.tables[n - 1][u], tree.levels[n - 1].probs)
-                worst = max(worst, _law_gap(d_law, e_law))
-    return CheckResult(worst <= tol, worst, "tangency")
+            e_values = _e_values(seq, pair.mode, members[0], n)
+            rows = seq.tables[n - 1][np.unique(tree.ancestor(members, tree.depth - 1, n - 1))]
+            ids = atom_ids(np.concatenate([e_values, rows.reshape(-1, seq.dim)]))
+            count = int(ids.max()) + 1
+            e_law = np.bincount(ids[:len(e_values)], tree.node_probs(n), count)
+            for row_ids in ids[len(e_values):].reshape(len(rows), -1):
+                d_law = np.bincount(row_ids, tree.levels[n - 1].probs, count)
+                worst = max(worst, float(np.max(np.abs(d_law - e_law))))
+    return CheckResult(worst <= LAW_TOL, worst, "tangency")
 
 
-def _factorization_gap(level_masses, joint_keys, joint_masses) -> float:
-    """Max gap between a joint law and the product of its marginals.
-
-    level_masses: per level, mass of each distinct value id; the joint law is
-    compared on the dense grid of all id combinations (guarded by callers).
-    """
-    shape = tuple(len(m) for m in level_masses)
-    product = reduce(np.multiply.outer, level_masses).reshape(-1)
-    joint = np.zeros(len(product))
-    flat = np.ravel_multi_index(joint_keys, shape)
-    np.add.at(joint, flat, joint_masses)
-    return float(np.max(np.abs(joint - product)))
-
-
-def verify_conditional_independence(pair: TangentPair, tol: float = 1e-12) -> CheckResult:
+def verify_conditional_independence(pair: TangentPair) -> CheckResult:
     """Check that the joint law of (e_1..e_N) given F_inf, along every omega~
     path from the rows e_rows gives the joint engine, is the product of its
     marginals, once per head group (_head_groups; a correct decoupled pair has
-    none, so its gap is exactly 0.0)."""
+    none, so its gap is exactly 0.0).  The joint law is compared on the dense
+    grid of all combinations of the levels' atom ids."""
     seq, tree = pair.seq, pair.tree
     worst = 0.0
     for members in _head_groups(tree, pair.mode):
-        level_ids, level_masses = [], []
-        for n in range(1, tree.depth + 1):
-            values = _e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)]
-            ids, masses = _law_ids(values, tree.path_probs)
-            level_ids.append(ids)
-            level_masses.append(masses)
-        if math.prod(len(m) for m in level_masses) > JOINT_LIMIT:
+        ids = [atom_ids(_e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)])
+               for n in range(1, tree.depth + 1)]
+        masses = [np.bincount(level_ids, tree.path_probs) for level_ids in ids]
+        shape = tuple(len(m) for m in masses)
+        if math.prod(shape) > JOINT_LIMIT:
             raise EnumerationError("factorization grid too large")
-        worst = max(worst, _factorization_gap(level_masses, tuple(level_ids),
-                                              tree.path_probs))
-    return CheckResult(worst <= tol, worst, "conditional independence")
+        product = reduce(np.multiply.outer, masses).reshape(-1)
+        joint = np.bincount(np.ravel_multi_index(ids, shape), tree.path_probs, len(product))
+        worst = max(worst, float(np.max(np.abs(joint - product))))
+    return CheckResult(worst <= LAW_TOL, worst, "conditional independence")
 
 
 def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
@@ -510,17 +494,17 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
     """
     seq = pair.seq
     small_tables, big_tables = [], []
-    for n in range(1, seq.depth + 1):
-        table = seq.tables[n - 1]
+    d_star = np.zeros(1)  # d*_{n-1} per depth-(n-1) node
+    for n, table in enumerate(seq.tables, start=1):
+        norms = seq.space.norms(table)  # (parents, a_n)
         if n == 1:
             small_tables.append(np.zeros_like(table))
             big_tables.append(table.copy())
-            continue
-        bound = 2.0 * seq.node_d_star(n - 1)  # per parent node
-        norms = seq.space.norms(table)        # (parents, a_n)
-        keep = (norms <= bound[:, None]).astype(float)[:, :, None]
-        small_tables.append(table * keep)
-        big_tables.append(table * (1.0 - keep))
+        else:
+            keep = (norms <= 2.0 * d_star[:, None]).astype(float)[:, :, None]
+            small_tables.append(table * keep)
+            big_tables.append(table * (1.0 - keep))
+        d_star = np.maximum(d_star[:, None], norms).reshape(-1)
     small = AdaptedSequence(seq.tree, seq.space, small_tables)
     big = AdaptedSequence(seq.tree, seq.space, big_tables)
     return TangentPair(small, pair.mode), TangentPair(big, pair.mode)
@@ -672,14 +656,14 @@ class WindowTable:
         self.norms: dict[tuple[int, int], np.ndarray] = {}
         for k in range(depth):
             # window (k, k+1]: the level's own rows, one combo per innovation
-            total, probs = seq.tables[k], tree.level_probs(k + 1)
+            total, probs = seq.tables[k], tree.levels[k].probs
             for l in range(k + 1, depth + 1):
                 if l > k + 1:
                     # node u*a + j at depth l-1 adds its row to the sums of its parent u
                     parents, a = tree.num_nodes(l - 2), tree.sizes[l - 2]
                     rows = seq.tables[l - 1].reshape(parents, a, 1, tree.sizes[l - 1], dim)
                     total = (total[:, None, :, None] + rows).reshape(parents * a, -1, dim)
-                    probs = np.multiply.outer(probs, tree.level_probs(l)).reshape(-1)
+                    probs = np.multiply.outer(probs, tree.levels[l - 1].probs).reshape(-1)
                 vals = space.norms(total) ** p @ probs
                 norms = vals ** (1.0 / p)
                 norms.flags.writeable = False
@@ -763,9 +747,9 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
     g_terminal = np.zeros((count, dim))
     for start, stop, gen in rng.chunk_streams(seed, "sample-paths", count):
         rows = stop - start
-        picks = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.level_probs(n))
+        picks = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.levels[n - 1].probs)
                  for n in range(1, depth + 1)]
-        picks_t = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.level_probs(n))
+        picks_t = [gen.choice(tree.sizes[n - 1], size=rows, p=tree.levels[n - 1].probs)
                    for n in range(1, depth + 1)]
         f = f_terminal[start:stop]
         g = g_terminal[start:stop]

@@ -278,6 +278,56 @@ def test_stacked_product_reports_match_per_trial(text, monkeypatch):
     assert any(len(models) > 2 for models in stacks)
 
 
+def test_product_stack_checks_symmetry_once_per_level(monkeypatch):
+    # every model's law at a level is checked in one symmetry_gaps call
+    calls = []
+    gaps = pm.symmetry_gaps
+    monkeypatch.setattr(iq, "symmetry_gaps",
+                        lambda values, probs: calls.append(values.shape) or gaps(values, probs))
+    gen = stream(11, "symmetry-calls")
+    stack = iq.ProductStack([iq.random_product_model(gen, euclid(2), levels=4) for _ in range(3)])
+    for check in (lambda: iq.levy_reports(stack, [1.0] * 3, ["max-sum", "max-term", "max-sum"]),
+                  lambda: iq.contraction_reports(stack, [[1.0, 0.0, 1.0, 1.0]] * 3, [1.0] * 3),
+                  lambda: iq.reverse_kolmogorov_reports(stack, [1.0] * 3, 1.5)):
+        calls.clear()
+        check()
+        assert calls == [(3, 4, 2)] * 4
+    pairs = iq.ProductStack([iq.ProductModel(euclid(2), (iq.random_symmetric_law(gen, 2, 1),
+                                                         iq.random_symmetric_law(gen, 2, 3)))
+                             for _ in range(5)])
+    calls.clear()
+    iq.symsum_reports(pairs, 1.5)
+    assert calls == [(5, 6, 2)]
+
+
+def test_asymmetric_laws_raise_the_same_error_from_every_check():
+    gen = stream(12, "asymmetric")
+    good = iq.random_product_model(gen, euclid(2), levels=3)
+    # four atoms, as the symmetric laws have; (1, 0) has mass 1/4, (-1, 0) mass 1/2
+    lopsided = iq.Level(np.array([[1.0, 0.0], [-1.0, -0.0], [2.0, 1.0], [-1.0, 0.0]]),
+                        (0.25, 0.25, 0.25, 0.25))
+    assert not lopsided.is_symmetric()
+    bad = iq.ProductModel(euclid(2), good.laws[:2] + (lopsided,))
+    stack = iq.ProductStack((good, bad))
+    laws = "^increment laws must be symmetric for this bound$"
+    for check in (lambda: iq.levy_reports(stack, [1.0, 1.0], ["max-sum", "max-term"]),
+                  lambda: iq.contraction_reports(stack, [[1.0, 1.0, 0.0]] * 2, [1.0, 1.0]),
+                  lambda: iq.reverse_kolmogorov_reports(stack, [1.0, 1.0], 2.0),
+                  lambda: iq.check_levy(bad, 1.0, "max-term"),
+                  lambda: iq.check_contraction(bad, [1.0, 0.0, 1.0], 1.0),
+                  lambda: iq.check_reverse_kolmogorov(bad, 1.0, 2.0)):
+        with pytest.raises(pm.ModelError, match=laws):
+            check()
+    zeta = iq.random_symmetric_law(gen, 2)
+    pairs = iq.ProductStack([iq.ProductModel(euclid(2), (zeta, law)) for law in (zeta, lopsided)])
+    with pytest.raises(pm.ModelError, match="^zeta must be symmetric$"):
+        iq.symsum_reports(pairs, 1.0)
+    with pytest.raises(pm.ModelError, match="^zeta must be symmetric$"):
+        iq.check_symsum(euclid(2), zeta, lopsided, 1.0)
+    # symsum asks nothing of xi
+    assert iq.check_symsum(euclid(2), lopsided, zeta, 1.0).holds
+
+
 def test_levy_forms_increment_norms_only_for_max_term(monkeypatch):
     # only max-term reads d*, the increment norms (one norm per atom), so a
     # stack forms them only when one of its trials takes that variant
@@ -535,7 +585,7 @@ def reference_window_norm(pair, p, k, l):
         rep //= sizes[i]
         idx = np.tile(np.repeat(np.arange(sizes[i]), rep), combos // (rep * sizes[i]))
         picks[i] = idx
-        probs *= tree.level_probs(m)[idx]
+        probs *= tree.levels[m - 1].probs[idx]
     node_ids = np.arange(tree.num_nodes(l - 1))
     total = np.zeros((node_ids.size, combos, seq.dim))
     for i, m in enumerate(range(k + 1, l + 1)):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, seq_lp, sup_norm
+from decoupling_lab.spaces import euclid, format_space, seq_lp, sup_norm
 
 
 def unit_pw_seq(depth, dim=1):
@@ -77,6 +78,14 @@ def test_level_values_are_read_only():
     assert level.values.dtype == float and level.values.shape == (2, 2)
     scalar = pm.Level((1, -1), (0.5, 0.5))
     assert scalar.values.shape == (2,) and not scalar.values.flags.writeable
+    # the masses too: a read-only float array of its own
+    masses = np.array([0.25, 0.75])
+    level = pm.Level((1.0, -1.0), masses)
+    with pytest.raises(ValueError):
+        level.probs[0] = 0.5
+    masses[0] = 0.5
+    assert level.probs.tolist() == [0.25, 0.75] and level.probs.dtype == float
+    assert not scalar.probs.flags.writeable and scalar.probs.shape == (2,)
 
 
 def test_ancestor_consistency():
@@ -303,6 +312,43 @@ def test_davis_split_growing_increments():
     assert all(np.array_equal(a, b) for a, b in zip(big.seq.tables, seq.tables))
 
 
+def reference_davis_tables(seq):
+    """The split tables with d*_{n-1} re-normed from level 1 at every level."""
+    small, big = [np.zeros_like(seq.tables[0])], [seq.tables[0].copy()]
+    for n in range(2, seq.depth + 1):
+        d_star = np.zeros(1)
+        for m in range(1, n):
+            norms = seq.space.norms(seq.increments(m))
+            d_star = np.maximum(np.repeat(d_star, seq.tree.sizes[m - 1]), norms)
+        table = seq.tables[n - 1]
+        keep = (seq.space.norms(table) <= 2.0 * d_star[:, None]).astype(float)[:, :, None]
+        small.append(table * keep)
+        big.append(table * (1.0 - keep))
+    return small, big
+
+
+@pytest.mark.parametrize("space", [euclid(2), seq_lp(0.5, 3), sup_norm(3)], ids=format_space)
+def test_davis_split_norms_each_level_once(space, monkeypatch):
+    # the running d* is carried across levels: one norm call per level, and
+    # the tables of the split that re-norms every earlier level
+    tree = pm.FiltrationTree([ENGINE_LEVELS[n] for n in (1, 0, 3, 2)])
+    for mode in ("decoupled", "copy"):
+        seq = pm.random_general_sequence(stream(4, "davis-norms", str(space)), tree, space)
+        want = reference_davis_tables(seq)
+        calls = []
+        norms = type(space).norms
+        monkeypatch.setattr(type(space), "norms",
+                            lambda self, arr: calls.append(arr.shape) or norms(self, arr))
+        parts = pm.davis_split(pm.TangentPair(seq, mode))
+        monkeypatch.undo()
+        assert len(calls) == tree.depth
+        for part, tables in zip(parts, want):
+            assert part.mode == mode
+            for got, ref in zip(part.seq.tables, tables):
+                np.testing.assert_array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 # ---------------------------------------------------------------------------
 # exact joint moments
 
@@ -394,7 +440,7 @@ def engine_pair(case, mode, symmetric, letters):
     to 3 letters; the case number fixes the depth, the space and the draws."""
     gen = stream(case, "engine-ref")
     choices = [lv for lv in ENGINE_LEVELS
-               if lv.size <= letters and (lv.probs == lv.probs[::-1]) == symmetric]
+               if lv.size <= letters and np.array_equal(lv.probs, lv.probs[::-1]) == symmetric]
     tree = pm.FiltrationTree([choices[int(gen.integers(len(choices)))]
                               for _ in range(1 + case % 4)])
     space = (euclid(2), seq_lp(0.5, 3), sup_norm(2))[case % 3]
@@ -563,6 +609,182 @@ def test_verifiers_match_naive_gaps(mode, case):
     assert pm.verify_conditional_independence(pair).gap == pytest.approx(independence, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# finite laws against the bytes-keyed dict reference
+
+
+def ref_atom(vec) -> bytes:
+    """Exact label of a vector atom; 0.0 and -0.0 share one label."""
+    return (np.asarray(vec) + 0.0).tobytes()
+
+
+def ref_merge_law(vectors, probs) -> dict:
+    """A finite law as {atom label: mass}; masses add up in input order."""
+    masses = {}
+    for vec, p in zip(vectors, probs):
+        key = ref_atom(vec)
+        masses[key] = masses.get(key, 0.0) + p
+    return masses
+
+
+def ref_law_gap(law_a, law_b) -> float:
+    keys = set(law_a) | set(law_b)
+    return max(float(abs(law_a.get(k, 0) - law_b.get(k, 0))) for k in keys)
+
+
+def ref_law_ids(vectors, probs):
+    """Atom id of every vector and the mass of every atom, ids in first-seen order."""
+    law = ref_merge_law(vectors, probs)
+    index = {key: i for i, key in enumerate(law)}
+    return np.array([index[ref_atom(v)] for v in vectors]), np.array(list(law.values()))
+
+
+def ref_symmetry_gap(vectors, probs) -> float:
+    vectors = np.asarray(vectors)
+    return ref_law_gap(ref_merge_law(vectors, probs), ref_merge_law(-vectors, probs))
+
+
+def ref_tangency_gap(pair) -> float:
+    seq, tree = pair.seq, pair.tree
+    worst = 0.0
+    for members in pm._head_groups(tree, pair.mode):
+        for n in range(1, tree.depth + 1):
+            e_law = ref_merge_law(pm._e_values(seq, pair.mode, members[0], n), tree.node_probs(n))
+            for u in np.unique(tree.ancestor(members, tree.depth - 1, n - 1)):
+                d_law = ref_merge_law(seq.tables[n - 1][u], tree.levels[n - 1].probs)
+                worst = max(worst, ref_law_gap(d_law, e_law))
+    return worst
+
+
+def ref_factorization_gap(pair) -> float:
+    seq, tree = pair.seq, pair.tree
+    worst = 0.0
+    for members in pm._head_groups(tree, pair.mode):
+        level_ids, level_masses = [], []
+        for n in range(1, tree.depth + 1):
+            values = pm._e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)]
+            ids, masses = ref_law_ids(values, tree.path_probs)
+            level_ids.append(ids)
+            level_masses.append(masses)
+        product = reduce(np.multiply.outer, level_masses).reshape(-1)
+        joint = np.zeros(len(product))
+        flat = np.ravel_multi_index(tuple(level_ids), tuple(len(m) for m in level_masses))
+        np.add.at(joint, flat, tree.path_probs)
+        worst = max(worst, float(np.max(np.abs(joint - product))))
+    return worst
+
+
+# two NaN payloads; negating either flips its sign bit only
+NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+
+
+def law_stack(gen, laws, atoms, dim, symmetric):
+    """(laws, atoms[, dim]) atoms from a small alphabet with 0.0 and -0.0,
+    repeated atoms, and masses uniform or not; symmetric laws pair each atom
+    with its negative (so atoms is even there)."""
+    shape = (laws, atoms // 2 if symmetric else atoms) + (() if dim is None else (dim,))
+    values = gen.choice([0.0, -0.0, 1.0, -1.0, 0.5, 3.0], size=shape)
+    if symmetric:
+        values = np.concatenate([values, -values], axis=1)
+    if gen.random() < 0.3:
+        probs = np.full((laws, atoms), 1.0 / atoms)
+    else:
+        weights = gen.uniform(0.1, 1.0, size=(laws, atoms // 2 if symmetric else atoms))
+        probs = np.concatenate([weights, weights], axis=1) if symmetric else weights
+        probs = probs / probs.sum(axis=1, keepdims=True)
+    return values, probs
+
+
+def test_symmetry_gaps_match_the_dict_reference():
+    gen = stream(0, "symmetry-gaps")
+    exact_zero = nonzero = 0
+    for _ in range(400):
+        symmetric = bool(gen.random() < 0.5)
+        atoms = int(gen.integers(1, 4)) * 2 if symmetric else int(gen.integers(1, 7))
+        dim = (None, 1, 2, 3)[int(gen.integers(4))]
+        values, probs = law_stack(gen, int(gen.integers(1, 6)), atoms, dim, symmetric)
+        gaps = pm.symmetry_gaps(values, probs)
+        want = [ref_symmetry_gap(v, p) for v, p in zip(values, probs)]
+        np.testing.assert_array_equal(gaps, want)
+        assert [pm.Level(v, p).is_symmetric() for v, p in zip(values, probs)] == [
+            g <= 1e-12 for g in want]
+        exact_zero += int((gaps == 0.0).sum())
+        nonzero += int((gaps > 1e-12).sum())
+    assert exact_zero > 100 and nonzero > 100
+
+
+def test_conditional_symmetry_matches_the_dict_reference():
+    # tables may hold any float, NaN payloads and -0.0 included
+    tree = pm.FiltrationTree([ENGINE_LEVELS[0], ENGINE_LEVELS[1], pm.Level((2.0, 0.5, -2.0,
+                                                                            -0.5), (0.25,) * 4)])
+    gen = stream(1, "conditional-symmetry")
+    flags = []
+    for trial in range(40):
+        seq = pm.random_multiplier_sequence(gen, tree, euclid(2))
+        tables = []
+        for level, table in zip(tree.levels, seq.tables):
+            # some coordinates of some rows become c on a positive innovation,
+            # -c on a negative one and 0.0 on a zero one (symmetric laws
+            # still), or, on odd trials, c on a random innovation
+            c = gen.choice([0.0, -0.0, *NANS, *-NANS], size=table.shape[::2])[:, None, :]
+            sign = level.values[None, :, None]
+            mirrored = np.where(sign < 0, -c, np.where(sign > 0, c, 0.0))
+            hit = gen.random(table.shape[::2])[:, None, :] < 0.3
+            if trial % 2:
+                mirrored = np.where(gen.random(table.shape) < 0.5, c, table)
+            tables.append(np.where(hit, mirrored, table))
+        seq = pm.AdaptedSequence(tree, seq.space, tables)
+        want = []
+        for level, table in zip(tree.levels, tables):
+            gaps = pm.symmetry_gaps(table, np.broadcast_to(level.probs, table.shape[:2]))
+            ref = [ref_symmetry_gap(row, level.probs) for row in table]
+            np.testing.assert_array_equal(gaps, ref)
+            want += ref
+        flags.append(seq.is_conditionally_symmetric())
+        assert flags[-1] == all(g <= 1e-12 for g in want)
+    assert any(flags) and not all(flags)
+
+
+def odd_atoms_pair(case, mode):
+    """An engine pair whose tables also hold 0.0, -0.0, NaN payloads and
+    atoms repeated within and across rows."""
+    pair = engine_pair(case, mode, False, 3)
+    gen = stream(case, "odd-atoms", mode)
+    tables = [t.copy() for t in pair.seq.tables]
+    for table in tables:
+        hit = gen.random(table.shape[:2]) < 0.3
+        table[hit] = gen.choice([0.0, -0.0, *NANS, *-NANS, 1.0], size=(int(hit.sum()), 1))
+        if table.shape[1] > 1:
+            table[gen.random(len(table)) < 0.3, 1] = table[0, 0]
+    return pm.TangentPair(pm.AdaptedSequence(pair.tree, pair.space, tables), mode)
+
+
+def same_rows_pair(case, mode):
+    """A pair whose rows are one row per level, with repeated atoms, on
+    levels of three or four letters with non-dyadic masses: its copy gaps
+    are rounding errors, whose bits show the order the masses are added in."""
+    gen = stream(case, "same-rows")
+    levels = []
+    for size in (3, 4, 3):
+        weights = gen.uniform(0.1, 1.0, size=size)
+        levels.append(pm.Level(np.arange(size, dtype=float), weights / weights.sum()))
+    tree = pm.FiltrationTree(levels)
+    tables = [np.broadcast_to(gen.choice([1.0, -0.0], size=(1, size, 2)),
+                              (tree.num_nodes(n), size, 2)) for n, size in enumerate(tree.sizes)]
+    return pm.TangentPair(pm.AdaptedSequence(tree, euclid(2), tables), mode)
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "copy"])
+def test_verifier_gaps_match_the_dict_reference(mode):
+    pairs = [engine_pair(case, mode, False, 3) for case in range(8)]
+    pairs += [late_rows_pair(mode)] + [odd_atoms_pair(case, mode) for case in range(12)]
+    pairs += [same_rows_pair(case, mode) for case in range(12)]
+    for pair in pairs:
+        np.testing.assert_array_equal(pm.verify_tangency(pair).gap, ref_tangency_gap(pair))
+        np.testing.assert_array_equal(pm.verify_conditional_independence(pair).gap,
+                                      ref_factorization_gap(pair))
+
+
 def test_joint_blocks_rejects_unknown_statistic():
     pair = pm.decouple(unit_pw_seq(2))
     with pytest.raises(ValueError, match="unknown joint statistics"):
@@ -632,7 +854,8 @@ def test_sequence_spec_round_trip():
     spec = pm.sequence_spec(seq)
     back = pm.sequence_from_spec(json.loads(json.dumps(spec)))
     assert back.space == seq.space
-    assert [level.probs for level in back.tree.levels] == [level.probs for level in tree.levels]
+    assert ([level.probs.tolist() for level in back.tree.levels]
+            == [level.probs.tolist() for level in tree.levels])
     for a, b in zip(seq.tables, back.tables):
         assert np.array_equal(a, b)
     res = pm.verify_tangency(pm.decouple(back))
@@ -662,7 +885,7 @@ def test_sequence_spec_json_is_pinned():
     for seq, spec in zip(seqs, json.loads(text)):
         back = pm.sequence_from_spec(spec)
         for a, b in zip(seq.tree.levels, back.tree.levels):
-            assert np.array_equal(a.values, b.values) and a.probs == b.probs
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.probs, b.probs)
         for a, b in zip(seq.tables, back.tables):
             assert np.array_equal(a, b)
 
