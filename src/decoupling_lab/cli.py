@@ -5,24 +5,25 @@ and seed whatever ``--workers`` is: worker functions derive every stream
 from (seed, label, index) and results are merged in input order.  Exit
 codes: 0 clean, 1 when an exact-mode check reports holds=false, 2 for
 configuration errors.
+
+At module level this imports only the stdlib, reports and bounds, so
+``--help`` and ``bounds`` start without numpy.  Each handler and pool entry
+point imports what it runs inside the function, and never binds it to a
+module global: perfbench's tracer patches module attributes while it is
+installed and restores them after, and a global bound in between would keep
+the patched function.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import constants as ct
-from . import inequalities as iq
-from . import probmodel as pm
 from . import reports as rp
-from . import stochint as st
-from .rng import stream
-from .spaces import SpaceError, parse_space, split_spaces
+from .bounds import DIRECTIONS, FAMILIES, FORMULAS
 
 VERIFY_SUITES = (
     "tangency", "levy", "contraction", "symsum", "revkol",
@@ -55,7 +56,7 @@ def _positive(kind):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not 0 < value < np.inf:
+        if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
     return parse
@@ -76,6 +77,8 @@ def _positive_floats(text: str) -> list[float]:
 def _verify_one(task: tuple) -> tuple[list[str], bool]:
     """One range of a suite's trials: its rows encoded batch by batch, with
     one encoding per batch, and whether some row has holds=false."""
+    from .spaces import parse_space
+
     suite, space_text, p, depth, start, stop, seed, fmt = task
     space = parse_space(space_text)
     chunks, failed = [], False
@@ -91,6 +94,9 @@ def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int):
     suite trials run in batches of consecutive trials whose models enumerate
     at most BATCH_FLOATS partial-sum floats together (a model over that runs
     alone), checked one shape at a time on one stacked enumeration."""
+    from . import probmodel as pm
+    from .rng import stream
+
     if suite not in STACKED_SUITES:
         for index in indices:
             gen = stream(seed, "verify", suite, index)
@@ -113,6 +119,8 @@ def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int):
 def _product_draws(suite: str, space, depth: int, gen) -> tuple:
     """A product-suite trial's draws: its model, threshold factor and 0-1
     multipliers (None where the suite takes none)."""
+    from . import inequalities as iq
+
     if suite == "symsum":
         laws = (iq.random_symmetric_law(gen, space.dim), iq.random_symmetric_law(gen, space.dim))
         return iq.ProductModel(space, laws), None, None
@@ -142,6 +150,10 @@ def _product_rows(suite: str, p: float, batch: list) -> list[dict]:
 
 def _product_reports(suite: str, p: float, group: list) -> list:
     """The reports of trials of one shape, checked on one ProductStack."""
+    import numpy as np
+
+    from . import inequalities as iq
+
     indices, models, factors, mults = zip(*group)
     stack = iq.ProductStack(models)
     if suite == "symsum":
@@ -157,9 +169,13 @@ def _product_reports(suite: str, p: float, group: list) -> list:
 
 def _pair_rows(suite: str, pair, p: float, index: int) -> list[dict]:
     """The rows of trial ``index`` of a suite on a tangent pair."""
+    import numpy as np
+
+    from . import inequalities as iq
+    from . import probmodel as pm
+
     if suite == "tangency":
-        checks = (("tangency", pm.verify_tangency(pair)),
-                  ("conditional-independence", pm.verify_conditional_independence(pair)))
+        checks = zip(("tangency", "conditional-independence"), pm.verify_tangent_pair(pair))
         rows = [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
                  "margin": -res.gap, "method": "exact", "detail": res.detail}
                 for label, res in checks]
@@ -210,9 +226,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .constants import search_worst_case
+    from .spaces import parse_space
+
     seed = _resolve_seed(args.seed)
     space = parse_space(args.space)
-    est = ct.search_worst_case(
+    est = search_worst_case(
         space, args.p, direction=args.direction, family=args.family,
         budget=args.trials, restarts=args.restarts, seed=seed, depth=args.depth,
     )
@@ -228,7 +247,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     seed = _resolve_seed(args.seed)
-    fn, wanted = ct.FORMULAS[args.formula]
+    fn, wanted = FORMULAS[args.formula]
     supplied = {
         "p": args.p, "q": args.q, "A": args.A, "b": args.b, "r": args.r,
         "d": args.d, "d_const": args.d_const, "scalar_const": args.d_const,
@@ -250,6 +269,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_bdg(args) -> int:
+    from . import stochint as st
+    from .spaces import parse_space
+
     seed = _resolve_seed(args.seed)
     space = parse_space(args.space)
     driver_dim = space.dim if args.driver_dim is None else args.driver_dim
@@ -269,9 +291,12 @@ def _cmd_bdg(args) -> int:
 
 
 def _atlas_cell(task: tuple) -> dict:
+    from .constants import search_worst_case
+    from .spaces import parse_space
+
     space_text, p, direction, family, budget, restarts, depth, seed = task
     space = parse_space(space_text)
-    est = ct.search_worst_case(
+    est = search_worst_case(
         space, p, direction=direction, family=family,
         budget=budget, restarts=restarts, seed=seed, depth=depth,
     )
@@ -281,6 +306,8 @@ def _atlas_cell(task: tuple) -> dict:
 
 
 def _cmd_atlas(args) -> int:
+    from .spaces import parse_space, split_spaces
+
     seed = _resolve_seed(args.seed)
     spaces = split_spaces(args.spaces)
     if not spaces:
@@ -357,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = subs.add_parser("estimate", help="search model families for large observed ratios")
     e.add_argument("--space", required=True)
     e.add_argument("--p", type=_positive(float), default=2.0)
-    e.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
-    e.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
+    e.add_argument("--direction", choices=DIRECTIONS, default="decouple-upper")
+    e.add_argument("--family", choices=sorted(FAMILIES), default="paley-walsh-multipliers")
     e.add_argument("--depth", type=_positive(int), default=3)
     e.add_argument("--trials", type=_positive(int), default=400, help="search evaluation budget")
     e.add_argument("--restarts", type=_positive(int), default=4)
@@ -366,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=_cmd_estimate)
 
     b = subs.add_parser("bounds", help="evaluate closed-form constants")
-    b.add_argument("--formula", choices=sorted(ct.FORMULAS), required=True)
+    b.add_argument("--formula", choices=sorted(FORMULAS), required=True)
     b.add_argument("--p", type=float, default=None)
     b.add_argument("--q", type=float, default=None)
     b.add_argument("--A", type=float, default=None)
@@ -392,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = subs.add_parser("atlas", help="ratio sweep over a space x p grid")
     a.add_argument("--spaces", default="l2:2,l2:4,linf:2,linf:4")
     a.add_argument("--ps", type=_positive_floats, default="1,2,4")
-    a.add_argument("--direction", choices=ct.DIRECTIONS, default="decouple-upper")
-    a.add_argument("--family", choices=sorted(ct.FAMILIES), default="paley-walsh-multipliers")
+    a.add_argument("--direction", choices=DIRECTIONS, default="decouple-upper")
+    a.add_argument("--family", choices=sorted(FAMILIES), default="paley-walsh-multipliers")
     a.add_argument("--depth", type=_positive(int), default=3)
     a.add_argument("--trials", type=_positive(int), default=120, help="search budget per cell")
     a.add_argument("--restarts", type=_positive(int), default=2)
@@ -410,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _require_writable(args.out)
         return args.fn(args)
-    except (SpaceError, pm.ModelError, pm.EnumerationError, ValueError) as exc:
+    except ValueError as exc:  # SpaceError, ModelError and EnumerationError among them
         print(f"decoupling-lab: {exc}", file=sys.stderr)
         return 2
 

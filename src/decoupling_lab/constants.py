@@ -1,10 +1,9 @@
-"""Decoupling-constant estimation and explicit bound formulas.
+"""Decoupling-constant estimation.
 
-Two halves.  The estimation half measures moment ratios on concrete finite
-models and searches small model families for worst cases; every estimate
-carries a replayable witness.  The formula half evaluates closed-form upper
-and lower bounds in high precision via mpmath and reports them with their
-validity predicates.
+Measures moment ratios on concrete finite models and searches small model
+families for worst cases; every estimate carries a replayable witness.  The
+closed-form half, and the direction and family names, are in bounds, which
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import DIRECTIONS, FAMILIES
 from .probmodel import (
     BATCH_FLOATS,
     AdaptedSequence,
@@ -35,177 +35,6 @@ from .probmodel import (
 from .reports import config_hash
 from .rng import stream
 from .spaces import Space, format_space, parse_space
-
-DIRECTIONS = (
-    "decouple-upper",
-    "decouple-lower",
-    "randomized-plus",
-    "randomized-minus",
-)
-
-
-# ---------------------------------------------------------------------------
-# closed-form bounds
-
-
-@dataclass(frozen=True)
-class SymbolicConstant:
-    """A constant of the form coeff * 2^exp2 * e^expe, evaluated via mpmath."""
-
-    coeff: float
-    exp2: float = 0.0
-    expe: float = 0.0
-
-    @property
-    def value(self) -> float:
-        import mpmath as mp  # loaded on first use: most runs never need it
-
-        with mp.workdps(50):
-            return float(
-                mp.mpf(self.coeff) * mp.power(2, mp.mpf(self.exp2)) * mp.e ** mp.mpf(self.expe)
-            )
-
-    def expression(self) -> str:
-        return f"{self.coeff:.17g} * 2^{self.exp2:g} * e^{self.expe:g}"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    formula: str
-    params: dict
-    constant: SymbolicConstant
-    applies: bool = True
-    condition: str = ""
-
-    @property
-    def value(self) -> float:
-        return self.constant.value
-
-    def as_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "params": self.params,
-            "value": self.value,
-            "expression": self.constant.expression(),
-            "applies": self.applies,
-            "condition": self.condition,
-        }
-
-
-def extrapolation_constant(p: float, q: float, A: float, b: float, r: float = 1.0) -> BoundReport:
-    """Constant in the tail-extrapolation estimate E Phi(f*) <= C E Phi(||g||).
-
-    Valid whenever the window profile certifies conditional smallness at
-    (A, b) with b below 2^(-2p/rho + p - 1), rho = min(r, p).  The r = 1 case
-    is the Banach form; smaller r covers quasinorms at the price of a much
-    larger constant.
-    """
-    if p <= 0 or q <= 0 or A < 0 or not 0 < r <= 1:
-        raise ValueError("need p, q > 0, A >= 0, 0 < r <= 1")
-    rho = min(r, p)
-    threshold = 2.0 ** (-2.0 * p / rho + p - 1.0)
-    if not 0 < b < threshold:
-        raise ValueError(f"b must lie in (0, {threshold:.6g}) for rho={rho:g}")
-    import mpmath as mp
-
-    with mp.workdps(50):
-        pp, qq, aa, bb, rr = map(mp.mpf, (p, q, A, b, rho))
-        beta = (mp.power(2, 2 * pp / rr - pp + 1) * bb) ** (-1 / qq)
-        delta = ((beta ** rr - 1) / (2 * aa ** rr + 1)) ** (1 / rr)
-        bracket = mp.power(2, 2 * pp / rr - pp + 2 * qq / rr - qq + 1) * (
-            mp.power(2, 2 * qq) + mp.power(2, qq / rr)
-        ) * (beta / delta) ** (qq / rr) + (1 - mp.power(2, -rr)) ** (-qq / rr)
-        exp2 = 2 * qq / rr - qq + 2
-        coeff = float(bracket)
-    return BoundReport(
-        formula="extrap-c",
-        params={"p": p, "q": q, "A": A, "b": b, "r": r, "rho": rho,
-                "beta": float(beta), "delta": float(delta)},
-        constant=SymbolicConstant(coeff=coeff, exp2=float(exp2)),
-    )
-
-
-def phi_moment_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport:
-    """Growth-q moment bound from a p-th moment bound with constant d_const:
-    K <= e^q 2^(3q/p + p + 7q + 7) (q/p)^q d_const^q."""
-    if q < p or p <= 0:
-        raise ValueError("need 0 < p <= q")
-    return BoundReport(
-        formula="phi-growth",
-        params={"p": p, "q": q, "d_const": d_const},
-        constant=SymbolicConstant(
-            coeff=(q / p * d_const) ** q,
-            exp2=3.0 * q / p + p + 7.0 * q + 7.0,
-            expe=q,
-        ),
-    )
-
-
-def exponent_shift_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport:
-    """Exponent upgrade for the decoupling constant itself:
-    D_q <= e 2^(3/p + p/q + 7 + 7/q) (q/p) D_p."""
-    if q < p or p <= 0:
-        raise ValueError("need 0 < p <= q")
-    return BoundReport(
-        formula="exponent-shift",
-        params={"p": p, "q": q, "d_const": d_const},
-        constant=SymbolicConstant(
-            coeff=q / p * d_const,
-            exp2=3.0 / p + p / q + 7.0 + 7.0 / q,
-            expe=1.0,
-        ),
-    )
-
-
-def hilbert_phi_constant(q: float, d_const: float = 1.0) -> BoundReport:
-    """Growth-q moment bound in inner-product spaces: e^q 2^(11 + 8q) d_const^q."""
-    if q <= 0:
-        raise ValueError("need q > 0")
-    return BoundReport(
-        formula="hilbert-phi",
-        params={"q": q, "d_const": d_const},
-        constant=SymbolicConstant(coeff=d_const ** q, exp2=11.0 + 8.0 * q, expe=q),
-    )
-
-
-def sup_norm_upper_bound(p: float, d: int, scalar_const: float = 1.0) -> BoundReport:
-    """In sup-norm coordinates the constant is at most twice the scalar one,
-    provided the dimension is small relative to the exponent: 2^p >= d."""
-    if d < 1 or p <= 0:
-        raise ValueError("need d >= 1, p > 0")
-    applies = bool(2.0 ** p >= d)
-    # the proof's kernel: d^(1/p) <= 2; exp2 form keeps dyadic cases exact
-    kernel = 2.0 ** (math.log2(d) / p)
-    return BoundReport(
-        formula="supnorm-upper",
-        params={"p": p, "d": d, "scalar_const": scalar_const, "kernel": kernel},
-        constant=SymbolicConstant(coeff=2.0 * scalar_const),
-        applies=applies,
-        condition="2^p >= d",
-    )
-
-
-def log_dim_lower_bound(p: float, d: int) -> BoundReport:
-    """Dimension-growth lower bound in sup-norm coordinates:
-    at least (1/4) K_p^-1 sqrt(log2 d), with K_p = max(1, sqrt(p - 1))."""
-    if d < 2 or p <= 0:
-        raise ValueError("need d >= 2, p > 0")
-    k_p = max(1.0, math.sqrt(max(p - 1.0, 0.0)))
-    return BoundReport(
-        formula="logdim-lower",
-        params={"p": p, "d": d, "k_p": k_p},
-        constant=SymbolicConstant(coeff=0.25 / k_p * math.sqrt(math.log2(d))),
-    )
-
-
-FORMULAS = {
-    "extrap-c": (extrapolation_constant, ("p", "q", "A", "b", "r")),
-    "phi-growth": (phi_moment_constant, ("p", "q", "d_const")),
-    "exponent-shift": (exponent_shift_constant, ("p", "q", "d_const")),
-    "hilbert-phi": (hilbert_phi_constant, ("q", "d_const")),
-    "supnorm-upper": (sup_norm_upper_bound, ("p", "d", "scalar_const")),
-    "logdim-lower": (log_dim_lower_bound, ("p", "d")),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +136,6 @@ class ConstantEstimate:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-
-FAMILIES = {
-    "paley-walsh-multipliers": ((1.0, -1.0, 2.0, -2.0, 4.0, -4.0), "paley-walsh"),
-    "gaussian-multipliers": ((1.0, -1.0, 2.0, -2.0, 4.0, -4.0), "three-point"),
-    "supnorm-signs": ((1.0, -1.0), "paley-walsh"),
-}
 
 
 def _family_tree(kind: str, depth: int):
@@ -453,6 +276,9 @@ def search_worst_case(
                         improved = True
                         if val > best_val:
                             best_flat, best_val = flat.copy(), val
+    if best_flat is None:
+        # every measured ratio was NaN: there is no witness to report
+        raise ModelError(f"the search measured no finite ratio on {format_space(space)}")
     est = estimate_from_flat(
         family, depth, space, best_flat, p, direction, evaluations=evals, seed=seed
     )

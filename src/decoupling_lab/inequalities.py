@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import extrapolation_constant
 from .probmodel import (
     AdaptedSequence,
     EnumerationError,
@@ -354,15 +355,20 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
 
 def check_symsum(space: Space, xi: Level, zeta: Level, p: float) -> IneqReport:
     """E||xi||^p <= 2^(1-p) u_{p/r} E||xi + zeta||^p for independent symmetric zeta."""
-    # zeta is checked before the model is built, which checks xi's dimension
+    # zeta's symmetry, tested once, comes before the model's dimension checks
     if not zeta.is_symmetric():
         raise ModelError("zeta must be symmetric")
-    return symsum_reports(ProductStack((ProductModel(space, (xi, zeta)),)), p)[0]
+    return _symsum(ProductStack((ProductModel(space, (xi, zeta)),)), p)[0]
 
 
 def symsum_reports(stack: ProductStack, p: float) -> list[IneqReport]:
     """check_symsum of each two-law model (xi, zeta) of the stack."""
     stack.require_symmetric([1], "zeta must be symmetric")
+    return _symsum(stack, p)
+
+
+def _symsum(stack: ProductStack, p: float) -> list[IneqReport]:
+    """The symsum reports of a stack whose zetas are symmetric."""
     space, probs = stack.space, stack.probs
     first = space.norms(stack.increments(1)) ** p
     total = space.norms(stack.partial_sums[:, :, -1]) ** p
@@ -634,8 +640,6 @@ def check_extrapolation(
     from the pair's own (A-independent) d_hat via Chebyshev, so any pair with
     finite windows can be certified at some cost in the constant.
     """
-    from .constants import extrapolation_constant
-
     space = pair.seq.space
     rho = min(space.r, p)
     phi = power(q) if phi is None else phi

@@ -46,8 +46,9 @@ BLOCK_FLOATS = 2_000_000
 BATCH_FLOATS = 65_536
 
 
-class EnumerationError(RuntimeError):
-    """Exact enumeration would exceed JOINT_LIMIT outcomes."""
+class EnumerationError(RuntimeError, ValueError):
+    """Exact enumeration would exceed JOINT_LIMIT outcomes.  A ValueError too:
+    the limit refuses a configuration, which the CLI reports with exit 2."""
 
 
 class ModelError(ValueError):
@@ -436,20 +437,28 @@ def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
     return seq.tables[n - 1][rows].reshape(-1, seq.dim)
 
 
-def verify_tangency(pair: TangentPair) -> CheckResult:
+def verify_tangent_pair(pair: TangentPair) -> tuple[CheckResult, CheckResult]:
+    """verify_tangency and verify_conditional_independence of the pair, on
+    one _head_groups of its tree and mode."""
+    groups = _head_groups(pair.tree, pair.mode)
+    return verify_tangency(pair, groups), verify_conditional_independence(pair, groups)
+
+
+def verify_tangency(pair: TangentPair, groups: list[np.ndarray] | None = None) -> CheckResult:
     """Check L(e_n | F_inf) = L(d_n | F_{n-1}) on every atom, every level.
 
     The law of d_n on a depth-(n-1) atom is the increment table row; that of
     e_n given a path mixes, by omega~ node mass, the rows e_rows gives the
     joint engine at the path's head.  Heads that read their own ancestors'
-    rows have a gap of exactly 0.0 and are skipped (_head_groups), so a
-    correct decoupled pair gives 0.0.  Laws are finite measures on exact atoms
-    (atom_ids) with float masses, equal when no mass differs by more than
-    LAW_TOL.  Each level's e-law and rows share one set of atom ids.
+    rows have a gap of exactly 0.0 and are skipped (_head_groups, or
+    ``groups`` when given), so a correct decoupled pair gives 0.0.  Laws are
+    finite measures on exact atoms (atom_ids) with float masses, equal when no
+    mass differs by more than LAW_TOL.  Each level's e-law and rows share one
+    set of atom ids.
     """
     seq, tree = pair.seq, pair.tree
     worst = 0.0
-    for members in _head_groups(tree, pair.mode):
+    for members in _head_groups(tree, pair.mode) if groups is None else groups:
         for n in range(1, tree.depth + 1):
             e_values = _e_values(seq, pair.mode, members[0], n)
             rows = seq.tables[n - 1][np.unique(tree.ancestor(members, tree.depth - 1, n - 1))]
@@ -462,15 +471,17 @@ def verify_tangency(pair: TangentPair) -> CheckResult:
     return CheckResult(worst <= LAW_TOL, worst, "tangency")
 
 
-def verify_conditional_independence(pair: TangentPair) -> CheckResult:
+def verify_conditional_independence(pair: TangentPair,
+                                    groups: list[np.ndarray] | None = None) -> CheckResult:
     """Check that the joint law of (e_1..e_N) given F_inf, along every omega~
     path from the rows e_rows gives the joint engine, is the product of its
-    marginals, once per head group (_head_groups; a correct decoupled pair has
-    none, so its gap is exactly 0.0).  The joint law is compared on the dense
-    grid of all combinations of the levels' atom ids."""
+    marginals, once per head group (_head_groups, or ``groups`` when given; a
+    correct decoupled pair has none, so its gap is exactly 0.0).  The joint
+    law is compared on the dense grid of all combinations of the levels' atom
+    ids."""
     seq, tree = pair.seq, pair.tree
     worst = 0.0
-    for members in _head_groups(tree, pair.mode):
+    for members in _head_groups(tree, pair.mode) if groups is None else groups:
         ids = [atom_ids(_e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)])
                for n in range(1, tree.depth + 1)]
         masses = [np.bincount(level_ids, tree.path_probs) for level_ids in ids]

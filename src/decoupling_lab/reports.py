@@ -11,23 +11,25 @@ import csv
 import hashlib
 import io
 import json
-
-import numpy as np
+import sys
 
 from . import __version__
 
 
 def _coerce(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
+    # a numpy object means numpy is loaded: reports never imports it itself
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 

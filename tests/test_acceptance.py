@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import decoupling_lab.bounds as bd
 import decoupling_lab.cli as cli
 import decoupling_lab.constants as ct
 import decoupling_lab.inequalities as iq
@@ -183,7 +184,7 @@ def test_06_large_jump_geometric_bound():
 def test_07_closed_form_bounds_consistency():
     with criterion(7, "closed-form-bounds") as out:
         shift_ok = all(
-            ct.exponent_shift_constant(p, p, d_const).value >= d_const
+            bd.exponent_shift_constant(p, p, d_const).value >= d_const
             for p in (0.5, 1.0, 2.0, 4.0, 8.0)
             for d_const in (0.5, 1.0, 3.0, 10.0)
         )
@@ -191,7 +192,7 @@ def test_07_closed_form_bounds_consistency():
         ps = [0.5 * k for k in range(1, 23)]  # 0.5 .. 11.0
         for d in range(2, 1025):
             for p in ps:
-                bound = ct.sup_norm_upper_bound(p, d)
+                bound = bd.sup_norm_upper_bound(p, d)
                 want = p >= math.log2(d)
                 if bound.applies != want:
                     exceptions.append((p, d, bound.applies))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import decoupling_lab.bounds as bd
 import decoupling_lab.constants as ct
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
@@ -18,15 +19,15 @@ HILBERT_REF = 991742321.6634183           # q=2: e^2 * 2^27
 
 
 def test_symbolic_constant():
-    c = ct.SymbolicConstant(coeff=3.0, exp2=2.0)
+    c = bd.SymbolicConstant(coeff=3.0, exp2=2.0)
     assert c.value == pytest.approx(12.0, rel=1e-15)
     assert "2^2" in c.expression()
-    e = ct.SymbolicConstant(coeff=1.0, expe=1.0)
+    e = bd.SymbolicConstant(coeff=1.0, expe=1.0)
     assert e.value == pytest.approx(math.e, rel=1e-15)
 
 
 def test_extrapolation_constant_banach_point():
-    bound = ct.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -4)
+    bound = bd.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -4)
     assert bound.value == pytest.approx(EXTRAP_BANACH_REF, rel=1e-12)
     root = math.sqrt(2.0)
     closed = 64.0 * (160.0 * (6.0 + 3.0 * root) ** 2 + 1.0)
@@ -34,7 +35,7 @@ def test_extrapolation_constant_banach_point():
 
 
 def test_extrapolation_constant_quasi_point():
-    bound = ct.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -8, r=0.5)
+    bound = bd.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -8, r=0.5)
     assert bound.value == pytest.approx(EXTRAP_QUASI_REF, rel=1e-12)
     assert bound.params["rho"] == 0.5
 
@@ -48,7 +49,7 @@ def test_extrapolation_collapses_at_r1():
         q = float(gen.uniform(0.3, 4.0))
         A = float(gen.uniform(0.0, 3.0))
         b = float(gen.uniform(0.01, 0.99)) * 2.0 ** (-p - 1.0)
-        got = ct.extrapolation_constant(p, q, A, b).value
+        got = bd.extrapolation_constant(p, q, A, b).value
         inner = (1.0 - (2.0 ** (p + 1.0) * b) ** (1.0 / q)) ** -q
         want = 2.0 ** (2 * q + 2) * (
             2.0 ** (p + q + 1.0) * (2.0 ** q + 1.0) * (2.0 * A + 1.0) ** q * inner + 1.0
@@ -58,81 +59,81 @@ def test_extrapolation_collapses_at_r1():
 
 def test_extrapolation_domain():
     with pytest.raises(ValueError, match="b must lie"):
-        ct.extrapolation_constant(2.0, 2.0, 1.0, 0.2)  # above the 2^-3 threshold
+        bd.extrapolation_constant(2.0, 2.0, 1.0, 0.2)  # above the 2^-3 threshold
     with pytest.raises(ValueError, match="b must lie"):
-        ct.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -3)  # exactly the threshold
+        bd.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -3)  # exactly the threshold
     with pytest.raises(ValueError):
-        ct.extrapolation_constant(2.0, 2.0, 1.0, 0.0)
+        bd.extrapolation_constant(2.0, 2.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        ct.extrapolation_constant(-1.0, 2.0, 1.0, 0.01)
+        bd.extrapolation_constant(-1.0, 2.0, 1.0, 0.01)
     with pytest.raises(ValueError):
-        ct.extrapolation_constant(2.0, 2.0, 1.0, 0.01, r=1.5)
+        bd.extrapolation_constant(2.0, 2.0, 1.0, 0.01, r=1.5)
     # b just below the threshold is fine
-    assert ct.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -3 * 0.999).value > 0
+    assert bd.extrapolation_constant(2.0, 2.0, 1.0, 2.0 ** -3 * 0.999).value > 0
 
 
 def test_extrapolation_floor():
     # even in the friendliest regime the constant stays above 2^(2q+2)
     for q in (1.0, 2.0, 3.0):
-        bound = ct.extrapolation_constant(1.0, q, 0.0, 1e-12)
+        bound = bd.extrapolation_constant(1.0, q, 0.0, 1e-12)
         assert bound.value >= 2.0 ** (2 * q + 2)
 
 
 def test_exponent_shift_point():
-    bound = ct.exponent_shift_constant(2.0, 4.0)
+    bound = bd.exponent_shift_constant(2.0, 4.0)
     assert bound.value == pytest.approx(SHIFT_REF, rel=1e-12)
     assert bound.value == pytest.approx(math.e * 2.0 ** 11.75, rel=1e-12)
     with pytest.raises(ValueError):
-        ct.exponent_shift_constant(4.0, 2.0)
+        bd.exponent_shift_constant(4.0, 2.0)
 
 
 def test_exponent_shift_consistency():
     # the q = p instance must dominate the identity, factor e 2^(8 + 10/p) > 1
     for p in (0.5, 1.0, 2.0, 4.0, 8.0):
-        assert ct.exponent_shift_constant(p, p).value > 1.0
+        assert bd.exponent_shift_constant(p, p).value > 1.0
 
 
 def test_phi_growth_point():
-    bound = ct.phi_moment_constant(2.0, 4.0)
+    bound = bd.phi_moment_constant(2.0, 4.0)
     assert bound.value == pytest.approx(PHI_GROWTH_REF, rel=1e-12)
     assert bound.value == pytest.approx(math.e ** 4 * 2.0 ** 47, rel=1e-12)
     with pytest.raises(ValueError):
-        ct.phi_moment_constant(4.0, 2.0)
+        bd.phi_moment_constant(4.0, 2.0)
 
 
 def test_hilbert_phi_point():
-    bound = ct.hilbert_phi_constant(2.0)
+    bound = bd.hilbert_phi_constant(2.0)
     assert bound.value == pytest.approx(HILBERT_REF, rel=1e-12)
     assert bound.value == pytest.approx(math.e ** 2 * 2.0 ** 27, rel=1e-12)
     with pytest.raises(ValueError):
-        ct.hilbert_phi_constant(0.0)
+        bd.hilbert_phi_constant(0.0)
 
 
 def test_supnorm_upper_bound():
-    bound = ct.sup_norm_upper_bound(3.0, 8)
+    bound = bd.sup_norm_upper_bound(3.0, 8)
     assert bound.applies
     assert bound.params["kernel"] == 2.0  # dyadic case is exact, not just close
     assert bound.value == 2.0
-    assert not ct.sup_norm_upper_bound(2.0, 16).applies
-    assert ct.sup_norm_upper_bound(4.0, 16).applies
-    assert ct.sup_norm_upper_bound(2.0, 4).applies  # boundary 2^p = d counts
-    one = ct.sup_norm_upper_bound(0.5, 1)
+    assert not bd.sup_norm_upper_bound(2.0, 16).applies
+    assert bd.sup_norm_upper_bound(4.0, 16).applies
+    assert bd.sup_norm_upper_bound(2.0, 4).applies  # boundary 2^p = d counts
+    one = bd.sup_norm_upper_bound(0.5, 1)
     assert one.applies and one.params["kernel"] == 1.0
     with pytest.raises(ValueError):
-        ct.sup_norm_upper_bound(2.0, 0)
+        bd.sup_norm_upper_bound(2.0, 0)
 
 
 def test_log_dim_lower_bound():
-    assert ct.log_dim_lower_bound(2.0, 16).value == pytest.approx(0.5, rel=1e-14)
+    assert bd.log_dim_lower_bound(2.0, 16).value == pytest.approx(0.5, rel=1e-14)
     # grows with dimension, shrinks with p above 2
-    assert ct.log_dim_lower_bound(2.0, 256).value > ct.log_dim_lower_bound(2.0, 16).value
-    assert ct.log_dim_lower_bound(5.0, 16).value < ct.log_dim_lower_bound(2.0, 16).value
+    assert bd.log_dim_lower_bound(2.0, 256).value > bd.log_dim_lower_bound(2.0, 16).value
+    assert bd.log_dim_lower_bound(5.0, 16).value < bd.log_dim_lower_bound(2.0, 16).value
     with pytest.raises(ValueError):
-        ct.log_dim_lower_bound(2.0, 1)
+        bd.log_dim_lower_bound(2.0, 1)
 
 
 def test_formula_registry():
-    assert set(ct.FORMULAS) == {
+    assert set(bd.FORMULAS) == {
         "extrap-c",
         "phi-growth",
         "exponent-shift",
@@ -140,7 +141,7 @@ def test_formula_registry():
         "supnorm-upper",
         "logdim-lower",
     }
-    report = ct.sup_norm_upper_bound(2.0, 16).as_dict()
+    report = bd.sup_norm_upper_bound(2.0, 16).as_dict()
     assert report["applies"] is False and report["condition"] == "2^p >= d"
 
 

@@ -1,8 +1,10 @@
 """Every module of the package uses every name it imports, every top-level
-name it defines is referred to somewhere, and importing the CLI loads neither
-mpmath, the process pool nor fractions."""
+name it defines is referred to somewhere, and each subcommand loads only the
+modules it runs: --help and bounds load no numpy, and a one-worker run loads
+neither the process pool nor fractions."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -113,11 +115,46 @@ def test_no_unreferenced_top_level_names(path):
     assert unreferenced_names(path.read_text(), others) == []
 
 
-def test_cli_import_defers_mpmath_and_the_process_pool():
-    code = ("import sys, decoupling_lab.cli; "
-            "print(sorted(m for m in ('mpmath', 'concurrent.futures.process', 'fractions') "
-            "if m in sys.modules))")
+# Each subcommand imports only the package modules it runs; every run also
+# loads cli, reports and bounds (the argument parser's name tables).
+IMPORT_SETS = {
+    "help": (["--help"], []),
+    "bounds": (["bounds", "--formula", "extrap-c", "--p", "2", "--q", "4", "--A", "2",
+                "--b", "0.1"], []),
+    "estimate": (["estimate", "--space", "l2:2", "--depth", "2", "--trials", "4",
+                  "--restarts", "1"], ["constants", "probmodel", "rng", "spaces"]),
+    "atlas": (["atlas", "--spaces", "l2:2", "--ps", "2", "--depth", "2", "--trials", "4",
+               "--restarts", "1"], ["constants", "probmodel", "rng", "spaces"]),
+    "bdg": (["bdg", "--space", "l2:2", "--p", "2", "--samples", "64", "--steps", "4"],
+            ["probmodel", "rng", "spaces", "stochint"]),
+    "verify": (["verify", "--suite", "all", "--depth", "2", "--trials", "2"],
+               ["inequalities", "probmodel", "rng", "spaces"]),
+}
+
+RUN_CLI = """
+import contextlib, io, json, sys
+from decoupling_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_SETS))
+def test_each_subcommand_imports_only_what_it_runs(command):
+    argv, runs = IMPORT_SETS[command]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--seed", "0", "--workers", "1"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    package = sorted(m.split(".")[1] for m in modules if m.startswith("decoupling_lab."))
+    assert package == sorted(["bounds", "cli", "reports", *runs])
+    # bounds and --help start without numpy; mpmath only evaluates closed forms
+    assert ("numpy" in modules) == bool(runs)
+    assert ("mpmath" in modules) == (command in ("bounds", "verify"))
+    # one worker starts no process pool, and nothing loads fractions
+    assert not {"concurrent.futures.process", "fractions"} & set(modules)

@@ -456,6 +456,23 @@ def test_symsum_point_mass_cases():
     assert rep3.holds and rep3.margin == pytest.approx(0.0, abs=1e-12)
 
 
+def test_check_symsum_tests_symmetry_once(monkeypatch):
+    calls = []
+    gaps = pm.symmetry_gaps
+
+    def counted(*args):
+        calls.append(args)
+        return gaps(*args)
+
+    # Level.is_symmetric reads probmodel's name, ProductStack inequalities'
+    monkeypatch.setattr(pm, "symmetry_gaps", counted)
+    monkeypatch.setattr(iq, "symmetry_gaps", counted)
+    gen = stream(8, "symsum-once")
+    xi, zeta = iq.random_symmetric_law(gen, 2), iq.random_symmetric_law(gen, 2)
+    assert iq.check_symsum(euclid(2), xi, zeta, 1.0).holds
+    assert len(calls) == 1
+
+
 def test_symsum_quasinorm():
     gen = stream(8, "symsum-quasi")
     xi = iq.random_symmetric_law(gen, 2)

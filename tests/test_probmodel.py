@@ -246,6 +246,27 @@ def test_random_pairs_are_tangent(seed, symmetric):
     assert pm.verify_conditional_independence(pair).gap <= 1e-12
 
 
+def test_a_tangency_trial_forms_its_head_groups_once(monkeypatch, capsys):
+    import decoupling_lab.cli as cli
+
+    calls = []
+    groups = pm._head_groups
+    monkeypatch.setattr(pm, "_head_groups",
+                        lambda tree, mode: calls.append(mode) or groups(tree, mode))
+    argv = ["verify", "--suite", "tangency", "--space", "l2:2", "--depth", "3",
+            "--trials", "6", "--seed", "0", "--workers", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
+    # one set of groups gives each verifier's own result, with groups or without
+    gen = stream(4, "head-groups")
+    for _ in range(4):
+        pair = pm.random_pair(gen, euclid(2), max_depth=4)
+        for candidate in (pair, pm.independent_copy(pair.seq)):
+            assert pm.verify_tangent_pair(candidate) == (
+                pm.verify_tangency(candidate), pm.verify_conditional_independence(candidate))
+
+
 # A wrong row pick in pm.e_rows, the rule the joint engine reads, fails the
 # verifiers: they read the same rule.
 

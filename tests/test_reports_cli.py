@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import decoupling_lab.cli as cli
+import decoupling_lab.constants as ct
 import decoupling_lab.reports as rp
 from decoupling_lab import __version__
 
@@ -161,6 +162,34 @@ def test_bounds_csv_output(tmp_path, capsys):
     assert stdout.count(b"\r\n") == 5  # header and one row per cell
 
 
+@pytest.mark.parametrize("argv", [
+    ["--formula", "extrap-c", "--p", "2", "--q", "1e300", "--A", "2", "--b", "0.1"],  # delta = 0
+    ["--formula", "phi-growth", "--p", "1", "--q", "1e300"],  # (q/p)^q overflows
+    ["--formula", "hilbert-phi", "--q", "1e300"],  # 2^(11 + 8q) is infinite
+    ["--formula", "supnorm-upper", "--p", "1e-300", "--d", "3"],  # the kernel overflows
+    ["--formula", "exponent-shift", "--p", "nan", "--q", "2"],  # a NaN parameter
+], ids=lambda argv: argv[1])
+def test_bounds_without_a_finite_value_exit_2(argv, capsys):
+    assert cli.main(["bounds", *argv, "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"decoupling-lab: formula {argv[1]} has no finite value at these parameters\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--space", "lp:1e300:2", "--depth", "2", "--trials", "2"],
+    ["estimate", "--space", "lp:1e-300:2", "--depth", "2", "--trials", "2"],
+    ["atlas", "--spaces", "lp:1e300:2"],
+])
+def test_search_without_a_finite_ratio_exits_2(argv, capsys):
+    # every ratio on these spaces is NaN, so no witness is ever accepted
+    with np.errstate(all="ignore"):
+        assert cli.main([*argv, "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("decoupling-lab: the search measured no finite ratio on lp:")
+    assert "Traceback" not in err
+
+
 def test_bad_space_is_a_config_error(capsys):
     rc = cli.main(["estimate", "--space", "l3:4", "--workers", "1"])
     assert rc == 2
@@ -224,7 +253,7 @@ def test_empty_model_configs_exit_2(argv, flag, capsys):
 ])
 def test_too_large_search_models_exit_2_before_the_start_is_drawn(argv, monkeypatch, capsys):
     # a depth-30 tree has 2^31 - 2 multiplier slots: 16 GiB of start letters
-    monkeypatch.setattr(cli.ct, "stream", lambda *labels: pytest.fail("drew a start"))
+    monkeypatch.setattr(ct, "stream", lambda *labels: pytest.fail("drew a start"))
     assert cli.main([*argv, "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("decoupling-lab:") and "exceed budget" in err
@@ -239,6 +268,17 @@ def test_too_large_product_models_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("decoupling-lab:") and "46137344 partial-sum floats" in err
     assert "over budget" in err and "Traceback" not in err
+
+
+def test_a_failed_witness_replay_is_not_a_config_error(monkeypatch):
+    # exit 2 catches ValueError, which EnumerationError is too; a search whose
+    # witness replays to another value is a bug and must end in a traceback
+    def replays_wrong(*args, **kwargs):
+        raise RuntimeError("witness replays to 1.0, the search measured 2.0")
+
+    monkeypatch.setattr(ct, "search_worst_case", replays_wrong)
+    with pytest.raises(RuntimeError, match="witness replays"):
+        cli.main(["estimate", "--space", "l2:2", "--workers", "1"])
 
 
 def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
