@@ -2,7 +2,8 @@
 
 Every checker returns an :class:`IneqReport` rather than a bare bool so that
 callers (tests, the CLI, the atlas) can record the two sides, the margin and
-the method actually used.  Every check enumerates its finite model exactly.
+the method actually used.  Every check enumerates its finite model exactly,
+and every verdict is decided by one rule, :func:`_one_sided`.
 """
 
 from __future__ import annotations
@@ -66,15 +67,35 @@ class IneqReport:
         return out
 
 
-def _one_sided(inequality: str, params: dict, lhs: float, rhs: float,
-               lower: bool = False) -> IneqReport:
-    """The report of lhs <= rhs (or lhs >= rhs when lower), up to 1e-12."""
-    if lower:
-        holds, margin = lhs >= rhs - 1e-12, lhs - rhs
+def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
+               scaled: bool = False, status: str = "ok", extra: dict | None = None) -> IneqReport:
+    """The report of lhs <= rhs (lhs >= rhs when lower): the module's one verdict rule.
+
+    The margin is rhs - lhs (lhs - rhs when lower) and the check holds when
+    margin >= -slack.  The slack is 1e-12 on unit-free sides (probabilities and
+    their ratios) and 1e-12 * max(|lhs|, |rhs|) on sides that scale with the
+    model (``scaled``: moments and norms), so an exact 2^k rescaling of a model
+    never moves a verdict.  lhs and rhs may be aligned arrays of sides: the
+    report gives their first element of least margin, and holds only when every
+    element holds.  A side that is not finite has no verdict: ModelError.
+    """
+    if isinstance(lhs, (int, float)):
+        lhs, rhs = float(lhs), float(rhs)
+        finite = math.isfinite(lhs) and math.isfinite(rhs)
+        size = max(abs(lhs), abs(rhs))
     else:
-        holds, margin = lhs <= rhs + 1e-12, rhs - lhs
-    return IneqReport(inequality=inequality, params=params, lhs=lhs, rhs=rhs,
-                      holds=holds, margin=margin)
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        finite = bool(np.isfinite(lhs).all() and np.isfinite(rhs).all())
+        size = np.maximum(np.abs(lhs), np.abs(rhs))
+    if not finite:
+        raise ModelError(f"{inequality}: a side is not finite, so the check has no verdict")
+    margin = lhs - rhs if lower else rhs - lhs
+    holds = margin >= -1e-12 * (size if scaled else 1.0)
+    if isinstance(margin, np.ndarray):
+        i = int(np.argmin(margin))
+        holds, lhs, rhs, margin = bool(holds.all()), float(lhs[i]), float(rhs[i]), float(margin[i])
+    return IneqReport(inequality=inequality, params=params, lhs=lhs, rhs=rhs, holds=holds,
+                      margin=margin, status=status, extra={} if extra is None else extra)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +395,7 @@ def _symsum(stack: ProductStack, p: float) -> list[IneqReport]:
     total = space.norms(stack.partial_sums[:, :, -1]) ** p
     _, upper = lu_constants(p / space.r)
     return [_one_sided("symmetric-summand", {"p": p, "r": space.r}, float(first[i] @ probs[i]),
-                       2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]))
+                       2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]), scaled=True)
             for i in range(len(stack.models))]
 
 
@@ -401,9 +422,8 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
     for i, t in enumerate(ts):
         denom = float(terminal[i] @ probs[i])
         if denom <= 0:
-            reports.append(IneqReport(inequality="reverse-kolmogorov", params={"t": t, "p": p},
-                                      lhs=0.0, rhs=0.0, holds=True, margin=0.0,
-                                      status="vacuous"))
+            reports.append(_one_sided("reverse-kolmogorov", {"t": t, "p": p}, 0.0, 0.0,
+                                      lower=True, status="vacuous"))
             continue
         lhs = float(probs[i][max_sum[i] > t].sum())
         rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + float(star[i] @ probs[i])) / denom)
@@ -425,10 +445,11 @@ def check_tail_comparison(pair: TangentPair, ts: Sequence[float]) -> list[IneqRe
     probs = pair.tree.path_probs
     d_star = pair.seq.d_star
     d_mass = {t: float(probs[d_star > t].sum()) for t in ts}
-    e_mass = {}
+    # one running sum per distinct threshold, however often ts repeats it
+    e_mass = dict.fromkeys(ts, 0.0)
     for weights, stats in joint_blocks(pair, ("e_star",)):
-        for t in ts:
-            e_mass[t] = e_mass.get(t, 0.0) + float(weights[stats["e_star"] > t].sum())
+        for t in e_mass:
+            e_mass[t] += float(weights[stats["e_star"] > t].sum())
     reports = []
     for t in ts:
         reports.append(_one_sided("tail-e-by-d", {"t": t}, e_mass[t], 2.0 * d_mass[t]))
@@ -489,24 +510,27 @@ def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
     """The window profile at threshold A, read from the pair's window table."""
     table = pair.window_table(p)
     b_hat = 0.0
-    cheb_ok = True
     worst = (0, 1)
     worst_atom = 0
+    # the Chebyshev certificate: each conditional probability against its bound
+    pconds, caps = [], []
     for (k, l), (win, probs, atoms) in table.atoms.items():
         for b, mass, t_sup, num in atoms:
             pcond = float(probs[b][win[b] > A * t_sup].sum()) / mass
             if pcond > b_hat:
                 b_hat, worst, worst_atom = pcond, (k, l), b
-            if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
-                cheb_ok = False
-    if A > 0 and b_hat > table.d_hat ** p / A ** p + 1e-12:
-        cheb_ok = False
+            if A > 0 and t_sup > 0:
+                pconds.append(pcond)
+                caps.append(num / (A * t_sup) ** p)
+    if A > 0:
+        pconds.append(b_hat)
+        caps.append(table.d_hat ** p / A ** p)
     return BmoProfile(
         p=p,
         A=A,
         b_hat=b_hat,
         d_hat=table.d_hat,
-        chebyshev_ok=cheb_ok,
+        chebyshev_ok=not pconds or _one_sided("chebyshev-certificate", {}, pconds, caps).holds,
         worst_window=worst,
         worst_atom=worst_atom,
         windows=len(table.atoms),
@@ -544,21 +568,12 @@ def check_goodlambda(
     rho = min(space.r, p)
     beta = (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho)
     profile = bmo_condition(pair, p, A)
+    params = {"p": p, "A": A, "b": b, "beta": beta, "delta": delta, "rho": rho,
+              "b_hat": profile.b_hat}
     if profile.b_hat >= b:
         # smallness certificate failed; the estimate is not applicable here
-        return [
-            IneqReport(
-                inequality=name,
-                params={"p": p, "A": A, "b": b, "beta": beta, "delta": delta,
-                        "rho": rho, "b_hat": profile.b_hat},
-                lhs=0.0,
-                rhs=0.0,
-                holds=True,
-                margin=0.0,
-                status="not-applicable",
-            )
-            for name in ("goodlambda-geq-lt", "goodlambda-gt-leq")
-        ]
+        return [_one_sided(name, dict(params), 0.0, 0.0, status="not-applicable")
+                for name in ("goodlambda-geq-lt", "goodlambda-gt-leq")]
     f_star = pair.seq.f_star
     side = np.maximum(conditional_norm_star(pair, p), pair.seq.d_star)
     probs = pair.tree.path_probs
@@ -574,34 +589,10 @@ def check_goodlambda(
         ("goodlambda-geq-lt", lambda lam: (f_star >= beta * lam) & (side < delta * lam)),
         ("goodlambda-gt-leq", lambda lam: (f_star > beta * lam) & (side <= delta * lam)),
     ):
-        rows = []
-        worst = None
-        for lam in lambdas:
-            lhs = float(probs[hit(lam)].sum())
-            rhs = b * float(probs[f_star > lam].sum())
-            rows.append({"lambda": float(lam), "lhs": lhs, "rhs": rhs})
-            if worst is None or rhs - lhs < worst[1] - worst[0]:
-                worst = (lhs, rhs)
-        lhs, rhs = worst
-        reports.append(
-            IneqReport(
-                inequality=name,
-                params={
-                    "p": p,
-                    "A": A,
-                    "b": b,
-                    "beta": beta,
-                    "delta": delta,
-                    "rho": rho,
-                    "b_hat": profile.b_hat,
-                },
-                lhs=lhs,
-                rhs=rhs,
-                holds=all(r["lhs"] <= r["rhs"] + 1e-12 for r in rows),
-                margin=rhs - lhs,
-                extra={"grid": rows},
-            )
-        )
+        rows = [{"lambda": float(lam), "lhs": float(probs[hit(lam)].sum()),
+                 "rhs": b * float(probs[f_star > lam].sum())} for lam in lambdas]
+        reports.append(_one_sided(name, dict(params), [r["lhs"] for r in rows],
+                                  [r["rhs"] for r in rows], extra={"grid": rows}))
     return reports
 
 
@@ -610,18 +601,14 @@ def check_goodlambda(
 
 
 def moment_phi(pair: TangentPair, phi: MomentFunctional, statistic: str) -> float:
-    """E Phi(statistic), exact.  statistic in f_star, f_norm, g_norm, g_star."""
-    seq, tree = pair.seq, pair.tree
-    probs = tree.path_probs
+    """E Phi(statistic), exact.  statistic is f_star (f*) or g_norm (||g_N||)."""
     if statistic == "f_star":
-        return float(phi(seq.f_star) @ probs)
-    if statistic == "f_norm":
-        return float(phi(seq.space.norms(seq.terminal)) @ probs)
-    if statistic not in ("g_norm", "g_star"):
+        return float(phi(pair.seq.f_star) @ pair.tree.path_probs)
+    if statistic != "g_norm":
         raise ValueError(f"unknown statistic {statistic!r}")
     total = 0.0
-    for weights, stats in joint_blocks(pair, (statistic,)):
-        total += float(np.sum(weights * phi(stats[statistic])))
+    for weights, stats in joint_blocks(pair, ("g_norm",)):
+        total += float(np.sum(weights * phi(stats["g_norm"])))
     return total
 
 
@@ -658,26 +645,10 @@ def check_extrapolation(
             f"certificate failed: b_hat={profile.b_hat:.6g} > b={b:.6g} at A={A:.6g}"
         )
     const = extrapolation_constant(p, q, A, b, space.r).value
-    lhs = moment_phi(pair, phi, "f_star")
-    rhs = const * moment_phi(pair, phi, "g_norm")
-    return IneqReport(
-        inequality="extrapolated-phi-domination",
-        params={
-            "p": p,
-            "q": q,
-            "A": A,
-            "b": b,
-            "rho": rho,
-            "b_hat": profile.b_hat,
-            "d_hat": profile.d_hat,
-            "constant": const,
-            "phi": phi.name,
-        },
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs * (1 + 1e-12) + 1e-300,
-        margin=rhs - lhs,
-    )
+    params = {"p": p, "q": q, "A": A, "b": b, "rho": rho, "b_hat": profile.b_hat,
+              "d_hat": profile.d_hat, "constant": const, "phi": phi.name}
+    return _one_sided("extrapolated-phi-domination", params, moment_phi(pair, phi, "f_star"),
+                      const * moment_phi(pair, phi, "g_norm"), scaled=True)
 
 
 def random_symmetric_law(gen, dim: int, atoms: int = 2) -> Level:
@@ -708,15 +679,7 @@ def check_davis_pathwise(pair: TangentPair) -> IneqReport:
     space = pair.seq.space
     r = space.r
     cap = (1.0 - 2.0 ** (-r)) ** -1.0
-    lhs_vec = space.norms(big.seq.terminal) ** r
-    rhs_vec = cap * pair.seq.d_star ** r
-    gap = rhs_vec - lhs_vec
-    i = int(np.argmin(gap))
-    return IneqReport(
-        inequality="davis-large-part-pathwise",
-        params={"r": r, "cap": cap},
-        lhs=float(lhs_vec[i]),
-        rhs=float(rhs_vec[i]),
-        holds=bool(np.all(lhs_vec <= rhs_vec + 1e-12)),
-        margin=float(gap[i]),
-    )
+    # one pair of sides per path; the report gives the path of least margin
+    return _one_sided("davis-large-part-pathwise", {"r": r, "cap": cap},
+                      space.norms(big.seq.terminal) ** r, cap * pair.seq.d_star ** r,
+                      scaled=True)

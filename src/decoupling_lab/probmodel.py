@@ -197,11 +197,11 @@ def paley_walsh(depth: int) -> FiltrationTree:
     return FiltrationTree([Level((1.0, -1.0), (0.5, 0.5)) for _ in range(depth)])
 
 
-def symmetric_three_point(depth: int, scale: float = math.sqrt(3.0),
-                          center_mass: float = 2.0 / 3.0) -> FiltrationTree:
-    """Symmetric three-point innovations; defaults match Gaussian moments to order 5."""
-    side = (1.0 - center_mass) / 2.0
-    level = Level((-scale, 0.0, scale), (side, center_mass, side))
+def symmetric_three_point(depth: int) -> FiltrationTree:
+    """Symmetric three-point innovations 0 (mass 2/3) and +-sqrt(3): Gaussian moments to order 5."""
+    center = 2.0 / 3.0
+    side = (1.0 - center) / 2.0
+    level = Level((-math.sqrt(3.0), 0.0, math.sqrt(3.0)), (side, center, side))
     return FiltrationTree([level for _ in range(depth)])
 
 
@@ -521,7 +521,7 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
     return TangentPair(small, pair.mode), TangentPair(big, pair.mode)
 
 
-JOINT_STATS = ("g_norm", "e_star", "g_star")
+JOINT_STATS = ("g_norm", "e_star")
 
 
 def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
@@ -549,7 +549,7 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
     Yields (weights, stats): weights (rows, paths) is the joint mass of each
     (head, omega~) outcome, summing to one over all blocks and shared by the
     batch; stats holds only the requested statistics, each shaped
-    (batch, rows, paths): g_norm (||g_N||), e_star and g_star.  Block rows are
+    (batch, rows, paths): g_norm (||g_N||) and e_star.  Block rows are
     counted across the batch: a block holds about BLOCK_FLOATS floats of g_N.
 
     Within a block g grows level by level along the omega~ tree, so each
@@ -571,30 +571,23 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
     batch = len(tables[0])
     if block_rows is None:
         block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
-    need_g = "g_norm" in stats or "g_star" in stats
     for start in range(0, heads, block_rows):
         block = np.arange(start, min(start + block_rows, heads))
         rows = len(block)
         # statistics at the depth-n nodes of the omega~ tree, n = 0 first
         g = np.zeros((batch, rows, dim, 1))
         e_star = np.zeros((batch, rows, 1))
-        g_star = np.zeros((batch, rows, 1))
         for n in range(1, depth + 1):
-            parents = tree.num_nodes(n - 1)
             # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
             # of omega~ node q adds innovation j
             inc = tables[n - 1][:, e_rows(tree, mode, block, n)].swapaxes(2, 3)
-            shape = (batch, rows, tree.num_nodes(n))
-            if need_g:
+            if "g_norm" in stats:
                 g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
                            order="C").reshape(batch, rows, dim, -1)
             if "e_star" in stats:
                 e_star = np.maximum(e_star[:, :, None, :], space.norms(inc),
-                                    order="C").reshape(shape)
-            if "g_star" in stats:
-                norms = space.norms(g.swapaxes(2, 3)).reshape(batch, rows, -1, parents)
-                g_star = np.maximum(g_star[:, :, None, :], norms, order="C").reshape(shape)
-        out = {"e_star": e_star, "g_star": g_star}
+                                    order="C").reshape(batch, rows, tree.num_nodes(n))
+        out = {"e_star": e_star}
         if "g_norm" in stats:
             out["g_norm"] = space.norms(g.swapaxes(2, 3))
         weights = head_probs[block, None] * tree.path_probs[None, :]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .probmodel import BLOCK_FLOATS, ModelError
 from .rng import chunk_streams, stream
-from .spaces import Space
+from .spaces import Space, format_space
 
 GAMMA_INNER = 1024
 
@@ -277,13 +277,17 @@ def bdg_sweep(
     seed: int = 0,
 ) -> list[dict]:
     """Estimate kappa_p = (E sup^p / E gamma^p)^(1/p) for one process family
-    at each p, every row from the same simulated paths."""
+    at each p, every row from the same simulated paths.  A moment that is not
+    finite (norms that overflow on the space) is a ModelError naming the space."""
     stats = simulate(make_family(family, space, driver), driver, space, paths, seed=seed)
     rows = []
     for p in ps:
         row = {"family": family, "p": p, "paths": paths, "seed": seed, "status": "ok"}
         for name in ("sup", "gamma", "terminal"):
             row[f"{name}_moment"], row[f"{name}_se"] = _moment(getattr(stats, name), p)
+            if not math.isfinite(row[f"{name}_moment"]):
+                raise ModelError(f"the {name} moment at p={p:g} is not finite on "
+                                 f"{format_space(space)}")
         if row["gamma_moment"] == 0.0:
             if row["sup_moment"] != 0.0:
                 raise ModelError("gamma moment vanished on a nonzero integral")

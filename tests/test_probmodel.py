@@ -438,7 +438,7 @@ def test_joint_blocks_cover_product_space():
     for w, stats in pm.joint_blocks(pair, block_rows=3):
         assert w.shape[0] <= 3 and w.shape[1] == tree.path_count
         assert stats["g_norm"].shape == w.shape
-        assert stats["e_star"].shape == stats["g_star"].shape == w.shape
+        assert stats["e_star"].shape == w.shape
         mass += float(w.sum())
         rows += w.shape[0]
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -470,14 +470,14 @@ def engine_pair(case, mode, symmetric, letters):
 
 
 def naive_joint(pair):
-    """(mass, ||g_N||, e*, g*) of every (omega, omega~) pair of the product space."""
+    """(mass, ||g_N||, e*) of every (omega, omega~) pair of the product space."""
     seq, tree, space = pair.seq, pair.tree, pair.space
     probs = tree.path_probs
     out = []
     for w in range(tree.path_count):
         for wt in range(tree.path_count):
             g = np.zeros(seq.dim)
-            e_star = g_star = 0.0
+            e_star = 0.0
             for n in range(1, tree.depth + 1):
                 owner = w if pair.mode == "decoupled" else wt
                 parent = owner // tree.stride(n - 1)
@@ -485,13 +485,8 @@ def naive_joint(pair):
                 e = seq.tables[n - 1][parent, letter]
                 g = g + e
                 e_star = max(e_star, space.norms(e[None])[0])
-                g_star = max(g_star, space.norms(g[None])[0])
-            out.append((probs[w] * probs[wt], space.norms(g[None])[0], e_star, g_star))
+            out.append((probs[w] * probs[wt], space.norms(g[None])[0], e_star))
     return np.array(out)
-
-
-def phi_ref(x):
-    return np.log1p(x) * x ** 1.5
 
 
 @pytest.mark.parametrize("mode", ["decoupled", "copy"])
@@ -501,11 +496,10 @@ def phi_ref(x):
 def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
     pair = engine_pair(case, mode, symmetric, letters)
     ref = naive_joint(pair)
-    mass, g_norm, e_star, g_star = ref.T
+    mass, g_norm, e_star = ref.T
     ts = (0.5, 1.0, 2.5)
     want = ([float(mass @ g_norm ** p) for p in (0.5, 1.0, 2.0, 3.0)]
-            + [float(mass @ (e_star > t)) for t in ts]
-            + [float(mass @ phi_ref(g_star))])
+            + [float(mass @ (e_star > t)) for t in ts])
     for block_rows in (1, None):
         got = np.zeros(len(want))
         total = 0.0
@@ -513,8 +507,7 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
             total += float(w.sum())
             norms = stats["g_norm"]
             got += ([float(np.sum(w * norms ** p)) for p in (0.5, 1.0, 2.0, 3.0)]
-                    + [float(w[stats["e_star"] > t].sum()) for t in ts]
-                    + [float(np.sum(w * phi_ref(stats["g_star"])))])
+                    + [float(w[stats["e_star"] > t].sum()) for t in ts])
         assert total == pytest.approx(1.0, abs=1e-12)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     # a caller gets only what it asks for, with the same values
@@ -528,16 +521,16 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
 
 
 def naive_outcomes(pair):
-    """||g_N||, e* and g* of every (head, omega~) outcome the engine walks, by
+    """||g_N|| and e* of every (head, omega~) outcome the engine walks, by
     direct loops: heads are the depth-(N-1) nodes (decoupled) or the root (copy)."""
     seq, tree, space = pair.seq, pair.tree, pair.space
     depth = tree.depth
     heads = tree.num_nodes(depth - 1) if pair.mode == "decoupled" else 1
-    out = np.zeros((3, heads, tree.path_count))
+    out = np.zeros((2, heads, tree.path_count))
     for head in range(heads):
         for wt in range(tree.path_count):
             g = np.zeros(seq.dim)
-            e_star = g_star = 0.0
+            e_star = 0.0
             for n in range(1, depth + 1):
                 if pair.mode == "decoupled":
                     parent = head // (tree.num_nodes(depth - 1) // tree.num_nodes(n - 1))
@@ -546,8 +539,7 @@ def naive_outcomes(pair):
                 e = seq.tables[n - 1][parent, (wt // tree.stride(n)) % tree.sizes[n - 1]]
                 g = g + e
                 e_star = max(e_star, space.norms(e[None])[0])
-                g_star = max(g_star, space.norms(g[None])[0])
-            out[:, head, wt] = space.norms(g[None])[0], e_star, g_star
+            out[:, head, wt] = space.norms(g[None])[0], e_star
     return out
 
 
@@ -840,6 +832,67 @@ def test_sample_paths_moments_agree():
         se = float(values.std(ddof=1) / math.sqrt(values.size))
         assert abs(float(values.mean()) - exact) <= 4.0 * se + 1e-12
 
+
+def wilson_interval(count, n, z=5.0):
+    """The z-sigma Wilson score interval of a frequency count / n."""
+    phat, z2 = count / n, z * z
+    centre = (phat + z2 / (2 * n)) / (1 + z2 / n)
+    half = z * np.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+    return centre - half, centre + half
+
+
+def exact_norm_laws(pair):
+    """(values, masses) of ||f_N|| (path masses) and of ||g_N|| (joint engine weights)."""
+    blocks = list(pm.joint_blocks(pair, ("g_norm",)))
+    return ((pair.space.norms(pair.seq.terminal), pair.tree.path_probs),
+            (np.concatenate([stats["g_norm"].ravel() for _, stats in blocks]),
+             np.concatenate([weights.ravel() for weights, _ in blocks])))
+
+
+def law_misses(values, masses, draws):
+    """The atoms whose exact mass lies outside the 5-sigma Wilson interval of
+    their frequency among the draws (values rounded to 9 places, so that one
+    atom reached along two float routes stays one atom)."""
+    ids = pm.atom_ids(np.round(np.concatenate([values, draws]), 9)[:, None])
+    size = int(ids.max()) + 1
+    exact = np.bincount(ids[:values.size], weights=masses, minlength=size)
+    low, high = wilson_interval(np.bincount(ids[values.size:], minlength=size), draws.size)
+    return int(((exact < low) | (exact > high)).sum())
+
+
+def sampled_norm_misses(pair, laws, count, seed):
+    """law_misses of sample_paths' ||f_N|| and ||g_N|| draws against the exact laws."""
+    batch = pm.sample_paths(pair, count, seed)
+    return tuple(law_misses(*law, pair.space.norms(draws))
+                 for law, draws in zip(laws, (batch.f_terminal, batch.g_terminal)))
+
+
+def sample_law_pairs(label):
+    """Decoupled pairs of random depth-3 sequences with drift, on trees of two-
+    and three-letter levels."""
+    gen = stream(33, "sample-laws", label)
+    for i in range(4):
+        tree = pm.FiltrationTree(pm.random_tree(gen, 1, symmetric=bool(i % 2)).levels * 3)
+        yield pm.decouple(pm.random_general_sequence(gen, tree, [euclid(2), sup_norm(3)][i % 2]))
+
+
+def test_sample_paths_draw_the_exact_laws():
+    # every atom of ||f_N|| and ||g_N|| is drawn at its exact mass, within 5 sigma
+    for i, pair in enumerate(sample_law_pairs("exact")):
+        for tangent in (pair, pm.independent_copy(pair.seq)):
+            assert sampled_norm_misses(tangent, exact_norm_laws(tangent), 20_000, seed=i) == (0, 0)
+
+
+def test_sample_paths_with_the_copy_rule_miss_the_decoupled_law(monkeypatch):
+    # sample_paths reads e_rows; with the copy rule in its place, the ||g_N||
+    # draws of a decoupled pair leave the decoupled law's intervals
+    pairs = list(sample_law_pairs("copy-rule"))
+    laws = [exact_norm_laws(pair) for pair in pairs]
+    e_rows = pm.e_rows
+    monkeypatch.setattr(pm, "e_rows", lambda tree, mode, heads, n: e_rows(tree, "copy", heads, n))
+    for i, (pair, law) in enumerate(zip(pairs, laws)):
+        f_misses, g_misses = sampled_norm_misses(pair, law, 20_000, seed=i)
+        assert f_misses == 0 and g_misses > 0, i
 
 # ---------------------------------------------------------------------------
 # symmetry and serialization

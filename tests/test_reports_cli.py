@@ -190,6 +190,28 @@ def test_search_without_a_finite_ratio_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite, inequality", [("davis", "davis-large-part-pathwise"),
+                                               ("symsum", "symmetric-summand")])
+def test_verify_without_a_finite_side_exits_2(suite, inequality, capsys):
+    # the norms of lp:1e300:2 overflow, so the moments compared are not finite
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--space", "lp:1e300:2", "--suite", suite, "--trials", "3",
+                         "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"decoupling-lab: {inequality}: a side is not finite, "
+                   "so the check has no verdict\n")
+
+
+def test_bdg_without_a_finite_moment_exits_2(capsys):
+    with np.errstate(all="ignore"):
+        assert cli.main(["bdg", "--space", "lp:1e300:2", "--samples", "100", "--steps", "4",
+                         "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "decoupling-lab: the sup moment at p=1 is not finite on lp:1e+300:2\n"
+
+
 def test_bad_space_is_a_config_error(capsys):
     rc = cli.main(["estimate", "--space", "l3:4", "--workers", "1"])
     assert rc == 2
