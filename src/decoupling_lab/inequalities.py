@@ -25,6 +25,7 @@ from .probmodel import (
     LAW_TOL,
     Level,
     ModelError,
+    PathStack,
     TangentPair,
     joint_blocks,
     symmetry_gaps,
@@ -77,8 +78,13 @@ def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
     model (``scaled``: moments and norms), so an exact 2^k rescaling of a model
     never moves a verdict.  lhs and rhs may be aligned arrays of sides: the
     report gives their first element of least margin, and holds only when every
-    element holds.  A side that is not finite has no verdict: ModelError.
+    element holds.  A side or a float parameter that is not finite has no
+    verdict: ModelError.
     """
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"{inequality}: parameter {key}={value:g} is not finite, "
+                             "so the check has no verdict")
     if isinstance(lhs, (int, float)):
         lhs, rhs = float(lhs), float(rhs)
         finite = math.isfinite(lhs) and math.isfinite(rhs)
@@ -200,47 +206,35 @@ class ProductModel:
     def to_sequence(self) -> AdaptedSequence:
         """The model as an adapted sequence on the tree whose levels are its laws;
         a model over the budget is refused before anything is allocated."""
-        self.require_enumerable()
-        tree = FiltrationTree(self.laws)
-        # every level is independent of the past: its law's atoms on each parent
-        tables = [np.broadcast_to(law.values.reshape(law.size, -1),
-                                  (tree.num_nodes(n), law.size, self.space.dim))
-                  for n, law in enumerate(self.laws)]
-        return AdaptedSequence(tree, self.space, tables)
+        tables = [table[0] for table in ProductStack((self,)).tables]
+        return AdaptedSequence(FiltrationTree(self.laws), self.space, tables)
 
 
-class ProductStack:
-    """Product models of one space and shape, enumerated as one stack.
+class ProductStack(PathStack):
+    """Product models of one space and shape, enumerated as one PathStack.
 
-    Models of one shape share their outcome space: outcome o reads atom
-    (o // stride_n) mod a_n of law n, where stride_n is the product of the
-    later laws' atom counts (the path order of the model's tree).  Every
-    array has the model on its leading axis, and each model's slab is formed
-    by the float operations it gets alone (additions level by level, norms
-    vector by vector), so its values do not depend on the stack; each check
-    reduces one model's contiguous slab at a time.  A model whose partial
-    sums exceed JOINT_LIMIT floats is refused before anything is allocated.
+    Models of one shape share their outcome space, the paths of their tree.
+    Each check reduces one model's contiguous slab at a time.  A model whose
+    partial sums exceed JOINT_LIMIT floats is refused before anything is
+    allocated.
     """
 
     def __init__(self, models: Sequence[ProductModel]):
         self.models = tuple(models)
-        self.space, self.shape = self.models[0].space, self.models[0].shape
+        space, shape = self.models[0].space, self.models[0].shape
         for model in self.models:
-            if model.space != self.space or model.shape != self.shape:
+            if model.space != space or model.shape != shape:
                 raise ModelError("stacked product models need one space and one shape")
             model.require_enumerable()
-        self.outcomes = self.models[0].outcome_count
-
-    @functools.cached_property
-    def atoms(self) -> list[np.ndarray]:
-        """Per level, the laws' atoms: (models, atoms, dim)."""
-        return [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
-                for n, size in enumerate(self.shape)]
-
-    @functools.cached_property
-    def masses(self) -> list[np.ndarray]:
-        """Per level, the laws' masses: (models, atoms)."""
-        return [np.stack([m.laws[n].probs for m in self.models]) for n in range(len(self.shape))]
+        # per level, the laws' atoms (models, atoms, dim) and masses (models, atoms)
+        self.atoms = [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
+                      for n, size in enumerate(shape)]
+        self.masses = [np.stack([m.laws[n].probs for m in self.models])
+                       for n in range(len(shape))]
+        # every level is independent of the past: its law's atoms on each parent
+        super().__init__(space, [
+            np.broadcast_to(law[:, None], (len(law), math.prod(shape[:n]), *law.shape[1:]))
+            for n, law in enumerate(self.atoms)])
 
     @functools.cached_property
     def probs(self) -> np.ndarray:
@@ -256,43 +250,6 @@ class ProductStack:
         for n in levels:
             if (symmetry_gaps(self.atoms[n], self.masses[n]) > LAW_TOL).any():
                 raise ModelError(message)
-
-    def _digits(self, n: int) -> np.ndarray:
-        """The atom of law n (1-based) that each outcome reads."""
-        stride = math.prod(self.shape[n:])
-        return np.arange(self.outcomes) // stride % self.shape[n - 1]
-
-    def increments(self, n: int) -> np.ndarray:
-        """The level-n increment at every outcome, (models, outcomes, dim)."""
-        return self.atoms[n - 1][:, self._digits(n)]
-
-    @functools.cached_property
-    def partial_sums(self) -> np.ndarray:
-        """f_0..f_N at every outcome, (models, outcomes, levels + 1, dim)."""
-        out = np.zeros((len(self.models), self.outcomes, len(self.shape) + 1, self.space.dim))
-        for n in range(1, len(self.shape) + 1):
-            out[:, :, n] = out[:, :, n - 1] + self.increments(n)
-        return out
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        """||f_0||..||f_N|| at every outcome, (models, outcomes, levels + 1)."""
-        return self.space.norms(self.partial_sums)
-
-    @functools.cached_property
-    def f_star(self) -> np.ndarray:
-        """max_n ||f_n|| at every outcome, (models, outcomes)."""
-        return self.norms.max(axis=2)
-
-    @functools.cached_property
-    def d_star(self) -> np.ndarray:
-        """max_n ||d_n|| at every outcome, (models, outcomes), from one norm of every atom."""
-        atom_norms = np.split(self.space.norms(np.concatenate(self.atoms, axis=1)),
-                              np.cumsum(self.shape)[:-1], axis=1)
-        out = np.zeros((len(self.models), self.outcomes))
-        for n, norms in enumerate(atom_norms, start=1):
-            np.maximum(out, norms[:, self._digits(n)], out=out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +276,7 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
     for variant in variants:
         if variant not in ("max-sum", "max-term"):
             raise ValueError(f"unknown variant {variant!r}")
-    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
+    stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
     norms, probs = stack.norms, stack.probs
     max_sum = norms[:, :, 1:].max(axis=2)
@@ -347,7 +304,7 @@ def check_contraction(model: ProductModel, multipliers: Sequence[float], t: floa
 def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[float]],
                         ts: Sequence[float]) -> list[IneqReport]:
     """check_contraction of each model of the stack, with its own multipliers and t."""
-    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
+    stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     rows = []
     for model, row in zip(stack.models, multipliers):
         mults = [float(m) for m in row]
@@ -357,8 +314,8 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
             raise ModelError("contraction multipliers must be 0 or 1")
         rows.append(mults)
     probs = stack.probs
-    sub = np.zeros((len(rows), stack.outcomes, stack.space.dim))
-    for n in range(1, len(stack.shape) + 1):
+    sub = np.zeros((len(rows), stack.path_count, stack.space.dim))
+    for n in range(1, len(stack.sizes) + 1):
         kept = [i for i, mults in enumerate(rows) if mults[n - 1] == 1.0]
         if kept:
             sub[kept] += stack.increments(n)[kept]
@@ -411,7 +368,7 @@ def check_reverse_kolmogorov(model: ProductModel, t: float, p: float) -> IneqRep
 def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
                                p: float) -> list[IneqReport]:
     """check_reverse_kolmogorov of each model of the stack, at its own t."""
-    stack.require_symmetric(range(len(stack.shape)), SYMMETRIC_LAWS)
+    stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
     _, upper = lu_constants(p / r)
     norms, probs = stack.norms, stack.probs
@@ -501,7 +458,6 @@ class BmoProfile:
     b_hat: float
     d_hat: float
     chebyshev_ok: bool
-    worst_window: tuple[int, int]
     worst_atom: int
     windows: int
 
@@ -510,15 +466,14 @@ def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
     """The window profile at threshold A, read from the pair's window table."""
     table = pair.window_table(p)
     b_hat = 0.0
-    worst = (0, 1)
     worst_atom = 0
     # the Chebyshev certificate: each conditional probability against its bound
     pconds, caps = [], []
-    for (k, l), (win, probs, atoms) in table.atoms.items():
+    for win, probs, atoms in table.atoms.values():
         for b, mass, t_sup, num in atoms:
             pcond = float(probs[b][win[b] > A * t_sup].sum()) / mass
             if pcond > b_hat:
-                b_hat, worst, worst_atom = pcond, (k, l), b
+                b_hat, worst_atom = pcond, b
             if A > 0 and t_sup > 0:
                 pconds.append(pcond)
                 caps.append(num / (A * t_sup) ** p)
@@ -531,7 +486,6 @@ def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
         b_hat=b_hat,
         d_hat=table.d_hat,
         chebyshev_ok=not pconds or _one_sided("chebyshev-certificate", {}, pconds, caps).holds,
-        worst_window=worst,
         worst_atom=worst_atom,
         windows=len(table.atoms),
     )

@@ -252,43 +252,37 @@ class AdaptedSequence:
         """Level-n increments by depth-n node, shape (num_nodes(n), dim)."""
         return self.tables[n - 1].reshape(-1, self.dim)
 
-    def path_increments(self, n: int) -> np.ndarray:
-        return self.increments(n)[self.tree.nodes_at(n)]
-
     @cached_property
+    def paths(self) -> PathStack:
+        """The sequence's per-path statistics: its stack of one."""
+        return PathStack(self.space, [t[None] for t in self.tables])
+
+    def path_increments(self, n: int) -> np.ndarray:
+        return self.paths.increments(n)[0]
+
+    @property
     def partial_sums(self) -> np.ndarray:
         """f_0..f_N per path, shape (path_count, depth+1, dim)."""
-        out = np.zeros((self.tree.path_count, self.depth + 1, self.dim))
-        for n in range(1, self.depth + 1):
-            out[:, n] = out[:, n - 1] + self.path_increments(n)
-        return out
+        return self.paths.partial_sums[0]
 
     @property
     def terminal(self) -> np.ndarray:
         return self.partial_sums[:, self.depth]
 
-    @cached_property
-    def increment_norms(self) -> np.ndarray:
-        """||d_n|| per path, shape (path_count, depth+1); column 0 is zero."""
-        out = np.zeros((self.tree.path_count, self.depth + 1))
-        for n in range(1, self.depth + 1):
-            out[:, n] = self.space.norms(self.path_increments(n))
-        return out
-
-    @cached_property
+    @property
     def partial_sum_norms(self) -> np.ndarray:
         """||f_0||..||f_N|| per path, shape (path_count, depth+1)."""
-        return self.space.norms(self.partial_sums)
+        return self.paths.norms[0]
 
-    @cached_property
+    @property
     def f_star(self) -> np.ndarray:
         """max_n ||f_n|| per path."""
-        return self.partial_sum_norms.max(axis=1)
+        return self.paths.f_star[0]
 
-    @cached_property
+    @property
     def d_star(self) -> np.ndarray:
         """max_n ||d_n|| per path."""
-        return self.increment_norms.max(axis=1)
+        return self.paths.d_star[0]
 
     def terminal_moment(self, p: float) -> float:
         return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
@@ -300,6 +294,59 @@ class AdaptedSequence:
             if (symmetry_gaps(table, probs) > LAW_TOL).any():
                 return False
         return True
+
+
+class PathStack:
+    """Per-path statistics of a stack of sequences on trees of one shape.
+
+    tables[n-1] has shape (models, num_nodes(n-1), a_n, dim); a product model
+    passes each law as a broadcast view over the parents.  Path o reads
+    innovation (o // stride_n) mod a_n at level n, stride_n the product of the
+    later alphabet sizes (FiltrationTree's path order).  Each model's slab is
+    formed by the float operations it gets alone (additions level by level,
+    norms vector by vector), so its values do not depend on the stack.
+    """
+
+    def __init__(self, space: Space, tables):
+        self.space = space
+        self.tables = tuple(tables)
+        self.sizes = tuple(t.shape[2] for t in self.tables)
+        self.path_count = math.prod(self.sizes)
+
+    def increments(self, n: int) -> np.ndarray:
+        """d_n at every path, (models, paths, dim)."""
+        stride = math.prod(self.sizes[n:])
+        paths = np.arange(self.path_count)
+        return self.tables[n - 1][:, paths // (stride * self.sizes[n - 1]),
+                                  paths // stride % self.sizes[n - 1]]
+
+    @cached_property
+    def partial_sums(self) -> np.ndarray:
+        """f_0..f_N at every path, (models, paths, levels + 1, dim)."""
+        out = np.zeros((len(self.tables[0]), self.path_count, len(self.sizes) + 1,
+                        self.space.dim))
+        for n in range(1, len(self.sizes) + 1):
+            out[:, :, n] = out[:, :, n - 1] + self.increments(n)
+        return out
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """||f_0||..||f_N|| at every path, (models, paths, levels + 1)."""
+        return self.space.norms(self.partial_sums)
+
+    @cached_property
+    def f_star(self) -> np.ndarray:
+        """max_n ||f_n|| at every path, (models, paths)."""
+        return self.norms.max(axis=2)
+
+    @cached_property
+    def d_star(self) -> np.ndarray:
+        """max_n ||d_n|| at every path, (models, paths): one norm per table
+        entry, the running max grown node by node down the tree."""
+        out = np.zeros((len(self.tables[0]), 1))
+        for table in self.tables:
+            out = np.maximum(out[:, :, None], self.space.norms(table)).reshape(len(out), -1)
+        return out
 
 
 def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
@@ -536,7 +583,7 @@ def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
 
 
 def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str = "decoupled",
-                         stats=JOINT_STATS, block_rows: int | None = None):
+                         stats=JOINT_STATS):
     """The exact joint engine for a batch of sequences on one tree.
 
     tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The g side reads
@@ -569,8 +616,7 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
     heads = require_joint_walk(tree, mode) // paths
     head_probs = tree.node_probs(depth - 1) if mode == "decoupled" else np.ones(1)
     batch = len(tables[0])
-    if block_rows is None:
-        block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
+    block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
     for start in range(0, heads, block_rows):
         block = np.arange(start, min(start + block_rows, heads))
         rows = len(block)
@@ -594,11 +640,10 @@ def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str =
         yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
 
 
-def joint_blocks(pair: TangentPair, stats=JOINT_STATS, block_rows: int | None = None):
+def joint_blocks(pair: TangentPair, stats=JOINT_STATS):
     """batched_joint_blocks for one pair: the same blocks with the batch axis dropped."""
     tables = [t[None] for t in pair.seq.tables]
-    for weights, out in batched_joint_blocks(pair.tree, pair.space, tables, pair.mode,
-                                             stats, block_rows):
+    for weights, out in batched_joint_blocks(pair.tree, pair.space, tables, pair.mode, stats):
         yield weights, {key: value[0] for key, value in out.items()}
 
 

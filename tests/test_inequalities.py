@@ -230,35 +230,39 @@ def test_product_suites_build_each_model_once(monkeypatch):
 
 
 def _per_trial_values(suite, model, t, p, variant, mults):
-    """(lhs, rhs) of one product-suite trial, from the model's own adapted
-    sequence (AdaptedSequence's partial sums, not a stack): the checks as they
-    ran one model at a time."""
-    space = model.space
-    tree = pm.FiltrationTree(model.laws)
-    tables = [np.broadcast_to(law.values.reshape(law.size, -1),
-                              (tree.num_nodes(n), law.size, space.dim))
-              for n, law in enumerate(model.laws)]
-    seq = pm.AdaptedSequence(tree, space, tables)
-    norms, probs = seq.partial_sum_norms, tree.path_probs
+    """(lhs, rhs) of one product-suite trial, from its outcomes enumerated by
+    explicit digits (outcome o reads atom (o // stride_n) mod a_n of law n,
+    stride_n the product of the later laws' atom counts), not by a PathStack:
+    the checks as they ran one model at a time."""
+    space, sizes = model.space, model.shape
+    outcomes = np.arange(model.outcome_count)
+    incs, sums, probs = [], [np.zeros((len(outcomes), space.dim))], np.ones(len(outcomes))
+    for n, law in enumerate(model.laws, start=1):
+        digits = outcomes // math.prod(sizes[n:]) % sizes[n - 1]
+        incs.append(law.values.reshape(law.size, -1)[digits])
+        sums.append(sums[-1] + incs[-1])
+        probs = probs * law.probs[digits]
+    norms = space.norms(np.stack(sums, axis=1))
+    d_star = np.max([space.norms(inc) for inc in incs], axis=0)
     thresh = 2.0 ** (1.0 - 1.0 / space.r) * t
     _, upper = lu_constants(p / space.r)
     if suite == "levy":
-        stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else seq.d_star
+        stat = norms[:, 1:].max(axis=1) if variant == "max-sum" else d_star
         return float(probs[stat > t].sum()), 2.0 * float(probs[norms[:, -1] > thresh].sum())
     if suite == "contraction":
-        sub = np.zeros((tree.path_count, seq.dim))
-        for n, m in enumerate(mults, start=1):
+        sub = np.zeros((len(outcomes), space.dim))
+        for inc, m in zip(incs, mults):
             if m == 1.0:
-                sub += seq.path_increments(n)
+                sub += inc
         return (float(probs[space.norms(sub) > t].sum()),
                 2.0 * float(probs[norms[:, -1] > thresh].sum()))
     if suite == "revkol":
         denom = float((norms[:, -1] ** p) @ probs)
-        star = float((seq.d_star ** p) @ probs)
+        star = float((d_star ** p) @ probs)
         return (float(probs[norms[:, 1:].max(axis=1) > t].sum()),
                 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + star) / denom))
-    total = space.norms(seq.partial_sums[:, -1]) ** p
-    return (float((space.norms(seq.path_increments(1)) ** p) @ probs),
+    total = space.norms(sums[-1]) ** p
+    return (float((space.norms(incs[0]) ** p) @ probs),
             2.0 ** (1.0 - p) * upper * float(total @ probs))
 
 
@@ -651,7 +655,7 @@ def reference_bmo(pair, p, A):
     """The window profile at A, every statistic recomputed per window and atom."""
     seq, tree = pair.seq, pair.tree
     sums, path_probs = seq.partial_sums, tree.path_probs
-    b_hat, d_hat, cheb_ok, worst, worst_atom, count = 0.0, 0.0, True, (0, 1), 0, 0
+    b_hat, d_hat, cheb_ok, worst_atom, count = 0.0, 0.0, True, 0, 0
     for k in range(seq.depth):
         for l in range(k + 1, seq.depth + 1):
             count += 1
@@ -670,13 +674,13 @@ def reference_bmo(pair, p, A):
                 num = float(pb @ (win[rows] ** p)) / mass
                 den = float(pb @ (t_paths[rows] ** p)) / mass
                 if pcond > b_hat:
-                    b_hat, worst, worst_atom = pcond, (k, l), b
+                    b_hat, worst_atom = pcond, b
                 d_hat = max(d_hat, (num / den) ** (1.0 / p) if den > 0 else 0.0)
                 if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
                     cheb_ok = False
     if A > 0 and b_hat > d_hat ** p / A ** p + 1e-12:
         cheb_ok = False
-    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, worst, worst_atom, count)
+    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, worst_atom, count)
 
 
 TABLE_SPACES = [euclid(4), seq_lp(0.5, 3), sup_norm(3), nested([(1.0, 2), (3.0, 2)])]

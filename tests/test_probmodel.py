@@ -430,12 +430,14 @@ def test_sign_randomized_budget():
         pm.sign_randomized_moment(seq, 2.0)
 
 
-def test_joint_blocks_cover_product_space():
+def test_joint_blocks_cover_product_space(monkeypatch):
     gen = stream(23, "blocks")
     pair = pm.random_pair(gen, euclid(2), max_depth=3)
     tree = pair.tree
     mass, rows = 0.0, 0
-    for w, stats in pm.joint_blocks(pair, block_rows=3):
+    # blocks of three heads: three rows of path_count x dim floats of g_N
+    monkeypatch.setattr(pm, "BLOCK_FLOATS", 3 * tree.path_count * pair.space.dim)
+    for w, stats in pm.joint_blocks(pair):
         assert w.shape[0] <= 3 and w.shape[1] == tree.path_count
         assert stats["g_norm"].shape == w.shape
         assert stats["e_star"].shape == w.shape
@@ -493,17 +495,19 @@ def naive_joint(pair):
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("letters", [2, 3])
 @pytest.mark.parametrize("case", range(6))
-def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case):
+def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case, monkeypatch):
     pair = engine_pair(case, mode, symmetric, letters)
     ref = naive_joint(pair)
     mass, g_norm, e_star = ref.T
     ts = (0.5, 1.0, 2.5)
     want = ([float(mass @ g_norm ** p) for p in (0.5, 1.0, 2.0, 3.0)]
             + [float(mass @ (e_star > t)) for t in ts])
-    for block_rows in (1, None):
+    # one head per block, then the default blocks
+    for block_floats in (1, pm.BLOCK_FLOATS):
+        monkeypatch.setattr(pm, "BLOCK_FLOATS", block_floats)
         got = np.zeros(len(want))
         total = 0.0
-        for w, stats in pm.joint_blocks(pair, block_rows=block_rows):
+        for w, stats in pm.joint_blocks(pair):
             total += float(w.sum())
             norms = stats["g_norm"]
             got += ([float(np.sum(w * norms ** p)) for p in (0.5, 1.0, 2.0, 3.0)]
@@ -549,16 +553,19 @@ DEEP_LEVELS = (ENGINE_LEVELS[1], ENGINE_LEVELS[0], ENGINE_LEVELS[3], ENGINE_LEVE
 
 @pytest.mark.parametrize("mode, depth", [("decoupled", 4), ("decoupled", 5),
                                          ("copy", 4), ("copy", 5), ("copy", 6)])
-def test_joint_blocks_match_naive_outcomes_at_depth(mode, depth):
+def test_joint_blocks_match_naive_outcomes_at_depth(mode, depth, monkeypatch):
     # two- and three-letter levels mixed: the digit-reversed omega~ order and
     # the copy-mode row pick differ from the natural order only at such depths
     tree = pm.FiltrationTree(DEEP_LEVELS[:depth])
+    default = pm.BLOCK_FLOATS
     for space in (euclid(2), seq_lp(0.5, 3), sup_norm(2)):
         gen = stream(depth, "engine-deep", mode, str(space))
         pair = pm.TangentPair(pm.random_general_sequence(gen, tree, space), mode)
         want = naive_outcomes(pair)
-        for block_rows in (1, None):
-            blocks = [stats for _, stats in pm.joint_blocks(pair, block_rows=block_rows)]
+        # one head per block, then the default blocks
+        for block_floats in (1, default):
+            monkeypatch.setattr(pm, "BLOCK_FLOATS", block_floats)
+            blocks = [stats for _, stats in pm.joint_blocks(pair)]
             for i, key in enumerate(pm.JOINT_STATS):
                 np.testing.assert_array_equal(np.concatenate([b[key] for b in blocks]), want[i])
 

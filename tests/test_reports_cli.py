@@ -203,6 +203,21 @@ def test_verify_without_a_finite_side_exits_2(suite, inequality, capsys):
                    "so the check has no verdict\n")
 
 
+@pytest.mark.parametrize("suite, inequality", [("levy", "levy-max-sum"),
+                                               ("contraction", "contraction-01"),
+                                               ("tail", "tail-e-by-d")])
+def test_verify_without_a_finite_threshold_exits_2(suite, inequality, capsys):
+    # the thresholds are quantiles of overflowing norms: both sides are finite
+    # probabilities, but t is not, so the report names the check and t
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--space", "lp:1e300:2", "--suite", suite, "--trials", "3",
+                         "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"decoupling-lab: {inequality}: parameter t=nan is not finite, "
+                   "so the check has no verdict\n")
+
+
 def test_bdg_without_a_finite_moment_exits_2(capsys):
     with np.errstate(all="ignore"):
         assert cli.main(["bdg", "--space", "lp:1e300:2", "--samples", "100", "--steps", "4",
@@ -537,48 +552,68 @@ def test_atlas_sweeps_nested_spaces(tmp_path):
 
 
 # sha256 of small verify reports (--depth 3 --trials 10 --seed 0), every suite
-# on a Banach and a quasi-Banach space: a change to any checker, model builder
-# or window table that moves a byte of them fails here
+# on l2, a quasi-Banach lp, the sup norm and a nested space: a change to any
+# checker, model builder or window table that moves a byte of them fails here
 WINDOW_SUITE_SHA256 = {
     "tangency": {
         "l2:3": "8cb3435c4477331e632a0dc95867ddcefa09c234a72b0099db3bec727b08226d",
         "lp:0.5:3": "86024e955ee59f2977d1c6a6851e4e6af7e8834cd895da3ef09a84db1ebfd542",
+        "linf:3": "f5a334bf473c624afa2712e40988b5998f88f29f6ece1c96dec55d50a115832e",
+        "nested:1x2,3x2": "6c87b3b9d108b381e1711ed6e508eccb346bf6fa5999f3b0d6b7f6a8c1ac3ee0",
     },
     "levy": {
         "l2:3": "87e640e51d07d5ae3c7b123421f5d38e87b2bf65db332655f80cc3621f426ae9",
         "lp:0.5:3": "e6656ff28254435fe9286c486c401c5bbe718b849d705291071f03155011c06a",
+        "linf:3": "568455d68ca5b305d06e273650dedf19e93f72e55bc0c0721bde0db54225c21e",
+        "nested:1x2,3x2": "df527b1f5762316d346e4d53d1b188fedc4c06fb52458a4b61ef32bdc230ba7d",
     },
     "contraction": {
         "l2:3": "27e7a51acbdceec80113b2d32e597d0b50b0487ad315a8034ac05f6eb295fb2b",
         "lp:0.5:3": "8a32daad491855bfa60ef88b2238676d35af2ef0b60e17fe3fc6235c602800a8",
+        "linf:3": "05dc681a25a956ac7614cef19ea999a49f4328bd2ea820ce20abf24f83d0688f",
+        "nested:1x2,3x2": "713857a26cd6a480ecea18c591f2f8c0882baef380ae37b88ed3dc0bc0c97859",
     },
     "symsum": {
         "l2:3": "08e084ae430a541b2401e8eb3689f6c1cf95030c369239a89f4307e7336b9169",
         "lp:0.5:3": "d5ffcea14c6298d46916f2ad20e7606393517f16c9c1942ba235fab9445be704",
+        "linf:3": "a01ec0c94224782b97371d21a393c110e707f6226b36b47c57d0bac952305046",
+        "nested:1x2,3x2": "cb86ea99f6f89c6ef44a25f9a55c7239c52b5181e287b3535a6adfe39fa452cb",
     },
     "revkol": {
         "l2:3": "6291f06fa59f19bc66f58fc0a5f01c395a81468dbc258bd3d725968a67fe4038",
         "lp:0.5:3": "b2c62f823672f8cd8d021335fc4a50f1c83447b5c67934fba38b4328dcd1bd5f",
+        "linf:3": "4d5aa60475fd0f641c1097e8d387cf5c5b12a97c50b08b64e39c87b911fd68d9",
+        "nested:1x2,3x2": "499983f610466c92615fd9cf5ba2d49f421e2fa5e0bd3c7b983d22152afd69a5",
     },
     "tail": {
         "l2:3": "45d26c9a06fd52df72270056ddd0a893b3fe2d68f3161d77ce0ae1e9d5ee0e5f",
         "lp:0.5:3": "296ba93bcb8981fab128e38b98b668892c4f57eb5cd3925d3e47db5847ed415f",
+        "linf:3": "8419a6268a9803facbabedcbe54d4c9dbaf7efd45a83d6d3885d15c4fe6a3c45",
+        "nested:1x2,3x2": "53e25014a8cd82f23e3f9ae2c26b5e0b59472c301c96d5618c7f6330f1d26de5",
     },
     "goodlambda": {
         "l2:3": "e22ddce3364317731d700ed9f3fc90ba52eba55817b808c60542b63e4110b541",
         "lp:0.5:3": "5f388fbcb091b57af60f0c8e98c2b576a23656c105761675f3cf6b61fc7de61c",
+        "linf:3": "fab5398d9a77f67aa7ce293724912fcfc091c69be4336b16e53411ef8999e7f8",
+        "nested:1x2,3x2": "7ab406667248158fed5da8c6feee10578fee090b7e20c4a1d6cc504b955c2606",
     },
     "davis": {
         "l2:3": "9aede4a4e7371f3827a0a52436400d86e8f66f4e9339cd957c7b9b7469191181",
         "lp:0.5:3": "5e5b24ec64cac5e0bd60c00bc5794143d3e910a5660c7d3701cca8bc35b85e6d",
+        "linf:3": "63d5f702a092205e310f95d97900846009607ea57cca6ac259634d06ecceb413",
+        "nested:1x2,3x2": "466cbbe5bc56e8e18a5fa377a6b7a3dfec51f3e2fa0734b7d60bff9ee5d7038f",
     },
     "extrapolation": {
         "l2:3": "bad5e3e0ec59d8dfe9d8670c49d1b7380606a24a6456821d242ab613b86d6796",
         "lp:0.5:3": "ea0e09b24ae966e831351bab27c42cd3f7292de8dd7be64c0deab9f47e2f8499",
+        "linf:3": "ed16d6702fc0adc3024fe4b59727fcd3aab73cb9116564ae1937e644985540c3",
+        "nested:1x2,3x2": "6e4ed6de9b1353f398280eeab46493fb4b66f4829d33b09dbd4e31e8c7f3cffb",
     },
     "all": {
         "l2:3": "6331a06e26a6131078856fed0188a979160404966c317b06bb87839dc9e7eb92",
         "lp:0.5:3": "20ea1bb99e81b22a0611639b1cc4414feb383c9ae3c35ad55813e15920634cad",
+        "linf:3": "2f9a7a67355b40252c0110d1486be5f2abc9f01fba2665cf4982551446a37d81",
+        "nested:1x2,3x2": "2643f72d402e95c5048506813b423f243775ec64598332dd60753c694fe1ccbf",
     },
 }
 
