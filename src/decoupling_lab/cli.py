@@ -81,39 +81,67 @@ def _verify_one(task: tuple) -> tuple[list[str], bool]:
 
     suite, space_text, p, depth, start, stop, seed, fmt = task
     space = parse_space(space_text)
-    chunks, failed = [], False
-    for rows in _row_batches(suite, space, p, depth, range(start, stop), seed):
-        failed = failed or any(row.get("holds") is False for row in rows)
-        chunks.append(rp.encode_rows(rows, fmt, VERIFY_COLUMNS))
-    return chunks, failed
+    batches = list(_row_batches(suite, space, p, depth, range(start, stop), seed, fmt))
+    return [chunk for chunk, _ in batches], any(failed for _, failed in batches)
 
 
-def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int):
-    """The rows of the trials, batch by batch in index order; each trial draws
-    from its own stream.  A pair-suite trial is a batch of its own.  Product-
-    suite trials run in batches of consecutive trials whose models enumerate
-    at most BATCH_FLOATS partial-sum floats together (a model over that runs
-    alone), checked one shape at a time on one stacked enumeration."""
+def _encoded(rows: list[dict], fmt: str) -> tuple[str, bool]:
+    """A batch of rows encoded in one call, and whether some row has holds=false."""
+    return (rp.encode_rows(rows, fmt, VERIFY_COLUMNS),
+            any(row.get("holds") is False for row in rows))
+
+
+def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int, fmt: str):
+    """The trials' rows, batch by batch in index order, each batch encoded
+    (_encoded); each trial draws from its own stream.  A tangency trial is a
+    batch of its own.  The other suites take their trials in windows of
+    consecutive trials (_windows) and check each window one shape at a time
+    on stacked enumerations: product suites in windows whose models enumerate
+    at most BATCH_FLOATS partial-sum floats together, pair suites in windows
+    whose increment tables hold at most BATCH_FLOATS floats together."""
     from . import probmodel as pm
     from .rng import stream
 
-    if suite not in STACKED_SUITES:
+    if suite == "tangency":
         for index in indices:
             gen = stream(seed, "verify", suite, index)
-            pair = pm.random_pair(gen, space, max_depth=depth,
-                                  symmetric=suite != "tangency" or bool(index % 2))
-            yield _pair_rows(suite, pair, p, index)
-        return
-    batch, floats = [], 0
-    for index in indices:
-        draws = _product_draws(suite, space, depth, stream(seed, "verify", suite, index))
-        if batch and floats + draws[0].floats > pm.BATCH_FLOATS:
-            yield _product_rows(suite, p, batch)
-            batch, floats = [], 0
-        batch.append((index, *draws))
-        floats += draws[0].floats
-    if batch:
-        yield _product_rows(suite, p, batch)
+            pair = pm.random_pair(gen, space, max_depth=depth, symmetric=bool(index % 2))
+            yield _encoded(_tangency_rows(pair, index), fmt)
+    elif suite in STACKED_SUITES:
+        draws = ((index, *_product_draws(suite, space, depth, stream(seed, "verify", suite, index)))
+                 for index in indices)
+        for batch in _windows(draws, lambda trial: trial[1].floats):
+            yield _encoded(_product_rows(suite, p, batch), fmt)
+    else:
+        def trees():
+            # a window holds each trial's tree and its stream, drawn up to
+            # the tree; each stack draws its pairs' sequences when checked
+            for index in indices:
+                gen = stream(seed, "verify", suite, index)
+                yield index, gen, pm.random_tree(gen, depth)
+
+        def redraw(index: int):
+            return pm.random_pair(stream(seed, "verify", suite, index), space, max_depth=depth)
+
+        for window in _windows(trees(), lambda trial: space.dim * sum(
+                trial[2].num_nodes(n) for n in range(1, trial[2].depth + 1))):
+            yield from _pair_batches(suite, space, p, window, fmt, redraw)
+
+
+def _windows(trials, floats):
+    """Consecutive trials in windows whose floats total at most BATCH_FLOATS;
+    a trial over that runs alone."""
+    from .probmodel import BATCH_FLOATS
+
+    window, total = [], 0
+    for trial in trials:
+        if window and total + floats(trial) > BATCH_FLOATS:
+            yield window
+            window, total = [], 0
+        window.append(trial)
+        total += floats(trial)
+    if window:
+        yield window
 
 
 def _product_draws(suite: str, space, depth: int, gen) -> tuple:
@@ -140,12 +168,12 @@ def _product_rows(suite: str, p: float, batch: list) -> list[dict]:
     reports = {}
     for group in shapes.values():
         reports.update(zip([trial[0] for trial in group], _product_reports(suite, p, group)))
-    rows = []
-    for index, *_ in batch:
-        row = reports[index].as_dict()
-        row["model"] = index
-        rows.append(row)
-    return rows
+    return [row for index, *_ in batch for row in _trial_rows([reports[index]], index)]
+
+
+def _trial_rows(reports: list, index: int) -> list[dict]:
+    """The rows of trial ``index``'s reports."""
+    return [{**report.as_dict(), "model": index} for report in reports]
 
 
 def _product_reports(suite: str, p: float, group: list) -> list:
@@ -167,34 +195,66 @@ def _product_reports(suite: str, p: float, group: list) -> list:
     return iq.reverse_kolmogorov_reports(stack, ts, p)
 
 
-def _pair_rows(suite: str, pair, p: float, index: int) -> list[dict]:
-    """The rows of trial ``index`` of a suite on a tangent pair."""
+def _pair_batches(suite: str, space, p: float, window: list, fmt: str, redraw):
+    """The encoded rows of a window of (index, stream, tree) trials, one
+    batch per trial in index order.  Each tree shape's trials are checked in
+    PairStacks whose pairs hold at most BATCH_FLOATS floats together at the
+    check's peak (pair_floats), a pair over that alone; each pair draws its
+    sequence as random_pair does, and each trial's rows are encoded as its
+    stack is done.  When a stack raises, the window's trials are drawn again
+    (``redraw``) and checked one at a time in index order, so the first
+    failing trial raises the error it raises alone."""
+    from . import probmodel as pm
+
+    shapes: dict[tuple, list] = {}
+    for trial in window:
+        shapes.setdefault(trial[2].sizes, []).append(trial)
+    batches = {}
+    try:
+        for sizes, group in shapes.items():
+            size = max(1, pm.BATCH_FLOATS // pm.pair_floats(sizes, space))
+            for start in range(0, len(group), size):
+                trials = group[start:start + size]
+                stack = pm.PairStack.of([
+                    pm.decouple(pm.random_multiplier_sequence(gen, tree, space))
+                    for _, gen, tree in trials])
+                for (index, *_), reports in zip(trials, _pair_reports(suite, p, stack)):
+                    batches[index] = _encoded(_trial_rows(reports, index), fmt)
+    except ValueError:
+        for index, *_ in window:
+            _pair_reports(suite, p, redraw(index).stack)
+        raise
+    for index, *_ in window:
+        yield batches[index]
+
+
+def _pair_reports(suite: str, p: float, stack) -> list:
+    """Each pair's reports of a pair suite, checked on one PairStack."""
     import numpy as np
 
     from . import inequalities as iq
+
+    if suite == "tail":
+        return iq.tail_reports(stack, [
+            sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
+            for d_star in stack.d_star])
+    if suite == "goodlambda":
+        return iq.goodlambda_reports(stack, p, None, b=0.5)
+    if suite == "davis":
+        return [[report] for report in iq.davis_reports(stack)]
+    if suite == "extrapolation":
+        return [[report] for report in iq.extrapolation_reports(stack, p, q=2.0)]
+    raise ValueError(f"unknown suite {suite!r}")
+
+
+def _tangency_rows(pair, index: int) -> list[dict]:
+    """The rows of tangency trial ``index``."""
     from . import probmodel as pm
 
-    if suite == "tangency":
-        checks = zip(("tangency", "conditional-independence"), pm.verify_tangent_pair(pair))
-        rows = [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
-                 "margin": -res.gap, "method": "exact", "detail": res.detail}
-                for label, res in checks]
-    elif suite == "tail":
-        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
-        rows = [rep.as_dict() for rep in iq.check_tail_comparison(pair, ts)]
-    elif suite == "goodlambda":
-        b = 0.5
-        rows = [rep.as_dict() for rep in
-                iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, b), b=b)]
-    elif suite == "davis":
-        rows = [iq.check_davis_pathwise(pair).as_dict()]
-    elif suite == "extrapolation":
-        rows = [iq.check_extrapolation(pair, p, q=2.0).as_dict()]
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    for row in rows:
-        row["model"] = index
-    return rows
+    checks = zip(("tangency", "conditional-independence"), pm.verify_tangent_pair(pair))
+    return [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
+             "margin": -res.gap, "method": "exact", "detail": res.detail, "model": index}
+            for label, res in checks]
 
 
 def _cmd_verify(args) -> int:

@@ -25,9 +25,10 @@ from .probmodel import (
     LAW_TOL,
     Level,
     ModelError,
+    PairStack,
     PathStack,
     TangentPair,
-    joint_blocks,
+    davis_tables,
     symmetry_gaps,
 )
 from .spaces import Space, lu_constants
@@ -60,12 +61,15 @@ class IneqReport:
 
     def as_dict(self) -> dict:
         # field by field: dataclasses.asdict deep-copies params and extra
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
         out["params"], out["extra"] = dict(self.params), dict(self.extra)
         # numpy scalars confuse canonical JSON
         for key in ("lhs", "rhs", "margin"):
             out[key] = float(out[key])
         return out
+
+
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(IneqReport))
 
 
 def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
@@ -143,9 +147,11 @@ class MomentFunctional:
     def __call__(self, t):
         if np.ndim(t) == 0:
             return self.fn(float(t))
-        # tolist gives the Python floats that float() gives of each element
+        # tolist gives the Python floats that float() gives of each element;
+        # fromiter holds no list of the results
         values = np.ravel(np.asarray(t, dtype=float)).tolist()
-        return np.array([self.fn(x) for x in values]).reshape(np.shape(t))
+        return np.fromiter(map(self.fn, values), dtype=float, count=len(values)).reshape(
+            np.shape(t))
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,15 +232,26 @@ class ProductStack(PathStack):
             if model.space != space or model.shape != shape:
                 raise ModelError("stacked product models need one space and one shape")
             model.require_enumerable()
-        # per level, the laws' atoms (models, atoms, dim) and masses (models, atoms)
-        self.atoms = [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
-                      for n, size in enumerate(shape)]
-        self.masses = [np.stack([m.laws[n].probs for m in self.models])
-                       for n in range(len(shape))]
-        # every level is independent of the past: its law's atoms on each parent
-        super().__init__(space, [
-            np.broadcast_to(law[:, None], (len(law), math.prod(shape[:n]), *law.shape[1:]))
-            for n, law in enumerate(self.atoms)])
+        # PathStack's fields but its tables, which are built on first use
+        self.space, self.sizes, self.path_count = space, shape, math.prod(shape)
+
+    @functools.cached_property
+    def atoms(self) -> list[np.ndarray]:
+        """Per level, the laws' atoms (models, atoms, dim)."""
+        return [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
+                for n, size in enumerate(self.sizes)]
+
+    @functools.cached_property
+    def masses(self) -> list[np.ndarray]:
+        """Per level, the laws' masses (models, atoms)."""
+        return [np.stack([m.laws[n].probs for m in self.models]) for n in range(len(self.sizes))]
+
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """Every level is independent of the past: its law's atoms on each parent."""
+        return tuple(np.broadcast_to(law[:, None], (len(law), math.prod(self.sizes[:n]),
+                                                    *law.shape[1:]))
+                     for n, law in enumerate(self.atoms))
 
     @functools.cached_property
     def probs(self) -> np.ndarray:
@@ -391,6 +408,9 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # tail comparison between a sequence and its decoupled companion
+#
+# Each pair check runs on a PairStack, with each model's reports in stack
+# order; the check_* functions are its stack of one.
 
 
 def check_tail_comparison(pair: TangentPair, ts: Sequence[float]) -> list[IneqReport]:
@@ -399,19 +419,27 @@ def check_tail_comparison(pair: TangentPair, ts: Sequence[float]) -> list[IneqRe
     For every threshold t both directions are checked:
     P(e* > t) <= 2 P(d* > t) and P(d* > t) <= 2 P(e* > t).
     """
-    probs = pair.tree.path_probs
-    d_star = pair.seq.d_star
-    d_mass = {t: float(probs[d_star > t].sum()) for t in ts}
+    return tail_reports(pair.stack, [ts])[0]
+
+
+def tail_reports(stack: PairStack, tss: Sequence[Sequence[float]]) -> list[list[IneqReport]]:
+    """check_tail_comparison of each model of the stack, at its own thresholds."""
+    probs, d_star = stack.path_probs, stack.d_star
+    d_mass = [{t: float(probs[i][d_star[i] > t].sum()) for t in ts} for i, ts in enumerate(tss)]
     # one running sum per distinct threshold, however often ts repeats it
-    e_mass = dict.fromkeys(ts, 0.0)
-    for weights, stats in joint_blocks(pair, ("e_star",)):
-        for t in e_mass:
-            e_mass[t] += float(weights[stats["e_star"] > t].sum())
-    reports = []
-    for t in ts:
-        reports.append(_one_sided("tail-e-by-d", {"t": t}, e_mass[t], 2.0 * d_mass[t]))
-        reports.append(_one_sided("tail-d-by-e", {"t": t}, d_mass[t], 2.0 * e_mass[t]))
-    return reports
+    e_mass = [dict.fromkeys(ts, 0.0) for ts in tss]
+    for weights, stats in stack.joint_blocks(("e_star",)):
+        for i, masses in enumerate(e_mass):
+            for t in masses:
+                masses[t] += float(weights[i][stats["e_star"][i] > t].sum())
+    out = []
+    for ts, d, e in zip(tss, d_mass, e_mass):
+        reports = []
+        for t in ts:
+            reports.append(_one_sided("tail-e-by-d", {"t": t}, e[t], 2.0 * d[t]))
+            reports.append(_one_sided("tail-d-by-e", {"t": t}, d[t], 2.0 * e[t]))
+        out.append(reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +452,19 @@ def window_conditional_norm(pair: TangentPair, p: float, k: int, l: int) -> np.n
     T_p(f over (k,l]) at an atom is (E[ ||sum_{k<m<=l} e_m||^p | F_inf ])^(1/p);
     in the frozen-table model the conditional law is the product of the table
     rows along the atom's history, so this is a finite sum.  The value is read
-    from the pair's window table at p, which builds every window once.
+    from the window table at p of the pair's stack, which builds every window
+    once.
     """
     if pair.mode != "decoupled":
         raise ModelError("conditional window norms need a decoupled pair")
     if not 0 <= k < l <= pair.seq.depth:
         raise ModelError(f"bad window ({k}, {l}]")
-    return pair.window_table(p).norms[k, l]
+    return pair.stack.window_table(p).norms[k, l][0]
 
 
 def conditional_norm_star(pair: TangentPair, p: float) -> np.ndarray:
     """T*_p(f) = max_n T_p(f^n), per path."""
-    seq, tree = pair.seq, pair.tree
-    norms = pair.window_table(p).norms
-    out = np.zeros(tree.path_count)
-    for n in range(1, seq.depth + 1):
-        out = np.maximum(out, norms[0, n][tree.nodes_at(n - 1)])
-    return out
+    return pair.stack.window_table(p).norm_star[0]
 
 
 @dataclass(frozen=True)
@@ -458,37 +482,51 @@ class BmoProfile:
     b_hat: float
     d_hat: float
     chebyshev_ok: bool
-    worst_atom: int
     windows: int
 
 
 def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
-    """The window profile at threshold A, read from the pair's window table."""
-    table = pair.window_table(p)
-    b_hat = 0.0
-    worst_atom = 0
+    """The window profile at threshold A, read from the window table of the pair's stack."""
+    return bmo_profiles(pair.stack, p, [A])[0]
+
+
+def bmo_profiles(stack: PairStack, p: float, As: Sequence[float]) -> list[BmoProfile]:
+    """bmo_condition of each model of the stack, at its own A.
+
+    An atom's conditional probability of win > A t_sup is its masked mass
+    over its mass, one masked sum per atom and model as it runs alone; an
+    atom where every path or none is over takes 1.0 or 0.0, which that
+    division gives exactly.
+    """
+    table = stack.window_table(p)
+    A = np.array(As, dtype=float)[:, None]
+    pconds = []
+    for win, probs, mass, t_sup, _ in table.atoms.values():
+        over = win > (A * t_sup)[:, :, None]
+        count = over.sum(axis=2)
+        pcond = (count == over.shape[2]).astype(float)
+        for i, b in zip(*np.nonzero((count > 0) & (count < over.shape[2]) & (mass > 0))):
+            pcond[i, b] = float(probs[i, b][over[i, b]].sum()) / mass[i, b]
+        pconds.append(pcond)
+    # every window's atoms side by side
+    mass, t_sup, num = (np.concatenate([atoms[j] for atoms in table.atoms.values()], axis=1)
+                        for j in (2, 3, 4))
+    pconds = np.where(mass > 0, np.concatenate(pconds, axis=1), 0.0)
     # the Chebyshev certificate: each conditional probability against its bound
-    pconds, caps = [], []
-    for win, probs, atoms in table.atoms.values():
-        for b, mass, t_sup, num in atoms:
-            pcond = float(probs[b][win[b] > A * t_sup].sum()) / mass
-            if pcond > b_hat:
-                b_hat, worst_atom = pcond, b
-            if A > 0 and t_sup > 0:
-                pconds.append(pcond)
-                caps.append(num / (A * t_sup) ** p)
-    if A > 0:
-        pconds.append(b_hat)
-        caps.append(table.d_hat ** p / A ** p)
-    return BmoProfile(
-        p=p,
-        A=A,
-        b_hat=b_hat,
-        d_hat=table.d_hat,
-        chebyshev_ok=not pconds or _one_sided("chebyshev-certificate", {}, pconds, caps).holds,
-        worst_atom=worst_atom,
-        windows=len(table.atoms),
-    )
+    certified = (A > 0) & (t_sup > 0) & (mass > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = num / (A * t_sup) ** p
+    profiles = []
+    for i, a in enumerate(As):
+        b_hat = float(pconds[i].max())
+        lhs, rhs = pconds[i][certified[i]], caps[i][certified[i]]
+        if a > 0:
+            lhs, rhs = np.append(lhs, b_hat), np.append(rhs, table.d_hat[i] ** p / a ** p)
+        profiles.append(BmoProfile(
+            p=p, A=a, b_hat=b_hat, d_hat=table.d_hat[i],
+            chebyshev_ok=not len(lhs) or _one_sided("chebyshev-certificate", {}, lhs, rhs).holds,
+            windows=len(table.atoms)))
+    return profiles
 
 
 def calibrated_A(pair: TangentPair, p: float, b: float) -> float:
@@ -498,8 +536,13 @@ def calibrated_A(pair: TangentPair, p: float, b: float) -> float:
     certifies level b for any pair with finite window ratios (A = 1 when
     d_hat = 0).
     """
-    d_hat = pair.window_table(p).d_hat
-    return d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0
+    return _calibrated(pair.stack, p, b)[0]
+
+
+def _calibrated(stack: PairStack, p: float, b: float) -> list[float]:
+    """calibrated_A of each model of the stack."""
+    return [d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0
+            for d_hat in stack.window_table(p).d_hat]
 
 
 def check_goodlambda(
@@ -518,36 +561,51 @@ def check_goodlambda(
     the weak-threshold form P(f* >= beta L, side < delta L) <= b P(f* > L)
     and the strict form P(f* > beta L, side <= delta L) <= b P(f* > L).
     """
-    space = pair.seq.space
-    rho = min(space.r, p)
-    beta = (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho)
-    profile = bmo_condition(pair, p, A)
-    params = {"p": p, "A": A, "b": b, "beta": beta, "delta": delta, "rho": rho,
-              "b_hat": profile.b_hat}
-    if profile.b_hat >= b:
-        # smallness certificate failed; the estimate is not applicable here
-        return [_one_sided(name, dict(params), 0.0, 0.0, status="not-applicable")
-                for name in ("goodlambda-geq-lt", "goodlambda-gt-leq")]
-    f_star = pair.seq.f_star
-    side = np.maximum(conditional_norm_star(pair, p), pair.seq.d_star)
-    probs = pair.tree.path_probs
-    if lambdas is None:
-        pos = np.unique(f_star[f_star > 0])
-        if pos.size == 0:
-            lambdas = [1.0]
-        else:
-            qs = np.quantile(pos, np.linspace(0.05, 0.95, 7))
-            lambdas = sorted(set(float(x) / beta for x in qs))
-    reports = []
-    for name, hit in (
-        ("goodlambda-geq-lt", lambda lam: (f_star >= beta * lam) & (side < delta * lam)),
-        ("goodlambda-gt-leq", lambda lam: (f_star > beta * lam) & (side <= delta * lam)),
-    ):
-        rows = [{"lambda": float(lam), "lhs": float(probs[hit(lam)].sum()),
-                 "rhs": b * float(probs[f_star > lam].sum())} for lam in lambdas]
-        reports.append(_one_sided(name, dict(params), [r["lhs"] for r in rows],
-                                  [r["rhs"] for r in rows], extra={"grid": rows}))
-    return reports
+    return goodlambda_reports(pair.stack, p, [A], b, lambdas, delta)[0]
+
+
+def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b: float,
+                       lambdas: Sequence[float] | None = None,
+                       delta: float = 0.2) -> list[list[IneqReport]]:
+    """check_goodlambda of each model of the stack, at its own A (calibrated_A
+    when As is None).  A model's events at every lambda are one array, and
+    each masked sum is taken on its own."""
+    rho = min(stack.space.r, p)
+    As = _calibrated(stack, p, b) if As is None else As
+    profiles = bmo_profiles(stack, p, As)
+    sides = np.maximum(stack.window_table(p).norm_star, stack.d_star)
+    out = []
+    for A, profile, f_star, side, probs in zip(As, profiles, stack.f_star, sides,
+                                               stack.path_probs):
+        beta = (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho)
+        params = {"p": p, "A": A, "b": b, "beta": beta, "delta": delta, "rho": rho,
+                  "b_hat": profile.b_hat}
+        if profile.b_hat >= b:
+            # smallness certificate failed; the estimate is not applicable here
+            out.append([_one_sided(name, dict(params), 0.0, 0.0, status="not-applicable")
+                        for name in ("goodlambda-geq-lt", "goodlambda-gt-leq")])
+            continue
+        grid = lambdas
+        if grid is None:
+            pos = np.unique(f_star[f_star > 0])
+            if pos.size == 0:
+                grid = [1.0]
+            else:
+                qs = np.quantile(pos, np.linspace(0.05, 0.95, 7))
+                grid = sorted(set(float(x) / beta for x in qs))
+        lams = np.array(grid, dtype=float)[:, None]
+        rhs = [b * float(probs[over].sum()) for over in f_star > lams]
+        reports = []
+        for name, hits in (
+            ("goodlambda-geq-lt", (f_star >= beta * lams) & (side < delta * lams)),
+            ("goodlambda-gt-leq", (f_star > beta * lams) & (side <= delta * lams)),
+        ):
+            rows = [{"lambda": float(lam), "lhs": float(probs[hit].sum()), "rhs": tail}
+                    for lam, hit, tail in zip(grid, hits, rhs)]
+            reports.append(_one_sided(name, dict(params), [r["lhs"] for r in rows],
+                                      [r["rhs"] for r in rows], extra={"grid": rows}))
+        out.append(reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +614,27 @@ def check_goodlambda(
 
 def moment_phi(pair: TangentPair, phi: MomentFunctional, statistic: str) -> float:
     """E Phi(statistic), exact.  statistic is f_star (f*) or g_norm (||g_N||)."""
+    return phi_moments(pair.stack, phi, statistic)[0]
+
+
+def phi_moments(stack: PairStack, phi: MomentFunctional, statistic: str) -> list[float]:
+    """moment_phi of each model of the stack: each model's sums over its own
+    contiguous slabs, as for it alone."""
     if statistic == "f_star":
-        return float(phi(pair.seq.f_star) @ pair.tree.path_probs)
+        return [float(row @ probs) for row, probs in zip(phi(stack.f_star), stack.path_probs)]
     if statistic != "g_norm":
         raise ValueError(f"unknown statistic {statistic!r}")
-    total = 0.0
-    for weights, stats in joint_blocks(pair, ("g_norm",)):
-        total += float(np.sum(weights * phi(stats["g_norm"])))
-    return total
+    totals = [0.0] * len(stack.tables[0])
+    for weights, stats in stack.joint_blocks(("g_norm",)):
+        for i, g_norm in enumerate(stats["g_norm"]):
+            totals[i] += float(np.sum(weights[i] * phi(g_norm)))
+    return totals
+
+
+@functools.lru_cache(maxsize=1024)
+def _extrapolation_value(p: float, q: float, A: float, b: float, r: float) -> float:
+    """extrapolation_constant(...).value, evaluated once per distinct arguments."""
+    return extrapolation_constant(p, q, A, b, r).value
 
 
 def check_extrapolation(
@@ -581,8 +652,16 @@ def check_extrapolation(
     from the pair's own (A-independent) d_hat via Chebyshev, so any pair with
     finite windows can be certified at some cost in the constant.
     """
-    space = pair.seq.space
-    rho = min(space.r, p)
+    return extrapolation_reports(pair.stack, p, q, phi, b, None if A is None else [A])[0]
+
+
+def extrapolation_reports(stack: PairStack, p: float, q: float,
+                          phi: MomentFunctional | None = None, b: float | None = None,
+                          As: Sequence[float] | None = None) -> list[IneqReport]:
+    """check_extrapolation of each model of the stack, at its own A
+    (calibrated_A when As is None)."""
+    r = stack.space.r
+    rho = min(r, p)
     phi = power(q) if phi is None else phi
     if phi.q != q:
         raise PhiError("declared growth exponent must match q")
@@ -591,18 +670,22 @@ def check_extrapolation(
         b = threshold / 2.0
     if not 0 < b < threshold:
         raise ModelError(f"b must lie in (0, {threshold:.6g})")
-    if A is None:
-        A = calibrated_A(pair, p, b)
-    profile = bmo_condition(pair, p, A)
-    if profile.b_hat > b:
-        raise ModelError(
-            f"certificate failed: b_hat={profile.b_hat:.6g} > b={b:.6g} at A={A:.6g}"
-        )
-    const = extrapolation_constant(p, q, A, b, space.r).value
-    params = {"p": p, "q": q, "A": A, "b": b, "rho": rho, "b_hat": profile.b_hat,
-              "d_hat": profile.d_hat, "constant": const, "phi": phi.name}
-    return _one_sided("extrapolated-phi-domination", params, moment_phi(pair, phi, "f_star"),
-                      const * moment_phi(pair, phi, "g_norm"), scaled=True)
+    As = _calibrated(stack, p, b) if As is None else As
+    profiles = bmo_profiles(stack, p, As)
+    for A, profile in zip(As, profiles):
+        if profile.b_hat > b:
+            raise ModelError(
+                f"certificate failed: b_hat={profile.b_hat:.6g} > b={b:.6g} at A={A:.6g}"
+            )
+    consts = [_extrapolation_value(p, q, A, b, r) for A in As]
+    f_moments = phi_moments(stack, phi, "f_star")
+    g_moments = phi_moments(stack, phi, "g_norm")
+    return [_one_sided("extrapolated-phi-domination",
+                       {"p": p, "q": q, "A": A, "b": b, "rho": rho, "b_hat": profile.b_hat,
+                        "d_hat": profile.d_hat, "constant": const, "phi": phi.name},
+                       f_moment, const * g_moment, scaled=True)
+            for A, profile, const, f_moment, g_moment
+            in zip(As, profiles, consts, f_moments, g_moments)]
 
 
 def random_symmetric_law(gen, dim: int, atoms: int = 2) -> Level:
@@ -627,13 +710,17 @@ def check_davis_pathwise(pair: TangentPair) -> IneqReport:
     final running max: ||f''_N||^r <= (1 - 2^-r)^-1 (d*_N)^r with r the
     normability exponent.
     """
-    from .probmodel import davis_split
+    return davis_reports(pair.stack)[0]
 
-    _, big = davis_split(pair)
-    space = pair.seq.space
+
+def davis_reports(stack: PairStack) -> list[IneqReport]:
+    """check_davis_pathwise of each model of the stack."""
+    space = stack.space
     r = space.r
     cap = (1.0 - 2.0 ** (-r)) ** -1.0
+    _, big = davis_tables(space, stack.tables)
+    lhs = space.norms(PathStack(space, big).partial_sums[:, :, -1]) ** r
+    rhs = cap * stack.d_star ** r
     # one pair of sides per path; the report gives the path of least margin
-    return _one_sided("davis-large-part-pathwise", {"r": r, "cap": cap},
-                      space.norms(big.seq.terminal) ** r, cap * pair.seq.d_star ** r,
-                      scaled=True)
+    return [_one_sided("davis-large-part-pathwise", {"r": r, "cap": cap}, lhs[i], rhs[i],
+                       scaled=True) for i in range(len(lhs))]

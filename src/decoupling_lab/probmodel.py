@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -194,7 +194,7 @@ class FiltrationTree:
 
 def paley_walsh(depth: int) -> FiltrationTree:
     """Dyadic Rademacher tree: +-1 innovations, probability 1/2 each."""
-    return FiltrationTree([Level((1.0, -1.0), (0.5, 0.5)) for _ in range(depth)])
+    return FiltrationTree([FAIR_SIGNS] * depth)
 
 
 def symmetric_three_point(depth: int) -> FiltrationTree:
@@ -406,7 +406,6 @@ class TangentPair:
             raise ModelError(f"unknown tangent mode {mode!r}")
         self.seq = seq
         self.mode = mode
-        self._window_tables: dict[float, WindowTable] = {}
 
     @property
     def tree(self) -> FiltrationTree:
@@ -416,12 +415,10 @@ class TangentPair:
     def space(self) -> Space:
         return self.seq.space
 
-    def window_table(self, p: float) -> "WindowTable":
-        """The conditional window table at exponent p, built on first use."""
-        table = self._window_tables.get(p)
-        if table is None:
-            table = self._window_tables[p] = WindowTable(self, p)
-        return table
+    @cached_property
+    def stack(self) -> "PairStack":
+        """The pair as a stack of one, which every pair check runs on."""
+        return PairStack(self.tree, self.space, [t[None] for t in self.seq.tables], self.mode)
 
 
 def decouple(seq: AdaptedSequence) -> TangentPair:
@@ -551,21 +548,28 @@ def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
     is exactly what replaying the split tables does.
     """
     seq = pair.seq
-    small_tables, big_tables = [], []
-    d_star = np.zeros(1)  # d*_{n-1} per depth-(n-1) node
-    for n, table in enumerate(seq.tables, start=1):
-        norms = seq.space.norms(table)  # (parents, a_n)
+    parts = davis_tables(seq.space, [t[None] for t in seq.tables])
+    return tuple(TangentPair(AdaptedSequence(seq.tree, seq.space, [t[0] for t in tables]),
+                             pair.mode) for tables in parts)
+
+
+def davis_tables(space: Space, tables) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The (small, large) split tables of davis_split for a stack of tables
+    (models, num_nodes(n-1), a_n, dim): one norm per table entry, the running
+    d*_{n-1} grown node by node down the tree."""
+    small, big = [], []
+    d_star = np.zeros((len(tables[0]), 1))  # d*_{n-1} per depth-(n-1) node
+    for n, table in enumerate(tables, start=1):
+        norms = space.norms(table)  # (models, parents, a_n)
         if n == 1:
-            small_tables.append(np.zeros_like(table))
-            big_tables.append(table.copy())
+            small.append(np.zeros_like(table))
+            big.append(table.copy())
         else:
-            keep = (norms <= 2.0 * d_star[:, None]).astype(float)[:, :, None]
-            small_tables.append(table * keep)
-            big_tables.append(table * (1.0 - keep))
-        d_star = np.maximum(d_star[:, None], norms).reshape(-1)
-    small = AdaptedSequence(seq.tree, seq.space, small_tables)
-    big = AdaptedSequence(seq.tree, seq.space, big_tables)
-    return TangentPair(small, pair.mode), TangentPair(big, pair.mode)
+            keep = (norms <= 2.0 * d_star[:, :, None]).astype(float)[..., None]
+            small.append(table * keep)
+            big.append(table * (1.0 - keep))
+        d_star = np.maximum(d_star[:, :, None], norms).reshape(len(norms), -1)
+    return small, big
 
 
 JOINT_STATS = ("g_norm", "e_star")
@@ -582,78 +586,134 @@ def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
     return walk
 
 
-def batched_joint_blocks(tree: FiltrationTree, space: Space, tables, mode: str = "decoupled",
-                         stats=JOINT_STATS):
-    """The exact joint engine for a batch of sequences on one tree.
+class PairStack(PathStack):
+    """Tangent pairs on trees of one shape, checked as one stack.
 
-    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The g side reads
-    the first coordinate only through the table rows e_rows picks: through the
-    depth-(N-1) prefix in decoupled mode, not at all in copy mode.  So the
-    heads are the depth-(N-1) nodes (decoupled) or the root alone (copy), each
-    weighted by the mass of the paths under it, and every head meets every
-    second-coordinate path.
-
-    Yields (weights, stats): weights (rows, paths) is the joint mass of each
-    (head, omega~) outcome, summing to one over all blocks and shared by the
-    batch; stats holds only the requested statistics, each shaped
-    (batch, rows, paths): g_norm (||g_N||) and e_star.  Block rows are
-    counted across the batch: a block holds about BLOCK_FLOATS floats of g_N.
-
-    Within a block g grows level by level along the omega~ tree, so each
-    partial sum g_n is formed once per depth-n node, elementwise and for each
-    sequence as for it alone.  g is laid out dim-major, (batch, rows, dim,
-    nodes), with the omega~ nodes in digit-reversed order
-    (FiltrationTree.digit_reversed), so each level is one C-ordered broadcast
-    add whose inner loop runs over the nodes, and Space.norms folds the
-    coordinates over contiguous slabs.  The statistics are put back in the
-    natural path order before they are yielded, so every value is the one
-    the natural layout gives, bit for bit.
+    ``tree`` gives the shape: the alphabet sizes, the node order and the
+    ancestors.  tables[n-1] has shape (models, num_nodes(n-1), a_n, dim) and
+    level_probs[n-1] (models, a_n); by default every model has the masses of
+    ``tree``, on a model axis of length 1 (the search's batch of sequences on
+    one tree).  The per-path statistics are the PathStack's; the joint engine
+    and the window tables add the masses.  Every reduction runs on one
+    model's contiguous slab, so each model's values are those it gets alone.
     """
-    unknown = set(stats) - set(JOINT_STATS)
-    if unknown:
-        raise ValueError(f"unknown joint statistics {sorted(unknown)}")
-    depth, dim, paths = tree.depth, space.dim, tree.path_count
-    heads = require_joint_walk(tree, mode) // paths
-    head_probs = tree.node_probs(depth - 1) if mode == "decoupled" else np.ones(1)
-    batch = len(tables[0])
-    block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
-    for start in range(0, heads, block_rows):
-        block = np.arange(start, min(start + block_rows, heads))
-        rows = len(block)
-        # statistics at the depth-n nodes of the omega~ tree, n = 0 first
-        g = np.zeros((batch, rows, dim, 1))
-        e_star = np.zeros((batch, rows, 1))
-        for n in range(1, depth + 1):
-            # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
-            # of omega~ node q adds innovation j
-            inc = tables[n - 1][:, e_rows(tree, mode, block, n)].swapaxes(2, 3)
+
+    def __init__(self, tree: FiltrationTree, space: Space, tables, mode: str = "decoupled",
+                 level_probs=None):
+        if mode not in ("decoupled", "copy"):
+            raise ModelError(f"unknown tangent mode {mode!r}")
+        super().__init__(space, tables)
+        self.tree, self.mode = tree, mode
+        if level_probs is None:
+            level_probs = [level.probs[None] for level in tree.levels]
+            # one tree's path masses, cached on the tree
+            self.path_probs = tree.path_probs[None]
+        self.level_probs = list(level_probs)
+        self._window_tables: dict[float, WindowTable] = {}
+
+    @classmethod
+    def of(cls, pairs) -> "PairStack":
+        """Pairs of one space, mode and tree shape as one stack."""
+        first = pairs[0]
+        for pair in pairs:
+            if (pair.space, pair.mode, pair.tree.sizes) != (first.space, first.mode,
+                                                            first.tree.sizes):
+                raise ModelError("stacked pairs need one space, mode and tree shape")
+        levels = range(first.tree.depth)
+        return cls(first.tree, first.space,
+                   [np.stack([pair.seq.tables[n] for pair in pairs]) for n in levels], first.mode,
+                   [np.stack([pair.tree.levels[n].probs for pair in pairs]) for n in levels])
+
+    def node_probs(self, n: int) -> np.ndarray:
+        """The mass of every depth-n node, (models or 1, num_nodes(n)): the
+        level masses multiplied in level order, as FiltrationTree.node_probs."""
+        probs = np.ones((len(self.level_probs[0]), 1))
+        for level in self.level_probs[:n]:
+            probs = (probs[:, :, None] * level[:, None, :]).reshape(len(probs), -1)
+        return probs
+
+    @cached_property
+    def path_probs(self) -> np.ndarray:
+        return self.node_probs(len(self.sizes))
+
+    def window_table(self, p: float) -> "WindowTable":
+        """The conditional window table at exponent p, built on first use."""
+        table = self._window_tables.get(p)
+        if table is None:
+            table = self._window_tables[p] = WindowTable(self, p)
+        return table
+
+    def joint_blocks(self, stats=JOINT_STATS):
+        """The exact joint engine for the stack.
+
+        The g side reads the first coordinate only through the table rows
+        e_rows picks: through the depth-(N-1) prefix in decoupled mode, not
+        at all in copy mode.  So the heads are the depth-(N-1) nodes
+        (decoupled) or the root alone (copy), each weighted by the mass of
+        the paths under it, and every head meets every second-coordinate path.
+
+        Yields (weights, stats): weights (models or 1, rows, paths) is the
+        joint mass of each (head, omega~) outcome, summing to one over all
+        blocks for each model; stats holds only the requested statistics,
+        each shaped (models, rows, paths): g_norm (||g_N||) and e_star.
+        Block rows are counted across the stack: a block holds about
+        BLOCK_FLOATS floats of g_N.
+
+        Within a block g grows level by level along the omega~ tree, so each
+        partial sum g_n is formed once per depth-n node, elementwise and for
+        each model as for it alone.  g is laid out dim-major, (models, rows,
+        dim, nodes), with the omega~ nodes in digit-reversed order
+        (FiltrationTree.digit_reversed), so each level is one C-ordered
+        broadcast add whose inner loop runs over the nodes, and Space.norms
+        folds the coordinates over contiguous slabs.  The statistics are put
+        back in the natural path order before they are yielded, so every
+        value is the one the natural layout gives, bit for bit.
+        """
+        unknown = set(stats) - set(JOINT_STATS)
+        if unknown:
+            raise ValueError(f"unknown joint statistics {sorted(unknown)}")
+        tree, space, mode = self.tree, self.space, self.mode
+        depth, dim, paths = tree.depth, space.dim, tree.path_count
+        heads = require_joint_walk(tree, mode) // paths
+        head_probs = self.node_probs(depth - 1 if mode == "decoupled" else 0)
+        batch = len(self.tables[0])
+        block_rows = max(1, min(heads, BLOCK_FLOATS // max(1, batch * paths * dim)))
+        for start in range(0, heads, block_rows):
+            block = np.arange(start, min(start + block_rows, heads))
+            rows = len(block)
+            # statistics at the depth-n nodes of the omega~ tree, n = 0 first
+            g = np.zeros((batch, rows, dim, 1))
+            e_star = np.zeros((batch, rows, 1))
+            for n in range(1, depth + 1):
+                # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
+                # of omega~ node q adds innovation j
+                inc = self.tables[n - 1][:, e_rows(tree, mode, block, n)].swapaxes(2, 3)
+                if "g_norm" in stats:
+                    g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
+                               order="C").reshape(batch, rows, dim, -1)
+                if "e_star" in stats:
+                    e_star = np.maximum(e_star[:, :, None, :], space.norms(inc),
+                                        order="C").reshape(batch, rows, tree.num_nodes(n))
+            out = {"e_star": e_star}
             if "g_norm" in stats:
-                g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
-                           order="C").reshape(batch, rows, dim, -1)
-            if "e_star" in stats:
-                e_star = np.maximum(e_star[:, :, None, :], space.norms(inc),
-                                    order="C").reshape(batch, rows, tree.num_nodes(n))
-        out = {"e_star": e_star}
-        if "g_norm" in stats:
-            out["g_norm"] = space.norms(g.swapaxes(2, 3))
-        weights = head_probs[block, None] * tree.path_probs[None, :]
-        yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
+                out["g_norm"] = space.norms(g.swapaxes(2, 3))
+            weights = head_probs[:, block, None] * self.path_probs[:, None, :]
+            yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
 
 
 def joint_blocks(pair: TangentPair, stats=JOINT_STATS):
-    """batched_joint_blocks for one pair: the same blocks with the batch axis dropped."""
-    tables = [t[None] for t in pair.seq.tables]
-    for weights, out in batched_joint_blocks(pair.tree, pair.space, tables, pair.mode, stats):
-        yield weights, {key: value[0] for key, value in out.items()}
+    """The joint engine's blocks for one pair: its stack of one, the model axis dropped."""
+    for weights, out in pair.stack.joint_blocks(stats):
+        yield weights[0], {key: value[0] for key, value in out.items()}
 
 
 def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,
                        mode: str = "decoupled") -> list[float]:
-    """E ||g_N||^p of each of a batch of sequences, exact: one norm per
-    (head, omega~) outcome, each sequence's blocks summed as for it alone (its
-    own reduction over a contiguous (rows, paths) slab)."""
+    """E ||g_N||^p of each of a batch of sequences on one tree, exact: one norm
+    per (head, omega~) outcome, each sequence's blocks summed as for it alone
+    (its own reduction over a contiguous (rows, paths) slab)."""
     totals = [0.0] * len(tables[0])
-    for weights, stats in batched_joint_blocks(tree, space, tables, mode, ("g_norm",)):
+    for weights, stats in PairStack(tree, space, tables, mode).joint_blocks(("g_norm",)):
         weighted = weights * stats["g_norm"] ** p
         for b, row in enumerate(weighted):
             totals[b] += float(np.add.reduce(row, axis=None))
@@ -666,83 +726,123 @@ def g_terminal_moment(pair: TangentPair, p: float) -> float:
                               p, pair.mode)[0]
 
 
-class WindowTable:
-    """Conditional p-norms of every window (k, l] of a decoupled pair, built once.
+def pair_floats(sizes: tuple[int, ...], space: Space) -> int:
+    """Floats one pair on a tree of these alphabet sizes holds at the peak of
+    a pair check whose norms take one block: its widest window (0, N] or the
+    joint walk's g_N, W = num_nodes(N-1) x path_count x dim floats either
+    way, their norms W / dim, and the norms' |x| or x^2 temporary W and its
+    innermost sums W / d (d the innermost width of the space)."""
+    window = math.prod(sizes[:-1]) * math.prod(sizes) * space.dim
+    return 2 * window + window // space.dim + window // space.shape[-1][1]
 
-    norms[k, l] holds T_p of the window at each depth-(l-1) node,
-    (E[ ||sum_{k<m<=l} e_m||^p | F_inf])^(1/p): given F_inf the e_m are
-    independent with the table rows along the node's history as laws, so this
-    is a finite sum over the innovation combos of levels k+1..l.  For each
-    start k a forward recursion in l extends the combos by one level, adding
-    its increments to the window sums in level order, so each of the
-    N(N+1)/2 windows is formed once; ``windows_built`` counts them.  The
-    largest window, (0, N], holds W = num_nodes(N-1) x path_count x dim
-    floats, and norming it holds W more and W / d innermost sums (d the
-    innermost width of the space); past JOINT_LIMIT floats alive at that peak
-    the table is refused before anything is built.
+
+def _norms_in_blocks(space: Space, arr: np.ndarray) -> np.ndarray:
+    """space.norms of arr, at most BLOCK_FLOATS floats of arr at a time."""
+    flat = arr.reshape(-1, space.dim)
+    out = np.empty(len(flat))
+    step = max(1, BLOCK_FLOATS // space.dim)
+    for start in range(0, len(flat), step):
+        out[start:start + step] = space.norms(flat[start:start + step])
+    return out.reshape(arr.shape[:-1])
+
+
+class WindowTable:
+    """Conditional p-norms of every window (k, l] of a stack of decoupled
+    pairs, built once.
+
+    norms[k, l] holds T_p of the window at each model's depth-(l-1) nodes,
+    (models, nodes): (E[ ||sum_{k<m<=l} e_m||^p | F_inf])^(1/p).  Given F_inf
+    the e_m are independent with the table rows along the node's history as
+    laws, so this is a finite sum over the innovation combos of levels
+    k+1..l.  For each start k a forward recursion in l extends the combos by
+    one level for every model at once, adding its increments to the window
+    sums in level order, so each of the N(N+1)/2 windows is formed once;
+    ``windows_built`` counts them.  The growth reads only the tree's shape,
+    the tables and the level masses.  The largest windows, (0, N], hold
+    W = models x num_nodes(N-1) x path_count x dim floats, and their norms
+    W / dim more; the norms are taken in blocks of at most BLOCK_FLOATS
+    floats, whose temporaries hold a block and its sums over the innermost
+    d coordinates.  Past JOINT_LIMIT floats alive at that peak the table is
+    refused before anything is built.
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
-    does not depend on its threshold A, per atom b of F_{k-1} (F_0 for k <= 1):
-    ``win``, the norm ||f_l - f_k|| of each path, and ``probs``, the path
-    masses, both shaped (atoms, paths per atom); and one (b, mass, t_sup, num)
-    per atom, with t_sup the largest T_p over the atom's nodes and num the
-    conditional E ||f_l - f_k||^p.  d_hat is the largest conditional ratio
+    does not depend on its threshold A, per model and atom b of F_{k-1} (F_0
+    for k <= 1): (win, probs, mass, t_sup, num).  ``win`` is the norm
+    ||f_l - f_k|| of each path and ``probs`` its mass, both (models, atoms,
+    paths per atom); ``mass`` is the atom's mass, ``t_sup`` the largest T_p
+    over its nodes and ``num`` the conditional E ||f_l - f_k||^p, each
+    (models, atoms).  d_hat gives each model's largest conditional ratio
     (num / E[T_p^p | atom])^(1/p) over windows and atoms.
     """
 
-    def __init__(self, pair: TangentPair, p: float):
-        if pair.mode != "decoupled":
+    def __init__(self, stack: PairStack, p: float):
+        if stack.mode != "decoupled":
             raise ModelError("conditional window norms need a decoupled pair")
-        seq, tree = pair.seq, pair.tree
-        depth, dim, space = seq.depth, seq.dim, seq.space
-        # the (0, N] window, a |x| or x^2 temporary as large, and its innermost sums
-        window = tree.num_nodes(depth - 1) * tree.path_count * dim
-        floats = 2 * window + window // space.shape[-1][1]
+        tree, space, levels = stack.tree, stack.space, stack.level_probs
+        depth, dim, models = tree.depth, space.dim, len(stack.tables[0])
+        # the stack's (0, N] windows and their norms, and one norm block's
+        # temporaries: its |x| or x^2 and its innermost sums (pair_floats
+        # per model when the stack's norms take one block)
+        window = models * tree.num_nodes(depth - 1) * tree.path_count * dim
+        block = min(window, max(1, BLOCK_FLOATS // dim) * dim)
+        floats = window + window // dim + block + block // space.shape[-1][1]
         if floats > JOINT_LIMIT:
             raise EnumerationError(
                 f"window table needs {floats} floats, over budget {JOINT_LIMIT}")
+        self.tree = tree
         self.windows_built = 0
         self.norms: dict[tuple[int, int], np.ndarray] = {}
         for k in range(depth):
             # window (k, k+1]: the level's own rows, one combo per innovation
-            total, probs = seq.tables[k], tree.levels[k].probs
+            total, probs = stack.tables[k], levels[k]
             for l in range(k + 1, depth + 1):
                 if l > k + 1:
                     # node u*a + j at depth l-1 adds its row to the sums of its parent u
                     parents, a = tree.num_nodes(l - 2), tree.sizes[l - 2]
-                    rows = seq.tables[l - 1].reshape(parents, a, 1, tree.sizes[l - 1], dim)
-                    total = (total[:, None, :, None] + rows).reshape(parents * a, -1, dim)
-                    probs = np.multiply.outer(probs, tree.levels[l - 1].probs).reshape(-1)
-                vals = space.norms(total) ** p @ probs
-                norms = vals ** (1.0 / p)
+                    rows = stack.tables[l - 1].reshape(models, parents, a, 1, tree.sizes[l - 1],
+                                                       dim)
+                    total = (total[:, :, None, :, None] + rows).reshape(models, parents * a, -1,
+                                                                       dim)
+                    probs = (probs[:, :, None] * levels[l - 1][:, None, :]).reshape(len(probs), -1)
+                vals = _norms_in_blocks(space, total)
+                vals **= p
+                # one matrix-vector product per model, as it runs alone
+                norms = np.matmul(vals, probs[:, :, None])[:, :, 0] ** (1.0 / p)
                 norms.flags.writeable = False
                 self.norms[k, l] = norms
                 self.windows_built += 1
 
-        sums, path_probs = seq.partial_sums, tree.path_probs
+        sums, path_probs = stack.partial_sums, stack.path_probs
         self.atoms: dict[tuple[int, int], tuple] = {}
-        d_hat = 0.0
+        ratios = []
         for (k, l), t_nodes in self.norms.items():
-            t_paths = t_nodes[tree.nodes_at(l - 1)]
-            win = space.norms(sums[:, l] - sums[:, k])
             atoms = tree.num_nodes(max(k - 1, 0))
-            stride = tree.path_count // atoms
-            node_stride = tree.num_nodes(l - 1) // atoms
-            stats = []
-            for b in range(atoms):
-                rows = slice(b * stride, (b + 1) * stride)
-                pb = path_probs[rows]
-                mass = pb.sum()
-                if mass <= 0:
-                    continue
-                t_sup = float(t_nodes[b * node_stride:(b + 1) * node_stride].max())
-                num = float(pb @ (win[rows] ** p)) / mass
-                den = float(pb @ (t_paths[rows] ** p)) / mass
-                d_hat = max(d_hat, (num / den) ** (1.0 / p) if den > 0 else 0.0)
-                stats.append((b, mass, t_sup, num))
-            self.atoms[k, l] = (win.reshape(atoms, stride),
-                                path_probs.reshape(atoms, stride), stats)
-        self.d_hat = d_hat
+            # C order, so that each atom's row is contiguous, as it is alone
+            t_paths = np.ascontiguousarray(t_nodes[:, tree.nodes_at(l - 1)]).reshape(
+                models, atoms, -1)
+            win = space.norms(sums[:, :, l] - sums[:, :, k]).reshape(models, atoms, -1)
+            probs = path_probs.reshape(len(path_probs), atoms, -1)
+            mass = probs.sum(axis=2)
+            t_sup = t_nodes.reshape(models, atoms, -1).max(axis=2)
+            # one dot product per model and atom, as each runs alone; an atom
+            # of no mass gets zeros, and its readers skip it
+            num, den = (np.divide(np.matmul(probs[:, :, None], (x ** p)[..., None])[..., 0, 0],
+                                  mass, out=np.zeros((models, atoms)), where=mass > 0)
+                        for x in (win, t_paths))
+            kept = (mass > 0) & (den > 0)
+            ratios.append(np.divide(num, den, out=np.zeros((models, atoms)), where=kept))
+            self.atoms[k, l] = (win, probs, mass, t_sup, num)
+        # each ratio's root is taken on its numpy scalar, as the atom alone takes it
+        self.d_hat = [max([0.0] + [r ** (1.0 / p) for r in row])
+                      for row in np.concatenate(ratios, axis=1)]
+
+    @cached_property
+    def norm_star(self) -> np.ndarray:
+        """T*_p(f) = max_n T_p(f^n) at every path, (models, paths)."""
+        out = np.zeros((len(self.norms[0, 1]), self.tree.path_count))
+        for n in range(1, self.tree.depth + 1):
+            out = np.maximum(out, self.norms[0, n][:, self.tree.nodes_at(n - 1)])
+        return out
 
 
 def require_sign_patterns(tree: FiltrationTree) -> int:
@@ -824,6 +924,17 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
 MULT_ALPHABET = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
 
 
+FAIR_SIGNS = Level((1.0, -1.0), (0.5, 0.5))
+
+
+@lru_cache(maxsize=None)
+def _three_point(scale: float, center: float) -> Level:
+    """The symmetric law of -scale, 0 and scale with mass center at 0, built
+    once per (scale, center): random_tree draws a handful of them."""
+    side = (1.0 - center) / 2.0
+    return Level((-scale, 0.0, scale), (side, center, side))
+
+
 def random_tree(gen: np.random.Generator, max_depth: int,
                 symmetric: bool = True) -> FiltrationTree:
     """Depth 1..max_depth; symmetric levels are fair signs or three-point laws."""
@@ -833,11 +944,9 @@ def random_tree(gen: np.random.Generator, max_depth: int,
         if symmetric:
             if gen.random() < 0.5:
                 scale = float(gen.choice([1.0, math.sqrt(3.0), 2.0]))
-                center = float(gen.choice([0.5, 2.0 / 3.0]))
-                side = (1.0 - center) / 2.0
-                levels.append(Level((-scale, 0.0, scale), (side, center, side)))
+                levels.append(_three_point(scale, float(gen.choice([0.5, 2.0 / 3.0]))))
             else:
-                levels.append(Level((1.0, -1.0), (0.5, 0.5)))
+                levels.append(FAIR_SIGNS)
         else:
             a, b = sorted(gen.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0],
                                      size=2, replace=False))

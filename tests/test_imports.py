@@ -129,6 +129,10 @@ IMPORT_SETS = {
             ["probmodel", "rng", "spaces", "stochint"]),
     "verify": (["verify", "--suite", "all", "--depth", "2", "--trials", "2"],
                ["inequalities", "probmodel", "rng", "spaces"]),
+    # of the pair suites, only extrapolation evaluates a closed form
+    **{f"verify-{suite}": (["verify", "--suite", suite, "--depth", "2", "--trials", "2"],
+                           ["inequalities", "probmodel", "rng", "spaces"])
+       for suite in ("tail", "goodlambda", "davis")},
 }
 
 RUN_CLI = """

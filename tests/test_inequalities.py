@@ -315,6 +315,173 @@ def test_stacked_product_reports_match_per_trial(text, monkeypatch):
     assert any(len(models) > 2 for models in stacks)
 
 
+def _per_trial_pair_reports(suite, pair, p):
+    """One pair-suite trial's reports from the check_* calls, the stack of one."""
+    if suite == "tail":
+        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
+        return iq.check_tail_comparison(pair, ts)
+    if suite == "goodlambda":
+        return iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, 0.5), b=0.5)
+    if suite == "davis":
+        return [iq.check_davis_pathwise(pair)]
+    return [iq.check_extrapolation(pair, p, q=2.0)]
+
+
+@pytest.mark.parametrize("text", ["l2:4", "lp:0.5:3", "lp:3:8", "linf:3", "nested:1x2,3x2"])
+def test_stacked_pair_reports_match_per_trial(text, monkeypatch):
+    import decoupling_lab.cli as cli
+
+    space, p, depth, seed, trials = parse_space(text), 1.5, 5, 4, 24
+    stacks = []
+    of = pm.PairStack.of.__func__
+    monkeypatch.setattr(pm.PairStack, "of",
+                        classmethod(lambda cls, pairs: stacks.append(pairs) or of(cls, pairs)))
+    alone = 0
+    for suite in ("tail", "goodlambda", "davis", "extrapolation"):
+        # three ranges, so shape groups span ranges as with --workers 3
+        rows = []
+        for start, stop in ((0, 7), (7, 16), (16, trials)):
+            chunks, failed = cli._verify_one((suite, text, p, depth, start, stop, seed, "json"))
+            rows += json.loads("[" + ",".join(chunks) + "]")
+            assert not failed
+        want = []
+        for index in range(trials):
+            pair = pm.random_pair(stream(seed, "verify", suite, index), space, max_depth=depth)
+            want += [{**rep.as_dict(), "model": index}
+                     for rep in _per_trial_pair_reports(suite, pair, p)]
+            alone += pm.pair_floats(pair.tree.sizes, space) > pm.BATCH_FLOATS
+        assert rows == want, suite
+    assert alone > 0
+    # a stack over BATCH_FLOATS holds one pair; the others hold at most that
+    for pairs in stacks:
+        floats = sum(pm.pair_floats(pair.tree.sizes, space) for pair in pairs)
+        assert len(pairs) == 1 or floats <= pm.BATCH_FLOATS
+        assert len({pair.tree.sizes for pair in pairs}) == 1
+    assert any(len(pairs) > 2 for pairs in stacks)
+
+
+@pytest.mark.parametrize("text", ["l2:3", "lp:0.5:2", "linf:2", "nested:1x2,3x2"])
+def test_pair_stack_models_keep_their_own_masses(text):
+    # one shape, every model its own level masses and tables: each model's
+    # reports are those of its stack of one
+    space = parse_space(text)
+    gen = stream(8, "own-masses", text)
+    pairs = []
+    for centers in ((0.5, 2 / 3, 0.5), (2 / 3, 0.5, 2 / 3), (0.5, 0.5, 0.5), (2 / 3, 2 / 3, 0.5)):
+        tree = pm.FiltrationTree([pm._three_point(2.0, c) for c in centers])
+        pairs.append(pm.decouple(pm.random_general_sequence(gen, tree, space)))
+    stack = pm.PairStack.of(pairs)
+    tss = [[0.5, 1.0, 2.0]] * len(pairs)
+    checks = {
+        "tail": lambda stack: iq.tail_reports(stack, tss[:len(stack.tables[0])]),
+        "goodlambda": lambda stack: iq.goodlambda_reports(stack, 1.5, None, 0.5),
+        "davis": lambda stack: [[rep] for rep in iq.davis_reports(stack)],
+        "extrapolation": lambda stack: [[rep] for rep in iq.extrapolation_reports(
+            stack, 1.5, 2.0, b=1e-3)],
+        "bmo": lambda stack: [[prof] for prof in iq.bmo_profiles(stack, 1.5, [0.5, 1.0, 2.0, 4.0])],
+    }
+    for name, check in checks.items():
+        got = check(stack)
+        for i, pair in enumerate(pairs):
+            if name == "bmo":
+                want = [iq.bmo_condition(pair, 1.5, [0.5, 1.0, 2.0, 4.0][i])]
+            else:
+                want = check(pm.PairStack.of([pair]))[0]
+            assert got[i] == want, (name, i)
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_a_failing_stack_raises_the_first_failing_trial_in_index_order(seed, monkeypatch,
+                                                                         capsys):
+    import decoupling_lab.cli as cli
+
+    # davis refuses each model whose first level has three letters and a
+    # negative first increment, naming the model by its d*
+    davis, raised = iq.davis_reports, []
+
+    def refusing(stack):
+        reports = davis(stack)
+        for i in range(len(reports)):
+            if stack.sizes[0] == 3 and stack.tables[0][i, 0, 0, 0] < 0:
+                raised.append(f"model with d*={stack.d_star[i].max():.17g} refused")
+                raise pm.ModelError(raised[-1])
+        return reports
+
+    monkeypatch.setattr(iq, "davis_reports", refusing)
+    first = None
+    for index in range(12):
+        try:
+            refusing(pm.random_pair(stream(seed, "verify", "davis", index), euclid(2),
+                                    max_depth=3).stack)
+        except pm.ModelError as exc:
+            first = str(exc)
+            break
+    raised.clear()
+    assert cli.main(["verify", "--suite", "davis", "--space", "l2:2", "--depth", "3",
+                     "--trials", "12", "--seed", str(seed), "--workers", "1"]) == 2
+    assert capsys.readouterr().err == f"decoupling-lab: {first}\n"
+    # the stacks met a later trial's refusal first
+    assert raised[0] != first
+
+
+@pytest.mark.parametrize("text", ["l2:4", "lp:0.5:3"])
+def test_stacked_verify_bytes_do_not_depend_on_workers(text):
+    import decoupling_lab.cli as cli
+
+    outputs = []
+    for workers in ("1", "2"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", "--suite", "all", "--space", text, "--depth", "4",
+                             "--trials", "30", "--seed", "7", "--workers", workers]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", ["l2:4", "lp:0.5:3", "linf:3", "nested:1x2,3x2"])
+def test_pair_stack_at_the_batch_edge_holds_its_budget(text):
+    # the most pairs of the widest depth-4 shape one stack admits: every
+    # pair check holds at most BATCH_FLOATS floats, and a little beside them
+    space = parse_space(text)
+    tree = pm.symmetric_three_point(4)
+    count = pm.BATCH_FLOATS // pm.pair_floats(tree.sizes, space)
+    assert count > 1 and (count + 1) * pm.pair_floats(tree.sizes, space) > pm.BATCH_FLOATS
+    pairs = [pm.decouple(pm.random_multiplier_sequence(stream(9, "stack-edge", i), tree, space))
+             for i in range(count)]
+    iq.extrapolation_reports(pm.PairStack.of(pairs[:1]), 2.0, 2.0)  # caches filled once
+    for check in (lambda stack: iq.tail_reports(stack, [[0.5, 1.0]] * count),
+                  lambda stack: iq.goodlambda_reports(stack, 2.0, None, 0.5),
+                  iq.davis_reports,
+                  lambda stack: iq.extrapolation_reports(stack, 2.0, 2.0)):
+        stack = pm.PairStack.of(pairs)
+        tracemalloc.start()
+        try:
+            check(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pm.BATCH_FLOATS + 2 ** 18
+
+
+def test_extrapolation_constant_is_evaluated_once_per_distinct_arguments(monkeypatch):
+    import decoupling_lab.cli as cli
+
+    calls = []
+    constant = iq.extrapolation_constant
+    monkeypatch.setattr(iq, "extrapolation_constant",
+                        lambda *args: calls.append(args) or constant(*args))
+    iq._extrapolation_value.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--suite", "extrapolation", "--space", "l2:4", "--depth", "4",
+                         "--trials", "60", "--seed", "0", "--workers", "1"]) == 0
+    iq._extrapolation_value.cache_clear()
+    constants = {tuple(row["params"][key] for key in ("p", "q", "A", "b"))
+                 for row in json.loads(out.getvalue())["results"]}
+    assert sorted(calls) == sorted((*args, 1.0) for args in constants)
+    assert len(calls) < 60
+
+
 def test_product_stack_checks_symmetry_once_per_level(monkeypatch):
     # every model's law at a level is checked in one symmetry_gaps call
     calls = []
@@ -655,7 +822,7 @@ def reference_bmo(pair, p, A):
     """The window profile at A, every statistic recomputed per window and atom."""
     seq, tree = pair.seq, pair.tree
     sums, path_probs = seq.partial_sums, tree.path_probs
-    b_hat, d_hat, cheb_ok, worst_atom, count = 0.0, 0.0, True, 0, 0
+    b_hat, d_hat, cheb_ok, count = 0.0, 0.0, True, 0
     for k in range(seq.depth):
         for l in range(k + 1, seq.depth + 1):
             count += 1
@@ -673,14 +840,13 @@ def reference_bmo(pair, p, A):
                 pcond = float(pb[win[rows] > A * t_sup].sum()) / mass
                 num = float(pb @ (win[rows] ** p)) / mass
                 den = float(pb @ (t_paths[rows] ** p)) / mass
-                if pcond > b_hat:
-                    b_hat, worst_atom = pcond, b
+                b_hat = max(b_hat, pcond)
                 d_hat = max(d_hat, (num / den) ** (1.0 / p) if den > 0 else 0.0)
                 if A > 0 and t_sup > 0 and pcond > num / (A * t_sup) ** p + 1e-12:
                     cheb_ok = False
     if A > 0 and b_hat > d_hat ** p / A ** p + 1e-12:
         cheb_ok = False
-    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, worst_atom, count)
+    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, count)
 
 
 TABLE_SPACES = [euclid(4), seq_lp(0.5, 3), sup_norm(3), nested([(1.0, 2), (3.0, 2)])]
@@ -699,14 +865,14 @@ def table_pairs(label, count=8):
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_window_table_matches_per_window_formula(p):
     for pair in table_pairs(p, count=16):
-        table = pair.window_table(p)
+        table = pair.stack.window_table(p)
         depth = pair.seq.depth
         assert list(table.norms) == [(k, l) for k in range(depth) for l in range(k + 1, depth + 1)]
         assert table.windows_built == depth * (depth + 1) // 2
         for (k, l), norms in table.norms.items():
-            np.testing.assert_array_equal(norms, reference_window_norm(pair, p, k, l))
-            assert iq.window_conditional_norm(pair, p, k, l) is norms
-        assert pair.window_table(p) is table
+            np.testing.assert_array_equal(norms, [reference_window_norm(pair, p, k, l)])
+            assert iq.window_conditional_norm(pair, p, k, l).base is norms
+        assert pair.stack.window_table(p) is table
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
@@ -731,49 +897,74 @@ def test_window_table_is_read_only():
 
 def test_window_table_budget_counts_window_floats(monkeypatch):
     # Paley-Walsh depth 11 on l2:5: the (0, 11] window holds W = 1024 heads x
-    # 2048 combos x 5 coordinates, over the budget though its 1024 x 2048 walk is not
+    # 2048 combos x 5 coordinates, over the budget though its 1024 x 2048 walk
+    # is not; its norms add W / 5, and one norm block BLOCK_FLOATS and its
+    # innermost sums BLOCK_FLOATS / 5
     seq = pm.random_multiplier_sequence(stream(3, "window-budget"), pm.paley_walsh(11), euclid(5))
     pair = pm.decouple(seq)
     pm.require_joint_walk(pair.tree)
-    window = 1024 * 2048 * 5
+    window, block = 1024 * 2048 * 5, pm.BLOCK_FLOATS
     tracemalloc.start()
     try:
-        with pytest.raises(pm.EnumerationError, match=f"needs {2 * window + window // 5} floats"):
-            pair.window_table(2.0)
+        with pytest.raises(pm.EnumerationError,
+                           match=f"needs {window + window // 5 + block + block // 5} floats"):
+            pair.stack.window_table(2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    # the rule is 2 W + W / d <= JOINT_LIMIT, d the innermost width: on
-    # Paley-Walsh depth 3 and l2:3, W = 4 x 8 x 3 = 96 and 2 W + W / 3 = 224
+    # the rule is W + W / dim + B + B / d <= JOINT_LIMIT, B the block's floats
+    # and d the innermost width: on Paley-Walsh depth 3 and l2:3, W = B =
+    # 4 x 8 x 3 = 96, and 96 + 32 + 96 + 32 = 256
     gen = stream(4, "window-budget")
     small = pm.random_multiplier_sequence(gen, pm.paley_walsh(3), euclid(3))
-    monkeypatch.setattr(pm, "JOINT_LIMIT", 224)
-    assert pm.decouple(small).window_table(2.0).windows_built == 6
-    monkeypatch.setattr(pm, "JOINT_LIMIT", 223)
-    with pytest.raises(pm.EnumerationError, match="needs 224 floats, over budget 223"):
-        pm.decouple(small).window_table(2.0)
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 256)
+    assert pm.decouple(small).stack.window_table(2.0).windows_built == 6
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 255)
+    with pytest.raises(pm.EnumerationError, match="needs 256 floats, over budget 255"):
+        pm.decouple(small).stack.window_table(2.0)
+    # a stack counts every model's windows: two such pairs need 2 x 128 + 192 + 64
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 511)
+    with pytest.raises(pm.EnumerationError, match="needs 512 floats, over budget 511"):
+        pm.PairStack.of([pm.decouple(small)] * 2).window_table(2.0)
 
 
-@pytest.mark.parametrize("space", [euclid(4), euclid(1), sup_norm(3),
-                                   nested([(1.0, 3), (2.0, 2)])], ids=format_space)
-def test_window_table_peak_within_budget(monkeypatch, space):
-    # at the budget's edge the build holds no more floats than the budget
-    seq = pm.random_multiplier_sequence(stream(5, "window-peak"), pm.paley_walsh(9), space)
-    seq.partial_sums
+def _window_peak_at_the_budget_edge(monkeypatch, space):
+    """The window build's traced peak at the budget's edge, which holds no
+    more floats than the budget, and the refusal one float below it."""
+    pair = pm.decouple(pm.random_multiplier_sequence(stream(5, "window-peak"), pm.paley_walsh(9),
+                                                     space))
+    pair.stack.partial_sums
     window = 256 * 512 * space.dim
-    limit = 2 * window + window // space.shape[-1][1]
+    block = min(256 * 512, pm.BLOCK_FLOATS // space.dim) * space.dim
+    limit = window + window // space.dim + block + block // space.shape[-1][1]
     monkeypatch.setattr(pm, "JOINT_LIMIT", limit)
     tracemalloc.start()
     try:
-        pm.decouple(seq).window_table(2.0)
+        pair.stack.window_table(2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * limit + 2 ** 20
     monkeypatch.setattr(pm, "JOINT_LIMIT", limit - 1)
     with pytest.raises(pm.EnumerationError, match="over budget"):
-        pm.decouple(seq).window_table(2.0)
+        pm.decouple(pair.seq).stack.window_table(2.0)
+
+
+WINDOW_PEAK_SPACES = [euclid(4), euclid(1), sup_norm(3), nested([(1.0, 3), (2.0, 2)])]
+
+
+@pytest.mark.parametrize("space", WINDOW_PEAK_SPACES, ids=format_space)
+def test_window_table_peak_within_budget(monkeypatch, space):
+    _window_peak_at_the_budget_edge(monkeypatch, space)
+
+
+@pytest.mark.parametrize("space", WINDOW_PEAK_SPACES, ids=format_space)
+def test_window_norms_in_blocks_hold_no_window_sized_temporary(monkeypatch, space):
+    # blocks of 4096 floats: the budget counts no norm temporary as large as
+    # the window, and the build stays within it
+    monkeypatch.setattr(pm, "BLOCK_FLOATS", 4096)
+    _window_peak_at_the_budget_edge(monkeypatch, space)
 
 
 def test_verify_exits_2_on_a_window_table_over_budget(monkeypatch, capsys):
@@ -793,9 +984,9 @@ def test_verify_trial_builds_each_window_once(monkeypatch):
     builds = []
     init = pm.WindowTable.__init__
 
-    def counted(table, pair, p):
-        init(table, pair, p)
-        builds.append((pair, p, table.windows_built))
+    def counted(table, stack, p):
+        init(table, stack, p)
+        builds.append((stack, p, table.windows_built))
 
     monkeypatch.setattr(pm.WindowTable, "__init__", counted)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -804,8 +995,8 @@ def test_verify_trial_builds_each_window_once(monkeypatch):
     # the goodlambda and the extrapolation suite each draw one pair
     assert len(builds) == 2
     assert builds[0][0] is not builds[1][0]
-    for pair, p, built in builds:
-        depth = pair.seq.depth
+    for stack, p, built in builds:
+        depth = stack.tree.depth
         assert p == 2.0 and built == depth * (depth + 1) // 2
 
 

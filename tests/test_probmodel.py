@@ -230,7 +230,7 @@ def test_joint_engine_budgets_heads_times_paths():
         next(pm.joint_blocks(pair, ("e_star",)))
     # the window table and the factorization check keep their own budgets
     with pytest.raises(pm.EnumerationError):
-        pm.decouple(unit_pw_seq(12)).window_table(2.0)
+        pm.decouple(unit_pw_seq(12)).stack.window_table(2.0)
     assert pm.require_sign_patterns(pm.paley_walsh(11)) == 2048 * 2048
     with pytest.raises(pm.EnumerationError):
         pm.require_sign_patterns(pm.paley_walsh(12))

@@ -74,7 +74,7 @@ def test_batch_spanning_several_blocks(text, monkeypatch):
     tables = pm.multiplier_tables(tree, ct._split_multipliers(tree, space.dim, flats))
     for block_floats in (row_floats, 3 * row_floats):
         monkeypatch.setattr(pm, "BLOCK_FLOATS", block_floats)
-        blocks = list(pm.batched_joint_blocks(tree, space, tables, stats=("g_norm",)))
+        blocks = list(pm.PairStack(tree, space, tables).joint_blocks(("g_norm",)))
         assert len(blocks) == math.ceil(tree.num_nodes(2) / (block_floats // row_floats)) > 1
         for p in (1.0, 3.0):
             for direction in ("decouple-upper", "decouple-lower"):
