@@ -336,6 +336,7 @@ def _cmd_bdg(args) -> int:
     space = parse_space(args.space)
     driver_dim = space.dim if args.driver_dim is None else args.driver_dim
     driver = st.BrownianDriver(dim=driver_dim, horizon=args.horizon, steps=args.steps)
+    _admit_bdg(args, space, driver)
     rows = st.bdg_sweep(space, args.p, args.family, driver, args.samples, seed=seed)
     config = {
         "command": "bdg", "space": args.space, "p": args.p, "family": args.family,
@@ -348,6 +349,29 @@ def _cmd_bdg(args) -> int:
         "terminal_moment", "status",
     ])
     return 0
+
+
+def _admit_bdg(args, space, driver):
+    """Refuse a bdg run over stochint's budgets before anything is drawn,
+    naming the flag at fault: --samples for the per-path results, else the
+    larger of one path's coefficients (--space) and increments (--steps or
+    --driver-dim, whichever is larger)."""
+    from . import stochint as st
+
+    proc = st.make_family(args.family, space, driver)
+    try:
+        st.block_paths(proc, driver, space, args.samples)
+    except st.ModelError as exc:
+        increments, coefficients = st.path_floats(proc, driver)
+        if 3 * args.samples > st.JOINT_LIMIT:
+            flag = f"--samples {args.samples}"
+        elif coefficients >= increments:
+            flag = f"--space {args.space}"
+        elif driver.dim > driver.steps:
+            flag = f"--driver-dim {driver.dim}"
+        else:
+            flag = f"--steps {driver.steps}"
+        raise st.ModelError(f"{flag}: {exc}") from None
 
 
 def _atlas_cell(task: tuple) -> dict:

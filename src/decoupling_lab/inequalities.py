@@ -31,7 +31,7 @@ from .probmodel import (
     davis_tables,
     symmetry_gaps,
 )
-from .spaces import Space, lu_constants
+from .spaces import Space, format_space, lu_constants
 
 
 class PhiError(ValueError):
@@ -106,6 +106,23 @@ def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
         holds, lhs, rhs, margin = bool(holds.all()), float(lhs[i]), float(rhs[i]), float(margin[i])
     return IneqReport(inequality=inequality, params=params, lhs=lhs, rhs=rhs, holds=holds,
                       margin=margin, status=status, extra={} if extra is None else extra)
+
+
+def _r_constant(inequality: str, space: Space, value: Callable[[], float]) -> float:
+    """``value()``, a constant of the check ``inequality`` that depends on the
+    r-normability exponent of ``space``: the module's one rule for them.  A
+    constant that overflows, divides by zero or is not a positive finite
+    float (u_{p/r} once p/r passes about 1024, the davis cap at r = 1e-300,
+    the extrapolation range once 2^(-2p/rho + p - 1) underflows) leaves the
+    check without a verdict: ModelError naming the check and the space."""
+    try:
+        out = value()
+    except ArithmeticError:
+        out = math.nan
+    if not 0.0 < out < math.inf:
+        raise ModelError(f"{inequality}: its r-normability constant is not a positive finite "
+                         f"float on {format_space(space)} (r={space.r:g})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +312,13 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
             raise ValueError(f"unknown variant {variant!r}")
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
+    factor = _r_constant("levy", stack.space, lambda: 2.0 ** (1.0 - 1.0 / r))
     norms, probs = stack.norms, stack.probs
     max_sum = norms[:, :, 1:].max(axis=2)
     d_star = stack.d_star if "max-term" in variants else None
     reports = []
     for i, (t, variant) in enumerate(zip(ts, variants)):
-        thresh = 2.0 ** (1.0 - 1.0 / r) * t
+        thresh = factor * t
         stat = max_sum[i] if variant == "max-sum" else d_star[i]
         lhs = float(probs[i][stat > t].sum())
         rhs = 2.0 * float(probs[i][norms[i, :, -1] > thresh].sum())
@@ -322,6 +340,8 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
                         ts: Sequence[float]) -> list[IneqReport]:
     """check_contraction of each model of the stack, with its own multipliers and t."""
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
+    factor = _r_constant("contraction-01", stack.space,
+                         lambda: 2.0 ** (1.0 - 1.0 / stack.space.r))
     rows = []
     for model, row in zip(stack.models, multipliers):
         mults = [float(m) for m in row]
@@ -340,7 +360,7 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
     terminal = stack.norms[:, :, -1]
     reports = []
     for i, (mults, t) in enumerate(zip(rows, ts)):
-        thresh = 2.0 ** (1.0 - 1.0 / stack.space.r) * t
+        thresh = factor * t
         lhs = float(probs[i][sub_norms[i] > t].sum())
         rhs = 2.0 * float(probs[i][terminal[i] > thresh].sum())
         reports.append(_one_sided("contraction-01", {"t": t, "multipliers": mults, "atoms": 1},
@@ -365,9 +385,9 @@ def symsum_reports(stack: ProductStack, p: float) -> list[IneqReport]:
 def _symsum(stack: ProductStack, p: float) -> list[IneqReport]:
     """The symsum reports of a stack whose zetas are symmetric."""
     space, probs = stack.space, stack.probs
+    upper = _r_constant("symmetric-summand", space, lambda: lu_constants(p / space.r)[1])
     first = space.norms(stack.increments(1)) ** p
     total = space.norms(stack.partial_sums[:, :, -1]) ** p
-    _, upper = lu_constants(p / space.r)
     return [_one_sided("symmetric-summand", {"p": p, "r": space.r}, float(first[i] @ probs[i]),
                        2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]), scaled=True)
             for i in range(len(stack.models))]
@@ -387,7 +407,7 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
     """check_reverse_kolmogorov of each model of the stack, at its own t."""
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
-    _, upper = lu_constants(p / r)
+    upper = _r_constant("reverse-kolmogorov", stack.space, lambda: lu_constants(p / r)[1])
     norms, probs = stack.norms, stack.probs
     terminal = norms[:, :, -1] ** p
     max_sum = norms[:, :, 1:].max(axis=2)
@@ -577,7 +597,8 @@ def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b
     out = []
     for A, profile, f_star, side, probs in zip(As, profiles, stack.f_star, sides,
                                                stack.path_probs):
-        beta = (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho)
+        beta = _r_constant("goodlambda", stack.space,
+                           lambda: (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho))
         params = {"p": p, "A": A, "b": b, "beta": beta, "delta": delta, "rho": rho,
                   "b_hat": profile.b_hat}
         if profile.b_hat >= b:
@@ -665,7 +686,8 @@ def extrapolation_reports(stack: PairStack, p: float, q: float,
     phi = power(q) if phi is None else phi
     if phi.q != q:
         raise PhiError("declared growth exponent must match q")
-    threshold = 2.0 ** (-2.0 * p / rho + p - 1.0)
+    threshold = _r_constant("extrapolated-phi-domination", stack.space,
+                            lambda: 2.0 ** (-2.0 * p / rho + p - 1.0))
     if b is None:
         b = threshold / 2.0
     if not 0 < b < threshold:
@@ -717,7 +739,7 @@ def davis_reports(stack: PairStack) -> list[IneqReport]:
     """check_davis_pathwise of each model of the stack."""
     space = stack.space
     r = space.r
-    cap = (1.0 - 2.0 ** (-r)) ** -1.0
+    cap = _r_constant("davis-large-part-pathwise", space, lambda: (1.0 - 2.0 ** (-r)) ** -1.0)
     _, big = davis_tables(space, stack.tables)
     lhs = space.norms(PathStack(space, big).partial_sums[:, :, -1]) ** r
     rhs = cap * stack.d_star ** r

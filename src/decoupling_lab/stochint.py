@@ -2,35 +2,38 @@
 
 Everything is exact on the driver's grid: step processes align to grid
 points, so the integral is a finite sum and the only randomness is the
-driver's.  Paths are simulated in chunks of rng.CHUNK.  A chunk holds its
-driver increments (paths, steps, driver_dim), its coefficients (paths,
-intervals, rank, x_dim) and O(paths*x_dim) working floats: the integral is
-one running (paths, x_dim) sum whose norm is folded into a running sup after
-every step, the increments are dropped once it is taken, and the
-coefficients before the next chunk is drawn.  The Monte Carlo gamma norm
-multiplies a block of scaled inner draws by the chunk's coefficients, laid
-out as one (intervals*rank, x_dim*paths) matrix, and reduces the norm over
-the resulting (draw, x_dim, path) array; a block, the norm's temporary
-included, holds at most BLOCK_FLOATS floats and is freed before the next.
-So memory grows with the grid and dimensions of one chunk but not with the
-path count or the inner-draw count; three floats per path are kept (sup,
-terminal and gamma norm).  Every chunk has its own counter-based stream,
-which makes results independent of chunking and worker count.
+driver's.  Paths are simulated in chunks of rng.CHUNK, each with its own
+counter-based stream, which makes results independent of chunking and
+worker count.  A chunk is worked through in blocks of paths (block_paths),
+drawn one after another from its stream.  A block holds its increments
+(paths, steps, driver_dim) and coefficients (paths, intervals, rank, x_dim),
+then the coefficients and their gamma layout: at most BLOCK_FLOATS floats
+either way.  The integral is one running (paths, x_dim) sum whose norm is
+folded into a running sup after every step; the Monte Carlo gamma norm
+works in blocks of inner draws of at most BLOCK_FLOATS floats, drawn once
+per chunk.  So memory grows with neither the path count nor the grid or
+dimensions: three floats per path are kept (sup, terminal and gamma norm),
+and a run whose results exceed JOINT_LIMIT floats, or one of whose paths
+does not fit a block, is refused before anything is drawn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .probmodel import BLOCK_FLOATS, ModelError
-from .rng import chunk_streams, stream
+from .probmodel import JOINT_LIMIT, ModelError
+from .rng import CHUNK, chunk_streams, stream
 from .spaces import Space, format_space
 
 GAMMA_INNER = 1024
+# floats of one block of paths (increments and coefficients, or
+# coefficients and their gamma layout) and of one block of gamma draws
+BLOCK_FLOATS = 2 ** 19
 
 
 def is_hilbert_like(space: Space) -> bool:
@@ -63,11 +66,16 @@ class BrownianDriver:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def increment_chunks(self, count: int, seed: int, label: str = "driver"):
-        """Yield (start, stop, dW) with dW ~ Normal(0, dt), shape (c, steps, dim)."""
+    def increment_chunks(self, count: int, seed: int, label: str = "driver", block: int = CHUNK):
+        """Yield (start, stop, dW) with dW ~ Normal(0, dt), shape (c, steps, dim),
+        in blocks of at most ``block`` paths.  A chunk's blocks are drawn one
+        after another from its stream, which fills in C order, so they hold
+        exactly the values of one draw of the whole chunk."""
         scale = math.sqrt(self.dt)
         for start, stop, gen in chunk_streams(seed, label, count):
-            yield start, stop, gen.normal(0.0, scale, size=(stop - start, self.steps, self.dim))
+            for low in range(start, stop, block):
+                high = min(low + block, stop)
+                yield low, high, gen.normal(0.0, scale, size=(high - low, self.steps, self.dim))
 
 
 class StepProcess:
@@ -166,6 +174,25 @@ def integrate(
     return sup, norms
 
 
+def _draw_floats(space: Space) -> int:
+    """Floats per path of one Monte Carlo gamma draw: the series, the norm's
+    |series| temporary and the sums taken beside it (a nested norm's first
+    sums fold its innermost d coordinates)."""
+    sums = space.dim // space.shape[-1][1] if space.kind == "nested" else 1
+    return 2 * space.dim + sums
+
+
+@functools.lru_cache(maxsize=1)
+def _scaled_draws(seed: int, inner: int, rank: int, lengths: tuple) -> np.ndarray:
+    """The (inner, intervals*rank) inner Gaussians of one seed, each scaled by
+    sqrt(dt_n); drawn once for all the blocks of a chunk, and read-only."""
+    scaled = stream(seed, "gamma-inner").normal(size=(inner, len(lengths), rank))
+    scaled *= np.sqrt(lengths)[:, None]
+    scaled = scaled.reshape(inner, -1)
+    scaled.flags.writeable = False
+    return scaled
+
+
 def gamma_norm(
     proc: StepProcess,
     driver: BrownianDriver,
@@ -183,17 +210,17 @@ def gamma_norm(
     E || sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm} ||^2: a closed form when the
     norm is euclidean, a small Monte Carlo average otherwise.
 
-    The closed form squares and contracts the coefficients in blocks of
-    paths, each within BLOCK_FLOATS.  The average is one matrix product per
-    block of inner draws: the scaled draws, shape (inner, intervals*rank),
-    times the coefficients laid out once as a contiguous
+    The closed form squares and contracts the coefficients.  The average is
+    one matrix product per block of inner draws: the scaled draws, shape
+    (inner, intervals*rank), times the coefficients laid out as a contiguous
     (intervals*rank, x_dim*paths) matrix give each draw's series as an
     (x_dim, paths) slab, so the norm reduces across x_dim element by element
-    over contiguous rows of paths.  A block holds the series, the norm's
-    |series| temporary and the sums taken beside it, within BLOCK_FLOATS:
-    (2*x_dim + 1)*paths floats per draw, or (2*x_dim + x_dim/d)*paths for a
-    nested norm, whose first sums fold its innermost d coordinates.  Each
-    draw's squared norms are added in draw order.
+    over contiguous rows of paths.  A block holds _draw_floats(space) floats
+    per draw and path, within BLOCK_FLOATS when two draws fit (simulate's
+    path blocks make sure they do).  Every block, the last included, has at
+    least two draws (unless ``inner`` is odd and only two fit), so every
+    product is a gemm call; a one-row product goes to gemv, which sums in
+    another order.  Each draw's squared norms are added in draw order.
     """
     proc.check_driver(driver)
     lengths = np.diff(driver.grid[list(proc.partition)])
@@ -201,24 +228,17 @@ def gamma_norm(
     if exact:
         if not is_hilbert_like(space):
             raise ModelError("exact gamma norms need an inner-product norm")
-        rows = max(1, BLOCK_FLOATS // max(1, math.prod(coefs.shape[1:])))
-        sq = np.empty(coefs.shape[0])
-        for start in range(0, coefs.shape[0], rows):
-            block = np.square(coefs[start:start + rows])
-            sq[start:start + rows] = np.einsum("pnmx,n->p", block, lengths)
-            del block  # freed before the next block is squared
+        sq = np.einsum("pnmx,n->p", np.square(coefs), lengths)
         if space.kind == "nested":
             # all exponents 2: ||x||^2 averages x_i^2 with weight 1 / prod d_i
             sq = sq / space.dim
         return np.sqrt(sq)
-    gen = stream(seed, "gamma-inner")
-    scaled = gen.normal(size=(inner, proc.intervals, proc.rank))
-    scaled *= np.sqrt(lengths)[:, None]
-    scaled = scaled.reshape(inner, -1)
+    scaled = _scaled_draws(seed, inner, proc.rank, tuple(lengths))
     paths, x_dim = coefs.shape[0], proc.x_dim
     mat = np.ascontiguousarray(coefs.transpose(1, 2, 3, 0)).reshape(-1, x_dim * paths)
-    sums = x_dim // space.shape[-1][1] if space.kind == "nested" else 1
-    rows = max(1, BLOCK_FLOATS // max(1, (2 * x_dim + sums) * paths))
+    rows = max(2, BLOCK_FLOATS // (_draw_floats(space) * paths))
+    while rows > 2 and inner % rows == 1:
+        rows -= 1  # a last block of one draw would be a gemv call, not gemm
     total = np.zeros(paths)
     for start in range(0, inner, rows):
         series = (scaled[start:start + rows] @ mat).reshape(-1, x_dim, paths)
@@ -228,6 +248,33 @@ def gamma_norm(
         # free this block (sq is a view of it) before the next product allocates its own
         del series, norms, sq
     return np.sqrt(total / inner)
+
+
+def path_floats(proc: StepProcess, driver: BrownianDriver) -> tuple[int, int]:
+    """One path's increment floats (steps, driver_dim) and coefficient floats
+    (intervals, rank, x_dim)."""
+    return driver.steps * driver.dim, proc.intervals * proc.rank * proc.x_dim
+
+
+def block_paths(proc: StepProcess, driver: BrownianDriver, space: Space, paths: int) -> int:
+    """Paths per block of ``simulate``, at most one chunk.
+
+    A block's coefficients beside either its increments or their gamma
+    layout fill at most BLOCK_FLOATS floats, and on the Monte Carlo route a
+    gamma draw block of BLOCK_FLOATS floats has at least two draws.  Checked
+    before anything is drawn: a ModelError when the three result floats per
+    path exceed JOINT_LIMIT, or when one path does not fit the block budget.
+    """
+    if 3 * paths > JOINT_LIMIT:
+        raise ModelError(f"{paths} paths keep {3 * paths} result floats, over budget {JOINT_LIMIT}")
+    increments, coefficients = path_floats(proc, driver)
+    block = BLOCK_FLOATS // (coefficients + max(increments, coefficients))
+    if not is_hilbert_like(space):
+        block = min(block, BLOCK_FLOATS // (2 * _draw_floats(space)))
+    if block < 1:
+        raise ModelError(f"one path's {increments} increment and {coefficients} coefficient "
+                         f"floats do not fit the block budget of {BLOCK_FLOATS} floats")
+    return min(block, CHUNK)
 
 
 @dataclass(frozen=True)
@@ -242,21 +289,24 @@ class PathStats:
 def simulate(
     proc: StepProcess, driver: BrownianDriver, space: Space, paths: int, seed: int = 0
 ) -> PathStats:
-    """Chunked simulation collecting sup, terminal and gamma norms per path."""
+    """Simulation in blocks of paths (block_paths) collecting sup, terminal
+    and gamma norms per path.  A chunk's blocks share its inner draws."""
     if space.dim != proc.x_dim:
         raise ModelError("space dimension does not match the process")
+    block = block_paths(proc, driver, space, paths)
     stats = PathStats(np.empty(paths), np.empty(paths), np.empty(paths))
     exact = is_hilbert_like(space)
-    for start, stop, dW in driver.increment_chunks(paths, seed):
+    for start, stop, dW in driver.increment_chunks(paths, seed, block=block):
         coefs = proc.coefficients(dW)
         stats.sup[start:stop], stats.terminal[start:stop] = integrate(
             proc, driver, dW, coefs, space
         )
         del dW  # the gamma norm reads only the coefficients
+        chunk = start - start % CHUNK
         stats.gamma[start:stop] = gamma_norm(
-            proc, driver, coefs, space, inner=GAMMA_INNER, seed=(seed << 20) + start, exact=exact
+            proc, driver, coefs, space, inner=GAMMA_INNER, seed=(seed << 20) + chunk, exact=exact
         )
-        del coefs  # before the next chunk is drawn
+        del coefs  # before the next block is drawn
     return stats
 
 
@@ -318,37 +368,34 @@ def make_family(
     deterministic: basis vector per (interval, direction), constant in omega.
     rotating: two-basis blends that move with the interval index.
     adapted-sign: unit coefficients whose sign is a function of the past.
+
+    Each rule forms its basis vectors when called, so building a family
+    allocates nothing that grows with the space's dimension.
     """
     dim = space.dim
     partition = _uniform_partition(driver, intervals)
     rank = min(driver.dim, dim) if rank is None else rank
 
-    if family == "deterministic":
-        vectors = [
-            [np.eye(dim)[(n + m) % dim] for m in range(rank)]
-            for n in range(1, intervals + 1)
-        ]
-        return constant_process(partition, vectors, dim, name=family)
-    if family == "rotating":
-        eye = np.eye(dim)
-        vectors = []
-        for n in range(1, intervals + 1):
-            row = []
-            for m in range(rank):
-                a, b = eye[(n + m) % dim], eye[(n + m + 1) % dim]
-                row.append((a + b) / math.sqrt(2.0) if dim > 1 else a)
-            vectors.append(row)
-        return constant_process(partition, vectors, dim, name=family)
-    if family == "adapted-sign":
-        eye = np.eye(dim)
+    def unit(i: int) -> np.ndarray:
+        out = np.zeros(dim)
+        out[i % dim] = 1.0
+        return out
 
+    if family == "deterministic":
         def rule(n, m, past):
-            base = eye[m % dim]
+            return unit(n + m)
+    elif family == "rotating":
+        def rule(n, m, past):
+            a, b = unit(n + m), unit(n + m + 1)
+            return (a + b) / math.sqrt(2.0) if dim > 1 else a
+    elif family == "adapted-sign":
+        def rule(n, m, past):
+            base = unit(m)
             if past.shape[1] == 0:
                 return base
             drift = past[:, :, m % past.shape[2]].sum(axis=1)
             signs = np.where(drift >= 0.0, 1.0, -1.0)
             return signs[:, None] * base[None, :]
-
-        return StepProcess(partition, rank, dim, rule, name=family)
-    raise ValueError(f"unknown family {family!r}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return StepProcess(partition, rank, dim, rule, name=family)

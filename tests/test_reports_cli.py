@@ -3,7 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +230,46 @@ def test_bdg_without_a_finite_moment_exits_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "decoupling-lab: the sup moment at p=1 is not finite on lp:1e+300:2\n"
+
+
+@pytest.mark.parametrize("suite, space, inequality", [
+    ("davis", "lp:1e-300:2", "davis-large-part-pathwise"),  # (1 - 2^-r)^-1 divides by zero
+    ("symsum", "lp:0.001:2", "symmetric-summand"),  # u_{p/r} = 2^(p/r - 1) overflows
+    ("revkol", "lp:0.001:2", "reverse-kolmogorov"),
+    ("extrapolation", "lp:0.001:2", "extrapolated-phi-domination"),  # b's range underflows
+])
+def test_verify_without_a_finite_r_constant_exits_2(suite, space, inequality, capsys):
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--suite", suite, "--space", space, "--depth", "3",
+                         "--trials", "4", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    r = space.split(":")[1]
+    assert out == ""
+    assert err == (f"decoupling-lab: {inequality}: its r-normability constant is not a "
+                   f"positive finite float on {space} (r={r})\n")
+
+
+def _limit_address_space():
+    # 1.5 GiB, in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--space", "l2:4", "--samples", "100000000"], "--samples 100000000"),  # 763 MiB of results
+    (["--space", "linf:64", "--samples", "4096", "--steps", "100000"], "--steps 100000"),
+    (["--space", "l2:4", "--driver-dim", "100000"], "--driver-dim 100000"),
+    (["--space", "linf:4096", "--samples", "5000"], "--space linf:4096"),  # 8 GiB of coefficients
+])
+def test_bdg_over_its_budgets_exits_2_before_any_draw(argv, flag):
+    # each of these asks for more memory than the child may map; admission
+    # refuses it first and names the flag at fault
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "decoupling_lab.cli", "bdg", *argv,
+                          "--workers", "1"], env=env, capture_output=True, text=True,
+                         preexec_fn=_limit_address_space, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith(f"decoupling-lab: {flag}: ") and run.stderr.count("\n") == 1
 
 
 def test_bad_space_is_a_config_error(capsys):

@@ -257,6 +257,29 @@ def test_gamma_norm_mc_in_blocks(monkeypatch):
     np.testing.assert_array_equal(gam, np.sqrt(np.mean(space.norms(series) ** 2, axis=0)))
 
 
+@pytest.mark.parametrize("text", ["linf:4", "lp:3:4", "nested:1x2,3x2"])
+def test_gamma_norm_has_no_one_draw_block(monkeypatch, text):
+    # blocks of 3 of 4 draws would leave one draw for the last product,
+    # which numpy sends to gemv, and gemv sums in another order than gemm;
+    # blocks of 2 and 4 draws divide 4
+    space, paths = parse_space(text), 200
+    drv = st.BrownianDriver(4, steps=8)
+    # dense coefficients that differ from path to path, so that each series
+    # entry sums 16 nonzero products
+    vectors = stream(0, "dense").normal(size=(4, 4, space.dim))
+    proc = st.StepProcess([0, 2, 4, 6, 8], 4, space.dim, lambda n, m, past: (
+        vectors[n - 1, m] * (1.0 + np.abs(past).sum(axis=(1, 2)))[:, None]))
+    _, _, dW = next(iter(drv.increment_chunks(paths, 3)))
+    coefs = proc.coefficients(dW)
+    per_draw = st._draw_floats(space) * paths
+    gammas = []
+    for rows in (2, 3, 4):
+        monkeypatch.setattr(st, "BLOCK_FLOATS", rows * per_draw)
+        gammas.append(st.gamma_norm(proc, drv, coefs, space, inner=4, seed=1))
+    np.testing.assert_array_equal(gammas[1], gammas[0])
+    np.testing.assert_array_equal(gammas[2], gammas[0])
+
+
 def _einsum_gamma(proc, drv, coefs, space, inner, seed):
     """The Gaussian-series formula as one einsum per 64 draws: mean over the
     draws of ||sum_{n,m} g_{nm} sqrt(dt_n) xi_{nm}||^2, square-rooted."""
@@ -308,9 +331,18 @@ def test_gamma_norm_mc_memory_within_block_budget(monkeypatch, text):
     assert peak <= 8 * (st.BLOCK_FLOATS + coefs.size + draws) + 256 * 1024
 
 
+def _path_floats(proc, drv):
+    """The floats of one path in a block: its coefficients beside the larger
+    of its increments and the coefficients' gamma layout."""
+    coefficients = proc.intervals * proc.rank * proc.x_dim
+    return coefficients + max(drv.steps * drv.dim, coefficients)
+
+
 @pytest.mark.parametrize("text", ["l2:1", "l2:4", "l2:9", "l2:16", "nested:2x2,2x3", "nested:2x4"])
 @pytest.mark.parametrize("family", ["deterministic", "rotating", "adapted-sign"])
 def test_exact_gamma_blocks_match_the_whole_contraction(monkeypatch, text, family):
+    # simulate's path blocks give each path the closed form contracted over
+    # the whole chunk
     space, paths = parse_space(text), 1000
     drv = st.BrownianDriver(3, steps=12)
     proc = st.make_family(family, space, drv)
@@ -318,20 +350,83 @@ def test_exact_gamma_blocks_match_the_whole_contraction(monkeypatch, text, famil
     coefs = proc.coefficients(dW)
     sq = np.einsum("pnmx,n->p", coefs ** 2, np.diff(drv.grid[list(proc.partition)]))
     want = np.sqrt(sq / space.dim if space.kind == "nested" else sq)
-    per_path = math.prod(coefs.shape[1:])
+    per_path = _path_floats(proc, drv)
     # one block, then blocks of 7 paths with a partial last block (1000 = 142 * 7 + 6)
-    for budget in (st.BLOCK_FLOATS, 7 * per_path):
+    for budget, block in ((paths * per_path, paths), (7 * per_path, 7)):
         monkeypatch.setattr(st, "BLOCK_FLOATS", budget)
-        np.testing.assert_array_equal(st.gamma_norm(proc, drv, coefs, space, exact=True), want)
-    # at the 7-path budget a block's squares and the per-path sums are all
-    # the route holds beside the coefficients (l2:16: 1.4 MiB of coefficients)
-    tracemalloc.start()
-    try:
-        st.gamma_norm(proc, drv, coefs, space, exact=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * (st.BLOCK_FLOATS + 2 * paths) + 64 * 1024
+        assert st.block_paths(proc, drv, space, paths) == block
+        np.testing.assert_array_equal(st.simulate(proc, drv, space, paths, seed=4).gamma, want)
+    # at the 7-path budget a block's increments, coefficients and squares are
+    # all the route holds beside the results (l2:16: 1.4 MiB of coefficients
+    # for the chunk)
+    assert _traced_peak(st.simulate, proc, drv, space, paths, 4) <= (
+        8 * (st.BLOCK_FLOATS + 3 * paths) + 64 * 1024)
+
+
+def test_increment_blocks_are_the_chunks_one_call_draw():
+    # 4100 paths leave a 4-path last chunk; blocks of 7 paths a partial last
+    # block in each chunk
+    drv = st.BrownianDriver(3, steps=5)
+    chunks = list(drv.increment_chunks(4100, 7))
+    for block in (1, 7, CHUNK):
+        blocks = list(drv.increment_chunks(4100, 7, block=block))
+        assert all(0 < stop - start <= block for start, stop, _ in blocks)
+        assert [start for start, _, _ in blocks] == list(range(0, 4096, block)) + list(
+            range(4096, 4100, block))
+        for start, stop, dW in chunks:
+            np.testing.assert_array_equal(
+                np.concatenate([x for s, _, x in blocks if start <= s < stop]), dW)
+
+
+@pytest.mark.parametrize("text", ["l2:4", "linf:4", "lp:0.5:3", "nested:1x2,3x2", "linf:16"])
+def test_simulate_does_not_depend_on_the_block_size(monkeypatch, text):
+    # blocks of the whole chunk and of 999 paths over 4100 paths (the second
+    # chunk's inner draws are keyed on its own start), and blocks of one path
+    # over the first 40: a tiny budget also makes the gamma draw blocks tiny
+    space = parse_space(text)
+    drv = st.BrownianDriver(min(space.dim, 2), steps=4)
+    proc = st.make_family("adapted-sign", space, drv)
+    per_path = _path_floats(proc, drv)
+    runs = []
+    for block, paths in ((CHUNK, 4100), (999, 4100), (1, 40)):
+        monkeypatch.setattr(st, "BLOCK_FLOATS", block * per_path)
+        assert st.block_paths(proc, drv, space, paths) == block
+        runs.append(st.simulate(proc, drv, space, paths, seed=5))
+    for run in runs[1:]:
+        for name in ("sup", "terminal", "gamma"):
+            got = getattr(run, name)
+            np.testing.assert_array_equal(got, getattr(runs[0], name)[:got.size], name)
+
+
+@pytest.mark.parametrize("text", ["linf:4", "linf:16", "lp:3:16"])
+def test_simulate_memory_is_one_block_budget(text):
+    # at bdg's defaults (64 steps, driver_dim = dim) a block holds at most
+    # BLOCK_FLOATS floats of increments and coefficients, or of coefficients
+    # and their gamma layout, beside one gamma draw block of BLOCK_FLOATS;
+    # the chunk's inner draws and three floats per path are all else that
+    # lives.  Coefficients and their layout over a whole chunk (32 MiB each
+    # on linf:16) overrun it.
+    space, paths = parse_space(text), CHUNK + 4
+    drv = st.BrownianDriver(space.dim, steps=64)
+    proc = st.make_family("adapted-sign", space, drv)
+    st.simulate(proc, drv, space, 64)  # first-use allocations are not the run's
+    draws = st.GAMMA_INNER * proc.intervals * proc.rank
+    assert _traced_peak(st.simulate, proc, drv, space, paths) <= (
+        8 * (2 * st.BLOCK_FLOATS + draws + 3 * paths) + 256 * 1024)
+
+
+def test_simulate_admits_before_any_draw(monkeypatch):
+    drv = st.BrownianDriver(2, steps=8)
+    proc = st.make_family("adapted-sign", sup_norm(2), drv)
+    drawn = []
+    monkeypatch.setattr(st.BrownianDriver, "increment_chunks",
+                        lambda *args, **kwargs: drawn.append(args) or iter(()))
+    with pytest.raises(ModelError, match="result floats, over budget"):
+        st.simulate(proc, drv, sup_norm(2), st.JOINT_LIMIT // 3 + 1)
+    monkeypatch.setattr(st, "BLOCK_FLOATS", _path_floats(proc, drv) - 1)
+    with pytest.raises(ModelError, match="do not fit the block budget"):
+        st.simulate(proc, drv, sup_norm(2), 10)
+    assert drawn == []
 
 
 def test_bdg_report_does_not_depend_on_blas_threads():
