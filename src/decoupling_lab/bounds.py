@@ -1,17 +1,18 @@
 """Closed-form bounds, and the names the command line offers.
 
-The formula half of the lab: closed-form upper and lower bounds evaluated
-in high precision via mpmath and reported with their validity predicates.
-It also holds the direction and family names of the estimation half
-(constants), which the argument parser reads.  Nothing here imports numpy,
-so ``bounds`` and ``--help`` start without it.
+The formula half of the lab: closed-form upper and lower bounds, evaluated
+in stdlib decimal at 50 significant digits, and reported with their validity
+predicates.  It also holds the direction and family names of the estimation
+half (constants), which the argument parser reads.  Nothing here imports
+numpy, and decimal is loaded only when a constant is evaluated, so
+``bounds`` and ``--help`` start without either.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DIRECTIONS = (
     "decouple-upper",
@@ -28,9 +29,74 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class SymbolicConstant:
-    """A constant of the form coeff * 2^exp2 * e^expe, evaluated via mpmath."""
+# ---------------------------------------------------------------------------
+# 50-digit arithmetic
+#
+# The constants overflow doubles well inside their domain (2^(2q/r) at small
+# r), so they are evaluated in decimal at 50 significant digits, with an
+# exponent range nothing here reaches, and rounded to float only where a
+# report shows them.  Overflow, DivisionByZero and InvalidOperation trap, and
+# each is an ArithmeticError, which _formula reports as no finite value.  The
+# helpers below use their own contexts; the formulas do their plain Decimal
+# arithmetic in a with-block of _context().
+
+
+@functools.cache
+def _context(prec: int = 50):
+    """decimal at prec significant digits with an unbounded exponent.  decimal
+    is loaded on first use: most runs evaluate no closed form."""
+    import decimal
+
+    return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+@functools.cache
+def _logs():
+    """ln 2 and ln 10 at 50 digits, formed once."""
+    ctx = _context()
+    return ctx.ln(2), ctx.ln(10)
+
+
+def _exp(y):
+    """e^y to 50 digits.  At |y| ~ 0.3 Decimal.exp sums some 36 Taylor terms;
+    e^(y / 2^m) with |y / 2^m| < 10^-6 needs 9, and squaring it m times (one
+    integer power) loses under m log10(2) digits, which guard digits cover."""
+    ctx, scale = _context(), y.adjusted()
+    if not y or not y.is_finite() or not -6 <= scale <= 18:
+        return ctx.exp(y)  # exact, small, or sure to overflow or underflow
+    m = 10 * (scale + 7) // 3 + 1  # 2^m >= 10^(scale + 7)
+    wide, n = _context(52 + 3 * m // 10), 1 << m
+    return ctx.plus(wide.power(wide.exp(wide.divide(y, n)), n))
+
+
+def _ln(x):
+    """ln x to 50 digits, or to 10^-50 where |ln x| < 1.  With x = u 10^e,
+    1 <= u < 10, the float log of u is off by t = u e^-log(u) - 1, |t| <
+    10^-15, and ln(1 + t) = t - t^2/2 + t^3/3 is within 10^-60 of it: one exp,
+    where Decimal.ln takes several."""
+    ctx = _context()
+    if not x > 0 or not x.is_finite():
+        return ctx.ln(x)  # ln 0 = -inf, ln inf = inf; a negative x is invalid
+    e = x.adjusted()
+    u = x.scaleb(-e, ctx)
+    guess = ctx.create_decimal_from_float(math.log(float(u)))
+    t = ctx.subtract(ctx.multiply(u, _exp(ctx.minus(guess))), 1)
+    series = ctx.multiply(t, ctx.subtract(1, ctx.multiply(t, ctx.subtract(
+        ctx.divide(1, 2), ctx.divide(t, 3)))))
+    return ctx.add(ctx.add(guess, series), ctx.multiply(e, _logs()[1]))
+
+
+def _pow(x, y):
+    """x^y for x >= 0: by squarings when y is an integer below 10^18, and
+    otherwise as e^(y ln x), to 50 digits less the digits of |y| max(1, |ln x|)."""
+    ctx = _context()
+    if y.is_finite() and y.adjusted() < 18 and y == ctx.to_integral_value(y):
+        return ctx.power(x, int(y))
+    return _exp(ctx.multiply(y, _logs()[0] if x == 2 else _ln(x)))
+
+
+class SymbolicConstant(NamedTuple):
+    """A constant of the form coeff * 2^exp2 * e^expe, evaluated at 50 digits."""
 
     coeff: float
     exp2: float = 0.0
@@ -38,19 +104,19 @@ class SymbolicConstant:
 
     @property
     def value(self) -> float:
-        import mpmath as mp  # loaded on first use: most runs never need it
+        if self.coeff == 0.0 and math.isfinite(self.exp2) and math.isfinite(self.expe):
+            return 0.0  # as mpmath gave it, where the powers pass decimal's exponent range
+        from decimal import Decimal
 
-        with mp.workdps(50):
-            return float(
-                mp.mpf(self.coeff) * mp.power(2, mp.mpf(self.exp2)) * mp.e ** mp.mpf(self.expe)
-            )
+        ctx = _context()
+        return float(ctx.multiply(ctx.multiply(Decimal(self.coeff), _pow(2, Decimal(self.exp2))),
+                                  _exp(Decimal(self.expe))))
 
     def expression(self) -> str:
         return f"{self.coeff:.17g} * 2^{self.exp2:g} * e^{self.expe:g}"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     formula: str
     params: dict
     constant: SymbolicConstant
@@ -110,24 +176,32 @@ def extrapolation_constant(p: float, q: float, A: float, b: float, r: float = 1.
         raise ValueError("need p, q > 0, A >= 0, 0 < r <= 1")
     rho = min(r, p)
     threshold = 2.0 ** (-2.0 * p / rho + p - 1.0)
+    if threshold == 0.0:
+        raise ValueError(f"r={r:g} leaves b no admissible value: the upper end "
+                         f"2^(-2p/rho + p - 1) of its range underflows to 0 at p={p:g}, "
+                         f"rho={rho:g}")
     if not 0 < b < threshold:
         raise ValueError(f"b must lie in (0, {threshold:.6g}) for rho={rho:g}")
-    import mpmath as mp
+    from decimal import Decimal, localcontext
 
-    with mp.workdps(50):
-        pp, qq, aa, bb, rr = map(mp.mpf, (p, q, A, b, rho))
-        beta = (mp.power(2, 2 * pp / rr - pp + 1) * bb) ** (-1 / qq)
-        delta = ((beta ** rr - 1) / (2 * aa ** rr + 1)) ** (1 / rr)
-        bracket = mp.power(2, 2 * pp / rr - pp + 2 * qq / rr - qq + 1) * (
-            mp.power(2, 2 * qq) + mp.power(2, qq / rr)
-        ) * (beta / delta) ** (qq / rr) + (1 - mp.power(2, -rr)) ** (-qq / rr)
-        exp2 = 2 * qq / rr - qq + 2
+    with localcontext(_context()):
+        pp, qq, aa, bb, rr = map(Decimal, (p, q, A, b, rho))
+        # beta = (2^(2p/rho - p + 1) b)^(-1/q), its log taken term by term
+        beta = _exp(-((2 * pp / rr - pp + 1) * _logs()[0] + _ln(bb)) / qq)
+        delta = _pow((_pow(beta, rr) - 1) / (2 * _pow(aa, rr) + 1), 1 / rr)
+        bracket = _pow(2, 2 * pp / rr - pp + 2 * qq / rr - qq + 1) * (
+            _pow(2, 2 * qq) + _pow(2, qq / rr)
+        ) * _pow(beta / delta, qq / rr) + _pow(1 - _pow(2, -rr), -qq / rr)
         coeff = float(bracket)
+    # 2q/rho - q + 2 is often halfway between two floats (q + 2 at r = 1),
+    # which 50 digits cannot tell: it is rounded once, from its exact value
+    (qn, qd), (rn, rd) = q.as_integer_ratio(), rho.as_integer_ratio()
+    exp2 = (2 * qn * rd - qn * rn + 2 * qd * rn) / (qd * rn)
     return BoundReport(
         formula="extrap-c",
         params={"p": p, "q": q, "A": A, "b": b, "r": r, "rho": rho,
                 "beta": float(beta), "delta": float(delta)},
-        constant=SymbolicConstant(coeff=coeff, exp2=float(exp2)),
+        constant=SymbolicConstant(coeff=coeff, exp2=exp2),
     )
 
 

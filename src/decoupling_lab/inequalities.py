@@ -227,9 +227,13 @@ class ProductModel:
                                    f"floats, over budget {JOINT_LIMIT}")
 
     def to_sequence(self) -> AdaptedSequence:
-        """The model as an adapted sequence on the tree whose levels are its laws;
+        """The model as an adapted sequence on the tree whose levels are its laws
+        (each law's atoms broadcast over its parents, as in ProductStack.tables);
         a model over the budget is refused before anything is allocated."""
-        tables = [table[0] for table in ProductStack((self,)).tables]
+        self.require_enumerable()
+        tables = [np.broadcast_to(law.values.reshape(law.size, -1),
+                                  (math.prod(self.shape[:n]), law.size, self.space.dim))
+                  for n, law in enumerate(self.laws)]
         return AdaptedSequence(FiltrationTree(self.laws), self.space, tables)
 
 
@@ -482,11 +486,6 @@ def window_conditional_norm(pair: TangentPair, p: float, k: int, l: int) -> np.n
     return pair.stack.window_table(p).norms[k, l][0]
 
 
-def conditional_norm_star(pair: TangentPair, p: float) -> np.ndarray:
-    """T*_p(f) = max_n T_p(f^n), per path."""
-    return pair.stack.window_table(p).norm_star[0]
-
-
 @dataclass(frozen=True)
 class BmoProfile:
     """Worst-case window statistics of the pair at parameter A.
@@ -549,18 +548,13 @@ def bmo_profiles(stack: PairStack, p: float, As: Sequence[float]) -> list[BmoPro
     return profiles
 
 
-def calibrated_A(pair: TangentPair, p: float, b: float) -> float:
-    """The threshold A at which the window profile certifies smallness b.
+def _calibrated(stack: PairStack, p: float, b: float) -> list[float]:
+    """The threshold A at which each model's window profile certifies smallness b.
 
     Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
     certifies level b for any pair with finite window ratios (A = 1 when
     d_hat = 0).
     """
-    return _calibrated(pair.stack, p, b)[0]
-
-
-def _calibrated(stack: PairStack, p: float, b: float) -> list[float]:
-    """calibrated_A of each model of the stack."""
     return [d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0
             for d_hat in stack.window_table(p).d_hat]
 
@@ -587,7 +581,7 @@ def check_goodlambda(
 def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b: float,
                        lambdas: Sequence[float] | None = None,
                        delta: float = 0.2) -> list[list[IneqReport]]:
-    """check_goodlambda of each model of the stack, at its own A (calibrated_A
+    """check_goodlambda of each model of the stack, at its own A (_calibrated
     when As is None).  A model's events at every lambda are one array, and
     each masked sum is taken on its own."""
     rho = min(stack.space.r, p)
@@ -680,7 +674,7 @@ def extrapolation_reports(stack: PairStack, p: float, q: float,
                           phi: MomentFunctional | None = None, b: float | None = None,
                           As: Sequence[float] | None = None) -> list[IneqReport]:
     """check_extrapolation of each model of the stack, at its own A
-    (calibrated_A when As is None)."""
+    (_calibrated when As is None)."""
     r = stack.space.r
     rho = min(r, p)
     phi = power(q) if phi is None else phi

@@ -538,25 +538,16 @@ def verify_conditional_independence(pair: TangentPair,
     return CheckResult(worst <= LAW_TOL, worst, "conditional independence")
 
 
-def davis_split(pair: TangentPair) -> tuple[TangentPair, TangentPair]:
-    """Split into small-increment and large-increment parts.
+def davis_tables(space: Space, tables) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The Davis split of a stack of tables (models, num_nodes(n-1), a_n, dim)
+    into (small, large) increment tables.
 
     Level n keeps d_n in the small part when ||d_n|| <= 2 d*_{n-1} (so the
     small part is predictably dominated); level 1 goes entirely to the large
-    part.  The tangent copies split with the same indicator evaluated on the
-    copy's own increment norm against the first coordinate's d*_{n-1}, which
-    is exactly what replaying the split tables does.
+    part.  Replayed as a tangent pair, a copy splits with the same indicator on
+    its own increment norm against the first coordinate's d*_{n-1}.  One norm
+    per table entry, the running d*_{n-1} grown node by node down the tree.
     """
-    seq = pair.seq
-    parts = davis_tables(seq.space, [t[None] for t in seq.tables])
-    return tuple(TangentPair(AdaptedSequence(seq.tree, seq.space, [t[0] for t in tables]),
-                             pair.mode) for tables in parts)
-
-
-def davis_tables(space: Space, tables) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The (small, large) split tables of davis_split for a stack of tables
-    (models, num_nodes(n-1), a_n, dim): one norm per table entry, the running
-    d*_{n-1} grown node by node down the tree."""
     small, big = [], []
     d_star = np.zeros((len(tables[0]), 1))  # d*_{n-1} per depth-(n-1) node
     for n, table in enumerate(tables, start=1):
@@ -699,12 +690,6 @@ class PairStack(PathStack):
                 out["g_norm"] = space.norms(g.swapaxes(2, 3))
             weights = head_probs[:, block, None] * self.path_probs[:, None, :]
             yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
-
-
-def joint_blocks(pair: TangentPair, stats=JOINT_STATS):
-    """The joint engine's blocks for one pair: its stack of one, the model axis dropped."""
-    for weights, out in pair.stack.joint_blocks(stats):
-        yield weights[0], {key: value[0] for key, value in out.items()}
 
 
 def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,

@@ -8,7 +8,6 @@ keys, no whitespace, NaN forbidden, numpy types coerced to plain Python.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -40,6 +39,8 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
+    import hashlib  # loaded with the first report: --help never writes one
+
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 

@@ -1,7 +1,8 @@
 """Every module of the package uses every name it imports, every top-level
 name it defines is referred to somewhere, and each subcommand loads only the
-modules it runs: --help and bounds load no numpy, and a one-worker run loads
-neither the process pool nor fractions."""
+modules it runs: --help and bounds load no numpy, no run loads mpmath, --help
+loads none of hashlib, dataclasses, inspect and decimal, and a one-worker run
+loads neither the process pool nor fractions."""
 
 import ast
 import json
@@ -157,8 +158,17 @@ def test_each_subcommand_imports_only_what_it_runs(command):
     assert code == 0
     package = sorted(m.split(".")[1] for m in modules if m.startswith("decoupling_lab."))
     assert package == sorted(["bounds", "cli", "reports", *runs])
-    # bounds and --help start without numpy; mpmath only evaluates closed forms
+    # bounds and --help start without numpy; closed forms are evaluated in decimal
     assert ("numpy" in modules) == bool(runs)
-    assert ("mpmath" in modules) == (command in ("bounds", "verify"))
+    assert "mpmath" not in modules
     # one worker starts no process pool, and nothing loads fractions
     assert not {"concurrent.futures.process", "fractions"} & set(modules)
+
+
+def test_help_loads_no_hashing_dataclasses_or_decimal():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", RUN_CLI, "--help"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert not {"hashlib", "dataclasses", "inspect", "decimal", "mpmath"} & set(modules)

@@ -29,6 +29,16 @@ def rademacher_model(depth):
     return iq.ProductModel(euclid(1), (rad,) * depth)
 
 
+def calibrated_A(pair, p, b):
+    """The threshold A at which the pair's window profile certifies smallness b."""
+    return iq._calibrated(pair.stack, p, b)[0]
+
+
+def conditional_norm_star(pair, p):
+    """T*_p(f) = max_n T_p(f^n), per path."""
+    return pair.stack.window_table(p).norm_star[0]
+
+
 def test_report_as_dict():
     rep = iq.IneqReport("x", {"t": 1}, np.float64(1.0), 2.0, True, 1.0)
     d = rep.as_dict()
@@ -321,7 +331,7 @@ def _per_trial_pair_reports(suite, pair, p):
         ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
         return iq.check_tail_comparison(pair, ts)
     if suite == "goodlambda":
-        return iq.check_goodlambda(pair, p, A=iq.calibrated_A(pair, p, 0.5), b=0.5)
+        return iq.check_goodlambda(pair, p, A=calibrated_A(pair, p, 0.5), b=0.5)
     if suite == "davis":
         return [iq.check_davis_pathwise(pair)]
     return [iq.check_extrapolation(pair, p, q=2.0)]
@@ -742,7 +752,7 @@ def test_conditional_norm_on_signs():
         vals = iq.window_conditional_norm(pair, 2.0, 0, n)[pair.tree.nodes_at(n - 1)]
         assert vals.shape == (pair.tree.path_count,)
         assert np.allclose(vals, math.sqrt(n), atol=1e-12)
-    star = iq.conditional_norm_star(pair, 2.0)
+    star = conditional_norm_star(pair, 2.0)
     assert np.allclose(star, math.sqrt(3.0), atol=1e-12)
 
 
@@ -758,7 +768,7 @@ def test_conditional_norm_dual_route():
         lhs = float(t_p ** p @ tree.path_probs)
         assert lhs == pytest.approx(pm.g_terminal_moment(pair, p), rel=1e-12)
         # the running sup over n dominates the last window
-        star = iq.conditional_norm_star(pair, p)
+        star = conditional_norm_star(pair, p)
         assert np.all(star >= t_p)
 
 
@@ -881,7 +891,7 @@ def test_bmo_condition_matches_brute_force(p):
     for pair in table_pairs(f"bmo-{p}"):
         at_zero = reference_bmo(pair, p, 0.0)
         A = at_zero.d_hat * b ** (-1.0 / p) if at_zero.d_hat > 0 else 1.0
-        assert iq.calibrated_A(pair, p, b) == A
+        assert calibrated_A(pair, p, b) == A
         for a in (0.0, A, 0.5 * A):
             got, want = iq.bmo_condition(pair, p, a), reference_bmo(pair, p, a)
             for name in want.__dataclass_fields__:
@@ -1161,7 +1171,7 @@ def pair_verdicts(pair, k, p):
     off the pair and scaled by 2^k."""
     ts = [2.0 ** k * float(t) for t in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])]
     pair = scaled_pair(pair, k)
-    A = iq.calibrated_A(pair, p, 0.5)
+    A = calibrated_A(pair, p, 0.5)
     return ([rep.holds for rep in iq.check_tail_comparison(pair, ts)]
             + [rep.holds for rep in iq.check_goodlambda(pair, p, A=A, b=0.5)]
             + [iq.bmo_condition(pair, p, a).chebyshev_ok for a in (A, 0.5 * A)]

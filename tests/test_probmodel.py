@@ -22,6 +22,12 @@ def unit_pw_seq(depth, dim=1):
     return pm.AdaptedSequence.from_multipliers(tree, euclid(dim), mults)
 
 
+def joint_blocks(pair, stats=pm.JOINT_STATS):
+    """The joint engine's blocks for one pair: its stack of one, the model axis dropped."""
+    for weights, out in pair.stack.joint_blocks(stats):
+        yield weights[0], {key: value[0] for key, value in out.items()}
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -227,7 +233,7 @@ def test_joint_engine_budgets_heads_times_paths():
     with pytest.raises(pm.EnumerationError):
         pm.g_terminal_moment(pair, 2.0)
     with pytest.raises(pm.EnumerationError):
-        next(pm.joint_blocks(pair, ("e_star",)))
+        next(joint_blocks(pair, ("e_star",)))
     # the window table and the factorization check keep their own budgets
     with pytest.raises(pm.EnumerationError):
         pm.decouple(unit_pw_seq(12)).stack.window_table(2.0)
@@ -303,10 +309,19 @@ def test_verifiers_fail_on_a_wrong_row_pick(rule, monkeypatch, capsys):
 # the davis split
 
 
+def davis_split(pair):
+    """The pair's (small, large) Davis split as two tangent pairs of its mode:
+    pm.davis_tables of its stack of one."""
+    seq = pair.seq
+    parts = pm.davis_tables(seq.space, [t[None] for t in seq.tables])
+    return tuple(pm.TangentPair(pm.AdaptedSequence(seq.tree, seq.space, [t[0] for t in tables]),
+                                pair.mode) for tables in parts)
+
+
 def test_davis_split_partition_and_routing():
     gen = stream(3, "davis")
     pair = pm.random_pair(gen, euclid(2), max_depth=4)
-    small, big = pm.davis_split(pair)
+    small, big = davis_split(pair)
     for s, b, t in zip(small.seq.tables, big.seq.tables, pair.seq.tables):
         assert np.allclose(s + b, t)
         assert not (s.astype(bool) & b.astype(bool)).any()
@@ -315,7 +330,7 @@ def test_davis_split_partition_and_routing():
 def test_davis_split_constant_increments():
     # constant increment norms: level 1 is big, later levels all small
     seq = unit_pw_seq(3)
-    small, big = pm.davis_split(pm.decouple(seq))
+    small, big = davis_split(pm.decouple(seq))
     assert not small.seq.tables[0].any()
     assert np.array_equal(big.seq.tables[0], seq.tables[0])
     for n in (1, 2):
@@ -328,7 +343,7 @@ def test_davis_split_growing_increments():
     tree = pm.paley_walsh(3)
     mults = [np.full((tree.num_nodes(n - 1), 1), 3.0 ** n) for n in range(1, 4)]
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(1), mults)
-    small, big = pm.davis_split(pm.decouple(seq))
+    small, big = davis_split(pm.decouple(seq))
     assert all(not t.any() for t in small.seq.tables)
     assert all(np.array_equal(a, b) for a, b in zip(big.seq.tables, seq.tables))
 
@@ -360,7 +375,7 @@ def test_davis_split_norms_each_level_once(space, monkeypatch):
         norms = type(space).norms
         monkeypatch.setattr(type(space), "norms",
                             lambda self, arr: calls.append(arr.shape) or norms(self, arr))
-        parts = pm.davis_split(pm.TangentPair(seq, mode))
+        parts = davis_split(pm.TangentPair(seq, mode))
         monkeypatch.undo()
         assert len(calls) == tree.depth
         for part, tables in zip(parts, want):
@@ -437,7 +452,7 @@ def test_joint_blocks_cover_product_space(monkeypatch):
     mass, rows = 0.0, 0
     # blocks of three heads: three rows of path_count x dim floats of g_N
     monkeypatch.setattr(pm, "BLOCK_FLOATS", 3 * tree.path_count * pair.space.dim)
-    for w, stats in pm.joint_blocks(pair):
+    for w, stats in joint_blocks(pair):
         assert w.shape[0] <= 3 and w.shape[1] == tree.path_count
         assert stats["g_norm"].shape == w.shape
         assert stats["e_star"].shape == w.shape
@@ -507,7 +522,7 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case, 
         monkeypatch.setattr(pm, "BLOCK_FLOATS", block_floats)
         got = np.zeros(len(want))
         total = 0.0
-        for w, stats in pm.joint_blocks(pair):
+        for w, stats in joint_blocks(pair):
             total += float(w.sum())
             norms = stats["g_norm"]
             got += ([float(np.sum(w * norms ** p)) for p in (0.5, 1.0, 2.0, 3.0)]
@@ -516,8 +531,8 @@ def test_joint_blocks_match_naive_product_space(mode, symmetric, letters, case, 
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     # a caller gets only what it asks for, with the same values
     for key in pm.JOINT_STATS:
-        part = [stats for _, stats in pm.joint_blocks(pair, (key,))]
-        full = [stats for _, stats in pm.joint_blocks(pair)]
+        part = [stats for _, stats in joint_blocks(pair, (key,))]
+        full = [stats for _, stats in joint_blocks(pair)]
         assert all(set(a) == {key} for a in part)
         for a, b in zip(part, full):
             assert np.array_equal(a[key], b[key])
@@ -565,7 +580,7 @@ def test_joint_blocks_match_naive_outcomes_at_depth(mode, depth, monkeypatch):
         # one head per block, then the default blocks
         for block_floats in (1, default):
             monkeypatch.setattr(pm, "BLOCK_FLOATS", block_floats)
-            blocks = [stats for _, stats in pm.joint_blocks(pair)]
+            blocks = [stats for _, stats in joint_blocks(pair)]
             for i, key in enumerate(pm.JOINT_STATS):
                 np.testing.assert_array_equal(np.concatenate([b[key] for b in blocks]), want[i])
 
@@ -808,7 +823,7 @@ def test_verifier_gaps_match_the_dict_reference(mode):
 def test_joint_blocks_rejects_unknown_statistic():
     pair = pm.decouple(unit_pw_seq(2))
     with pytest.raises(ValueError, match="unknown joint statistics"):
-        next(pm.joint_blocks(pair, ("f_star",)))
+        next(joint_blocks(pair, ("f_star",)))
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +865,7 @@ def wilson_interval(count, n, z=5.0):
 
 def exact_norm_laws(pair):
     """(values, masses) of ||f_N|| (path masses) and of ||g_N|| (joint engine weights)."""
-    blocks = list(pm.joint_blocks(pair, ("g_norm",)))
+    blocks = list(joint_blocks(pair, ("g_norm",)))
     return ((pair.space.norms(pair.seq.terminal), pair.tree.path_probs),
             (np.concatenate([stats["g_norm"].ravel() for _, stats in blocks]),
              np.concatenate([weights.ravel() for weights, _ in blocks])))
