@@ -211,6 +211,8 @@ def phi_moment_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport
     K <= e^q 2^(3q/p + p + 7q + 7) (q/p)^q d_const^q."""
     if q < p or p <= 0:
         raise ValueError("need 0 < p <= q")
+    if d_const < 0:
+        raise ValueError("need d_const >= 0")
     return BoundReport(
         formula="phi-growth",
         params={"p": p, "q": q, "d_const": d_const},
@@ -228,6 +230,8 @@ def exponent_shift_constant(p: float, q: float, d_const: float = 1.0) -> BoundRe
     D_q <= e 2^(3/p + p/q + 7 + 7/q) (q/p) D_p."""
     if q < p or p <= 0:
         raise ValueError("need 0 < p <= q")
+    if d_const < 0:
+        raise ValueError("need d_const >= 0")
     return BoundReport(
         formula="exponent-shift",
         params={"p": p, "q": q, "d_const": d_const},
@@ -244,6 +248,8 @@ def hilbert_phi_constant(q: float, d_const: float = 1.0) -> BoundReport:
     """Growth-q moment bound in inner-product spaces: e^q 2^(11 + 8q) d_const^q."""
     if q <= 0:
         raise ValueError("need q > 0")
+    if d_const < 0:
+        raise ValueError("need d_const >= 0")
     return BoundReport(
         formula="hilbert-phi",
         params={"q": q, "d_const": d_const},
@@ -257,6 +263,8 @@ def sup_norm_upper_bound(p: float, d: int, scalar_const: float = 1.0) -> BoundRe
     provided the dimension is small relative to the exponent: 2^p >= d."""
     if d < 1 or p <= 0:
         raise ValueError("need d >= 1, p > 0")
+    if scalar_const < 0:
+        raise ValueError("need scalar_const (the scalar d_const) >= 0")
     applies = bool(2.0 ** p >= d)
     # the proof's kernel: d^(1/p) <= 2; exp2 form keeps dyadic cases exact
     kernel = 2.0 ** (math.log2(d) / p)

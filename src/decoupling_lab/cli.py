@@ -6,6 +6,11 @@ from (seed, label, index) and results are merged in input order.  Exit
 codes: 0 clean, 1 when an exact-mode check reports holds=false, 2 for
 configuration errors.
 
+Every verify suite runs through one route, _verify_one: a suite gives only
+its draw, its shape key, its float counts and its reports (_reports), and
+_verify_one windows, groups, stacks and encodes its trials.  A refusal gives
+the error of the first trial, in index order, that fails alone.
+
 At module level this imports only the stdlib, reports and bounds, so
 ``--help`` and ``bounds`` start without numpy.  Each handler and pool entry
 point imports what it runs inside the function, and never binds it to a
@@ -75,57 +80,63 @@ def _positive_floats(text: str) -> list[float]:
 
 
 def _verify_one(task: tuple) -> tuple[list[str], bool]:
-    """One range of a suite's trials: its rows encoded batch by batch, with
-    one encoding per batch, and whether some row has holds=false."""
+    """One range of a suite's trials: each trial's rows encoded, in index
+    order, and whether some row has holds=false.
+
+    Each trial draws from its own stream.  Consecutive trials are taken in
+    windows whose tables (a product model's partial sums, a pair's increment
+    tables) hold at most BATCH_FLOATS floats together (_windows).  A window's
+    trials are grouped by tree shape, each group is split again to at most
+    BATCH_FLOATS floats at its check's peak, and each split is checked on one
+    stack (_reports); a trial's rows are encoded as its stack is done.  When
+    a window raises, its trials are checked again one at a time in index
+    order, so the first that fails alone raises its error.
+    """
+    from . import probmodel as pm
+    from .rng import stream
     from .spaces import parse_space
 
     suite, space_text, p, depth, start, stop, seed, fmt = task
     space = parse_space(space_text)
-    batches = list(_row_batches(suite, space, p, depth, range(start, stop), seed, fmt))
-    return [chunk for chunk, _ in batches], any(failed for _, failed in batches)
+    product = suite in STACKED_SUITES
 
+    def draw(index: int) -> tuple:
+        gen = stream(seed, "verify", suite, index)
+        if product:
+            return index, *_product_draws(suite, space, depth, gen)
+        return index, pm.random_pair(gen, space, max_depth=depth,
+                                     symmetric=suite != "tangency" or bool(index % 2))
 
-def _encoded(rows: list[dict], fmt: str) -> tuple[str, bool]:
-    """A batch of rows encoded in one call, and whether some row has holds=false."""
-    return (rp.encode_rows(rows, fmt, VERIFY_COLUMNS),
-            any(row.get("holds") is False for row in rows))
+    def shape(trial) -> tuple:
+        return trial[1].shape if product else trial[1].tree.sizes
 
+    def floats(trial) -> int:
+        return trial[1].floats if product else sum(t.size for t in trial[1].seq.tables)
 
-def _row_batches(suite: str, space, p: float, depth: int, indices, seed: int, fmt: str):
-    """The trials' rows, batch by batch in index order, each batch encoded
-    (_encoded); each trial draws from its own stream.  A tangency trial is a
-    batch of its own.  The other suites take their trials in windows of
-    consecutive trials (_windows) and check each window one shape at a time
-    on stacked enumerations: product suites in windows whose models enumerate
-    at most BATCH_FLOATS partial-sum floats together, pair suites in windows
-    whose increment tables hold at most BATCH_FLOATS floats together."""
-    from . import probmodel as pm
-    from .rng import stream
+    def peak(trial) -> int:
+        if product or suite == "tangency":
+            return floats(trial)
+        return pm.pair_floats(shape(trial), space)
 
-    if suite == "tangency":
-        for index in indices:
-            gen = stream(seed, "verify", suite, index)
-            pair = pm.random_pair(gen, space, max_depth=depth, symmetric=bool(index % 2))
-            yield _encoded(_tangency_rows(pair, index), fmt)
-    elif suite in STACKED_SUITES:
-        draws = ((index, *_product_draws(suite, space, depth, stream(seed, "verify", suite, index)))
-                 for index in indices)
-        for batch in _windows(draws, lambda trial: trial[1].floats):
-            yield _encoded(_product_rows(suite, p, batch), fmt)
-    else:
-        def trees():
-            # a window holds each trial's tree and its stream, drawn up to
-            # the tree; each stack draws its pairs' sequences when checked
-            for index in indices:
-                gen = stream(seed, "verify", suite, index)
-                yield index, gen, pm.random_tree(gen, depth)
-
-        def redraw(index: int):
-            return pm.random_pair(stream(seed, "verify", suite, index), space, max_depth=depth)
-
-        for window in _windows(trees(), lambda trial: space.dim * sum(
-                trial[2].num_nodes(n) for n in range(1, trial[2].depth + 1))):
-            yield from _pair_batches(suite, space, p, window, fmt, redraw)
+    chunks, failed = [], False
+    for window in _windows(map(draw, range(start, stop)), floats):
+        groups: dict[tuple, list] = {}
+        for trial in window:
+            groups.setdefault(shape(trial), []).append(trial)
+        encoded = {}
+        try:
+            for group in groups.values():
+                for trials in _windows(group, peak):
+                    for (index, *_), rows in zip(trials, _reports(suite, p, trials)):
+                        rows = [{**row, "model": index} for row in rows]
+                        encoded[index] = rp.encode_rows(rows, fmt, VERIFY_COLUMNS)
+                        failed = failed or any(row["holds"] is False for row in rows)
+        except ValueError:
+            for trial in window:
+                _reports(suite, p, [trial])
+            raise
+        chunks += [encoded[index] for index, *_ in window]
+    return chunks, failed
 
 
 def _windows(trials, floats):
@@ -159,102 +170,47 @@ def _product_draws(suite: str, space, depth: int, gen) -> tuple:
     return model, factor, mults
 
 
-def _product_rows(suite: str, p: float, batch: list) -> list[dict]:
-    """The rows of a batch of (index, model, factor, multipliers) trials, in
-    index order, from one ProductStack per shape."""
-    shapes: dict[tuple, list] = {}
-    for trial in batch:
-        shapes.setdefault(trial[1].shape, []).append(trial)
-    reports = {}
-    for group in shapes.values():
-        reports.update(zip([trial[0] for trial in group], _product_reports(suite, p, group)))
-    return [row for index, *_ in batch for row in _trial_rows([reports[index]], index)]
-
-
-def _trial_rows(reports: list, index: int) -> list[dict]:
-    """The rows of trial ``index``'s reports."""
-    return [{**report.as_dict(), "model": index} for report in reports]
-
-
-def _product_reports(suite: str, p: float, group: list) -> list:
-    """The reports of trials of one shape, checked on one ProductStack."""
+def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
+    """Each trial's rows, less its index, for trials of one shape checked
+    together: a product suite's (index, model, factor, multipliers) trials on
+    one ProductStack, tangency's (index, pair) trials on one set of head
+    groups, and a pair suite's on one PairStack."""
     import numpy as np
 
     from . import inequalities as iq
+    from . import probmodel as pm
 
-    indices, models, factors, mults = zip(*group)
-    stack = iq.ProductStack(models)
+    indices, *draws = zip(*trials)
+    if suite == "tangency":
+        return [[{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
+                  "margin": -res.gap, "method": "exact", "detail": res.detail}
+                 for label, res in zip(("tangency", "conditional-independence"), results)]
+                for results in pm.verify_tangent_pair(draws[0])]
     if suite == "symsum":
-        return iq.symsum_reports(stack, p)
-    ts = [(float(np.quantile(f_star, 0.7)) or 1.0) * factor
-          for f_star, factor in zip(stack.f_star, factors)]
-    if suite == "levy":
-        return iq.levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
-    if suite == "contraction":
-        return iq.contraction_reports(stack, mults, ts)
-    return iq.reverse_kolmogorov_reports(stack, ts, p)
-
-
-def _pair_batches(suite: str, space, p: float, window: list, fmt: str, redraw):
-    """The encoded rows of a window of (index, stream, tree) trials, one
-    batch per trial in index order.  Each tree shape's trials are checked in
-    PairStacks whose pairs hold at most BATCH_FLOATS floats together at the
-    check's peak (pair_floats), a pair over that alone; each pair draws its
-    sequence as random_pair does, and each trial's rows are encoded as its
-    stack is done.  When a stack raises, the window's trials are drawn again
-    (``redraw``) and checked one at a time in index order, so the first
-    failing trial raises the error it raises alone."""
-    from . import probmodel as pm
-
-    shapes: dict[tuple, list] = {}
-    for trial in window:
-        shapes.setdefault(trial[2].sizes, []).append(trial)
-    batches = {}
-    try:
-        for sizes, group in shapes.items():
-            size = max(1, pm.BATCH_FLOATS // pm.pair_floats(sizes, space))
-            for start in range(0, len(group), size):
-                trials = group[start:start + size]
-                stack = pm.PairStack.of([
-                    pm.decouple(pm.random_multiplier_sequence(gen, tree, space))
-                    for _, gen, tree in trials])
-                for (index, *_), reports in zip(trials, _pair_reports(suite, p, stack)):
-                    batches[index] = _encoded(_trial_rows(reports, index), fmt)
-    except ValueError:
-        for index, *_ in window:
-            _pair_reports(suite, p, redraw(index).stack)
-        raise
-    for index, *_ in window:
-        yield batches[index]
-
-
-def _pair_reports(suite: str, p: float, stack) -> list:
-    """Each pair's reports of a pair suite, checked on one PairStack."""
-    import numpy as np
-
-    from . import inequalities as iq
-
-    if suite == "tail":
-        return iq.tail_reports(stack, [
-            sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
-            for d_star in stack.d_star])
-    if suite == "goodlambda":
-        return iq.goodlambda_reports(stack, p, None, b=0.5)
-    if suite == "davis":
-        return [[report] for report in iq.davis_reports(stack)]
-    if suite == "extrapolation":
-        return [[report] for report in iq.extrapolation_reports(stack, p, q=2.0)]
-    raise ValueError(f"unknown suite {suite!r}")
-
-
-def _tangency_rows(pair, index: int) -> list[dict]:
-    """The rows of tangency trial ``index``."""
-    from . import probmodel as pm
-
-    checks = zip(("tangency", "conditional-independence"), pm.verify_tangent_pair(pair))
-    return [{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
-             "margin": -res.gap, "method": "exact", "detail": res.detail, "model": index}
-            for label, res in checks]
+        reports = iq.symsum_reports(iq.ProductStack(draws[0]), p)
+    elif suite in PRODUCT_SUITES:
+        models, factors, mults = draws
+        stack = iq.ProductStack(models)
+        ts = [(float(np.quantile(f_star, 0.7)) or 1.0) * factor
+              for f_star, factor in zip(stack.f_star, factors)]
+        if suite == "levy":
+            reports = iq.levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
+        elif suite == "contraction":
+            reports = iq.contraction_reports(stack, mults, ts)
+        else:
+            reports = iq.reverse_kolmogorov_reports(stack, ts, p)
+    else:
+        stack = pm.PairStack.of(draws[0])
+        if suite == "tail":
+            return [[report.as_dict() for report in reports] for reports in iq.tail_reports(
+                stack, [sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
+                        for d_star in stack.d_star])]
+        if suite == "goodlambda":
+            return [[report.as_dict() for report in reports]
+                    for reports in iq.goodlambda_reports(stack, p, None, b=0.5)]
+        reports = (iq.davis_reports(stack) if suite == "davis"
+                   else iq.extrapolation_reports(stack, p, q=2.0))
+    return [[report.as_dict()] for report in reports]
 
 
 def _cmd_verify(args) -> int:

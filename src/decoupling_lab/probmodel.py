@@ -270,11 +270,6 @@ class AdaptedSequence:
         return self.partial_sums[:, self.depth]
 
     @property
-    def partial_sum_norms(self) -> np.ndarray:
-        """||f_0||..||f_N|| per path, shape (path_count, depth+1)."""
-        return self.paths.norms[0]
-
-    @property
     def f_star(self) -> np.ndarray:
         """max_n ||f_n|| per path."""
         return self.paths.f_star[0]
@@ -481,11 +476,16 @@ def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
     return seq.tables[n - 1][rows].reshape(-1, seq.dim)
 
 
-def verify_tangent_pair(pair: TangentPair) -> tuple[CheckResult, CheckResult]:
-    """verify_tangency and verify_conditional_independence of the pair, on
-    one _head_groups of its tree and mode."""
-    groups = _head_groups(pair.tree, pair.mode)
-    return verify_tangency(pair, groups), verify_conditional_independence(pair, groups)
+def verify_tangent_pair(pairs) -> list[tuple[CheckResult, CheckResult]]:
+    """verify_tangency and verify_conditional_independence of each pair, for
+    pairs of one tree shape and mode, on one _head_groups (which depends on
+    the shape and the mode alone)."""
+    first = pairs[0]
+    if any((pair.tree.sizes, pair.mode) != (first.tree.sizes, first.mode) for pair in pairs):
+        raise ModelError("tangent pairs checked together need one mode and tree shape")
+    groups = _head_groups(first.tree, first.mode)
+    return [(verify_tangency(pair, groups), verify_conditional_independence(pair, groups))
+            for pair in pairs]
 
 
 def verify_tangency(pair: TangentPair, groups: list[np.ndarray] | None = None) -> CheckResult:

@@ -139,17 +139,6 @@ class StepProcess:
         return out
 
 
-def constant_process(partition, vectors, x_dim: int, name: str = "deterministic") -> StepProcess:
-    """Deterministic step process: vectors[n-1][m] is the coefficient."""
-    table = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vectors]
-    rank = table[0].shape[0]
-
-    def rule(n, m, past):
-        return table[n - 1][m]
-
-    return StepProcess(partition, rank, x_dim, rule, name=name)
-
-
 def integrate(
     proc: StepProcess, driver: BrownianDriver, dW: np.ndarray, coefs: np.ndarray, space: Space
 ) -> tuple[np.ndarray, np.ndarray]:

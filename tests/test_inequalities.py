@@ -305,7 +305,7 @@ def test_stacked_product_reports_match_per_trial(text, monkeypatch):
                 factor = float(gen.choice([0.5, 1.0, 1.5]))
                 mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
                          if suite == "contraction" else None)
-                f_star = model.to_sequence().partial_sum_norms.max(axis=1)
+                f_star = model.to_sequence().paths.norms[0].max(axis=1)
                 t = (float(np.quantile(f_star, 0.7)) or 1.0) * factor
                 variant = ("max-sum", "max-term")[index % 2]
                 want.append(_per_trial_values(suite, model, t, p, variant, mults))
@@ -432,6 +432,38 @@ def test_a_failing_stack_raises_the_first_failing_trial_in_index_order(seed, mon
     assert capsys.readouterr().err == f"decoupling-lab: {first}\n"
     # the stacks met a later trial's refusal first
     assert raised[0] != first
+
+
+def test_a_failing_product_stack_raises_the_first_failing_trial_in_index_order(monkeypatch,
+                                                                                 capsys):
+    import decoupling_lab.cli as cli
+
+    # levy refuses each model whose first law's first atom is negative,
+    # naming the model by its laws' atoms
+    levy, raised = iq.levy_reports, []
+
+    def refusing(stack, ts, variants):
+        for model in stack.models:
+            if model.laws[0].values.flat[0] < 0:
+                raised.append(f"model {[law.values.tolist() for law in model.laws]} refused")
+                raise pm.ModelError(raised[-1])
+        return levy(stack, ts, variants)
+
+    monkeypatch.setattr(iq, "levy_reports", refusing)
+    space, depth = euclid(2), 4
+    for index in range(12):
+        gen = stream(0, "verify", "levy", index)
+        first = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
+        if first.laws[0].values.flat[0] < 0:
+            break
+    with pytest.raises(pm.ModelError) as alone:
+        refusing(iq.ProductStack([first]), [1.0], ["max-sum"])
+    raised.clear()
+    assert cli.main(["verify", "--suite", "levy", "--space", "l2:2", "--depth", str(depth),
+                     "--trials", "12", "--seed", "0", "--workers", "1"]) == 2
+    assert capsys.readouterr().err == f"decoupling-lab: {alone.value}\n"
+    # the first shape group checked met a later trial's refusal
+    assert raised[0] != str(alone.value)
 
 
 @pytest.mark.parametrize("text", ["l2:4", "lp:0.5:3"])
@@ -643,7 +675,7 @@ def test_contraction_sub_sum_matches_the_scaled_model_bit_for_bit(space, monkeyp
         # a 0 multiplier turns the law's negative atoms into -0.0 increments
         signed_zeros += sum(np.signbit(law.values[law.values == 0]).any()
                             for law in scaled.laws)
-        want = scaled.to_sequence().partial_sum_norms[:, -1]
+        want = scaled.to_sequence().paths.norms[0][:, -1]
         # the sub-sum's norms are the one (models, outcomes) array the check
         # takes, here for a stack of one
         seen = []
@@ -1155,7 +1187,7 @@ def scaled_pair(pair, k):
 def product_verdicts(model, k, p):
     """The holds of every product check on the model scaled by 2^k, at
     thresholds read off the model and scaled by 2^k."""
-    t = float(np.quantile(model.to_sequence().partial_sum_norms.max(axis=1), 0.7))
+    t = float(np.quantile(model.to_sequence().paths.norms[0].max(axis=1), 0.7))
     scaled, ts = scaled_model(model, k), [2.0 ** k * t * f for f in (0.5, 1.0, 1.5)]
     mults = [float(n % 2) for n in range(len(model.laws))]
     xi, zeta = scaled.laws[:2]

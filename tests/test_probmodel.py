@@ -263,14 +263,27 @@ def test_a_tangency_trial_forms_its_head_groups_once(monkeypatch, capsys):
             "--trials", "6", "--seed", "0", "--workers", "1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 6
-    # one set of groups gives each verifier's own result, with groups or without
+    # the six trials fill one window: one set of head groups per tree shape
+    trials = [pm.random_pair(stream(0, "verify", "tangency", i), euclid(2), max_depth=3,
+                             symmetric=bool(i % 2)) for i in range(6)]
+    assert sum(table.size for pair in trials for table in pair.seq.tables) <= pm.BATCH_FLOATS
+    assert len(calls) == len({pair.tree.sizes for pair in trials}) < 6
+    # pairs of one shape checked together give each verifier's own result
     gen = stream(4, "head-groups")
-    for _ in range(4):
-        pair = pm.random_pair(gen, euclid(2), max_depth=4)
-        for candidate in (pair, pm.independent_copy(pair.seq)):
-            assert pm.verify_tangent_pair(candidate) == (
-                pm.verify_tangency(candidate), pm.verify_conditional_independence(candidate))
+    shapes = {}
+    for i in range(24):
+        pair = pm.random_pair(gen, euclid(2), max_depth=3, symmetric=bool(i % 2))
+        shapes.setdefault(pair.tree.sizes, []).append(pair)
+    assert max(map(len, shapes.values())) > 2
+    failing = 0
+    for pairs in shapes.values():
+        copies = [pm.independent_copy(pair.seq) for pair in pairs]
+        for candidates in (pairs, copies):
+            results = pm.verify_tangent_pair(candidates)
+            assert results == [(pm.verify_tangency(c), pm.verify_conditional_independence(c))
+                               for c in candidates]
+            failing += sum(not tangency.ok for tangency, _ in results)
+    assert failing > 0
 
 
 # A wrong row pick in pm.e_rows, the rule the joint engine reads, fails the

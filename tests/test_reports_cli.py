@@ -182,6 +182,19 @@ def test_bounds_without_a_finite_value_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--formula", "phi-growth", "--p", "1", "--q", "1.5"],  # (q/p d_const)^q is complex
+    ["--formula", "exponent-shift", "--p", "1", "--q", "2"],  # the constant would be negative
+    ["--formula", "hilbert-phi", "--q", "1.5"],
+    ["--formula", "supnorm-upper", "--p", "3", "--d", "8"],
+], ids=lambda argv: argv[1])
+def test_bounds_with_a_negative_d_const_exit_2(argv, capsys):
+    assert cli.main(["bounds", *argv, "--d-const", "-1", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("decoupling-lab: need ") and "d_const" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["estimate", "--space", "lp:1e300:2", "--depth", "2", "--trials", "2"],
     ["estimate", "--space", "lp:1e-300:2", "--depth", "2", "--trials", "2"],
     ["atlas", "--spaces", "lp:1e300:2"],

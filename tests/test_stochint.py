@@ -14,6 +14,17 @@ from decoupling_lab.rng import CHUNK, stream
 from decoupling_lab.spaces import euclid, nested, parse_space, seq_lp, sup_norm
 
 
+def constant_process(partition, vectors, x_dim: int) -> st.StepProcess:
+    """Deterministic step process: vectors[n-1][m] is the coefficient."""
+    table = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vectors]
+    rank = table[0].shape[0]
+
+    def rule(n, m, past):
+        return table[n - 1][m]
+
+    return st.StepProcess(partition, rank, x_dim, rule, name="deterministic")
+
+
 def test_is_hilbert_like():
     assert st.is_hilbert_like(euclid(3))
     assert st.is_hilbert_like(seq_lp(2.0, 5))
@@ -105,7 +116,7 @@ def test_rule_cannot_touch_its_own_interval():
 def test_integrate_matches_manual_sum():
     drv = st.BrownianDriver(2, steps=8)
     e1, e2 = np.eye(2)
-    proc = st.constant_process([0, 4, 8], [[e1, e2], [2 * e1, -e2]], 2)
+    proc = constant_process([0, 4, 8], [[e1, e2], [2 * e1, -e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(16, 3)))
     space = euclid(2)
     sup, terminal = st.integrate(proc, drv, dW, proc.coefficients(dW), space)
@@ -125,8 +136,8 @@ def test_integrate_matches_manual_sum():
 def test_integrate_is_linear():
     drv = st.BrownianDriver(2, steps=8)
     e1, e2 = np.eye(2)
-    base = st.constant_process([0, 4, 8], [[e1, e2], [e2, e1]], 2)
-    tripled = st.constant_process([0, 4, 8], [[3 * e1, 3 * e2], [3 * e2, 3 * e1]], 2)
+    base = constant_process([0, 4, 8], [[e1, e2], [e2, e1]], 2)
+    tripled = constant_process([0, 4, 8], [[3 * e1, 3 * e2], [3 * e2, 3 * e1]], 2)
     _, _, dW = next(iter(drv.increment_chunks(32, 5)))
     got = st.integrate(tripled, drv, dW, tripled.coefficients(dW), euclid(2))
     want = st.integrate(base, drv, dW, base.coefficients(dW), euclid(2))
@@ -215,8 +226,8 @@ def test_gamma_norm_exact_for_basis_coefficients():
 def test_gamma_norm_scales_linearly():
     drv = st.BrownianDriver(2, steps=8)
     e1, e2 = np.eye(2)
-    base = st.constant_process([0, 8], [[e1, e2]], 2)
-    scaled = st.constant_process([0, 8], [[3 * e1, 3 * e2]], 2)
+    base = constant_process([0, 8], [[e1, e2]], 2)
+    scaled = constant_process([0, 8], [[3 * e1, 3 * e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(6, 0)))
     np.testing.assert_allclose(
         st.gamma_norm(scaled, drv, scaled.coefficients(dW), euclid(2)),
@@ -230,7 +241,7 @@ def test_gamma_norm_mc_matches_two_sided_max():
     # (xi_1, xi_2) and E max(|xi_1|, |xi_2|)^2 = 1 + 2/pi
     drv = st.BrownianDriver(2, steps=4)
     e1, e2 = np.eye(2)
-    proc = st.constant_process([0, 4], [[e1, e2]], 2)
+    proc = constant_process([0, 4], [[e1, e2]], 2)
     _, _, dW = next(iter(drv.increment_chunks(3, 0)))
     coefs = proc.coefficients(dW)
     gam = st.gamma_norm(proc, drv, coefs, sup_norm(2), inner=50_000, seed=9)
@@ -500,7 +511,7 @@ def test_bdg_experiment_vacuous(monkeypatch):
     drv = st.BrownianDriver(2, steps=8)
     monkeypatch.setattr(
         st, "make_family",
-        lambda *a, **k: st.constant_process([0, 8], [[np.zeros(2)]], 2),
+        lambda *a, **k: constant_process([0, 8], [[np.zeros(2)]], 2),
     )
     out = st.bdg_sweep(euclid(2), [2.0], "deterministic", drv, 50, seed=0)[0]
     assert out["status"] == "vacuous"
