@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 DIRECTIONS = (
@@ -96,11 +97,13 @@ def _pow(x, y):
 
 
 class SymbolicConstant(NamedTuple):
-    """A constant of the form coeff * 2^exp2 * e^expe, evaluated at 50 digits."""
+    """A constant of the form coeff^power * 2^exp2 * e^expe, evaluated at 50
+    digits.  power is 1 unless the float power would lose digits (_power)."""
 
     coeff: float
     exp2: float = 0.0
     expe: float = 0.0
+    power: float = 1.0
 
     @property
     def value(self) -> float:
@@ -109,11 +112,31 @@ class SymbolicConstant(NamedTuple):
         from decimal import Decimal
 
         ctx = _context()
+        if self.power != 1.0:
+            # one exponent, so that a power far below the floats can meet a
+            # 2^exp2 far above them without leaving decimal's exponent range
+            return float(_exp(ctx.add(ctx.add(
+                ctx.multiply(Decimal(self.power), _ln(Decimal(self.coeff))),
+                ctx.multiply(Decimal(self.exp2), _logs()[0])), Decimal(self.expe))))
         return float(ctx.multiply(ctx.multiply(Decimal(self.coeff), _pow(2, Decimal(self.exp2))),
                                   _exp(Decimal(self.expe))))
 
     def expression(self) -> str:
-        return f"{self.coeff:.17g} * 2^{self.exp2:g} * e^{self.expe:g}"
+        coeff = f"{self.coeff:.17g}"
+        if self.power != 1.0:
+            coeff = f"({coeff})^{self.power:g}"
+        return f"{coeff} * 2^{self.exp2:g} * e^{self.expe:g}"
+
+
+def _power(base: float, q: float) -> dict:
+    """The coeff and power of a constant's factor base^q: base^q in float,
+    unless it falls below the normal floats while base is positive.  Then
+    the float power has lost digits, or all of them to 0.0, and the value
+    takes the power inside its one 50-digit exponent instead."""
+    coeff = base ** q
+    if 0.0 < base and coeff < sys.float_info.min:
+        return {"coeff": base, "power": q}
+    return {"coeff": coeff}
 
 
 class BoundReport(NamedTuple):
@@ -157,6 +180,9 @@ def _formula(name: str, *params: str):
                 finite = False
             if not finite:
                 raise ValueError(f"formula {name} has no finite value at these parameters")
+            if report.value == 0.0 < report.constant.coeff:
+                raise ValueError(f"formula {name} is positive but below the smallest float "
+                                 f"at these parameters")
             return report
         FORMULAS[name] = (checked, params)
         return checked
@@ -217,7 +243,7 @@ def phi_moment_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport
         formula="phi-growth",
         params={"p": p, "q": q, "d_const": d_const},
         constant=SymbolicConstant(
-            coeff=(q / p * d_const) ** q,
+            **_power(q / p * d_const, q),
             exp2=3.0 * q / p + p + 7.0 * q + 7.0,
             expe=q,
         ),
@@ -253,7 +279,7 @@ def hilbert_phi_constant(q: float, d_const: float = 1.0) -> BoundReport:
     return BoundReport(
         formula="hilbert-phi",
         params={"q": q, "d_const": d_const},
-        constant=SymbolicConstant(coeff=d_const ** q, exp2=11.0 + 8.0 * q, expe=q),
+        constant=SymbolicConstant(**_power(d_const, q), exp2=11.0 + 8.0 * q, expe=q),
     )
 
 

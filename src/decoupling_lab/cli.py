@@ -164,7 +164,7 @@ def _product_draws(suite: str, space, depth: int, gen) -> tuple:
         laws = (iq.random_symmetric_law(gen, space.dim), iq.random_symmetric_law(gen, space.dim))
         return iq.ProductModel(space, laws), None, None
     model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
-    factor = float(gen.choice([0.5, 1.0, 1.5]))
+    factor = (0.5, 1.0, 1.5)[gen.integers(0, 3)]  # gen.choice's draw, without its front end
     mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
              if suite == "contraction" else None)
     return model, factor, mults
@@ -175,8 +175,6 @@ def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
     together: a product suite's (index, model, factor, multipliers) trials on
     one ProductStack, tangency's (index, pair) trials on one set of head
     groups, and a pair suite's on one PairStack."""
-    import numpy as np
-
     from . import inequalities as iq
     from . import probmodel as pm
 
@@ -191,7 +189,7 @@ def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
     elif suite in PRODUCT_SUITES:
         models, factors, mults = draws
         stack = iq.ProductStack(models)
-        ts = [(float(np.quantile(f_star, 0.7)) or 1.0) * factor
+        ts = [(pm.quantiles(f_star, [0.7])[0] or 1.0) * factor
               for f_star, factor in zip(stack.f_star, factors)]
         if suite == "levy":
             reports = iq.levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
@@ -203,7 +201,7 @@ def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
         stack = pm.PairStack.of(draws[0])
         if suite == "tail":
             return [[report.as_dict() for report in reports] for reports in iq.tail_reports(
-                stack, [sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
+                stack, [sorted(set(pm.quantiles(d_star, [0.25, 0.5, 0.9])))
                         for d_star in stack.d_star])]
         if suite == "goodlambda":
             return [[report.as_dict() for report in reports]

@@ -215,11 +215,20 @@ def search_worst_case(
     budget extends the same trajectory and the result is monotone in it.
 
     A candidate differs from the current model in one slot, and accepting a
-    letter changes only that slot, so each slot's letters are measured in one
+    letter changes only that slot, so a slot's letters are measured in one
     batch (multiplier_ratios, at most BATCH_FLOATS joint floats at a time)
     before the sequential accept rule is replayed over them.  Once a letter
     is accepted the slot's original letter comes up again; that candidate is
     the model before the slot, so its value is the one already measured.
+
+    The batch also measures ahead: the next slots' letters against the same
+    model, as many slots as the window holds within the budget and one
+    batch.  The window starts at one slot and doubles after each batch whose
+    slots accept nothing; an accept drops the values measured ahead and
+    takes the window back to one slot.  So the search measures the letters
+    the sequential rule would, and perhaps some after an accept that it
+    never reaches; if a batch measured ahead raises, the slot's own letters
+    are measured alone, and raise as they would one slot at a time.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -242,6 +251,24 @@ def search_worst_case(
                 for value in multiplier_ratios(tree, space, flats[start:start + batch],
                                                p, direction)]
 
+    def measure(flat: np.ndarray, start: int, width: int, evals: int) -> list[dict]:
+        """The letters of slots start.. against flat and their values, for
+        at most width slots, the budget left after evals and one batch."""
+        spans, count = [], 0
+        for slot in range(start, min(start + width, slots)):
+            letters = [x for x in alphabet if x != flat[slot]][:budget - evals - count]
+            if not letters or (spans and count + len(letters) > batch):
+                break
+            spans.append(letters)
+            count += len(letters)
+        cands = np.repeat(flat[None], count, axis=0)
+        row = 0
+        for slot, letters in enumerate(spans, start):
+            cands[row:row + len(letters), slot] = letters
+            row += len(letters)
+        values = iter(evaluate(cands))
+        return [dict(zip(letters, values)) for letters in spans]
+
     best_flat, best_val = None, -math.inf
     evals = 0
     for restart in range(restarts):
@@ -256,15 +283,20 @@ def search_worst_case(
         improved = True
         while improved and evals < budget:
             improved = False
+            ahead, width = [], 1
             for slot in range(slots):
                 if evals >= budget:
                     break
-                original = flat[slot]
-                letters = [x for x in alphabet if x != original][:budget - evals]
-                cands = np.repeat(flat[None], len(letters), axis=0)
-                cands[:, slot] = letters
-                values = dict(zip(letters, evaluate(cands)))
-                values[original] = val
+                if not ahead:
+                    try:
+                        ahead = measure(flat, slot, width, evals)
+                    except (ValueError, ArithmeticError, Warning):
+                        # a refusal (or a float warning raised as an error) may
+                        # come from a slot ahead that the accept rule never reaches
+                        ahead, width = measure(flat, slot, 1, evals), 1
+                    width *= 2
+                values = ahead.pop(0)
+                values[flat[slot]] = val
                 for letter in alphabet:
                     if letter == flat[slot]:
                         continue
@@ -274,6 +306,7 @@ def search_worst_case(
                     if values[letter] > val + 1e-15:
                         flat[slot], val = letter, values[letter]
                         improved = True
+                        ahead, width = [], 1
                         if val > best_val:
                             best_flat, best_val = flat.copy(), val
     if best_flat is None:

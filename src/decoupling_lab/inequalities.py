@@ -29,6 +29,8 @@ from .probmodel import (
     PathStack,
     TangentPair,
     davis_tables,
+    distinct,
+    quantiles,
     symmetry_gaps,
 )
 from .spaces import Space, format_space, lu_constants
@@ -602,12 +604,11 @@ def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b
             continue
         grid = lambdas
         if grid is None:
-            pos = np.unique(f_star[f_star > 0])
+            pos = distinct(f_star[f_star > 0])
             if pos.size == 0:
                 grid = [1.0]
             else:
-                qs = np.quantile(pos, np.linspace(0.05, 0.95, 7))
-                grid = sorted(set(float(x) / beta for x in qs))
+                grid = sorted(set(x / beta for x in quantiles(pos, np.linspace(0.05, 0.95, 7))))
         lams = np.array(grid, dtype=float)[:, None]
         rhs = [b * float(probs[over].sum()) for over in f_star > lams]
         reports = []

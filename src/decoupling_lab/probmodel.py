@@ -67,6 +67,41 @@ def atom_ids(vectors) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
+def distinct(values) -> np.ndarray:
+    """np.unique(values) of a 1-d array: sorted, each value once.  Sort and
+    mask, as np.unique does, without its masked-array check, which loads
+    numpy.ma."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def quantiles(values, qs) -> list[float]:
+    """np.quantile(values, qs) (method "linear") of an array, for each q in
+    [0, 1] of qs, bit for bit: numpy's virtual index (n - 1) q into the
+    sorted values, its two-sided lerp, and NaN throughout when a value is
+    NaN.  In Python floats: np.quantile's generic front end costs far more
+    than the sort on the few values verify takes its thresholds from.  Where
+    0.0 and -0.0 are both among the values, the sort may order them unlike
+    numpy's partition; norms are never -0.0."""
+    ordered = np.sort(values, axis=None)
+    n = len(ordered)
+    last = float(ordered[-1])
+    if math.isnan(last):
+        return [last] * len(qs)
+    out = []
+    for q in qs:
+        index = (n - 1) * float(q)
+        # past the last value numpy reads index -1 on both sides, and its
+        # weight is then measured from -1
+        below = -1 if index >= n - 1 else math.floor(index)
+        above = -1 if below == -1 else below + 1
+        a, b = float(ordered[below]), float(ordered[above])
+        weight = index - below
+        diff = b - a
+        out.append(b - diff * (1 - weight) if weight >= 0.5 else a + diff * weight)
+    return out
+
+
 def symmetry_gaps(values, probs) -> np.ndarray:
     """Per law of a batch, the largest mass gap between the law of its atoms
     and that of their negatives: values (laws, atoms[, dim]), probs (laws, atoms)."""
@@ -465,7 +500,8 @@ def _head_groups(tree: FiltrationTree, mode: str) -> list[np.ndarray]:
             # this level tells heads apart: split the groups by its rows
             group = np.unique(np.column_stack([group, rows]), axis=0,
                               return_inverse=True)[1].reshape(-1)
-    return [heads[group == g] for g in np.unique(group)]
+    # the inverse of np.unique numbers the groups 0.. in order
+    return [heads[group == g] for g in range(group.max(initial=-1) + 1)]
 
 
 def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
@@ -505,7 +541,7 @@ def verify_tangency(pair: TangentPair, groups: list[np.ndarray] | None = None) -
     for members in _head_groups(tree, pair.mode) if groups is None else groups:
         for n in range(1, tree.depth + 1):
             e_values = _e_values(seq, pair.mode, members[0], n)
-            rows = seq.tables[n - 1][np.unique(tree.ancestor(members, tree.depth - 1, n - 1))]
+            rows = seq.tables[n - 1][distinct(tree.ancestor(members, tree.depth - 1, n - 1))]
             ids = atom_ids(np.concatenate([e_values, rows.reshape(-1, seq.dim)]))
             count = int(ids.max()) + 1
             e_law = np.bincount(ids[:len(e_values)], tree.node_probs(n), count)
@@ -907,6 +943,13 @@ def sample_paths(pair: TangentPair, count: int, seed: int) -> SampleBatch:
 # randomized model builders (shared by CLI suites, tests, acceptance runs)
 
 MULT_ALPHABET = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+# Draw tables: gen.choice(table, size), with replacement and no weights, is
+# table[gen.integers(0, len(table), size)], the same draws from the same
+# stream without choice's generic front end.
+_MULTS = np.array(MULT_ALPHABET)
+_DRIFTS = np.array((0.0, 0.5, -0.5, 1.0))
+_SCALES = (1.0, math.sqrt(3.0), 2.0)
+_CENTERS = (0.5, 2.0 / 3.0)
 
 
 FAIR_SIGNS = Level((1.0, -1.0), (0.5, 0.5))
@@ -928,8 +971,8 @@ def random_tree(gen: np.random.Generator, max_depth: int,
     for _ in range(depth):
         if symmetric:
             if gen.random() < 0.5:
-                scale = float(gen.choice([1.0, math.sqrt(3.0), 2.0]))
-                levels.append(_three_point(scale, float(gen.choice([0.5, 2.0 / 3.0]))))
+                scale = _SCALES[gen.integers(0, len(_SCALES))]
+                levels.append(_three_point(scale, _CENTERS[gen.integers(0, len(_CENTERS))]))
             else:
                 levels.append(FAIR_SIGNS)
         else:
@@ -946,8 +989,8 @@ def random_multiplier_sequence(gen: np.random.Generator, tree: FiltrationTree,
     innovation alphabets are symmetric."""
     multipliers = []
     for n in range(1, tree.depth + 1):
-        mult = gen.choice(MULT_ALPHABET, size=(tree.num_nodes(n - 1), space.dim))
-        multipliers.append(mult)
+        picks = gen.integers(0, len(_MULTS), size=(tree.num_nodes(n - 1), space.dim))
+        multipliers.append(_MULTS[picks])
     return AdaptedSequence.from_multipliers(tree, space, multipliers)
 
 
@@ -957,8 +1000,8 @@ def random_general_sequence(gen: np.random.Generator, tree: FiltrationTree,
     base = random_multiplier_sequence(gen, tree, space)
     tables = []
     for n in range(1, tree.depth + 1):
-        drift = gen.choice((0.0, 0.5, -0.5, 1.0), size=(tree.num_nodes(n - 1), 1, space.dim))
-        tables.append(base.tables[n - 1] + drift)
+        picks = gen.integers(0, len(_DRIFTS), size=(tree.num_nodes(n - 1), 1, space.dim))
+        tables.append(base.tables[n - 1] + _DRIFTS[picks])
     return AdaptedSequence(tree, space, tables)
 
 

@@ -4,6 +4,7 @@ replaced, the CLI bytes of each formula's example, and the refusals."""
 
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -78,12 +79,12 @@ def test_helpers_keep_decimals_edge_cases():
 # as the oracle: SymbolicConstant.value, and the extrap-c formula.
 
 
-def mpmath_value(coeff, exp2, expe):
+def mpmath_value(coeff, exp2, expe, power=1.0):
     mp = pytest.importorskip("mpmath")
 
     with mp.workdps(50):
         return float(
-            mp.mpf(coeff) * mp.power(2, mp.mpf(exp2)) * mp.e ** mp.mpf(expe)
+            mp.mpf(coeff) ** mp.mpf(power) * mp.power(2, mp.mpf(exp2)) * mp.e ** mp.mpf(expe)
         )
 
 
@@ -115,9 +116,10 @@ def mpmath_extrapolation(p, q, A, b, r=1.0):
 
 def mpmath_row(name, kwargs):
     """The formula's row as the mpmath code gave it, or None where _formula
-    refused: a domain error, an ArithmeticError, or a float that is not finite.
-    Apart from extrap-c, the formulas' float code is unchanged, so only the
-    value is evaluated anew."""
+    refuses: a domain error, an ArithmeticError, a float that is not finite,
+    or a positive constant whose value rounds to 0.0.  Apart from extrap-c,
+    the formulas' float code is unchanged, so only the value is evaluated
+    anew."""
     try:
         if name == "extrap-c":
             report = mpmath_extrapolation(**kwargs)
@@ -127,6 +129,8 @@ def mpmath_row(name, kwargs):
     except (ValueError, ArithmeticError):
         return None
     numbers = (row["value"], *row["params"].values())
+    if row["value"] == 0.0 < report.constant.coeff:
+        return None  # a positive constant below the floats is refused, not shown as 0.0
     return row if all(math.isfinite(x) for x in numbers if isinstance(x, float)) else None
 
 
@@ -254,3 +258,57 @@ def test_extrapolation_range_lost_to_r_exits_2(capsys):
     assert out == ""
     assert err.startswith("decoupling-lab: r=0.001 ") and "rho=0.001" in err
     assert "b must lie" not in err
+
+
+# ---------------------------------------------------------------------------
+# a float power that underflows
+
+UNDERFLOWS = [
+    # formula, its parameters, and the formula itself in mpmath: each power
+    # taken at 50 digits, of the float base and exponents the code forms
+    ("hilbert-phi", {"q": 40.0, "d_const": 1e-10},
+     lambda mp, q, d_const: mp.mpf(d_const) ** q * mp.e ** q * mp.power(2, 11 + 8 * q)),
+    ("phi-growth", {"p": 1.0, "q": 60.0, "d_const": 1e-8},
+     lambda mp, p, q, d_const: (mp.e ** q * mp.power(2, 3 * q / p + p + 7 * q + 7)
+                                * mp.mpf(q / p * d_const) ** q)),
+    ("hilbert-phi", {"q": 2.0, "d_const": 1e-160},
+     lambda mp, q, d_const: mp.mpf(d_const) ** q * mp.e ** q * mp.power(2, 11 + 8 * q)),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, formula", UNDERFLOWS, ids=lambda x: str(x))
+def test_a_power_below_the_floats_is_taken_at_50_digits(name, kwargs, formula):
+    # the float power is 0.0 or subnormal; the constant is a normal float
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = float(formula(mp, **kwargs))
+    report = bd.FORMULAS[name][0](**kwargs)
+    assert report.value == want > 0.0
+    assert report.constant.power == kwargs["q"]
+    assert report.as_dict()["expression"].startswith(f"({report.constant.coeff:.17g})^")
+
+
+def test_hilbert_phi_at_q_40_and_a_small_d_const(capsys):
+    argv = ["bounds", "--formula", "hilbert-phi", "--q", "40", "--d-const", "1e-10"]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert row["expression"] == "(1e-10)^40 * 2^331 * e^40"
+    assert row["value"] == 1.0296931909850307e-283
+
+
+@pytest.mark.parametrize("argv, message", [
+    # (0.5 e 2^8)^q 2^11 is far above the floats
+    (["hilbert-phi", "--q", "1e300", "--d-const", "0.5"],
+     "formula hilbert-phi has no finite value at these parameters"),
+    # and (e 2^8 10^-300)^q 2^11 far below them, as is (e 2^8 10^-10)^q 2^11
+    # at q = 1e20, though 2^(8q) alone is past decimal's exponent range
+    (["hilbert-phi", "--q", "1e17", "--d-const", "1e-300"],
+     "formula hilbert-phi is positive but below the smallest float at these parameters"),
+    (["hilbert-phi", "--q", "1e20", "--d-const", "1e-10"],
+     "formula hilbert-phi is positive but below the smallest float at these parameters"),
+])
+def test_a_positive_constant_is_never_shown_as_0(argv, message, capsys):
+    assert cli.main(["bounds", "--formula", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"decoupling-lab: {message}\n"

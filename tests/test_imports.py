@@ -1,8 +1,10 @@
 """Every module of the package uses every name it imports, every top-level
 name it defines is referred to somewhere, and each subcommand loads only the
-modules it runs: --help and bounds load no numpy, no run loads mpmath, --help
-loads none of hashlib, dataclasses, inspect and decimal, and a one-worker run
-loads neither the process pool nor fractions."""
+modules it runs: --help and bounds load no numpy, no run loads mpmath or
+numpy.ma (which np.quantile and np.unique load; verify takes its thresholds
+and distinct values without them), --help loads none of hashlib,
+dataclasses, inspect and decimal, and a one-worker run loads neither the
+process pool nor fractions."""
 
 import ast
 import json
@@ -160,9 +162,34 @@ def test_each_subcommand_imports_only_what_it_runs(command):
     assert package == sorted(["bounds", "cli", "reports", *runs])
     # bounds and --help start without numpy; closed forms are evaluated in decimal
     assert ("numpy" in modules) == bool(runs)
-    assert "mpmath" not in modules
+    assert not {"mpmath", "numpy.ma"} & set(modules)
     # one worker starts no process pool, and nothing loads fractions
     assert not {"concurrent.futures.process", "fractions"} & set(modules)
+
+
+RUN_SUITES = """
+import contextlib, io, json, sys
+from decoupling_lab import cli
+loaded = {}
+for suite in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", suite, "--space", "lp:0.5:3", "--depth", "4",
+                         "--trials", "12", "--seed", "0", "--workers", "1"])
+    loaded[suite] = [code, "numpy.ma" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_no_verify_suite_loads_numpy_ma():
+    # each suite in turn in one process: a suite that loads numpy.ma is the
+    # first whose entry reads True
+    from decoupling_lab.cli import VERIFY_SUITES
+
+    suites = [suite for suite in VERIFY_SUITES if suite != "all"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", RUN_SUITES, *suites],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == {suite: [0, False] for suite in suites}
 
 
 def test_help_loads_no_hashing_dataclasses_or_decimal():

@@ -1005,3 +1005,51 @@ def test_sequence_spec_round_trip_inexact():
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(1), mults)
     back = pm.sequence_from_spec(pm.sequence_spec(seq))
     assert np.allclose(back.terminal, seq.terminal)
+
+
+# ---------------------------------------------------------------------------
+# the kernels verify draws and thresholds with
+
+# values with ties: a few repeated atoms, and any float but -0.0 (which the
+# sort may place apart from 0.0 unlike numpy's partition) and NaN
+QUANTILE_VALUES = st.lists(
+    st.one_of(st.sampled_from((0.0, 1.0, 2.5, 3.0, math.inf)),
+              st.floats(allow_nan=False).map(lambda x: x + 0.0)),
+    min_size=1, max_size=64)
+QUANTILE_QS = ([0.7], [0.25, 0.5, 0.9], list(np.linspace(0.05, 0.95, 7)), [0.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=QUANTILE_VALUES)
+def test_quantiles_are_numpys_bit_for_bit(values):
+    x = np.array(values)
+    for qs in QUANTILE_QS:
+        with np.errstate(all="ignore"):  # infinities make numpy's lerp warn
+            want = np.quantile(x, qs)
+        got = np.array(pm.quantiles(x, qs))
+        assert got.tobytes() == want.tobytes(), qs
+
+
+def test_quantiles_of_values_with_a_nan_are_nan():
+    got = pm.quantiles(np.array([1.0, math.nan, 2.0]), [0.0, 0.5, 1.0])
+    assert all(math.isnan(x) for x in got)
+
+
+def test_distinct_is_numpys_unique():
+    gen = stream(0, "distinct-test")
+    for size in (1, 2, 7, 50):
+        values = gen.integers(0, 6, size=size)
+        np.testing.assert_array_equal(pm.distinct(values), np.unique(values))
+
+
+def test_table_draws_are_generator_choice():
+    # table[gen.integers(0, len(table), size)] draws what gen.choice(table,
+    # size) does, and leaves the stream where choice leaves it
+    for seed in range(20):
+        for table, size in (((1.0, 2.0, 3.0), None), ((0.5, 2.0 / 3.0), None),
+                            (pm.MULT_ALPHABET, (3, 4)), ((0.0, 0.5, -0.5, 1.0), (2, 1, 3))):
+            ours, numpys = stream(seed, "draw-test"), stream(seed, "draw-test")
+            got = np.asarray(table)[ours.integers(0, len(table), size)]
+            want = numpys.choice(table, size)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert ours.random() == numpys.random()

@@ -196,3 +196,95 @@ def test_large_models_run_as_batches_of_one():
     for tree, dim in ((pm.paley_walsh(8), 4), (pm.symmetric_three_point(5), 3)):
         per_candidate = tree.num_nodes(tree.depth - 1) * tree.path_count * dim
         assert pm.BATCH_FLOATS // per_candidate <= 1
+
+
+def recorded_rows(monkeypatch, args, batch_floats=None):
+    """The search's estimate, every candidate row it measured and its
+    multiplier_ratios calls, with BATCH_FLOATS at batch_floats when given."""
+    measure, rows, calls = ct.multiplier_ratios, [], []
+
+    def record(tree, space, flats, p, direction):
+        rows.extend(map(bytes, flats))
+        calls.append(len(flats))
+        return measure(tree, space, flats, p, direction)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ct, "multiplier_ratios", record)
+        if batch_floats is not None:
+            patch.setattr(ct, "BATCH_FLOATS", batch_floats)
+        est = ct.search_worst_case(**args)
+    return est, rows, len(calls)
+
+
+def one_slot_floats(args):
+    """A BATCH_FLOATS at which a batch holds one slot's letters and no more,
+    so the search measures no slot ahead, as it did before it looked ahead."""
+    tree = ct._family_tree(ct.FAMILIES[args["family"]][1], args["depth"])
+    letters = len(ct.FAMILIES[args["family"]][0]) - 1
+    return letters * pm.require_joint_walk(tree) * args["space"].dim
+
+
+ATLAS_ARGS = dict(space=parse_space("linf:4"), p=1.0, direction="decouple-upper",
+                  family="paley-walsh-multipliers", budget=400, restarts=6, seed=0, depth=3)
+
+
+def test_a_failing_candidate_measured_ahead_leaves_the_search_as_it_was(monkeypatch):
+    args = ATLAS_ARGS
+    want, reached, _ = recorded_rows(monkeypatch, args, one_slot_floats(args))
+    _, measured, _ = recorded_rows(monkeypatch, args)
+    # candidates measured ahead of an accept, which the accept rule never reaches
+    unreached = set(measured) - set(reached)
+    assert unreached
+    measure, refused = ct.multiplier_ratios, []
+
+    def refuse_unreached(tree, space, flats, p, direction):
+        if unreached & set(map(bytes, flats)):
+            refused.append(len(flats))
+            raise pm.ModelError("degenerate model: zero moment in the denominator")
+        return measure(tree, space, flats, p, direction)
+
+    monkeypatch.setattr(ct, "multiplier_ratios", refuse_unreached)
+    got = ct.search_worst_case(**args)
+    assert refused
+    assert (got.ratio, got.witness, got.evaluations) == (
+        want.ratio, want.witness, want.evaluations)
+
+
+def test_a_failing_candidate_the_rule_reaches_raises_its_own_error(monkeypatch):
+    # the same candidate, reached one slot at a time and with the look-ahead,
+    # gives the same error
+    args = dict(ATLAS_ARGS, budget=120)
+    _, reached, _ = recorded_rows(monkeypatch, args, one_slot_floats(args))
+    bad = reached[len(reached) // 2]
+    measure = ct.multiplier_ratios
+
+    def refuse_bad(tree, space, flats, p, direction):
+        if bad in map(bytes, flats):
+            raise pm.ModelError("degenerate model: zero moment in the denominator")
+        return measure(tree, space, flats, p, direction)
+
+    monkeypatch.setattr(ct, "multiplier_ratios", refuse_bad)
+    with pytest.raises(pm.ModelError, match="zero moment"):
+        ct.search_worst_case(**args)
+    monkeypatch.setattr(ct, "BATCH_FLOATS", one_slot_floats(args))
+    with pytest.raises(pm.ModelError, match="zero moment"):
+        ct.search_worst_case(**args)
+
+
+def test_measuring_ahead_cuts_the_calls_of_an_atlas_cell(monkeypatch):
+    # the benchmark's atlas job at depth 3: about 80 calls per cell measuring
+    # one slot per call; the look-ahead needs at most 50, for the same
+    # evaluations and estimates
+    one_slot_calls = ahead_calls = cells = 0
+    for text in ("l2:2", "l2:4", "linf:2", "linf:4", "linf:8"):
+        for p in (1.0, 2.0, 4.0):
+            args = dict(ATLAS_ARGS, space=parse_space(text), p=p)
+            want, _, calls = recorded_rows(monkeypatch, args, one_slot_floats(args))
+            one_slot_calls += calls
+            got, _, calls = recorded_rows(monkeypatch, args)
+            ahead_calls += calls
+            cells += 1
+            assert (got.ratio, got.witness, got.evaluations) == (
+                want.ratio, want.witness, want.evaluations)
+    assert one_slot_calls >= 75 * cells
+    assert ahead_calls <= 50 * cells
