@@ -87,18 +87,24 @@ def ratio(
         other = float(np.mean(seq.space.norms(batch.g_terminal) ** p))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _moment_ratio(f_mom, other, p, direction)
+    return _moment_ratio(f_mom, other, p, direction, seq.space)
 
 
-def _moment_ratio(f_mom: float, other: float, p: float, direction: str) -> float:
-    """The direction's ratio of E||f_N||^p and the other side's p-th moment."""
+def _moment_ratio(f_mom: float, other: float, p: float, direction: str, space: Space) -> float:
+    """The direction's ratio of E||f_N||^p and the other side's p-th moment,
+    to the power 1/p.  Where that power overflows (p near 0) the ratio is
+    not a float: ModelError naming the direction, p and the space."""
     if direction in ("decouple-upper", "randomized-minus"):
         num, den = f_mom, other
     else:
         num, den = other, f_mom
     if den <= 0:
         raise ModelError("degenerate model: zero moment in the denominator")
-    return (num / den) ** (1.0 / p)
+    try:
+        return (num / den) ** (1.0 / p)
+    except OverflowError:
+        raise ModelError(f"{direction}: the moment ratio to the power 1/p overflows at "
+                         f"p={p:g} on {format_space(space)}") from None
 
 
 def multiplier_ratios(tree, space: Space, flats: np.ndarray, p: float,
@@ -113,7 +119,7 @@ def multiplier_ratios(tree, space: Space, flats: np.ndarray, p: float,
     else:
         others = [sign_randomized_moment(AdaptedSequence(tree, space, [t[b] for t in tables]), p)
                   for b in range(len(flats))]
-    return [_moment_ratio(f, other, p, direction) for f, other in zip(f_moms, others)]
+    return [_moment_ratio(f, other, p, direction, space) for f, other in zip(f_moms, others)]
 
 
 # ---------------------------------------------------------------------------

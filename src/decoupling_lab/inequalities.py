@@ -110,20 +110,22 @@ def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
                       margin=margin, status=status, extra={} if extra is None else extra)
 
 
-def _r_constant(inequality: str, space: Space, value: Callable[[], float]) -> float:
+def _r_constant(inequality: str, space: Space, value: Callable[[], float],
+                p: float | None = None) -> float:
     """``value()``, a constant of the check ``inequality`` that depends on the
-    r-normability exponent of ``space``: the module's one rule for them.  A
-    constant that overflows, divides by zero or is not a positive finite
-    float (u_{p/r} once p/r passes about 1024, the davis cap at r = 1e-300,
-    the extrapolation range once 2^(-2p/rho + p - 1) underflows) leaves the
-    check without a verdict: ModelError naming the check and the space."""
+    r-normability exponent of ``space`` (and on p, when given): the module's
+    one rule for them.  A constant that overflows, divides by zero or is not
+    a positive finite float (u_{p/r} once p/r passes about 1024, the davis
+    cap at r = 1e-300, beta once rho = min(r, p) is small) leaves the check
+    without a verdict: ModelError naming the check, the space, r and p."""
     try:
         out = value()
     except ArithmeticError:
         out = math.nan
     if not 0.0 < out < math.inf:
+        at = "" if p is None else f", p={p:g}"
         raise ModelError(f"{inequality}: its r-normability constant is not a positive finite "
-                         f"float on {format_space(space)} (r={space.r:g})")
+                         f"float on {format_space(space)} (r={space.r:g}{at})")
     return out
 
 
@@ -242,53 +244,41 @@ class ProductModel:
 class ProductStack(PathStack):
     """Product models of one space and shape, enumerated as one PathStack.
 
-    Models of one shape share their outcome space, the paths of their tree.
-    Each check reduces one model's contiguous slab at a time.  A model whose
-    partial sums exceed JOINT_LIMIT floats is refused before anything is
-    allocated.
+    Models of one shape share their outcome space, the paths of their tree
+    (the first model's).  Each check reduces one model's contiguous slab at
+    a time.  A model whose partial sums exceed JOINT_LIMIT floats is refused
+    before anything is allocated.
     """
 
     def __init__(self, models: Sequence[ProductModel]):
         self.models = tuple(models)
-        space, shape = self.models[0].space, self.models[0].shape
+        first = self.models[0]
         for model in self.models:
-            if model.space != space or model.shape != shape:
+            if model.space != first.space or model.shape != first.shape:
                 raise ModelError("stacked product models need one space and one shape")
             model.require_enumerable()
-        # PathStack's fields but its tables, which are built on first use
-        self.space, self.sizes, self.path_count = space, shape, math.prod(shape)
+        # PathStack's fields but its tables and masses, which are built on first use
+        self.tree, self.space = FiltrationTree(first.laws), first.space
 
     @functools.cached_property
-    def atoms(self) -> list[np.ndarray]:
-        """Per level, the laws' atoms (models, atoms, dim)."""
-        return [np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])
-                for n, size in enumerate(self.sizes)]
-
-    @functools.cached_property
-    def masses(self) -> list[np.ndarray]:
+    def level_probs(self) -> list[np.ndarray]:
         """Per level, the laws' masses (models, atoms)."""
         return [np.stack([m.laws[n].probs for m in self.models]) for n in range(len(self.sizes))]
 
     @functools.cached_property
     def tables(self) -> tuple[np.ndarray, ...]:
-        """Every level is independent of the past: its law's atoms on each parent."""
-        return tuple(np.broadcast_to(law[:, None], (len(law), math.prod(self.sizes[:n]),
-                                                    *law.shape[1:]))
-                     for n, law in enumerate(self.atoms))
-
-    @functools.cached_property
-    def probs(self) -> np.ndarray:
-        """Outcome masses, (models, outcomes): the laws' masses multiplied in level order."""
-        out = np.ones((len(self.models), 1))
-        for masses in self.masses:
-            out = (out[:, :, None] * masses[:, None, :]).reshape(len(self.models), -1)
-        return out
+        """Every level is independent of the past: its laws' atoms (models,
+        atoms, dim) as a broadcast view over the parents."""
+        return tuple(np.broadcast_to(
+            np.stack([m.laws[n].values.reshape(size, -1) for m in self.models])[:, None],
+            (len(self.models), self.tree.num_nodes(n), size, self.space.dim))
+            for n, size in enumerate(self.sizes))
 
     def require_symmetric(self, levels: Sequence[int], message: str):
         """ModelError(message) unless every model's laws at these levels
         (0-based) are symmetric: one symmetry_gaps call per level."""
         for n in levels:
-            if (symmetry_gaps(self.atoms[n], self.masses[n]) > LAW_TOL).any():
+            if (symmetry_gaps(self.tables[n][:, 0], self.level_probs[n]) > LAW_TOL).any():
                 raise ModelError(message)
 
 
@@ -319,13 +309,12 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
     factor = _r_constant("levy", stack.space, lambda: 2.0 ** (1.0 - 1.0 / r))
-    norms, probs = stack.norms, stack.probs
-    max_sum = norms[:, :, 1:].max(axis=2)
+    norms, probs = stack.norms, stack.path_probs
     d_star = stack.d_star if "max-term" in variants else None
     reports = []
     for i, (t, variant) in enumerate(zip(ts, variants)):
         thresh = factor * t
-        stat = max_sum[i] if variant == "max-sum" else d_star[i]
+        stat = stack.f_star[i] if variant == "max-sum" else d_star[i]
         lhs = float(probs[i][stat > t].sum())
         rhs = 2.0 * float(probs[i][norms[i, :, -1] > thresh].sum())
         reports.append(_one_sided(f"levy-{variant}", {"t": t, "r": r, "atoms": 1}, lhs, rhs))
@@ -356,8 +345,8 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
         if any(m not in (0.0, 1.0) for m in mults):
             raise ModelError("contraction multipliers must be 0 or 1")
         rows.append(mults)
-    probs = stack.probs
-    sub = np.zeros((len(rows), stack.path_count, stack.space.dim))
+    probs = stack.path_probs
+    sub = np.zeros((len(rows), stack.tree.path_count, stack.space.dim))
     for n in range(1, len(stack.sizes) + 1):
         kept = [i for i, mults in enumerate(rows) if mults[n - 1] == 1.0]
         if kept:
@@ -390,10 +379,10 @@ def symsum_reports(stack: ProductStack, p: float) -> list[IneqReport]:
 
 def _symsum(stack: ProductStack, p: float) -> list[IneqReport]:
     """The symsum reports of a stack whose zetas are symmetric."""
-    space, probs = stack.space, stack.probs
-    upper = _r_constant("symmetric-summand", space, lambda: lu_constants(p / space.r)[1])
-    first = space.norms(stack.increments(1)) ** p
-    total = space.norms(stack.partial_sums[:, :, -1]) ** p
+    space, probs = stack.space, stack.path_probs
+    upper = _r_constant("symmetric-summand", space, lambda: lu_constants(p / space.r)[1], p)
+    # ||f_1|| = ||d_1||: f_1 = 0.0 + d_1 differs from d_1 at most in the sign of a zero
+    first, total = (stack.norms[:, :, n] ** p for n in (1, -1))
     return [_one_sided("symmetric-summand", {"p": p, "r": space.r}, float(first[i] @ probs[i]),
                        2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]), scaled=True)
             for i in range(len(stack.models))]
@@ -413,10 +402,9 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
     """check_reverse_kolmogorov of each model of the stack, at its own t."""
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
-    upper = _r_constant("reverse-kolmogorov", stack.space, lambda: lu_constants(p / r)[1])
-    norms, probs = stack.norms, stack.probs
-    terminal = norms[:, :, -1] ** p
-    max_sum = norms[:, :, 1:].max(axis=2)
+    upper = _r_constant("reverse-kolmogorov", stack.space, lambda: lu_constants(p / r)[1], p)
+    probs = stack.path_probs
+    terminal = stack.norms[:, :, -1] ** p
     star = stack.d_star ** p
     reports = []
     for i, t in enumerate(ts):
@@ -425,8 +413,12 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
             reports.append(_one_sided("reverse-kolmogorov", {"t": t, "p": p}, 0.0, 0.0,
                                       lower=True, status="vacuous"))
             continue
-        lhs = float(probs[i][max_sum[i] > t].sum())
-        rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t ** p + float(star[i] @ probs[i])) / denom)
+        lhs = float(probs[i][stack.f_star[i] > t].sum())
+        try:
+            t_p = t ** p
+        except OverflowError:  # past the floats, so the side is not finite
+            t_p = math.inf
+        rhs = 2.0 ** (p - 1.0) * (upper ** -2.0 - (t_p + float(star[i] @ probs[i])) / denom)
         reports.append(_one_sided("reverse-kolmogorov", {"t": t, "p": p, "r": r, "atoms": 1},
                                   lhs, rhs, lower=True))
     return reports
@@ -550,15 +542,21 @@ def bmo_profiles(stack: PairStack, p: float, As: Sequence[float]) -> list[BmoPro
     return profiles
 
 
-def _calibrated(stack: PairStack, p: float, b: float) -> list[float]:
+def _calibrated(stack: PairStack, p: float, b: float,
+                inequality: str = "goodlambda") -> list[float]:
     """The threshold A at which each model's window profile certifies smallness b.
 
     Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
     certifies level b for any pair with finite window ratios (A = 1 when
-    d_hat = 0).
+    d_hat = 0).  Where b^(-1/p) overflows (p near 0) the check ``inequality``
+    has no threshold: ModelError naming it and p.
     """
-    return [d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0
-            for d_hat in stack.window_table(p).d_hat]
+    d_hats = stack.window_table(p).d_hat
+    try:
+        return [d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0 for d_hat in d_hats]
+    except OverflowError:
+        raise ModelError(f"{inequality}: the calibrated threshold A = d_hat b^(-1/p) "
+                         f"overflows at p={p:g} (b={b:g})") from None
 
 
 def check_goodlambda(
@@ -594,7 +592,7 @@ def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b
     for A, profile, f_star, side, probs in zip(As, profiles, stack.f_star, sides,
                                                stack.path_probs):
         beta = _r_constant("goodlambda", stack.space,
-                           lambda: (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho))
+                           lambda: (1.0 + (2.0 * A ** rho + 1.0) * delta ** rho) ** (1.0 / rho), p)
         params = {"p": p, "A": A, "b": b, "beta": beta, "delta": delta, "rho": rho,
                   "b_hat": profile.b_hat}
         if profile.b_hat >= b:
@@ -682,12 +680,12 @@ def extrapolation_reports(stack: PairStack, p: float, q: float,
     if phi.q != q:
         raise PhiError("declared growth exponent must match q")
     threshold = _r_constant("extrapolated-phi-domination", stack.space,
-                            lambda: 2.0 ** (-2.0 * p / rho + p - 1.0))
+                            lambda: 2.0 ** (-2.0 * p / rho + p - 1.0), p)
     if b is None:
         b = threshold / 2.0
     if not 0 < b < threshold:
         raise ModelError(f"b must lie in (0, {threshold:.6g})")
-    As = _calibrated(stack, p, b) if As is None else As
+    As = _calibrated(stack, p, b, "extrapolated-phi-domination") if As is None else As
     profiles = bmo_profiles(stack, p, As)
     for A, profile in zip(As, profiles):
         if profile.b_hat > b:
@@ -735,8 +733,9 @@ def davis_reports(stack: PairStack) -> list[IneqReport]:
     space = stack.space
     r = space.r
     cap = _r_constant("davis-large-part-pathwise", space, lambda: (1.0 - 2.0 ** (-r)) ** -1.0)
-    _, big = davis_tables(space, stack.tables)
-    lhs = space.norms(PathStack(space, big).partial_sums[:, :, -1]) ** r
+    _, big = davis_tables(stack)
+    large = PathStack(stack.tree, space, big, stack.level_probs)
+    lhs = space.norms(large.partial_sums[:, :, -1]) ** r
     rhs = cap * stack.d_star ** r
     # one pair of sides per path; the report gives the path of least margin
     return [_one_sided("davis-large-part-pathwise", {"r": r, "cap": cap}, lhs[i], rhs[i],

@@ -290,7 +290,7 @@ class AdaptedSequence:
     @cached_property
     def paths(self) -> PathStack:
         """The sequence's per-path statistics: its stack of one."""
-        return PathStack(self.space, [t[None] for t in self.tables])
+        return PathStack(self.tree, self.space, [t[None] for t in self.tables])
 
     def path_increments(self, n: int) -> np.ndarray:
         return self.paths.increments(n)[0]
@@ -327,35 +327,54 @@ class AdaptedSequence:
 
 
 class PathStack:
-    """Per-path statistics of a stack of sequences on trees of one shape.
+    """Per-path statistics, masses and table-entry norms of a stack of
+    sequences on trees of one shape.
 
-    tables[n-1] has shape (models, num_nodes(n-1), a_n, dim); a product model
-    passes each law as a broadcast view over the parents.  Path o reads
-    innovation (o // stride_n) mod a_n at level n, stride_n the product of the
-    later alphabet sizes (FiltrationTree's path order).  Each model's slab is
-    formed by the float operations it gets alone (additions level by level,
-    norms vector by vector), so its values do not depend on the stack.
+    ``tree`` gives the shape and the path index (nodes_at).  tables[n-1] is
+    (models, num_nodes(n-1), a_n, dim), a product model's laws as broadcast
+    views over the parents; level_probs[n-1] is (models, a_n), by default
+    ``tree``'s on a model axis of length 1.  Each model's slab gets the float
+    operations it gets alone (sums and mass products level by level, norms
+    vector by vector), so its values do not depend on the stack.
     """
 
-    def __init__(self, space: Space, tables):
-        self.space = space
+    def __init__(self, tree: FiltrationTree, space: Space, tables, level_probs=None):
+        self.tree, self.space = tree, space
         self.tables = tuple(tables)
-        self.sizes = tuple(t.shape[2] for t in self.tables)
-        self.path_count = math.prod(self.sizes)
+        if level_probs is None:
+            level_probs = [level.probs[None] for level in tree.levels]
+            # one tree's path masses, cached on the tree
+            self.path_probs = tree.path_probs[None]
+        self.level_probs = level_probs
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.tree.sizes
 
     def increments(self, n: int) -> np.ndarray:
-        """d_n at every path, (models, paths, dim)."""
-        stride = math.prod(self.sizes[n:])
-        paths = np.arange(self.path_count)
-        return self.tables[n - 1][:, paths // (stride * self.sizes[n - 1]),
-                                  paths // stride % self.sizes[n - 1]]
+        """d_n at every path, (models, paths, dim): the row of its depth-(n-1)
+        node and the letter of its depth-n node."""
+        nodes, size = self.tree.nodes_at(n), self.sizes[n - 1]
+        return self.tables[n - 1][:, nodes // size, nodes % size]
+
+    def node_probs(self, n: int) -> np.ndarray:
+        """The mass of every depth-n node, (models or 1, num_nodes(n)): the
+        level masses multiplied in level order, as FiltrationTree.node_probs."""
+        probs = np.ones((len(self.level_probs[0]), 1))
+        for level in self.level_probs[:n]:
+            probs = (probs[:, :, None] * level[:, None, :]).reshape(len(probs), -1)
+        return probs
+
+    @cached_property
+    def path_probs(self) -> np.ndarray:
+        return self.node_probs(self.tree.depth)
 
     @cached_property
     def partial_sums(self) -> np.ndarray:
         """f_0..f_N at every path, (models, paths, levels + 1, dim)."""
-        out = np.zeros((len(self.tables[0]), self.path_count, len(self.sizes) + 1,
-                        self.space.dim))
-        for n in range(1, len(self.sizes) + 1):
+        tree = self.tree
+        out = np.zeros((len(self.tables[0]), tree.path_count, tree.depth + 1, self.space.dim))
+        for n in range(1, tree.depth + 1):
             out[:, :, n] = out[:, :, n - 1] + self.increments(n)
         return out
 
@@ -370,13 +389,23 @@ class PathStack:
         return self.norms.max(axis=2)
 
     @cached_property
-    def d_star(self) -> np.ndarray:
-        """max_n ||d_n|| at every path, (models, paths): one norm per table
-        entry, the running max grown node by node down the tree."""
-        out = np.zeros((len(self.tables[0]), 1))
-        for table in self.tables:
-            out = np.maximum(out[:, :, None], self.space.norms(table)).reshape(len(out), -1)
+    def table_norms(self) -> list[np.ndarray]:
+        """||d_n|| of every table entry, per level (models, num_nodes(n-1), a_n)."""
+        return [self.space.norms(table) for table in self.tables]
+
+    @cached_property
+    def node_d_star(self) -> list[np.ndarray]:
+        """d*_n = max_{m<=n} ||d_m|| at every depth-n node, n = 0..N, each
+        (models, num_nodes(n)): the running max grown node by node down the tree."""
+        out = [np.zeros((len(self.tables[0]), 1))]
+        for norms in self.table_norms:
+            out.append(np.maximum(out[-1][:, :, None], norms).reshape(len(norms), -1))
         return out
+
+    @cached_property
+    def d_star(self) -> np.ndarray:
+        """max_n ||d_n|| at every path, (models, paths)."""
+        return self.node_d_star[-1]
 
 
 def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
@@ -574,20 +603,18 @@ def verify_conditional_independence(pair: TangentPair,
     return CheckResult(worst <= LAW_TOL, worst, "conditional independence")
 
 
-def davis_tables(space: Space, tables) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The Davis split of a stack of tables (models, num_nodes(n-1), a_n, dim)
-    into (small, large) increment tables.
+def davis_tables(stack: PathStack) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The Davis split of a stack's tables into (small, large) increment tables.
 
     Level n keeps d_n in the small part when ||d_n|| <= 2 d*_{n-1} (so the
     small part is predictably dominated); level 1 goes entirely to the large
     part.  Replayed as a tangent pair, a copy splits with the same indicator on
-    its own increment norm against the first coordinate's d*_{n-1}.  One norm
-    per table entry, the running d*_{n-1} grown node by node down the tree.
+    its own increment norm against the first coordinate's d*_{n-1}.  The
+    norms and d*_{n-1} are the stack's own (table_norms, node_d_star).
     """
     small, big = [], []
-    d_star = np.zeros((len(tables[0]), 1))  # d*_{n-1} per depth-(n-1) node
-    for n, table in enumerate(tables, start=1):
-        norms = space.norms(table)  # (models, parents, a_n)
+    for n, (table, norms, d_star) in enumerate(zip(stack.tables, stack.table_norms,
+                                                   stack.node_d_star), start=1):
         if n == 1:
             small.append(np.zeros_like(table))
             big.append(table.copy())
@@ -595,7 +622,6 @@ def davis_tables(space: Space, tables) -> tuple[list[np.ndarray], list[np.ndarra
             keep = (norms <= 2.0 * d_star[:, :, None]).astype(float)[..., None]
             small.append(table * keep)
             big.append(table * (1.0 - keep))
-        d_star = np.maximum(d_star[:, :, None], norms).reshape(len(norms), -1)
     return small, big
 
 
@@ -614,28 +640,18 @@ def require_joint_walk(tree: FiltrationTree, mode: str = "decoupled") -> int:
 
 
 class PairStack(PathStack):
-    """Tangent pairs on trees of one shape, checked as one stack.
-
-    ``tree`` gives the shape: the alphabet sizes, the node order and the
-    ancestors.  tables[n-1] has shape (models, num_nodes(n-1), a_n, dim) and
-    level_probs[n-1] (models, a_n); by default every model has the masses of
-    ``tree``, on a model axis of length 1 (the search's batch of sequences on
-    one tree).  The per-path statistics are the PathStack's; the joint engine
-    and the window tables add the masses.  Every reduction runs on one
-    model's contiguous slab, so each model's values are those it gets alone.
+    """Tangent pairs on trees of one shape, checked as one stack: a
+    PathStack with a tangent mode, whose masses and table norms the joint
+    engine and the window tables read.  Every reduction runs on one model's
+    contiguous slab, so each model's values are those it gets alone.
     """
 
     def __init__(self, tree: FiltrationTree, space: Space, tables, mode: str = "decoupled",
                  level_probs=None):
         if mode not in ("decoupled", "copy"):
             raise ModelError(f"unknown tangent mode {mode!r}")
-        super().__init__(space, tables)
-        self.tree, self.mode = tree, mode
-        if level_probs is None:
-            level_probs = [level.probs[None] for level in tree.levels]
-            # one tree's path masses, cached on the tree
-            self.path_probs = tree.path_probs[None]
-        self.level_probs = list(level_probs)
+        super().__init__(tree, space, tables, level_probs)
+        self.mode = mode
         self._window_tables: dict[float, WindowTable] = {}
 
     @classmethod
@@ -650,18 +666,6 @@ class PairStack(PathStack):
         return cls(first.tree, first.space,
                    [np.stack([pair.seq.tables[n] for pair in pairs]) for n in levels], first.mode,
                    [np.stack([pair.tree.levels[n].probs for pair in pairs]) for n in levels])
-
-    def node_probs(self, n: int) -> np.ndarray:
-        """The mass of every depth-n node, (models or 1, num_nodes(n)): the
-        level masses multiplied in level order, as FiltrationTree.node_probs."""
-        probs = np.ones((len(self.level_probs[0]), 1))
-        for level in self.level_probs[:n]:
-            probs = (probs[:, :, None] * level[:, None, :]).reshape(len(probs), -1)
-        return probs
-
-    @cached_property
-    def path_probs(self) -> np.ndarray:
-        return self.node_probs(len(self.sizes))
 
     def window_table(self, p: float) -> "WindowTable":
         """The conditional window table at exponent p, built on first use."""
@@ -682,9 +686,10 @@ class PairStack(PathStack):
         Yields (weights, stats): weights (models or 1, rows, paths) is the
         joint mass of each (head, omega~) outcome, summing to one over all
         blocks for each model; stats holds only the requested statistics,
-        each shaped (models, rows, paths): g_norm (||g_N||) and e_star.
-        Block rows are counted across the stack: a block holds about
-        BLOCK_FLOATS floats of g_N.
+        each shaped (models, rows, paths): g_norm (||g_N||) and e_star (the
+        running max of the stack's table_norms along the rows).  Block rows
+        are counted across the stack: a block holds about BLOCK_FLOATS
+        floats of g_N.
 
         Within a block g grows level by level along the omega~ tree, so each
         partial sum g_n is formed once per depth-n node, elementwise and for
@@ -712,14 +717,16 @@ class PairStack(PathStack):
             g = np.zeros((batch, rows, dim, 1))
             e_star = np.zeros((batch, rows, 1))
             for n in range(1, depth + 1):
-                # inc is (batch, rows or 1, a_n, parents or 1, dim); child j*parents + q
+                # (batch, rows or 1, a_n, parents or 1) entries; child j*parents + q
                 # of omega~ node q adds innovation j
-                inc = self.tables[n - 1][:, e_rows(tree, mode, block, n)].swapaxes(2, 3)
+                picked = e_rows(tree, mode, block, n)
                 if "g_norm" in stats:
+                    inc = self.tables[n - 1][:, picked].swapaxes(2, 3)
                     g = np.add(g[:, :, :, None, :], inc.transpose(0, 1, 4, 2, 3),
                                order="C").reshape(batch, rows, dim, -1)
                 if "e_star" in stats:
-                    e_star = np.maximum(e_star[:, :, None, :], space.norms(inc),
+                    e_star = np.maximum(e_star[:, :, None, :],
+                                        self.table_norms[n - 1][:, picked].swapaxes(2, 3),
                                         order="C").reshape(batch, rows, tree.num_nodes(n))
             out = {"e_star": e_star}
             if "g_norm" in stats:
@@ -747,14 +754,17 @@ def g_terminal_moment(pair: TangentPair, p: float) -> float:
                               p, pair.mode)[0]
 
 
-def pair_floats(sizes: tuple[int, ...], space: Space) -> int:
-    """Floats one pair on a tree of these alphabet sizes holds at the peak of
-    a pair check whose norms take one block: its widest window (0, N] or the
-    joint walk's g_N, W = num_nodes(N-1) x path_count x dim floats either
-    way, their norms W / dim, and the norms' |x| or x^2 temporary W and its
-    innermost sums W / d (d the innermost width of the space)."""
-    window = math.prod(sizes[:-1]) * math.prod(sizes) * space.dim
-    return 2 * window + window // space.dim + window // space.shape[-1][1]
+def pair_floats(sizes: tuple[int, ...], space: Space, models: int = 1) -> int:
+    """Floats a stack of pairs on a tree of these alphabet sizes holds at the
+    peak of a pair check: its widest windows (0, N] or the joint walk's g_N,
+    W = models x num_nodes(N-1) x path_count x dim floats either way, their
+    norms W / dim, and one norm block of at most BLOCK_FLOATS floats of W
+    with its sums over the innermost d coordinates (d the innermost width of
+    the space)."""
+    dim = space.dim
+    window = models * math.prod(sizes[:-1]) * math.prod(sizes) * dim
+    block = min(window, max(1, BLOCK_FLOATS // dim) * dim)
+    return window + window // dim + block + block // space.shape[-1][1]
 
 
 def _norms_in_blocks(space: Space, arr: np.ndarray) -> np.ndarray:
@@ -783,8 +793,8 @@ class WindowTable:
     W = models x num_nodes(N-1) x path_count x dim floats, and their norms
     W / dim more; the norms are taken in blocks of at most BLOCK_FLOATS
     floats, whose temporaries hold a block and its sums over the innermost
-    d coordinates.  Past JOINT_LIMIT floats alive at that peak the table is
-    refused before anything is built.
+    d coordinates.  Past JOINT_LIMIT floats alive at that peak (pair_floats)
+    the table is refused before anything is built.
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
     does not depend on its threshold A, per model and atom b of F_{k-1} (F_0
@@ -801,12 +811,7 @@ class WindowTable:
             raise ModelError("conditional window norms need a decoupled pair")
         tree, space, levels = stack.tree, stack.space, stack.level_probs
         depth, dim, models = tree.depth, space.dim, len(stack.tables[0])
-        # the stack's (0, N] windows and their norms, and one norm block's
-        # temporaries: its |x| or x^2 and its innermost sums (pair_floats
-        # per model when the stack's norms take one block)
-        window = models * tree.num_nodes(depth - 1) * tree.path_count * dim
-        block = min(window, max(1, BLOCK_FLOATS // dim) * dim)
-        floats = window + window // dim + block + block // space.shape[-1][1]
+        floats = pair_floats(tree.sizes, space, models)
         if floats > JOINT_LIMIT:
             raise EnumerationError(
                 f"window table needs {floats} floats, over budget {JOINT_LIMIT}")

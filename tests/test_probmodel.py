@@ -326,7 +326,7 @@ def davis_split(pair):
     """The pair's (small, large) Davis split as two tangent pairs of its mode:
     pm.davis_tables of its stack of one."""
     seq = pair.seq
-    parts = pm.davis_tables(seq.space, [t[None] for t in seq.tables])
+    parts = pm.davis_tables(seq.paths)
     return tuple(pm.TangentPair(pm.AdaptedSequence(seq.tree, seq.space, [t[0] for t in tables]),
                                 pair.mode) for tables in parts)
 
@@ -396,6 +396,71 @@ def test_davis_split_norms_each_level_once(space, monkeypatch):
             for got, ref in zip(part.seq.tables, tables):
                 np.testing.assert_array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+DAVIS_SPACES = [euclid(2), seq_lp(0.5, 3), sup_norm(3)]
+
+
+def davis_stack(space, label):
+    """Three general pairs on one tree of 3- and 2-letter levels, as one stack."""
+    tree = pm.FiltrationTree([ENGINE_LEVELS[n] for n in (1, 0, 3, 2)])
+    return [pm.decouple(pm.random_general_sequence(stream(i, label, str(space)), tree, space))
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("space", DAVIS_SPACES, ids=format_space)
+def test_davis_tables_of_a_stack_are_each_models_own(space):
+    # the split read off the stack's table norms and node d* is, model by
+    # model, the split that re-norms every earlier level
+    pairs = davis_stack(space, "davis-stack")
+    parts = pm.davis_tables(pm.PairStack.of(pairs))
+    for i, pair in enumerate(pairs):
+        for tables, want in zip(parts, reference_davis_tables(pair.seq)):
+            for got, ref in zip(tables, want):
+                np.testing.assert_array_equal(got[i], ref)
+                assert np.array_equal(np.signbit(got[i]), np.signbit(ref))
+
+
+@pytest.mark.parametrize("space", DAVIS_SPACES, ids=format_space)
+def test_davis_reports_norm_each_table_entry_once(space, monkeypatch):
+    # one Space.norms per level (the stack's table norms, which d* and the
+    # split share) and one for the large part's terminal sums
+    stack = pm.PairStack.of(davis_stack(space, "davis-calls"))
+    calls = []
+    norms = type(space).norms
+    monkeypatch.setattr(type(space), "norms",
+                        lambda self, arr: calls.append(arr.shape) or norms(self, arr))
+    iq.davis_reports(stack)
+    assert len(calls) == len(stack.sizes) + 1
+
+
+def random_level(gen, size: int) -> pm.Level:
+    """A scalar law of ``size`` atoms whose masses are not dyadic, so that
+    their products depend on the order they are taken in."""
+    probs = gen.uniform(0.1, 1.0, size=size)
+    return pm.Level(gen.uniform(-2.0, 2.0, size=size), probs / probs.sum())
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_every_stack_gives_each_model_its_tree_masses(case):
+    # PairStack.of, a default PairStack, a ProductStack and a sequence's own
+    # stack all multiply the level masses as FiltrationTree does, bit for bit
+    gen = stream(case, "stack-masses")
+    sizes = [int(gen.integers(2, 4)) for _ in range(int(gen.integers(1, 5)))]
+    space = euclid(2)
+    trees = [pm.FiltrationTree([random_level(gen, a) for a in sizes]) for _ in range(3)]
+    seqs = [pm.random_general_sequence(gen, tree, space) for tree in trees]
+    models = [iq.ProductModel(space, tuple(pm.Level(np.column_stack([lv.values, -lv.values]),
+                                                    lv.probs) for lv in tree.levels))
+              for tree in trees]
+    pairs = pm.PairStack.of([pm.decouple(seq) for seq in seqs])
+    products = iq.ProductStack(models)
+    for i, (tree, seq) in enumerate(zip(trees, seqs)):
+        alone = pm.PairStack(tree, space, [t[None] for t in seq.tables])
+        for stack, row in ((pairs, i), (products, i), (alone, 0), (seq.paths, 0)):
+            np.testing.assert_array_equal(stack.path_probs[row], tree.path_probs)
+            for n in range(tree.depth + 1):
+                np.testing.assert_array_equal(stack.node_probs(n)[row], tree.node_probs(n))
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,56 @@ def test_verify_without_a_finite_r_constant_exits_2(suite, space, inequality, ca
                          "--trials", "4", "--workers", "1"]) == 2
     out, err = capsys.readouterr()
     r = space.split(":")[1]
+    # the davis cap depends on r alone; u_{p/r} and b's range on p too
+    at = "" if suite == "davis" else ", p=2"
     assert out == ""
     assert err == (f"decoupling-lab: {inequality}: its r-normability constant is not a "
-                   f"positive finite float on {space} (r={r})\n")
+                   f"positive finite float on {space} (r={r}{at})\n")
+
+
+@pytest.mark.parametrize("suite, space, p, inequality, at", [
+    # rho = min(r, p) = 1e-3 makes beta overflow, not r = 0.5
+    ("goodlambda", "lp:0.5:2", "1e-3", "goodlambda", "r=0.5, p=0.001"),
+    ("revkol", "l2:2", "1e300", "reverse-kolmogorov", "r=1, p=1e+300"),  # u_{p/r} = 2^(p - 1)
+])
+def test_an_r_constant_that_p_breaks_names_p(suite, space, p, inequality, at, capsys):
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--suite", suite, "--space", space, "--p", p, "--depth", "3",
+                         "--trials", "4", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"decoupling-lab: {inequality}: its r-normability constant is not a "
+                   f"positive finite float on {space} ({at})\n")
+
+
+@pytest.mark.parametrize("suite, p, inequality, b", [
+    ("goodlambda", "1e-300", "goodlambda", "0.5"),
+    ("extrapolation", "1e-3", "extrapolated-phi-domination", "0.0625433"),
+])
+def test_verify_whose_calibrated_threshold_overflows_exits_2(suite, p, inequality, b, capsys):
+    # A = d_hat b^(-1/p): b^(-1/p) is past the floats once p is near 0
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", "--suite", suite, "--space", "l2:2", "--p", p,
+                         "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"decoupling-lab: {inequality}: the calibrated threshold A = d_hat b^(-1/p) "
+                   f"overflows at p={float(p):g} (b={b})\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "atlas"])
+@pytest.mark.parametrize("p", ["1e-5", "1e-10"])
+def test_a_search_whose_ratio_overflows_exits_2(command, p, capsys):
+    # the ratio (num / den)^(1/p) is past the floats once p is near 0
+    space = ["--space", "lp:0.5:3"] if command == "estimate" else ["--spaces", "lp:0.5:3"]
+    exponent = ["--p", p] if command == "estimate" else ["--ps", p]
+    with np.errstate(all="ignore"):
+        assert cli.main([command, *space, *exponent, "--family", "gaussian-multipliers",
+                         "--trials", "20", "--restarts", "1", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("decoupling-lab: decouple-upper: the moment ratio to the power 1/p "
+                   f"overflows at p={float(p):g} on lp:0.5:3\n")
 
 
 def _limit_address_space():

@@ -87,7 +87,7 @@ def test_the_all_ones_sub_sum_has_the_terminal_norms(text):
     space = parse_space(text)
     for model in product_models(space):
         stack = iq.ProductStack((model,))
-        terminal, probs = stack.norms[0, :, -1], stack.probs[0]
+        terminal, probs = stack.norms[0, :, -1], stack.path_probs[0]
         ts = sorted(set(terminal.tolist()))
         ones = [1.0] * len(model.laws)
         reports = iq.contraction_reports(iq.ProductStack((model,) * len(ts)),
