@@ -4,7 +4,9 @@ Reports are canonical JSON (or CSV) and byte-identical for a fixed config
 and seed whatever ``--workers`` is: worker functions derive every stream
 from (seed, label, index) and results are merged in input order.  Exit
 codes: 0 clean, 1 when an exact-mode check reports holds=false, 2 for
-configuration errors.
+configuration errors and refusals, one stderr line each.  Only main silences
+numpy's float warnings (its pool workers inherit that); the checks refuse
+what is not finite.
 
 Every verify suite runs through one route, _verify_one: a suite gives only
 its draw, its shape key, its float counts and its reports (_reports), and
@@ -239,16 +241,19 @@ def _cmd_verify(args) -> int:
 # other subcommands
 
 
-def _cmd_estimate(args) -> int:
+def _search(space_text, p, direction, family, budget, restarts, depth, seed):
+    """search_worst_case on the space ``space_text``: one estimate or atlas cell."""
     from .constants import search_worst_case
     from .spaces import parse_space
 
+    return search_worst_case(parse_space(space_text), p, direction=direction, family=family,
+                             budget=budget, restarts=restarts, seed=seed, depth=depth)
+
+
+def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
-    space = parse_space(args.space)
-    est = search_worst_case(
-        space, args.p, direction=args.direction, family=args.family,
-        budget=args.trials, restarts=args.restarts, seed=seed, depth=args.depth,
-    )
+    est = _search(args.space, args.p, args.direction, args.family, args.trials, args.restarts,
+                  args.depth, seed)
     config = {
         "command": "estimate", "space": args.space, "p": args.p,
         "direction": args.direction, "family": args.family,
@@ -329,16 +334,7 @@ def _admit_bdg(args, space, driver):
 
 
 def _atlas_cell(task: tuple) -> dict:
-    from .constants import search_worst_case
-    from .spaces import parse_space
-
-    space_text, p, direction, family, budget, restarts, depth, seed = task
-    space = parse_space(space_text)
-    est = search_worst_case(
-        space, p, direction=direction, family=family,
-        budget=budget, restarts=restarts, seed=seed, depth=depth,
-    )
-    row = est.as_dict()
+    row = _search(*task).as_dict()
     del row["witness"], row["evaluations"]
     return row
 
@@ -403,6 +399,16 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_search(sub, budget: int, budget_help: str, restarts: int):
+    """The search flags of estimate and atlas (one search per cell), then the common ones."""
+    sub.add_argument("--direction", choices=DIRECTIONS, default="decouple-upper")
+    sub.add_argument("--family", choices=sorted(FAMILIES), default="paley-walsh-multipliers")
+    sub.add_argument("--depth", type=_positive(int), default=3)
+    sub.add_argument("--trials", type=_positive(int), default=budget, help=budget_help)
+    sub.add_argument("--restarts", type=_positive(int), default=restarts)
+    _add_common(sub)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoupling-lab",
@@ -422,12 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = subs.add_parser("estimate", help="search model families for large observed ratios")
     e.add_argument("--space", required=True)
     e.add_argument("--p", type=_positive(float), default=2.0)
-    e.add_argument("--direction", choices=DIRECTIONS, default="decouple-upper")
-    e.add_argument("--family", choices=sorted(FAMILIES), default="paley-walsh-multipliers")
-    e.add_argument("--depth", type=_positive(int), default=3)
-    e.add_argument("--trials", type=_positive(int), default=400, help="search evaluation budget")
-    e.add_argument("--restarts", type=_positive(int), default=4)
-    _add_common(e)
+    _add_search(e, 400, "search evaluation budget", 4)
     e.set_defaults(fn=_cmd_estimate)
 
     b = subs.add_parser("bounds", help="evaluate closed-form constants")
@@ -457,12 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = subs.add_parser("atlas", help="ratio sweep over a space x p grid")
     a.add_argument("--spaces", default="l2:2,l2:4,linf:2,linf:4")
     a.add_argument("--ps", type=_positive_floats, default="1,2,4")
-    a.add_argument("--direction", choices=DIRECTIONS, default="decouple-upper")
-    a.add_argument("--family", choices=sorted(FAMILIES), default="paley-walsh-multipliers")
-    a.add_argument("--depth", type=_positive(int), default=3)
-    a.add_argument("--trials", type=_positive(int), default=120, help="search budget per cell")
-    a.add_argument("--restarts", type=_positive(int), default=2)
-    _add_common(a)
+    _add_search(a, 120, "search budget per cell", 2)
     a.set_defaults(fn=_cmd_atlas)
 
     return parser
@@ -474,7 +470,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             _require_writable(args.out)
-        return args.fn(args)
+        if args.command == "bounds":  # runs without numpy
+            return args.fn(args)
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ValueError as exc:  # SpaceError, ModelError and EnumerationError among them
         print(f"decoupling-lab: {exc}", file=sys.stderr)
         return 2

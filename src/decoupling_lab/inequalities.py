@@ -85,12 +85,9 @@ def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
     never moves a verdict.  lhs and rhs may be aligned arrays of sides: the
     report gives their first element of least margin, and holds only when every
     element holds.  A side or a float parameter that is not finite has no
-    verdict: ModelError.
+    verdict: ModelError (_finite).
     """
-    for key, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ModelError(f"{inequality}: parameter {key}={value:g} is not finite, "
-                             "so the check has no verdict")
+    _finite(inequality, params.items())
     if isinstance(lhs, (int, float)):
         lhs, rhs = float(lhs), float(rhs)
         finite = math.isfinite(lhs) and math.isfinite(rhs)
@@ -108,6 +105,14 @@ def _one_sided(inequality: str, params: dict, lhs, rhs, lower: bool = False,
         holds, lhs, rhs, margin = bool(holds.all()), float(lhs[i]), float(rhs[i]), float(margin[i])
     return IneqReport(inequality=inequality, params=params, lhs=lhs, rhs=rhs, holds=holds,
                       margin=margin, status=status, extra={} if extra is None else extra)
+
+
+def _finite(inequality: str, params):
+    """_one_sided's parameter rule: a float among (name, value) pairs that is not finite."""
+    for key, value in params:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"{inequality}: parameter {key}={value:g} is not finite, "
+                             "so the check has no verdict")
 
 
 def _r_constant(inequality: str, space: Space, value: Callable[[], float],
@@ -494,8 +499,6 @@ class BmoProfile:
     A: float
     b_hat: float
     d_hat: float
-    chebyshev_ok: bool
-    windows: int
 
 
 def bmo_condition(pair: TangentPair, p: float, A: float) -> BmoProfile:
@@ -514,32 +517,15 @@ def bmo_profiles(stack: PairStack, p: float, As: Sequence[float]) -> list[BmoPro
     table = stack.window_table(p)
     A = np.array(As, dtype=float)[:, None]
     pconds = []
-    for win, probs, mass, t_sup, _ in table.atoms.values():
+    for win, probs, mass, t_sup in table.atoms.values():
         over = win > (A * t_sup)[:, :, None]
         count = over.sum(axis=2)
         pcond = (count == over.shape[2]).astype(float)
         for i, b in zip(*np.nonzero((count > 0) & (count < over.shape[2]) & (mass > 0))):
             pcond[i, b] = float(probs[i, b][over[i, b]].sum()) / mass[i, b]
-        pconds.append(pcond)
-    # every window's atoms side by side
-    mass, t_sup, num = (np.concatenate([atoms[j] for atoms in table.atoms.values()], axis=1)
-                        for j in (2, 3, 4))
-    pconds = np.where(mass > 0, np.concatenate(pconds, axis=1), 0.0)
-    # the Chebyshev certificate: each conditional probability against its bound
-    certified = (A > 0) & (t_sup > 0) & (mass > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        caps = num / (A * t_sup) ** p
-    profiles = []
-    for i, a in enumerate(As):
-        b_hat = float(pconds[i].max())
-        lhs, rhs = pconds[i][certified[i]], caps[i][certified[i]]
-        if a > 0:
-            lhs, rhs = np.append(lhs, b_hat), np.append(rhs, table.d_hat[i] ** p / a ** p)
-        profiles.append(BmoProfile(
-            p=p, A=a, b_hat=b_hat, d_hat=table.d_hat[i],
-            chebyshev_ok=not len(lhs) or _one_sided("chebyshev-certificate", {}, lhs, rhs).holds,
-            windows=len(table.atoms)))
-    return profiles
+        pconds.append(np.where(mass > 0, pcond, 0.0).max(axis=1))
+    return [BmoProfile(p=p, A=a, b_hat=float(b_hat), d_hat=d_hat)
+            for a, b_hat, d_hat in zip(As, np.max(pconds, axis=0), table.d_hat)]
 
 
 def _calibrated(stack: PairStack, p: float, b: float,
@@ -548,15 +534,17 @@ def _calibrated(stack: PairStack, p: float, b: float,
 
     Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
     certifies level b for any pair with finite window ratios (A = 1 when
-    d_hat = 0).  Where b^(-1/p) overflows (p near 0) the check ``inequality``
-    has no threshold: ModelError naming it and p.
+    d_hat = 0).  Where b^(-1/p) (p near 0) or d_hat (p large) is not finite
+    the check ``inequality`` has no threshold: ModelError naming it and p.
     """
-    d_hats = stack.window_table(p).d_hat
     try:
-        return [d_hat * b ** (-1.0 / p) if d_hat > 0 else 1.0 for d_hat in d_hats]
+        As = [d_hat * b ** (-1.0 / p) if d_hat else 1.0 for d_hat in stack.window_table(p).d_hat]
     except OverflowError:
-        raise ModelError(f"{inequality}: the calibrated threshold A = d_hat b^(-1/p) "
-                         f"overflows at p={p:g} (b={b:g})") from None
+        As = [math.inf]
+    if all(map(math.isfinite, As)):
+        return As
+    raise ModelError(f"{inequality}: the calibrated threshold A = d_hat b^(-1/p) "
+                     f"overflows at p={p:g} (b={b:g})")
 
 
 def check_goodlambda(
@@ -607,6 +595,7 @@ def goodlambda_reports(stack: PairStack, p: float, As: Sequence[float] | None, b
                 grid = [1.0]
             else:
                 grid = sorted(set(x / beta for x in quantiles(pos, np.linspace(0.05, 0.95, 7))))
+        _finite("goodlambda", [("lambda", lam) for lam in grid])
         lams = np.array(grid, dtype=float)[:, None]
         rhs = [b * float(probs[over].sum()) for over in f_star > lams]
         reports = []

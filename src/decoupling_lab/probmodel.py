@@ -798,12 +798,11 @@ class WindowTable:
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
     does not depend on its threshold A, per model and atom b of F_{k-1} (F_0
-    for k <= 1): (win, probs, mass, t_sup, num).  ``win`` is the norm
-    ||f_l - f_k|| of each path and ``probs`` its mass, both (models, atoms,
-    paths per atom); ``mass`` is the atom's mass, ``t_sup`` the largest T_p
-    over its nodes and ``num`` the conditional E ||f_l - f_k||^p, each
-    (models, atoms).  d_hat gives each model's largest conditional ratio
-    (num / E[T_p^p | atom])^(1/p) over windows and atoms.
+    for k <= 1): (win, probs, mass, t_sup), the norm ||f_l - f_k|| of each
+    path and its mass, both (models, atoms, paths per atom), then the atom's
+    mass and the largest T_p over its nodes, each (models, atoms).  d_hat is
+    each model's largest (E[||f_l - f_k||^p | atom] / E[T_p^p | atom])^(1/p)
+    over windows and atoms: NaN if some ratio is inf / inf (large p).
     """
 
     def __init__(self, stack: PairStack, p: float):
@@ -857,9 +856,9 @@ class WindowTable:
                         for x in (win, t_paths))
             kept = (mass > 0) & (den > 0)
             ratios.append(np.divide(num, den, out=np.zeros((models, atoms)), where=kept))
-            self.atoms[k, l] = (win, probs, mass, t_sup, num)
+            self.atoms[k, l] = (win, probs, mass, t_sup)
         # each ratio's root is taken on its numpy scalar, as the atom alone takes it
-        self.d_hat = [max([0.0] + [r ** (1.0 / p) for r in row])
+        self.d_hat = [np.max([r ** (1.0 / p) for r in row])
                       for row in np.concatenate(ratios, axis=1)]
 
     @cached_property

@@ -8,6 +8,7 @@ keys, no whitespace, NaN forbidden, numpy types coerced to plain Python.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -63,9 +64,10 @@ def pmap(fn, items, workers: int = 1):
     """Order-preserving map, optionally across at most one process per item.
 
     Results come back in input order either way, so a report built from the
-    output is byte-identical whatever ``workers`` is.  The pool is capped at
-    the item count because a fork-started pool launches all of its processes
-    at the first submit.
+    output is byte-identical whatever ``workers`` is; a pool worker runs under
+    the caller's numpy error state, which a spawned worker would not inherit.
+    The pool is capped at the item count because a fork-started pool launches
+    all of its processes at the first submit.
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -73,8 +75,17 @@ def pmap(fn, items, workers: int = 1):
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
+    np = sys.modules.get("numpy")
+    fn = fn if np is None else functools.partial(_under_errstate, np.geterr(), fn)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _under_errstate(state: dict, fn, item):
+    """fn(item) under numpy's error state ``state``, in a pool worker."""
+    import numpy as np
+    with np.errstate(**state):
+        return fn(item)
 
 
 def encode_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:

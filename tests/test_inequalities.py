@@ -39,6 +39,22 @@ def conditional_norm_star(pair, p):
     return pair.stack.window_table(p).norm_star[0]
 
 
+def chebyshev_ok(pair, p, A):
+    """Chebyshev's chain for the window profile at threshold A, with slack
+    1e-12: at each atom of positive mass and t_sup, P(win > A t_sup | atom) <=
+    E[win^p | atom] / (A t_sup)^p, and b_hat <= (d_hat / A)^p.  Nothing to
+    check at A = 0."""
+    if A <= 0:
+        return True
+    for win, probs, mass, t_sup in pair.stack.window_table(p).atoms.values():
+        for w, pb, m, t in zip(win[0], probs[0], mass[0], t_sup[0]):
+            if m > 0 and t > 0 and (float(pb[w > A * t].sum()) / m
+                                    > float(pb @ w ** p) / m / (A * t) ** p + 1e-12):
+                return False
+    prof = iq.bmo_condition(pair, p, A)
+    return prof.b_hat <= prof.d_hat ** p / A ** p + 1e-12
+
+
 def test_report_as_dict():
     rep = iq.IneqReport("x", {"t": 1}, np.float64(1.0), 2.0, True, 1.0)
     d = rep.as_dict()
@@ -818,11 +834,10 @@ def test_bmo_profile_on_signs():
     prof = iq.bmo_condition(pair, 2.0, 2.0)
     assert prof.b_hat == 0.0
     assert prof.d_hat == pytest.approx(1.0, rel=1e-12)
-    assert prof.chebyshev_ok
-    assert prof.windows == 6
+    assert chebyshev_ok(pair, 2.0, 2.0)
+    assert pair.stack.window_table(2.0).windows_built == 6
     wide = iq.bmo_condition(pair, 2.0, 0.0)
     assert wide.b_hat == pytest.approx(1.0)
-    assert wide.chebyshev_ok  # the A > 0 chain is not exercised at A = 0
 
 
 def test_bmo_chebyshev_chain_randomized():
@@ -830,9 +845,39 @@ def test_bmo_chebyshev_chain_randomized():
     for i in range(8):
         pair = pm.random_pair(gen, euclid(2), max_depth=3, symmetric=bool(i % 2))
         prof = iq.bmo_condition(pair, 2.0, 4.0)
-        assert prof.chebyshev_ok
+        assert chebyshev_ok(pair, 2.0, 4.0)
         assert 0.0 <= prof.b_hat <= 1.0
         assert prof.d_hat >= 1.0 - 1e-9  # the full window (0, N] has ratio 1
+
+
+def test_a_nan_window_ratio_leaves_the_calibrated_checks_without_a_threshold():
+    # verify's goodlambda trial 1 on l2:2 at p = 700: some window's two p-th
+    # moments both overflow, so its ratio is inf / inf, while the full window
+    # (0, N] alone has ratio 1
+    pair = pm.random_pair(stream(0, "verify", "goodlambda", 1), euclid(2), max_depth=3,
+                          symmetric=True)
+    stack = pm.PairStack.of([pair])
+    with np.errstate(all="ignore"):
+        assert math.isnan(stack.window_table(700.0).d_hat[0])
+        for inequality in ("goodlambda", "extrapolated-phi-domination"):
+            with pytest.raises(pm.ModelError, match=f"^{inequality}: the calibrated threshold "
+                               r"A = d_hat b\^\(-1/p\) overflows at p=700 "):
+                iq._calibrated(stack, 700.0, 0.5, inequality)
+        with pytest.raises(pm.ModelError, match="^goodlambda: "):
+            iq.goodlambda_reports(stack, 700.0, None, 0.5)
+        # at a given A the report's own parameter rule refuses the NaN d_hat
+        with pytest.raises(pm.ModelError, match="^extrapolated-phi-domination: parameter "
+                           "d_hat=nan is not finite"):
+            iq.extrapolation_reports(stack, 700.0, 2.0, As=[1.0])
+
+
+def test_a_goodlambda_level_that_is_not_finite_gives_no_verdict():
+    # on lp:1e300:2 the norms overflow, so f* and the lambda grid read off it do
+    pair = pm.random_pair(stream(0, "verify", "goodlambda", 0), parse_space("lp:1e300:2"),
+                          max_depth=3, symmetric=True)
+    with np.errstate(all="ignore"), pytest.raises(
+            pm.ModelError, match="^goodlambda: parameter lambda=nan is not finite"):
+        iq.check_goodlambda(pair, 2.0, A=1.0, b=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -861,13 +906,13 @@ def reference_window_norm(pair, p, k, l):
 
 
 def reference_bmo(pair, p, A):
-    """The window profile at A, every statistic recomputed per window and atom."""
+    """The window profile at A and whether Chebyshev's chain holds there,
+    every statistic recomputed per window and atom."""
     seq, tree = pair.seq, pair.tree
     sums, path_probs = seq.partial_sums, tree.path_probs
-    b_hat, d_hat, cheb_ok, count = 0.0, 0.0, True, 0
+    b_hat, d_hat, cheb_ok = 0.0, 0.0, True
     for k in range(seq.depth):
         for l in range(k + 1, seq.depth + 1):
-            count += 1
             t_nodes = reference_window_norm(pair, p, k, l)
             t_paths = t_nodes[tree.nodes_at(l - 1)]
             win = seq.space.norms(sums[:, l] - sums[:, k])
@@ -888,7 +933,7 @@ def reference_bmo(pair, p, A):
                     cheb_ok = False
     if A > 0 and b_hat > d_hat ** p / A ** p + 1e-12:
         cheb_ok = False
-    return iq.BmoProfile(p, A, b_hat, d_hat, cheb_ok, count)
+    return iq.BmoProfile(p, A, b_hat, d_hat), cheb_ok
 
 
 TABLE_SPACES = [euclid(4), seq_lp(0.5, 3), sup_norm(3), nested([(1.0, 2), (3.0, 2)])]
@@ -921,13 +966,14 @@ def test_window_table_matches_per_window_formula(p):
 def test_bmo_condition_matches_brute_force(p):
     b = 0.5
     for pair in table_pairs(f"bmo-{p}"):
-        at_zero = reference_bmo(pair, p, 0.0)
+        at_zero, _ = reference_bmo(pair, p, 0.0)
         A = at_zero.d_hat * b ** (-1.0 / p) if at_zero.d_hat > 0 else 1.0
         assert calibrated_A(pair, p, b) == A
         for a in (0.0, A, 0.5 * A):
-            got, want = iq.bmo_condition(pair, p, a), reference_bmo(pair, p, a)
+            (want, cheb_ok), got = reference_bmo(pair, p, a), iq.bmo_condition(pair, p, a)
             for name in want.__dataclass_fields__:
                 assert getattr(got, name) == getattr(want, name), name
+            assert chebyshev_ok(pair, p, a) == cheb_ok
 
 
 def test_window_table_is_read_only():
@@ -1206,7 +1252,7 @@ def pair_verdicts(pair, k, p):
     A = calibrated_A(pair, p, 0.5)
     return ([rep.holds for rep in iq.check_tail_comparison(pair, ts)]
             + [rep.holds for rep in iq.check_goodlambda(pair, p, A=A, b=0.5)]
-            + [iq.bmo_condition(pair, p, a).chebyshev_ok for a in (A, 0.5 * A)]
+            + [chebyshev_ok(pair, p, a) for a in (A, 0.5 * A)]
             + [iq.check_davis_pathwise(pair).holds, iq.check_extrapolation(pair, p, 2.0).holds])
 
 
