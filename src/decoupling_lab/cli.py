@@ -143,16 +143,23 @@ def _verify_one(task: tuple) -> tuple[list[str], bool]:
 
 def _windows(trials, floats):
     """Consecutive trials in windows whose floats total at most BATCH_FLOATS;
-    a trial over that runs alone."""
+    a trial over that runs alone.  A refused draw (ValueError) is raised
+    after the window of the trials drawn before it, so that an earlier
+    trial's error still comes first."""
     from .probmodel import BATCH_FLOATS
 
     window, total = [], 0
-    for trial in trials:
-        if window and total + floats(trial) > BATCH_FLOATS:
+    try:
+        for trial in trials:
+            if window and total + floats(trial) > BATCH_FLOATS:
+                yield window
+                window, total = [], 0
+            window.append(trial)
+            total += floats(trial)
+    except ValueError:
+        if window:
             yield window
-            window, total = [], 0
-        window.append(trial)
-        total += floats(trial)
+        raise
     if window:
         yield window
 
@@ -175,8 +182,8 @@ def _product_draws(suite: str, space, depth: int, gen) -> tuple:
 def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
     """Each trial's rows, less its index, for trials of one shape checked
     together: a product suite's (index, model, factor, multipliers) trials on
-    one ProductStack, tangency's (index, pair) trials on one set of head
-    groups, and a pair suite's on one PairStack."""
+    one ProductStack, tangency's (index, pair) trials on one set of checked
+    heads, and a pair suite's on one PairStack."""
     from . import inequalities as iq
     from . import probmodel as pm
 

@@ -534,11 +534,16 @@ def _calibrated(stack: PairStack, p: float, b: float,
 
     Chebyshev: P(win > A T_sup | atom) <= (d_hat / A)^p, so A = b^(-1/p) d_hat
     certifies level b for any pair with finite window ratios (A = 1 when
-    d_hat = 0).  Where b^(-1/p) (p near 0) or d_hat (p large) is not finite
-    the check ``inequality`` has no threshold: ModelError naming it and p.
+    d_hat = 0).  Where d_hat is not finite (the space's norms overflow, or p
+    is large) or b^(-1/p) overflows (p near 0) the check ``inequality`` has
+    no threshold: ModelError naming it and p, and the space for d_hat.
     """
+    d_hats = stack.window_table(p).d_hat
+    if not all(map(math.isfinite, d_hats)):
+        raise ModelError(f"{inequality}: the window moment ratio d_hat is not finite at "
+                         f"p={p:g} on {format_space(stack.space)}")
     try:
-        As = [d_hat * b ** (-1.0 / p) if d_hat else 1.0 for d_hat in stack.window_table(p).d_hat]
+        As = [d_hat * b ** (-1.0 / p) if d_hat else 1.0 for d_hat in d_hats]
     except OverflowError:
         As = [math.inf]
     if all(map(math.isfinite, As)):
@@ -724,7 +729,7 @@ def davis_reports(stack: PairStack) -> list[IneqReport]:
     cap = _r_constant("davis-large-part-pathwise", space, lambda: (1.0 - 2.0 ** (-r)) ** -1.0)
     _, big = davis_tables(stack)
     large = PathStack(stack.tree, space, big, stack.level_probs)
-    lhs = space.norms(large.partial_sums[:, :, -1]) ** r
+    lhs = space.norms(large.terminal) ** r
     rhs = cap * stack.d_star ** r
     # one pair of sides per path; the report gives the path of least margin
     return [_one_sided("davis-large-part-pathwise", {"r": r, "cap": cap}, lhs[i], rhs[i],

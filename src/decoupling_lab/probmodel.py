@@ -37,12 +37,11 @@ from .spaces import Space, format_space, parse_space
 
 # Largest mass gap at which two finite laws count as equal.
 LAW_TOL = 1e-12
-# Hard ceiling on exact product-space enumeration (outcome pairs).
+# Hard ceiling: joint outcomes, partial-sum, window-peak, table and bdg result floats.
 JOINT_LIMIT = 10_000_000
-# Floats held by one block of an exact enumerator (joint_blocks, sign patterns).
+# One block of an exact enumerator: g_N, sign-sum and norm-block floats.
 BLOCK_FLOATS = 2_000_000
-# Joint-space floats (candidates x heads x paths x dim) one batched evaluation
-# of several models on one tree may hold; a larger model runs as a batch of one.
+# Several models on one tree held at once: search joint and verify window table floats.
 BATCH_FLOATS = 65_536
 
 
@@ -295,25 +294,6 @@ class AdaptedSequence:
     def path_increments(self, n: int) -> np.ndarray:
         return self.paths.increments(n)[0]
 
-    @property
-    def partial_sums(self) -> np.ndarray:
-        """f_0..f_N per path, shape (path_count, depth+1, dim)."""
-        return self.paths.partial_sums[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.partial_sums[:, self.depth]
-
-    @property
-    def f_star(self) -> np.ndarray:
-        """max_n ||f_n|| per path."""
-        return self.paths.f_star[0]
-
-    @property
-    def d_star(self) -> np.ndarray:
-        """max_n ||d_n|| per path."""
-        return self.paths.d_star[0]
-
     def terminal_moment(self, p: float) -> float:
         return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
 
@@ -370,6 +350,16 @@ class PathStack:
         return self.node_probs(self.tree.depth)
 
     @cached_property
+    def terminal(self) -> np.ndarray:
+        """f_N at every path, (models, paths, dim), grown node by node: node
+        u*a + j adds its table entry to u's sum, so each f_n is formed once
+        per depth-n node (the bits of partial_sums' last level)."""
+        f = np.zeros((len(self.tables[0]), 1, self.space.dim))
+        for table in self.tables:
+            f = (f[:, :, None, :] + table).reshape(len(f), -1, self.space.dim)
+        return f
+
+    @cached_property
     def partial_sums(self) -> np.ndarray:
         """f_0..f_N at every path, (models, paths, levels + 1, dim)."""
         tree = self.tree
@@ -418,16 +408,12 @@ def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
 def terminal_moments(tree: FiltrationTree, space: Space, tables, p: float) -> list[float]:
     """E ||f_N||^p of each of a batch of sequences on one tree.
 
-    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  f_n grows
-    level by level along the tree, once per depth-n node, into C-ordered
-    arrays, so each sequence's norms and path-weighted sum (one contiguous row)
-    are formed as for it alone and its value does not depend on the batch.
+    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The norms of
+    PathStack.terminal, a C-ordered array, so each sequence's norms and
+    path-weighted sum (one contiguous row) are formed as for it alone and its
+    value does not depend on the batch.
     """
-    batch, dim = len(tables[0]), space.dim
-    f = np.zeros((batch, 1, dim))
-    for n, table in enumerate(tables, start=1):
-        f = (f[:, :, None, :] + table).reshape(batch, tree.num_nodes(n), dim)
-    values = space.norms(f) ** p
+    values = space.norms(PathStack(tree, space, tables).terminal) ** p
     return [float(tree.path_probs @ row) for row in values]
 
 
@@ -507,12 +493,12 @@ def e_rows(tree: FiltrationTree, mode: str, heads: np.ndarray, n: int) -> np.nda
     return tree.digit_reversed[n - 1][None, :]
 
 
-def _head_groups(tree: FiltrationTree, mode: str) -> list[np.ndarray]:
-    """The depth-(N-1) heads, grouped by the rows e_rows gives them at every
-    level and omega~ node (one law of (e_1..e_N) given F_inf per group), less
-    the heads that read their own depth-(n-1) ancestor's row (tree.ancestor)
-    everywhere: e_n then has d_n's row law on the n-th omega~ letter alone,
-    independent across n, exactly.  Refused past the joint walk budget."""
+def _checked_heads(tree: FiltrationTree, mode: str) -> np.ndarray:
+    """The depth-(N-1) heads that do not read their own depth-(n-1)
+    ancestor's row (tree.ancestor) at every level and omega~ node: e_n has
+    d_n's row law on the n-th omega~ letter alone at the others, independent
+    across n.  None in decoupled mode; in copy mode every head reads one set
+    of rows.  Refused past the joint walk budget."""
     require_joint_walk(tree, mode)
     depth = tree.depth
     heads = np.arange(tree.num_nodes(depth - 1))
@@ -521,16 +507,7 @@ def _head_groups(tree: FiltrationTree, mode: str) -> list[np.ndarray]:
         rows = e_rows(tree, mode, heads, n)
         anc = tree.ancestor(heads, depth - 1, n - 1)
         other |= (rows.min(axis=1) != anc) | (rows.max(axis=1) != anc)
-    heads = heads[other]
-    group = np.zeros(len(heads), dtype=np.int64)
-    for n in range(1, depth + 1):
-        rows = e_rows(tree, mode, heads, n)
-        if len(rows) > 1:
-            # this level tells heads apart: split the groups by its rows
-            group = np.unique(np.column_stack([group, rows]), axis=0,
-                              return_inverse=True)[1].reshape(-1)
-    # the inverse of np.unique numbers the groups 0.. in order
-    return [heads[group == g] for g in range(group.max(initial=-1) + 1)]
+    return heads[other]
 
 
 def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
@@ -542,65 +519,63 @@ def _e_values(seq: AdaptedSequence, mode: str, head: int, n: int) -> np.ndarray:
 
 
 def verify_tangent_pair(pairs) -> list[tuple[CheckResult, CheckResult]]:
-    """verify_tangency and verify_conditional_independence of each pair, for
-    pairs of one tree shape and mode, on one _head_groups (which depends on
-    the shape and the mode alone)."""
+    """(verify_tangency, verify_conditional_independence) of each pair, for
+    pairs of one tree shape and mode: one _checked_heads (which depends on
+    the shape and the mode alone), then one pass over each pair's levels."""
     first = pairs[0]
     if any((pair.tree.sizes, pair.mode) != (first.tree.sizes, first.mode) for pair in pairs):
         raise ModelError("tangent pairs checked together need one mode and tree shape")
-    groups = _head_groups(first.tree, first.mode)
-    return [(verify_tangency(pair, groups), verify_conditional_independence(pair, groups))
-            for pair in pairs]
+    heads = _checked_heads(first.tree, first.mode)
+    return [tuple(CheckResult(gap <= LAW_TOL, gap, detail) for gap, detail in zip(
+        _tangent_gaps(pair, heads) if len(heads) else (0.0, 0.0),
+        ("tangency", "conditional independence"))) for pair in pairs]
 
 
-def verify_tangency(pair: TangentPair, groups: list[np.ndarray] | None = None) -> CheckResult:
+def _tangent_gaps(pair: TangentPair, heads: np.ndarray) -> tuple[float, float]:
+    """The tangency and factorization gaps of one pair at its checked heads,
+    whose first head gives every level's e-values, one _e_values per level.
+    Laws are finite measures on exact atoms (atom_ids) with float masses."""
+    seq, tree = pair.seq, pair.tree
+    tangency, ids = 0.0, []
+    for n in range(1, tree.depth + 1):
+        e_values = _e_values(seq, pair.mode, heads[0], n)
+        rows = seq.tables[n - 1][distinct(tree.ancestor(heads, tree.depth - 1, n - 1))]
+        # the level's e-law and rows share one set of atom ids
+        both = atom_ids(np.concatenate([e_values, rows.reshape(-1, seq.dim)]))
+        count = int(both.max()) + 1
+        e_law = np.bincount(both[:len(e_values)], tree.node_probs(n), count)
+        for row_ids in both[len(e_values):].reshape(len(rows), -1):
+            d_law = np.bincount(row_ids, tree.levels[n - 1].probs, count)
+            tangency = max(tangency, float(np.max(np.abs(d_law - e_law))))
+        # the e-values' own ids, read at every path's depth-n node
+        ids.append(atom_ids(e_values)[tree.nodes_at(n)])
+    masses = [np.bincount(level_ids, tree.path_probs) for level_ids in ids]
+    shape = tuple(len(m) for m in masses)
+    if math.prod(shape) > JOINT_LIMIT:
+        raise EnumerationError("factorization grid too large")
+    product = reduce(np.multiply.outer, masses).reshape(-1)
+    joint = np.bincount(np.ravel_multi_index(ids, shape), tree.path_probs, len(product))
+    return tangency, float(np.max(np.abs(joint - product)))
+
+
+def verify_tangency(pair: TangentPair) -> CheckResult:
     """Check L(e_n | F_inf) = L(d_n | F_{n-1}) on every atom, every level.
 
     The law of d_n on a depth-(n-1) atom is the increment table row; that of
     e_n given a path mixes, by omega~ node mass, the rows e_rows gives the
-    joint engine at the path's head.  Heads that read their own ancestors'
-    rows have a gap of exactly 0.0 and are skipped (_head_groups, or
-    ``groups`` when given), so a correct decoupled pair gives 0.0.  Laws are
-    finite measures on exact atoms (atom_ids) with float masses, equal when no
-    mass differs by more than LAW_TOL.  Each level's e-law and rows share one
-    set of atom ids.
+    joint engine at the path's head.  Laws are equal when no mass differs by
+    more than LAW_TOL; unchecked heads (_checked_heads) have a gap of exactly
+    0.0, so a correct decoupled pair gives 0.0.
     """
-    seq, tree = pair.seq, pair.tree
-    worst = 0.0
-    for members in _head_groups(tree, pair.mode) if groups is None else groups:
-        for n in range(1, tree.depth + 1):
-            e_values = _e_values(seq, pair.mode, members[0], n)
-            rows = seq.tables[n - 1][distinct(tree.ancestor(members, tree.depth - 1, n - 1))]
-            ids = atom_ids(np.concatenate([e_values, rows.reshape(-1, seq.dim)]))
-            count = int(ids.max()) + 1
-            e_law = np.bincount(ids[:len(e_values)], tree.node_probs(n), count)
-            for row_ids in ids[len(e_values):].reshape(len(rows), -1):
-                d_law = np.bincount(row_ids, tree.levels[n - 1].probs, count)
-                worst = max(worst, float(np.max(np.abs(d_law - e_law))))
-    return CheckResult(worst <= LAW_TOL, worst, "tangency")
+    return verify_tangent_pair([pair])[0][0]
 
 
-def verify_conditional_independence(pair: TangentPair,
-                                    groups: list[np.ndarray] | None = None) -> CheckResult:
+def verify_conditional_independence(pair: TangentPair) -> CheckResult:
     """Check that the joint law of (e_1..e_N) given F_inf, along every omega~
     path from the rows e_rows gives the joint engine, is the product of its
-    marginals, once per head group (_head_groups, or ``groups`` when given; a
-    correct decoupled pair has none, so its gap is exactly 0.0).  The joint
-    law is compared on the dense grid of all combinations of the levels' atom
-    ids."""
-    seq, tree = pair.seq, pair.tree
-    worst = 0.0
-    for members in _head_groups(tree, pair.mode) if groups is None else groups:
-        ids = [atom_ids(_e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)])
-               for n in range(1, tree.depth + 1)]
-        masses = [np.bincount(level_ids, tree.path_probs) for level_ids in ids]
-        shape = tuple(len(m) for m in masses)
-        if math.prod(shape) > JOINT_LIMIT:
-            raise EnumerationError("factorization grid too large")
-        product = reduce(np.multiply.outer, masses).reshape(-1)
-        joint = np.bincount(np.ravel_multi_index(ids, shape), tree.path_probs, len(product))
-        worst = max(worst, float(np.max(np.abs(joint - product))))
-    return CheckResult(worst <= LAW_TOL, worst, "conditional independence")
+    marginals, on the dense grid of all combinations of the levels' atom ids
+    (a correct decoupled pair checks no head, so its gap is exactly 0.0)."""
+    return verify_tangent_pair([pair])[0][1]
 
 
 def davis_tables(stack: PathStack) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -990,7 +965,11 @@ def random_tree(gen: np.random.Generator, max_depth: int,
 def random_multiplier_sequence(gen: np.random.Generator, tree: FiltrationTree,
                                space: Space) -> AdaptedSequence:
     """Random predictable multiplier rule; conditionally symmetric whenever the
-    innovation alphabets are symmetric."""
+    innovation alphabets are symmetric.  A tree whose increment tables need
+    more than JOINT_LIMIT floats is refused before anything is drawn."""
+    floats = sum(tree.num_nodes(n) for n in range(1, tree.depth + 1)) * space.dim
+    if floats > JOINT_LIMIT:
+        raise EnumerationError(f"increment tables need {floats} floats, over budget {JOINT_LIMIT}")
     multipliers = []
     for n in range(1, tree.depth + 1):
         picks = gen.integers(0, len(_MULTS), size=(tree.num_nodes(n - 1), space.dim))

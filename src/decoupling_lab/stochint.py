@@ -31,8 +31,10 @@ from .rng import CHUNK, chunk_streams, stream
 from .spaces import Space, format_space
 
 GAMMA_INNER = 1024
-# floats of one block of paths (increments and coefficients, or
-# coefficients and their gamma layout) and of one block of gamma draws
+# Counts path-block floats (increments and coefficients, or coefficients and
+# their gamma layout) and draw-block floats (gamma draws).  Smaller than
+# probmodel.BLOCK_FLOATS because a path block holds two such arrays: at 2^18
+# bdg on lp:3:16 ran slower, at 2^20 every bdg space peaked higher.
 BLOCK_FLOATS = 2 ** 19
 
 

@@ -60,7 +60,7 @@ def test_02_distributional_lemma_suite():
     ps = (0.5, 1.0, 2.0, 4.0)
 
     def threshold(gen, seq):
-        sups = seq.space.norms(seq.partial_sums).max(axis=1)
+        sups = seq.space.norms(seq.paths.partial_sums[0]).max(axis=1)
         scale = float(np.quantile(sups, 0.7)) or 1.0
         return scale * float(gen.choice([0.5, 1.0, 1.5]))
 
@@ -99,7 +99,7 @@ def test_02_distributional_lemma_suite():
         gen = stream(20260819, "acc-tail")
         for i in range(100):
             pair = pm.random_pair(gen, spaces[i % 3], max_depth=3, symmetric=True)
-            d_star = pair.seq.d_star
+            d_star = pair.seq.paths.d_star[0]
             ts = sorted(set(float(x) for x in np.quantile(d_star, [0.25, 0.5, 0.9])))
             run(iq.check_tail_comparison(pair, ts), "tail", i)
         out["ok"] = not violations

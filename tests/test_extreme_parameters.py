@@ -142,6 +142,13 @@ def test_spawned_pool_workers_silence_float_warnings_too(argv):
                "--workers", "1"])
 @example(argv=["verify", "--suite", "extrapolation", "--space", "l2:2", "--p", "700",
                "--trials", "3", "--workers", "2"])
+# deep trees: each is refused as its increment tables are drawn
+@example(argv=["verify", "--suite", "davis", "--space", "l2:4", "--depth", "18", "--trials", "20",
+               "--workers", "1"])
+@example(argv=["verify", "--suite", "davis", "--space", "l2:4", "--depth", "22", "--trials", "20",
+               "--workers", "1"])
+@example(argv=["verify", "--suite", "tail", "--space", "l2:4", "--depth", "22", "--trials", "20",
+               "--workers", "1"])
 def test_a_child_run_ends_in_a_report_or_one_refusal_line(argv):
     run = subprocess.run([sys.executable, "-m", "decoupling_lab.cli", *argv, "--seed", "0"],
                          env=_child_env(), capture_output=True, text=True,

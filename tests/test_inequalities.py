@@ -344,7 +344,7 @@ def test_stacked_product_reports_match_per_trial(text, monkeypatch):
 def _per_trial_pair_reports(suite, pair, p):
     """One pair-suite trial's reports from the check_* calls, the stack of one."""
     if suite == "tail":
-        ts = sorted(set(float(x) for x in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])))
+        ts = sorted(set(float(x) for x in np.quantile(pair.seq.paths.d_star[0], [0.25, 0.5, 0.9])))
         return iq.check_tail_comparison(pair, ts)
     if suite == "goodlambda":
         return iq.check_goodlambda(pair, p, A=calibrated_A(pair, p, 0.5), b=0.5)
@@ -765,7 +765,7 @@ def test_reverse_kolmogorov_randomized():
         space = [euclid(4), sup_norm(4), seq_lp(0.5, 2)][i % 3]
         model = iq.random_product_model(gen, space, levels=3)
         seq = model.to_sequence()
-        sups = seq.space.norms(seq.partial_sums).max(axis=1)
+        sups = seq.space.norms(seq.paths.partial_sums[0]).max(axis=1)
         t = float(np.quantile(sups, 0.6))
         assert iq.check_reverse_kolmogorov(model, t, [0.5, 1.0, 2.0][i % 3]).holds
 
@@ -777,7 +777,7 @@ def test_reverse_kolmogorov_randomized():
 def test_tail_comparison_exact():
     gen = stream(10, "tail")
     pair = pm.random_pair(gen, euclid(2), max_depth=4)
-    d_star = pair.seq.d_star
+    d_star = pair.seq.paths.d_star[0]
     ts = [0.0, float(np.median(d_star)), float(d_star.max()) + 1.0]
     reports = iq.check_tail_comparison(pair, ts)
     assert len(reports) == 2 * len(ts)
@@ -860,8 +860,8 @@ def test_a_nan_window_ratio_leaves_the_calibrated_checks_without_a_threshold():
     with np.errstate(all="ignore"):
         assert math.isnan(stack.window_table(700.0).d_hat[0])
         for inequality in ("goodlambda", "extrapolated-phi-domination"):
-            with pytest.raises(pm.ModelError, match=f"^{inequality}: the calibrated threshold "
-                               r"A = d_hat b\^\(-1/p\) overflows at p=700 "):
+            with pytest.raises(pm.ModelError, match=f"^{inequality}: the window moment ratio "
+                               "d_hat is not finite at p=700 on l2:2$"):
                 iq._calibrated(stack, 700.0, 0.5, inequality)
         with pytest.raises(pm.ModelError, match="^goodlambda: "):
             iq.goodlambda_reports(stack, 700.0, None, 0.5)
@@ -909,7 +909,7 @@ def reference_bmo(pair, p, A):
     """The window profile at A and whether Chebyshev's chain holds there,
     every statistic recomputed per window and atom."""
     seq, tree = pair.seq, pair.tree
-    sums, path_probs = seq.partial_sums, tree.path_probs
+    sums, path_probs = seq.paths.partial_sums[0], tree.path_probs
     b_hat, d_hat, cheb_ok = 0.0, 0.0, True
     for k in range(seq.depth):
         for l in range(k + 1, seq.depth + 1):
@@ -1137,7 +1137,7 @@ def test_moment_phi_routes():
     assert iq.moment_phi(pair, phi, "g_norm") == pytest.approx(
         pm.g_terminal_moment(pair, 2.0), rel=1e-12
     )
-    f_star = pair.seq.f_star
+    f_star = pair.seq.paths.f_star[0]
     assert iq.moment_phi(pair, iq.power(1.0), "f_star") == pytest.approx(
         float(f_star @ pair.tree.path_probs), rel=1e-12
     )
@@ -1247,7 +1247,7 @@ def pair_verdicts(pair, k, p):
     """The holds of every pair check (and the Chebyshev certificate) on the
     pair scaled by 2^k; A and b are unit-free, the tail thresholds are read
     off the pair and scaled by 2^k."""
-    ts = [2.0 ** k * float(t) for t in np.quantile(pair.seq.d_star, [0.25, 0.5, 0.9])]
+    ts = [2.0 ** k * float(t) for t in np.quantile(pair.seq.paths.d_star[0], [0.25, 0.5, 0.9])]
     pair = scaled_pair(pair, k)
     A = calibrated_A(pair, p, 0.5)
     return ([rep.holds for rep in iq.check_tail_comparison(pair, ts)]

@@ -108,7 +108,7 @@ def test_ancestor_consistency():
 
 def test_unit_multiplier_moments():
     seq = unit_pw_seq(2)
-    vals = sorted(float(v) for v in seq.terminal[:, 0])
+    vals = sorted(float(v) for v in seq.paths.terminal[0][:, 0])
     assert vals == [-2.0, 0.0, 0.0, 2.0]
     assert seq.terminal_moment(2.0) == pytest.approx(2.0, abs=1e-15)
 
@@ -118,10 +118,10 @@ def test_partial_sums_and_running_max():
     mults = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])]
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(2), mults)
     # f_2 = (xi_1, xi_2) on every path
-    assert np.allclose(np.abs(seq.terminal), 1.0)
-    assert np.allclose(seq.partial_sums[:, 1, 0], [1, 1, -1, -1])
-    assert np.allclose(seq.f_star, math.sqrt(2.0))
-    assert np.allclose(seq.d_star, 1.0)
+    assert np.allclose(np.abs(seq.paths.terminal[0]), 1.0)
+    assert np.allclose(seq.paths.partial_sums[0][:, 1, 0], [1, 1, -1, -1])
+    assert np.allclose(seq.paths.f_star[0], math.sqrt(2.0))
+    assert np.allclose(seq.paths.d_star[0], 1.0)
 
 
 def test_from_multipliers_validation():
@@ -207,11 +207,13 @@ def test_oversized_tangency_trial_exits_2(monkeypatch, capsys):
     import decoupling_lab.cli as cli
 
     argv = ["verify", "--suite", "tangency", "--space", "l2:2", "--depth", "5",
-            "--trials", "1", "--seed", "0", "--workers", "1"]
+            "--trials", "1", "--seed", "2", "--workers", "1"]
     # the tree of trial 0, as the suite draws it
-    tree = pm.random_pair(stream(0, "verify", "tangency", 0), euclid(2), 5, False).tree
+    tree = pm.random_pair(stream(2, "verify", "tangency", 0), euclid(2), 5, False).tree
     walk = pm.require_joint_walk(tree)
     assert tree.path_count ** 2 > walk
+    # its increment tables fit under the walk, so the draw is admitted at both budgets
+    assert sum(tree.num_nodes(n) for n in range(1, tree.depth + 1)) * 2 < walk
     monkeypatch.setattr(pm, "JOINT_LIMIT", walk - 1)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -256,14 +258,14 @@ def test_a_tangency_trial_forms_its_head_groups_once(monkeypatch, capsys):
     import decoupling_lab.cli as cli
 
     calls = []
-    groups = pm._head_groups
-    monkeypatch.setattr(pm, "_head_groups",
-                        lambda tree, mode: calls.append(mode) or groups(tree, mode))
+    checked = pm._checked_heads
+    monkeypatch.setattr(pm, "_checked_heads",
+                        lambda tree, mode: calls.append(mode) or checked(tree, mode))
     argv = ["verify", "--suite", "tangency", "--space", "l2:2", "--depth", "3",
             "--trials", "6", "--seed", "0", "--workers", "1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # the six trials fill one window: one set of head groups per tree shape
+    # the six trials fill one window: one set of checked heads per tree shape
     trials = [pm.random_pair(stream(0, "verify", "tangency", i), euclid(2), max_depth=3,
                              symmetric=bool(i % 2)) for i in range(6)]
     assert sum(table.size for pair in trials for table in pair.seq.tables) <= pm.BATCH_FLOATS
@@ -757,10 +759,22 @@ def ref_symmetry_gap(vectors, probs) -> float:
     return ref_law_gap(ref_merge_law(vectors, probs), ref_merge_law(-vectors, probs))
 
 
+def ref_head_groups(tree, mode) -> list[np.ndarray]:
+    """The checked heads, grouped by the rows e_rows gives them at every
+    level and omega~ node: one law of (e_1..e_N) given F_inf per group."""
+    groups = {}
+    for head in pm._checked_heads(tree, mode):
+        rows = [np.broadcast_to(pm.e_rows(tree, mode, np.array([head]), n),
+                                (1, tree.num_nodes(n - 1))).tobytes()
+                for n in range(1, tree.depth + 1)]
+        groups.setdefault(tuple(rows), []).append(head)
+    return [np.array(members) for members in groups.values()]
+
+
 def ref_tangency_gap(pair) -> float:
     seq, tree = pair.seq, pair.tree
     worst = 0.0
-    for members in pm._head_groups(tree, pair.mode):
+    for members in ref_head_groups(tree, pair.mode):
         for n in range(1, tree.depth + 1):
             e_law = ref_merge_law(pm._e_values(seq, pair.mode, members[0], n), tree.node_probs(n))
             for u in np.unique(tree.ancestor(members, tree.depth - 1, n - 1)):
@@ -772,7 +786,7 @@ def ref_tangency_gap(pair) -> float:
 def ref_factorization_gap(pair) -> float:
     seq, tree = pair.seq, pair.tree
     worst = 0.0
-    for members in pm._head_groups(tree, pair.mode):
+    for members in ref_head_groups(tree, pair.mode):
         level_ids, level_masses = [], []
         for n in range(1, tree.depth + 1):
             values = pm._e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)]
@@ -893,6 +907,8 @@ def test_verifier_gaps_match_the_dict_reference(mode):
     pairs += [late_rows_pair(mode)] + [odd_atoms_pair(case, mode) for case in range(12)]
     pairs += [same_rows_pair(case, mode) for case in range(12)]
     for pair in pairs:
+        # no checked head in decoupled mode; one group of them in copy mode
+        assert len(ref_head_groups(pair.tree, mode)) == (mode == "copy" and pair.tree.depth > 1)
         np.testing.assert_array_equal(pm.verify_tangency(pair).gap, ref_tangency_gap(pair))
         np.testing.assert_array_equal(pm.verify_conditional_independence(pair).gap,
                                       ref_factorization_gap(pair))
@@ -944,7 +960,7 @@ def wilson_interval(count, n, z=5.0):
 def exact_norm_laws(pair):
     """(values, masses) of ||f_N|| (path masses) and of ||g_N|| (joint engine weights)."""
     blocks = list(joint_blocks(pair, ("g_norm",)))
-    return ((pair.space.norms(pair.seq.terminal), pair.tree.path_probs),
+    return ((pair.space.norms(pair.seq.paths.terminal[0]), pair.tree.path_probs),
             (np.concatenate([stats["g_norm"].ravel() for _, stats in blocks]),
              np.concatenate([weights.ravel() for weights, _ in blocks])))
 
@@ -1069,7 +1085,7 @@ def test_sequence_spec_round_trip_inexact():
     mults = [np.full((tree.num_nodes(n - 1), 1), float(n)) for n in (1, 2)]
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(1), mults)
     back = pm.sequence_from_spec(pm.sequence_spec(seq))
-    assert np.allclose(back.terminal, seq.terminal)
+    assert np.allclose(back.paths.terminal[0], seq.paths.terminal[0])
 
 
 # ---------------------------------------------------------------------------

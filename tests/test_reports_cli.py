@@ -219,6 +219,22 @@ def test_verify_without_a_finite_side_exits_2(suite, inequality, capsys):
                    "so the check has no verdict\n")
 
 
+def test_a_refused_draw_comes_after_the_errors_of_earlier_trials(monkeypatch, capsys):
+    import decoupling_lab.probmodel as pm
+
+    # trial 2's increment tables (270 floats) are refused as it is drawn,
+    # trials 0 and 1 (18 and 52 floats) are admitted; on lp:1e300:2 trial 0
+    # has no verdict, and the lowest failing index is the one reported
+    monkeypatch.setattr(pm, "JOINT_LIMIT", 100)
+    argv = ["verify", "--suite", "davis", "--depth", "5", "--trials", "3", "--workers", "1"]
+    assert cli.main([*argv, "--space", "l2:2"]) == 2
+    assert capsys.readouterr() == ("", "decoupling-lab: increment tables need 270 floats, "
+                                       "over budget 100\n")
+    assert cli.main([*argv, "--space", "lp:1e300:2"]) == 2
+    assert capsys.readouterr() == ("", "decoupling-lab: davis-large-part-pathwise: a side is "
+                                       "not finite, so the check has no verdict\n")
+
+
 @pytest.mark.parametrize("suite, inequality", [("levy", "levy-max-sum"),
                                                ("contraction", "contraction-01"),
                                                ("tail", "tail-e-by-d"),
@@ -226,11 +242,12 @@ def test_verify_without_a_finite_side_exits_2(suite, inequality, capsys):
 def test_verify_without_a_finite_threshold_exits_2(suite, inequality, capsys):
     # the thresholds are quantiles of overflowing norms: both sides are finite
     # probabilities, but t is not, so the report names the check and t;
-    # goodlambda's threshold A is calibrated from window moments that overflow
+    # goodlambda's threshold A is calibrated from window moments that overflow,
+    # so the report names the check, p and the space
     assert cli.main(["verify", "--space", "lp:1e300:2", "--suite", suite, "--trials", "3",
                      "--workers", "1"]) == 2
     out, err = capsys.readouterr()
-    why = ("the calibrated threshold A = d_hat b^(-1/p) overflows at p=2 (b=0.5)"
+    why = ("the window moment ratio d_hat is not finite at p=2 on lp:1e+300:2"
            if suite == "goodlambda"
            else "parameter t=nan is not finite, so the check has no verdict")
     assert out == ""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import decoupling_lab.constants as ct
+import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
 from decoupling_lab.spaces import parse_space
@@ -54,13 +55,25 @@ def test_batched_ratios_are_bit_identical(family, text):
 
 @pytest.mark.parametrize("text", SPACES)
 def test_terminal_moment_matches_path_sums(text):
-    # f_N grows node by node; the per-path partial sums give the same bits
+    # f_N grows node by node (PathStack.terminal); the per-path partial sums
+    # give the same bits, for a stack of several models as for each alone
     space = parse_space(text)
     for tree in (pm.paley_walsh(4), pm.symmetric_three_point(3)):
-        seq = pm.random_multiplier_sequence(stream(1, "f-side", text), tree, space)
+        seqs = [pm.random_multiplier_sequence(stream(i, "f-side", text), tree, space)
+                for i in (1, 2, 3)]
+        tables = [np.stack(level) for level in zip(*(seq.tables for seq in seqs))]
+        stack = pm.PathStack(tree, space, tables)
+        np.testing.assert_array_equal(stack.terminal, stack.partial_sums[:, :, -1])
         for p in PS:
-            want = float(tree.path_probs @ space.norms(seq.partial_sums[:, -1]) ** p)
-            assert seq.terminal_moment(p) == want
+            want = [float(tree.path_probs @ space.norms(seq.paths.partial_sums[0][:, -1]) ** p)
+                    for seq in seqs]
+            assert [seq.terminal_moment(p) for seq in seqs] == want
+            assert pm.terminal_moments(tree, space, tables, p) == want
+    # product models: each level a broadcast view over its parents
+    models = [iq.random_product_model(stream(i, "f-side-product", text), space, levels=3)
+              for i in range(3)]
+    stack = iq.ProductStack(models)
+    np.testing.assert_array_equal(stack.terminal, stack.partial_sums[:, :, -1])
 
 
 @pytest.mark.parametrize("text", ("l2:3", "lp:0.5:3"))
