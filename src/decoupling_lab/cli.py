@@ -6,7 +6,9 @@ from (seed, label, index) and results are merged in input order.  Exit
 codes: 0 clean, 1 when an exact-mode check reports holds=false, 2 for
 configuration errors and refusals, one stderr line each.  Only main silences
 numpy's float warnings (its pool workers inherit that); the checks refuse
-what is not finite.
+what is not finite.  A run with more than one worker loads numpy with
+OMP_NUM_THREADS=1 unless it is set: BLAS threads in every pool process
+oversubscribe the cores (bdg's Monte Carlo gamma norms are BLAS products).
 
 Every verify suite runs through one route, _verify_one: a suite gives only
 its draw, its shape key, its float counts and its reports (_reports), and
@@ -303,7 +305,8 @@ def _cmd_bdg(args) -> int:
     driver_dim = space.dim if args.driver_dim is None else args.driver_dim
     driver = st.BrownianDriver(dim=driver_dim, horizon=args.horizon, steps=args.steps)
     _admit_bdg(args, space, driver)
-    rows = st.bdg_sweep(space, args.p, args.family, driver, args.samples, seed=seed)
+    rows = st.bdg_sweep(space, args.p, args.family, driver, args.samples, seed=seed,
+                        workers=args.workers)
     config = {
         "command": "bdg", "space": args.space, "p": args.p, "family": args.family,
         "steps": args.steps, "horizon": args.horizon,
@@ -479,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
             _require_writable(args.out)
         if args.command == "bounds":  # runs without numpy
             return args.fn(args)
+        if args.workers > 1:  # pool processes share the cores: one BLAS thread each
+            os.environ.setdefault("OMP_NUM_THREADS", "1")
         import numpy as np
         with np.errstate(all="ignore"):
             return args.fn(args)

@@ -33,12 +33,10 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from . import rng
-from .spaces import Space, format_space, parse_space
+from .spaces import JOINT_LIMIT, ModelError, Space, format_space, parse_space
 
 # Largest mass gap at which two finite laws count as equal.
 LAW_TOL = 1e-12
-# Hard ceiling: joint outcomes, partial-sum, window-peak, table and bdg result floats.
-JOINT_LIMIT = 10_000_000
 # One block of an exact enumerator: g_N, sign-sum and norm-block floats.
 BLOCK_FLOATS = 2_000_000
 # Several models on one tree held at once: search joint and verify window table floats.
@@ -48,10 +46,6 @@ BATCH_FLOATS = 65_536
 class EnumerationError(RuntimeError, ValueError):
     """Exact enumeration would exceed JOINT_LIMIT outcomes.  A ValueError too:
     the limit refuses a configuration, which the CLI reports with exit 2."""
-
-
-class ModelError(ValueError):
-    pass
 
 
 def atom_ids(vectors) -> np.ndarray:

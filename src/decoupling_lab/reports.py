@@ -7,7 +7,6 @@ keys, no whitespace, NaN forbidden, numpy types coerced to plain Python.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
@@ -93,6 +92,8 @@ def encode_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
     canonical JSON list (no brackets) or CSV lines of ``columns`` (no header).
     Batches of one report join with "," (JSON) or nothing (CSV)."""
     if fmt == "csv":
+        import csv  # only --format csv writes CSV
+
         buffer = io.StringIO()
         csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore").writerows(rows)
         return buffer.getvalue()
@@ -108,6 +109,8 @@ def write_report(handle, report: dict, chunks, fmt: str, columns: list[str]):
     files with newline="".
     """
     if fmt == "csv":
+        import csv
+
         csv.DictWriter(handle, fieldnames=columns).writeheader()
         for chunk in chunks:
             handle.write(chunk)

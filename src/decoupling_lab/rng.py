@@ -28,14 +28,15 @@ def stream(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *labels)))
 
 
-def chunk_streams(seed: int, purpose: str, count: int):
-    """Yield (start, stop, generator) triples covering range(count).
+def chunk_streams(seed: int, purpose: str, count: int, first: int = 0):
+    """Yield (start, stop, generator) triples covering range(first, count),
+    ``first`` a multiple of CHUNK.
 
     Replica indices [start, stop) are served by one stream keyed on the chunk
     index, so a consumer needing replicas [a, b) regenerates exactly the same
     values regardless of how work is split across processes.
     """
-    for chunk_index in range(0, (count + CHUNK - 1) // CHUNK):
+    for chunk_index in range(first // CHUNK, (count + CHUNK - 1) // CHUNK):
         start = chunk_index * CHUNK
         stop = min(start + CHUNK, count)
         yield start, stop, stream(seed, purpose, chunk_index)

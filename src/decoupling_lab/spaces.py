@@ -25,10 +25,16 @@ import numpy as np
 # numpy adds a contiguous axis shorter than this left to right, one element
 # after the other, and longer ones pairwise (tests/test_spaces.py checks it).
 _FOLD_DIM = 8
+# Hard ceiling: joint outcomes, partial-sum, window-peak, table and bdg result floats.
+JOINT_LIMIT = 10_000_000
 
 
 class SpaceError(ValueError):
     pass
+
+
+class ModelError(ValueError):
+    """A model, process or run the lab cannot evaluate as configured."""
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,22 @@
 Everything is exact on the driver's grid: step processes align to grid
 points, so the integral is a finite sum and the only randomness is the
 driver's.  Paths are simulated in chunks of rng.CHUNK, each with its own
-counter-based stream, which makes results independent of chunking and
-worker count.  A chunk is worked through in blocks of paths (block_paths),
-drawn one after another from its stream.  A block holds its increments
-(paths, steps, driver_dim) and coefficients (paths, intervals, rank, x_dim),
-then the coefficients and their gamma layout: at most BLOCK_FLOATS floats
-either way.  The integral is one running (paths, x_dim) sum whose norm is
+counter-based streams, which makes results independent of chunking and
+worker count: bdg_sweep simulates one chunk per task of reports.pmap, so its
+chunks spread over its workers.  A chunk is worked through in blocks of
+paths (block_paths), drawn one after another from its stream.  A block
+holds its increments (paths, steps, driver_dim) and coefficients (paths,
+intervals, rank, x_dim), then the coefficients and their gamma layout: at
+most BLOCK_FLOATS floats either way.  The integral is one running (paths, x_dim) sum whose norm is
 folded into a running sup after every step; the Monte Carlo gamma norm
 works in blocks of inner draws of at most BLOCK_FLOATS floats, drawn once
 per chunk.  So memory grows with neither the path count nor the grid or
 dimensions: three floats per path are kept (sup, terminal and gamma norm),
 and a run whose results exceed JOINT_LIMIT floats, or one of whose paths
-does not fit a block, is refused before anything is drawn.
+does not fit a block, is refused before anything is drawn.  bdg_sweep's
+chunks return their own three arrays each, joined one statistic at a time:
+a statistic's chunk parts are freed once it is joined, so the join holds
+one float per path beyond the parts.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .probmodel import JOINT_LIMIT, ModelError
+from .reports import pmap
 from .rng import CHUNK, chunk_streams, stream
-from .spaces import Space, format_space
+from .spaces import JOINT_LIMIT, ModelError, Space, format_space
 
 GAMMA_INNER = 1024
 # Counts path-block floats (increments and coefficients, or coefficients and
@@ -68,13 +72,16 @@ class BrownianDriver:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def increment_chunks(self, count: int, seed: int, label: str = "driver", block: int = CHUNK):
+    def increment_chunks(
+        self, count: int, seed: int, label: str = "driver", block: int = CHUNK, first: int = 0
+    ):
         """Yield (start, stop, dW) with dW ~ Normal(0, dt), shape (c, steps, dim),
-        in blocks of at most ``block`` paths.  A chunk's blocks are drawn one
-        after another from its stream, which fills in C order, so they hold
-        exactly the values of one draw of the whole chunk."""
+        for paths range(first, count), ``first`` a multiple of CHUNK, in blocks
+        of at most ``block`` paths.  A chunk's blocks are drawn one after
+        another from its stream, which fills in C order, so they hold exactly
+        the values of one draw of the whole chunk."""
         scale = math.sqrt(self.dt)
-        for start, stop, gen in chunk_streams(seed, label, count):
+        for start, stop, gen in chunk_streams(seed, label, count, first):
             for low in range(start, stop, block):
                 high = min(low + block, stop)
                 yield low, high, gen.normal(0.0, scale, size=(high - low, self.steps, self.dim))
@@ -278,27 +285,49 @@ class PathStats:
 
 
 def simulate(
-    proc: StepProcess, driver: BrownianDriver, space: Space, paths: int, seed: int = 0
+    proc: StepProcess, driver: BrownianDriver, space: Space, paths: int, seed: int = 0,
+    first: int = 0,
 ) -> PathStats:
     """Simulation in blocks of paths (block_paths) collecting sup, terminal
-    and gamma norms per path.  A chunk's blocks share its inner draws."""
+    and gamma norms per path, for the ``paths`` paths from path ``first`` on
+    (a multiple of CHUNK).  A chunk's blocks share its inner draws."""
     if space.dim != proc.x_dim:
         raise ModelError("space dimension does not match the process")
     block = block_paths(proc, driver, space, paths)
     stats = PathStats(np.empty(paths), np.empty(paths), np.empty(paths))
     exact = is_hilbert_like(space)
-    for start, stop, dW in driver.increment_chunks(paths, seed, block=block):
+    for start, stop, dW in driver.increment_chunks(first + paths, seed, block=block, first=first):
         coefs = proc.coefficients(dW)
-        stats.sup[start:stop], stats.terminal[start:stop] = integrate(
-            proc, driver, dW, coefs, space
-        )
+        span = slice(start - first, stop - first)
+        stats.sup[span], stats.terminal[span] = integrate(proc, driver, dW, coefs, space)
         del dW  # the gamma norm reads only the coefficients
         chunk = start - start % CHUNK
-        stats.gamma[start:stop] = gamma_norm(
+        stats.gamma[span] = gamma_norm(
             proc, driver, coefs, space, inner=GAMMA_INNER, seed=(seed << 20) + chunk, exact=exact
         )
         del coefs  # before the next block is drawn
     return stats
+
+
+def _sweep_chunk(task: tuple) -> PathStats:
+    """One chunk of bdg_sweep: the task (family, space, driver, paths, seed,
+    first) simulates the chunk of ``paths`` that starts at path ``first``.
+    Module-level so that it pickles; the family is rebuilt from its name
+    because a StepProcess holds a closure."""
+    family, space, driver, paths, seed, first = task
+    proc = make_family(family, space, driver)
+    # by position: perfbench/tracing.py binds simulate's arguments by position
+    return simulate(proc, driver, space, min(CHUNK, paths - first), seed, first)
+
+
+def _join(parts: list) -> PathStats:
+    """The chunks' PathStats, in chunk order, as one.  Joined one statistic
+    at a time: a statistic's chunk parts are freed once it is joined, so no
+    more than one float per path is held beyond the parts.  Empties
+    ``parts``."""
+    columns = [[getattr(part, name) for part in parts] for name in ("sup", "terminal", "gamma")]
+    parts.clear()
+    return PathStats(*(np.concatenate(columns.pop(0)) for _ in range(3)))
 
 
 def _moment(values: np.ndarray, p: float) -> tuple[float, float]:
@@ -316,11 +345,17 @@ def bdg_sweep(
     driver: BrownianDriver,
     paths: int,
     seed: int = 0,
+    workers: int = 1,
 ) -> list[dict]:
     """Estimate kappa_p = (E sup^p / E gamma^p)^(1/p) for one process family
-    at each p, every row from the same simulated paths.  A moment that is not
-    finite (norms that overflow on the space) is a ModelError naming the space."""
-    stats = simulate(make_family(family, space, driver), driver, space, paths, seed=seed)
+    at each p, every row from the same simulated paths: one ``simulate``
+    call per chunk, over at most ``workers`` processes, joined into the paths
+    of one call for all of them whatever ``workers`` is.  A moment that is
+    not finite (norms that overflow on the space) is a ModelError naming the
+    space."""
+    block_paths(make_family(family, space, driver), driver, space, paths)  # refuse before any task
+    tasks = [(family, space, driver, paths, seed, first) for first in range(0, paths, CHUNK)]
+    stats = _join(pmap(_sweep_chunk, tasks, workers=workers))
     rows = []
     for p in ps:
         row = {"family": family, "p": p, "paths": paths, "seed": seed, "status": "ok"}

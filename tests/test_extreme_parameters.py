@@ -149,6 +149,9 @@ def test_spawned_pool_workers_silence_float_warnings_too(argv):
                "--workers", "1"])
 @example(argv=["verify", "--suite", "tail", "--space", "l2:4", "--depth", "22", "--trials", "20",
                "--workers", "1"])
+# two chunks over two workers, whose norms overflow
+@example(argv=["bdg", "--space", "lp:1e300:2", "--p", "2", "--samples", "4100", "--steps", "4",
+               "--workers", "2"])
 def test_a_child_run_ends_in_a_report_or_one_refusal_line(argv):
     run = subprocess.run([sys.executable, "-m", "decoupling_lab.cli", *argv, "--seed", "0"],
                          env=_child_env(), capture_output=True, text=True,

@@ -129,7 +129,7 @@ IMPORT_SETS = {
     "atlas": (["atlas", "--spaces", "l2:2", "--ps", "2", "--depth", "2", "--trials", "4",
                "--restarts", "1"], ["constants", "probmodel", "rng", "spaces"]),
     "bdg": (["bdg", "--space", "l2:2", "--p", "2", "--samples", "64", "--steps", "4"],
-            ["probmodel", "rng", "spaces", "stochint"]),
+            ["rng", "spaces", "stochint"]),
     "verify": (["verify", "--suite", "all", "--depth", "2", "--trials", "2"],
                ["inequalities", "probmodel", "rng", "spaces"]),
     # of the pair suites, only extrapolation evaluates a closed form

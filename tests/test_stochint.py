@@ -526,7 +526,8 @@ def test_bdg_sweep_orders_results():
 
 
 def test_bdg_sweep_simulates_once(monkeypatch):
-    # four exponents over two chunks: one simulation, coefficients once per chunk
+    # four exponents over two chunks: one simulation per chunk, coefficients
+    # once per chunk
     calls = {"simulate": 0, "coefficients": 0}
     simulate, coefficients = st.simulate, st.StepProcess.coefficients
 
@@ -543,7 +544,80 @@ def test_bdg_sweep_simulates_once(monkeypatch):
     drv = st.BrownianDriver(2, steps=8)
     rows = st.bdg_sweep(euclid(2), [1.0, 2.0, 4.0, 8.0], "adapted-sign", drv, 4100, seed=0)
     assert len(rows) == 4
-    assert calls == {"simulate": 1, "coefficients": 2}
+    assert calls == {"simulate": 2, "coefficients": 2}
+
+
+def test_bdg_sweep_gives_the_moments_of_simulate():
+    # one chunk per task: the joined chunks are simulate's paths, bit for bit
+    drv = st.BrownianDriver(2, steps=8)
+    proc = st.make_family("adapted-sign", sup_norm(2), drv)
+    stats = st.simulate(proc, drv, sup_norm(2), 4100, seed=3)
+    row = st.bdg_sweep(sup_norm(2), [3.0], "adapted-sign", drv, 4100, seed=3)[0]
+    for name in ("sup", "terminal", "gamma"):
+        assert (row[f"{name}_moment"], row[f"{name}_se"]) == st._moment(getattr(stats, name), 3.0)
+
+
+@pytest.mark.parametrize("text", ["linf:4", "lp:0.5:3", "nested:1x2,3x2", "l2:4"])
+def test_bdg_report_does_not_depend_on_the_worker_count(text):
+    # 4100 paths are two chunks, one per worker at --workers 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outs = []
+    for workers in ("1", "2"):
+        argv = [sys.executable, "-m", "decoupling_lab.cli", "bdg", "--space", text,
+                "--p", "1", "2", "--samples", "4100", "--steps", "4", "--seed", "0",
+                "--workers", workers]
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1] and outs[0].startswith(b"{")
+
+
+def test_a_pool_run_loads_numpy_with_one_blas_thread():
+    # BLAS threads in every pool process oversubscribe the cores: at --workers
+    # 2 on two cores the Monte Carlo route ran slower than at --workers 1
+    code = ("import contextlib, io, os, sys; from decoupling_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['bdg', '--space', 'l2:2', '--samples', '64', '--steps', '4',"
+            " '--seed', '0', '--workers', sys.argv[1]])\n"
+            "print(os.environ.get('OMP_NUM_THREADS'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "OMP_NUM_THREADS"}
+    seen = []
+    for workers, preset in (("1", {}), ("2", {}), ("2", {"OMP_NUM_THREADS": "3"})):
+        seen.append(subprocess.run([sys.executable, "-c", code, workers],
+                                   env=dict(env, PYTHONPATH=src, **preset),
+                                   capture_output=True, text=True, check=True,
+                                   timeout=120).stdout.split())
+    assert seen == [["None"], ["1"], ["3"]]
+
+
+@pytest.mark.parametrize("text", ["l2:4", "linf:4", "lp:3:4"])
+def test_bdg_sweep_memory_is_one_chunk_and_four_floats_per_path(text):
+    # the bound of test_simulate_memory_is_one_chunk_of_increments_and_coefficients
+    # for one chunk, plus the three norms of every path kept across the chunks
+    # and the one statistic being joined
+    space, paths = parse_space(text), 3 * CHUNK
+    exact = st.is_hilbert_like(space)
+    for steps in (16, 128):
+        drv = st.BrownianDriver(space.dim, steps=steps)
+        proc = st.make_family("adapted-sign", space, drv)
+        st.bdg_sweep(space, [1.0], "adapted-sign", drv, 64)  # first-use allocations
+        dW_bytes = 8 * CHUNK * steps * drv.dim
+        coef_bytes = 8 * CHUNK * proc.intervals * proc.rank * space.dim
+        gamma_bytes = coef_bytes + (0 if exact else 8 * st.BLOCK_FLOATS)
+        work = 8 * 8 * CHUNK * space.dim
+        peak = _traced_peak(st.bdg_sweep, space, [1.0, 2.0], "adapted-sign", drv, paths)
+        bound = coef_bytes + max(dW_bytes, gamma_bytes) + work + 256 * 1024
+        assert peak <= bound + 4 * 8 * paths, steps
+
+
+def test_limits_and_model_errors_are_one_object():
+    import decoupling_lab.inequalities as iq
+    import decoupling_lab.probmodel as pm
+    import decoupling_lab.spaces as sp
+
+    assert pm.JOINT_LIMIT is st.JOINT_LIMIT is iq.JOINT_LIMIT is sp.JOINT_LIMIT
+    assert pm.ModelError is st.ModelError is iq.ModelError is sp.ModelError
 
 
 def test_bdg_sweep_rows_match_single_exponent():
