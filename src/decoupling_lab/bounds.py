@@ -1,11 +1,11 @@
-"""Closed-form bounds, and the names the command line offers.
+"""Closed-form bounds.
 
 The formula half of the lab: closed-form upper and lower bounds, evaluated
 in stdlib decimal at 50 significant digits, and reported with their validity
-predicates.  It also holds the direction and family names of the estimation
-half (constants), which the argument parser reads.  Nothing here imports
-numpy, and decimal is loaded only when a constant is evaluated, so
-``bounds`` and ``--help`` start without either.
+predicates.  The formula names and the parameters each takes are in names,
+which the argument parser reads without loading this module.  Nothing here
+imports numpy, and decimal is loaded only when a constant is evaluated, so
+``bounds`` starts without either.
 """
 
 from __future__ import annotations
@@ -15,19 +15,7 @@ import math
 import sys
 from typing import NamedTuple
 
-DIRECTIONS = (
-    "decouple-upper",
-    "decouple-lower",
-    "randomized-plus",
-    "randomized-minus",
-)
-
-# search family -> (multiplier alphabet, tree kind)
-FAMILIES = {
-    "paley-walsh-multipliers": ((1.0, -1.0, 2.0, -2.0, 4.0, -4.0), "paley-walsh"),
-    "gaussian-multipliers": ((1.0, -1.0, 2.0, -2.0, 4.0, -4.0), "three-point"),
-    "supnorm-signs": ((1.0, -1.0), "paley-walsh"),
-}
+from .names import FORMULA_PARAMS
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +153,11 @@ class BoundReport(NamedTuple):
 FORMULAS: dict = {}
 
 
-def _formula(name: str, *params: str):
-    """Register a formula in FORMULAS.  A call whose report holds a float
-    that is not finite (the value or a parameter), or that overflows or
-    divides by zero on the way, raises ValueError naming the formula."""
+def _formula(name: str):
+    """Register a formula in FORMULAS, with the parameters names gives it.  A
+    call whose report holds a float that is not finite (the value or a
+    parameter), or that overflows or divides by zero on the way, raises
+    ValueError naming the formula."""
     def register(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
@@ -184,12 +173,12 @@ def _formula(name: str, *params: str):
                 raise ValueError(f"formula {name} is positive but below the smallest float "
                                  f"at these parameters")
             return report
-        FORMULAS[name] = (checked, params)
+        FORMULAS[name] = (checked, FORMULA_PARAMS[name])
         return checked
     return register
 
 
-@_formula("extrap-c", "p", "q", "A", "b", "r")
+@_formula("extrap-c")
 def extrapolation_constant(p: float, q: float, A: float, b: float, r: float = 1.0) -> BoundReport:
     """Constant in the tail-extrapolation estimate E Phi(f*) <= C E Phi(||g||).
 
@@ -231,7 +220,7 @@ def extrapolation_constant(p: float, q: float, A: float, b: float, r: float = 1.
     )
 
 
-@_formula("phi-growth", "p", "q", "d_const")
+@_formula("phi-growth")
 def phi_moment_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport:
     """Growth-q moment bound from a p-th moment bound with constant d_const:
     K <= e^q 2^(3q/p + p + 7q + 7) (q/p)^q d_const^q."""
@@ -250,7 +239,7 @@ def phi_moment_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport
     )
 
 
-@_formula("exponent-shift", "p", "q", "d_const")
+@_formula("exponent-shift")
 def exponent_shift_constant(p: float, q: float, d_const: float = 1.0) -> BoundReport:
     """Exponent upgrade for the decoupling constant itself:
     D_q <= e 2^(3/p + p/q + 7 + 7/q) (q/p) D_p."""
@@ -269,7 +258,7 @@ def exponent_shift_constant(p: float, q: float, d_const: float = 1.0) -> BoundRe
     )
 
 
-@_formula("hilbert-phi", "q", "d_const")
+@_formula("hilbert-phi")
 def hilbert_phi_constant(q: float, d_const: float = 1.0) -> BoundReport:
     """Growth-q moment bound in inner-product spaces: e^q 2^(11 + 8q) d_const^q."""
     if q <= 0:
@@ -283,7 +272,7 @@ def hilbert_phi_constant(q: float, d_const: float = 1.0) -> BoundReport:
     )
 
 
-@_formula("supnorm-upper", "p", "d", "scalar_const")
+@_formula("supnorm-upper")
 def sup_norm_upper_bound(p: float, d: int, scalar_const: float = 1.0) -> BoundReport:
     """In sup-norm coordinates the constant is at most twice the scalar one,
     provided the dimension is small relative to the exponent: 2^p >= d."""
@@ -303,7 +292,7 @@ def sup_norm_upper_bound(p: float, d: int, scalar_const: float = 1.0) -> BoundRe
     )
 
 
-@_formula("logdim-lower", "p", "d")
+@_formula("logdim-lower")
 def log_dim_lower_bound(p: float, d: int) -> BoundReport:
     """Dimension-growth lower bound in sup-norm coordinates:
     at least (1/4) K_p^-1 sqrt(log2 d), with K_p = max(1, sqrt(p - 1))."""

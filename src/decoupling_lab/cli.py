@@ -10,17 +10,13 @@ what is not finite.  A run with more than one worker loads numpy with
 OMP_NUM_THREADS=1 unless it is set: BLAS threads in every pool process
 oversubscribe the cores (bdg's Monte Carlo gamma norms are BLAS products).
 
-Every verify suite runs through one route, _verify_one: a suite gives only
-its draw, its shape key, its float counts and its reports (_reports), and
-_verify_one windows, groups, stacks and encodes its trials.  A refusal gives
-the error of the first trial, in index order, that fails alone.
-
-At module level this imports only the stdlib, reports and bounds, so
-``--help`` and ``bounds`` start without numpy.  Each handler and pool entry
-point imports what it runs inside the function, and never binds it to a
-module global: perfbench's tracer patches module attributes while it is
-installed and restores them after, and a global bound in between would keep
-the patched function.
+At module level this imports only the stdlib and names (the parser's
+choices), so ``--help`` compiles no other module of the package.  Each
+handler, pool entry point and writer imports what it runs inside the
+function (reports among them), and never binds it to a module global:
+perfbench's tracer patches module attributes while it is installed and
+restores them after, and a global bound in between would keep the patched
+function.
 """
 
 from __future__ import annotations
@@ -31,17 +27,12 @@ import math
 import os
 import sys
 
-from . import reports as rp
-from .bounds import DIRECTIONS, FAMILIES, FORMULAS
+from .names import DIRECTIONS, FAMILIES, FORMULA_PARAMS
 
 VERIFY_SUITES = (
     "tangency", "levy", "contraction", "symsum", "revkol",
     "tail", "goodlambda", "davis", "extrapolation", "all",
 )
-# suites on random product models, which need at least two levels
-PRODUCT_SUITES = ("levy", "contraction", "revkol")
-# suites whose trials are checked on stacked product models
-STACKED_SUITES = PRODUCT_SUITES + ("symsum",)
 VERIFY_COLUMNS = ["inequality", "model", "holds", "lhs", "rhs", "margin", "method", "status"]
 SEARCH_COLUMNS = ["space", "p", "direction", "ratio", "method", "samples", "seed", "witness_hash"]
 
@@ -80,149 +71,21 @@ def _positive_floats(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# verify suite workers (module-level so they pickle for process pools)
+# verify
 
 
 def _verify_one(task: tuple) -> tuple[list[str], bool]:
-    """One range of a suite's trials: each trial's rows encoded, in index
-    order, and whether some row has holds=false.
+    """One range of a suite's trials, encoded (inequalities.verify_trials): the
+    pool's entry point, module-level so that it pickles."""
+    from .inequalities import verify_trials
 
-    Each trial draws from its own stream.  Consecutive trials are taken in
-    windows whose tables (a product model's partial sums, a pair's increment
-    tables) hold at most BATCH_FLOATS floats together (_windows).  A window's
-    trials are grouped by tree shape, each group is split again to at most
-    BATCH_FLOATS floats at its check's peak, and each split is checked on one
-    stack (_reports); a trial's rows are encoded as its stack is done.  When
-    a window raises, its trials are checked again one at a time in index
-    order, so the first that fails alone raises its error.
-    """
-    from . import probmodel as pm
-    from .rng import stream
-    from .spaces import parse_space
-
-    suite, space_text, p, depth, start, stop, seed, fmt = task
-    space = parse_space(space_text)
-    product = suite in STACKED_SUITES
-
-    def draw(index: int) -> tuple:
-        gen = stream(seed, "verify", suite, index)
-        if product:
-            return index, *_product_draws(suite, space, depth, gen)
-        return index, pm.random_pair(gen, space, max_depth=depth,
-                                     symmetric=suite != "tangency" or bool(index % 2))
-
-    def shape(trial) -> tuple:
-        return trial[1].shape if product else trial[1].tree.sizes
-
-    def floats(trial) -> int:
-        return trial[1].floats if product else sum(t.size for t in trial[1].seq.tables)
-
-    def peak(trial) -> int:
-        if product or suite == "tangency":
-            return floats(trial)
-        return pm.pair_floats(shape(trial), space)
-
-    chunks, failed = [], False
-    for window in _windows(map(draw, range(start, stop)), floats):
-        groups: dict[tuple, list] = {}
-        for trial in window:
-            groups.setdefault(shape(trial), []).append(trial)
-        encoded = {}
-        try:
-            for group in groups.values():
-                for trials in _windows(group, peak):
-                    for (index, *_), rows in zip(trials, _reports(suite, p, trials)):
-                        rows = [{**row, "model": index} for row in rows]
-                        encoded[index] = rp.encode_rows(rows, fmt, VERIFY_COLUMNS)
-                        failed = failed or any(row["holds"] is False for row in rows)
-        except ValueError:
-            for trial in window:
-                _reports(suite, p, [trial])
-            raise
-        chunks += [encoded[index] for index, *_ in window]
-    return chunks, failed
-
-
-def _windows(trials, floats):
-    """Consecutive trials in windows whose floats total at most BATCH_FLOATS;
-    a trial over that runs alone.  A refused draw (ValueError) is raised
-    after the window of the trials drawn before it, so that an earlier
-    trial's error still comes first."""
-    from .probmodel import BATCH_FLOATS
-
-    window, total = [], 0
-    try:
-        for trial in trials:
-            if window and total + floats(trial) > BATCH_FLOATS:
-                yield window
-                window, total = [], 0
-            window.append(trial)
-            total += floats(trial)
-    except ValueError:
-        if window:
-            yield window
-        raise
-    if window:
-        yield window
-
-
-def _product_draws(suite: str, space, depth: int, gen) -> tuple:
-    """A product-suite trial's draws: its model, threshold factor and 0-1
-    multipliers (None where the suite takes none)."""
-    from . import inequalities as iq
-
-    if suite == "symsum":
-        laws = (iq.random_symmetric_law(gen, space.dim), iq.random_symmetric_law(gen, space.dim))
-        return iq.ProductModel(space, laws), None, None
-    model = iq.random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
-    factor = (0.5, 1.0, 1.5)[gen.integers(0, 3)]  # gen.choice's draw, without its front end
-    mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
-             if suite == "contraction" else None)
-    return model, factor, mults
-
-
-def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
-    """Each trial's rows, less its index, for trials of one shape checked
-    together: a product suite's (index, model, factor, multipliers) trials on
-    one ProductStack, tangency's (index, pair) trials on one set of checked
-    heads, and a pair suite's on one PairStack."""
-    from . import inequalities as iq
-    from . import probmodel as pm
-
-    indices, *draws = zip(*trials)
-    if suite == "tangency":
-        return [[{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
-                  "margin": -res.gap, "method": "exact", "detail": res.detail}
-                 for label, res in zip(("tangency", "conditional-independence"), results)]
-                for results in pm.verify_tangent_pair(draws[0])]
-    if suite == "symsum":
-        reports = iq.symsum_reports(iq.ProductStack(draws[0]), p)
-    elif suite in PRODUCT_SUITES:
-        models, factors, mults = draws
-        stack = iq.ProductStack(models)
-        ts = [(pm.quantiles(f_star, [0.7])[0] or 1.0) * factor
-              for f_star, factor in zip(stack.f_star, factors)]
-        if suite == "levy":
-            reports = iq.levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
-        elif suite == "contraction":
-            reports = iq.contraction_reports(stack, mults, ts)
-        else:
-            reports = iq.reverse_kolmogorov_reports(stack, ts, p)
-    else:
-        stack = pm.PairStack.of(draws[0])
-        if suite == "tail":
-            return [[report.as_dict() for report in reports] for reports in iq.tail_reports(
-                stack, [sorted(set(pm.quantiles(d_star, [0.25, 0.5, 0.9])))
-                        for d_star in stack.d_star])]
-        if suite == "goodlambda":
-            return [[report.as_dict() for report in reports]
-                    for reports in iq.goodlambda_reports(stack, p, None, b=0.5)]
-        reports = (iq.davis_reports(stack) if suite == "davis"
-                   else iq.extrapolation_reports(stack, p, q=2.0))
-    return [[report.as_dict()] for report in reports]
+    return verify_trials(*task, VERIFY_COLUMNS)
 
 
 def _cmd_verify(args) -> int:
+    from . import reports as rp
+    from .inequalities import PRODUCT_SUITES
+
     seed = _resolve_seed(args.seed)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     product_suites = [s for s in suites if s in PRODUCT_SUITES]
@@ -260,6 +123,8 @@ def _search(space_text, p, direction, family, budget, restarts, depth, seed):
 
 
 def _cmd_estimate(args) -> int:
+    from . import reports as rp
+
     seed = _resolve_seed(args.seed)
     est = _search(args.space, args.p, args.direction, args.family, args.trials, args.restarts,
                   args.depth, seed)
@@ -274,6 +139,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import reports as rp
+    from .bounds import FORMULAS
+
     seed = _resolve_seed(args.seed)
     fn, wanted = FORMULAS[args.formula]
     supplied = {
@@ -297,6 +165,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_bdg(args) -> int:
+    from . import reports as rp
     from . import stochint as st
     from .spaces import parse_space
 
@@ -322,12 +191,16 @@ def _cmd_bdg(args) -> int:
 
 def _admit_bdg(args, space, driver):
     """Refuse a bdg run over stochint's budgets before anything is drawn,
-    naming the flag at fault: --samples for the per-path results, else the
-    larger of one path's coefficients (--space) and increments (--steps or
+    naming the flag at fault: --steps when the families' intervals outnumber
+    the grid steps, --samples for the per-path results, else the larger of
+    one path's coefficients (--space) and increments (--steps or
     --driver-dim, whichever is larger)."""
     from . import stochint as st
 
-    proc = st.make_family(args.family, space, driver)
+    try:
+        proc = st.make_family(args.family, space, driver)
+    except st.ModelError as exc:
+        raise st.ModelError(f"--steps {driver.steps}: {exc}") from None
     try:
         st.block_paths(proc, driver, space, args.samples)
     except st.ModelError as exc:
@@ -350,6 +223,7 @@ def _atlas_cell(task: tuple) -> dict:
 
 
 def _cmd_atlas(args) -> int:
+    from . import reports as rp
     from .spaces import parse_space, split_spaces
 
     seed = _resolve_seed(args.seed)
@@ -389,6 +263,8 @@ def _require_writable(path: str):
 def _write(args, report: dict, chunks: list[str], columns: list[str]):
     """Write ``report`` with the rows that ``chunks`` encode (rp.encode_rows)
     as its results, once every row is encoded."""
+    from . import reports as rp
+
     try:
         out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -398,6 +274,8 @@ def _write(args, report: dict, chunks: list[str], columns: list[str]):
 
 
 def _write_rows(args, report: dict, rows: list[dict], columns: list[str]):
+    from . import reports as rp
+
     _write(args, report, [rp.encode_rows(rows, args.format, columns)], columns)
 
 
@@ -442,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=_cmd_estimate)
 
     b = subs.add_parser("bounds", help="evaluate closed-form constants")
-    b.add_argument("--formula", choices=sorted(FORMULAS), required=True)
+    b.add_argument("--formula", choices=sorted(FORMULA_PARAMS), required=True)
     b.add_argument("--p", type=float, default=None)
     b.add_argument("--q", type=float, default=None)
     b.add_argument("--A", type=float, default=None)

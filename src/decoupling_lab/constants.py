@@ -2,8 +2,8 @@
 
 Measures moment ratios on concrete finite models and searches small model
 families for worst cases; every estimate carries a replayable witness.  The
-closed-form half, and the direction and family names, are in bounds, which
-imports no numpy.
+closed-form half is in bounds; the direction and family names are in names,
+which the argument parser reads too.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DIRECTIONS, FAMILIES
+from .names import DIRECTIONS, FAMILIES
 from .probmodel import (
     BATCH_FLOATS,
     AdaptedSequence,

@@ -4,6 +4,11 @@ Every checker returns an :class:`IneqReport` rather than a bare bool so that
 callers (tests, the CLI, the atlas) can record the two sides, the margin and
 the method actually used.  Every check enumerates its finite model exactly,
 and every verdict is decided by one rule, :func:`_one_sided`.
+
+Every verify suite runs through one route, verify_trials: a suite gives only
+its draw, its shape key, its float counts and its reports (_reports), and
+verify_trials windows, groups, stacks and encodes its trials.  A refusal
+gives the error of the first trial, in index order, that fails alone.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import extrapolation_constant
 from .probmodel import (
+    BATCH_FLOATS,
     AdaptedSequence,
     EnumerationError,
     FiltrationTree,
@@ -30,10 +35,15 @@ from .probmodel import (
     TangentPair,
     davis_tables,
     distinct,
+    pair_floats,
     quantiles,
+    random_pair,
     symmetry_gaps,
+    verify_tangent_pair,
 )
-from .spaces import Space, format_space, lu_constants
+from .reports import encode_rows
+from .rng import stream
+from .spaces import Space, format_space, lu_constants, parse_space
 
 
 class PhiError(ValueError):
@@ -641,7 +651,10 @@ def phi_moments(stack: PairStack, phi: MomentFunctional, statistic: str) -> list
 
 @functools.lru_cache(maxsize=1024)
 def _extrapolation_value(p: float, q: float, A: float, b: float, r: float) -> float:
-    """extrapolation_constant(...).value, evaluated once per distinct arguments."""
+    """extrapolation_constant(...).value, evaluated once per distinct arguments.
+    bounds is loaded here: of the verify suites, only extrapolation reads it."""
+    from .bounds import extrapolation_constant
+
     return extrapolation_constant(p, q, A, b, r).value
 
 
@@ -734,3 +747,141 @@ def davis_reports(stack: PairStack) -> list[IneqReport]:
     # one pair of sides per path; the report gives the path of least margin
     return [_one_sided("davis-large-part-pathwise", {"r": r, "cap": cap}, lhs[i], rhs[i],
                        scaled=True) for i in range(len(lhs))]
+
+
+# ---------------------------------------------------------------------------
+# verify's trial route
+
+# suites on random product models, which need at least two levels
+PRODUCT_SUITES = ("levy", "contraction", "revkol")
+# suites whose trials are checked on stacked product models
+STACKED_SUITES = PRODUCT_SUITES + ("symsum",)
+
+
+def verify_trials(suite: str, space_text: str, p: float, depth: int, start: int, stop: int,
+                  seed: int, fmt: str, columns: list[str]) -> tuple[list[str], bool]:
+    """Trials start to stop of a verify suite: each trial's rows encoded in
+    ``fmt`` (reports.encode_rows), in index order, and whether some row has
+    holds=false.
+
+    Each trial draws from its own stream.  Consecutive trials are taken in
+    windows whose tables (a product model's partial sums, a pair's increment
+    tables) hold at most BATCH_FLOATS floats together (_windows).  A window's
+    trials are grouped by tree shape, each group is split again to at most
+    BATCH_FLOATS floats at its check's peak, and each split is checked on one
+    stack (_reports); a trial's rows are encoded as its stack is done.  When
+    a window raises, its trials are checked again one at a time in index
+    order, so the first that fails alone raises its error.
+    """
+    space = parse_space(space_text)
+    product = suite in STACKED_SUITES
+
+    def draw(index: int) -> tuple:
+        gen = stream(seed, "verify", suite, index)
+        if product:
+            return index, *_product_draws(suite, space, depth, gen)
+        return index, random_pair(gen, space, max_depth=depth,
+                                  symmetric=suite != "tangency" or bool(index % 2))
+
+    def shape(trial) -> tuple:
+        return trial[1].shape if product else trial[1].tree.sizes
+
+    def floats(trial) -> int:
+        return trial[1].floats if product else sum(t.size for t in trial[1].seq.tables)
+
+    def peak(trial) -> int:
+        if product or suite == "tangency":
+            return floats(trial)
+        return pair_floats(shape(trial), space)
+
+    chunks, failed = [], False
+    for window in _windows(map(draw, range(start, stop)), floats):
+        groups: dict[tuple, list] = {}
+        for trial in window:
+            groups.setdefault(shape(trial), []).append(trial)
+        encoded = {}
+        try:
+            for group in groups.values():
+                for trials in _windows(group, peak):
+                    for (index, *_), rows in zip(trials, _reports(suite, p, trials)):
+                        rows = [{**row, "model": index} for row in rows]
+                        encoded[index] = encode_rows(rows, fmt, columns)
+                        failed = failed or any(row["holds"] is False for row in rows)
+        except ValueError:
+            for trial in window:
+                _reports(suite, p, [trial])
+            raise
+        chunks += [encoded[index] for index, *_ in window]
+    return chunks, failed
+
+
+def _windows(trials, floats):
+    """Consecutive trials in windows whose floats total at most BATCH_FLOATS;
+    a trial over that runs alone.  A refused draw (ValueError) is raised
+    after the window of the trials drawn before it, so that an earlier
+    trial's error still comes first."""
+    window, total = [], 0
+    try:
+        for trial in trials:
+            if window and total + floats(trial) > BATCH_FLOATS:
+                yield window
+                window, total = [], 0
+            window.append(trial)
+            total += floats(trial)
+    except ValueError:
+        if window:
+            yield window
+        raise
+    if window:
+        yield window
+
+
+def _product_draws(suite: str, space: Space, depth: int, gen) -> tuple:
+    """A product-suite trial's draws: its model, threshold factor and 0-1
+    multipliers (None where the suite takes none)."""
+    if suite == "symsum":
+        laws = (random_symmetric_law(gen, space.dim), random_symmetric_law(gen, space.dim))
+        return ProductModel(space, laws), None, None
+    model = random_product_model(gen, space, levels=int(gen.integers(2, depth + 1)))
+    factor = (0.5, 1.0, 1.5)[gen.integers(0, 3)]  # gen.choice's draw, without its front end
+    mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
+             if suite == "contraction" else None)
+    return model, factor, mults
+
+
+def _reports(suite: str, p: float, trials: list) -> list[list[dict]]:
+    """Each trial's rows, less its index, for trials of one shape checked
+    together: a product suite's (index, model, factor, multipliers) trials on
+    one ProductStack, tangency's (index, pair) trials on one set of checked
+    heads, and a pair suite's on one PairStack."""
+    indices, *draws = zip(*trials)
+    if suite == "tangency":
+        return [[{"inequality": label, "holds": res.ok, "lhs": res.gap, "rhs": 0.0,
+                  "margin": -res.gap, "method": "exact", "detail": res.detail}
+                 for label, res in zip(("tangency", "conditional-independence"), results)]
+                for results in verify_tangent_pair(draws[0])]
+    if suite == "symsum":
+        reports = symsum_reports(ProductStack(draws[0]), p)
+    elif suite in PRODUCT_SUITES:
+        models, factors, mults = draws
+        stack = ProductStack(models)
+        ts = [(quantiles(f_star, [0.7])[0] or 1.0) * factor
+              for f_star, factor in zip(stack.f_star, factors)]
+        if suite == "levy":
+            reports = levy_reports(stack, ts, [("max-sum", "max-term")[i % 2] for i in indices])
+        elif suite == "contraction":
+            reports = contraction_reports(stack, mults, ts)
+        else:
+            reports = reverse_kolmogorov_reports(stack, ts, p)
+    else:
+        stack = PairStack.of(draws[0])
+        if suite == "tail":
+            return [[report.as_dict() for report in reports] for reports in tail_reports(
+                stack, [sorted(set(quantiles(d_star, [0.25, 0.5, 0.9])))
+                        for d_star in stack.d_star])]
+        if suite == "goodlambda":
+            return [[report.as_dict() for report in reports]
+                    for reports in goodlambda_reports(stack, p, None, b=0.5)]
+        reports = (davis_reports(stack) if suite == "davis"
+                   else extrapolation_reports(stack, p, q=2.0))
+    return [[report.as_dict()] for report in reports]

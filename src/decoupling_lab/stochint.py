@@ -382,7 +382,8 @@ def bdg_sweep(
 
 def _uniform_partition(driver: BrownianDriver, intervals: int) -> list[int]:
     if intervals > driver.steps:
-        raise ModelError("more intervals than grid steps")
+        raise ModelError(f"more intervals than grid steps (the families need at least "
+                         f"{intervals} steps)")
     return [round(i * driver.steps / intervals) for i in range(intervals + 1)]
 
 

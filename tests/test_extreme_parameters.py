@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import decoupling_lab.cli as cli
-from decoupling_lab.bounds import DIRECTIONS, FAMILIES, FORMULAS
+from decoupling_lab.bounds import FORMULAS
+from decoupling_lab.names import DIRECTIONS, FAMILIES
 
 SPACES = ("l2:2", "lp:0.5:3", "linf:3")
 PS = ("1e-300", "1e-5", "1e-3", "700", "1e300")

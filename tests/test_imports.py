@@ -1,17 +1,20 @@
 """Every module of the package uses every name it imports, every top-level
-name it defines is referred to somewhere, and each subcommand loads only the
-modules it runs: --help and bounds load no numpy, no run loads mpmath or
-numpy.ma (which np.quantile and np.unique load; verify takes its thresholds
-and distinct values without them), --help loads none of hashlib,
-dataclasses, inspect and decimal, and a one-worker run loads neither the
-process pool nor fractions."""
+name it defines is referred to somewhere, every module stays below the
+parser's token cliffs, and each subcommand loads only the modules it runs:
+--help loads only cli and names (no json: it writes no report), --help and
+bounds load no numpy, no run loads mpmath or numpy.ma (which np.quantile and
+np.unique load; verify takes its thresholds and distinct values without
+them), --help loads none of hashlib, dataclasses, inspect and decimal, and a
+one-worker run loads neither the process pool nor fractions."""
 
 import ast
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -118,35 +121,62 @@ def test_no_unreferenced_top_level_names(path):
     assert unreferenced_names(path.read_text(), others) == []
 
 
-# Each subcommand imports only the package modules it runs; every run also
-# loads cli, reports and bounds (the argument parser's name tables).
+def significant_tokens(source: bytes) -> int:
+    """The tokens of a module that its parser reads: tokenize's, without
+    comments and non-logical newlines."""
+    return sum(token.type not in (tokenize.COMMENT, tokenize.NL)
+               for token in tokenize.tokenize(io.BytesIO(source).readline))
+
+
+def test_token_count_skips_comments_and_blank_lines():
+    source = b"# one\nx = 1  # two\n\n\ny = (x,\n     2)\n"
+    # ENCODING, x = 1 NEWLINE, y = ( x , 2 ) NEWLINE, ENDMARKER
+    assert significant_tokens(source) == 1 + 4 + 8 + 1
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_stay_below_the_parsers_token_cliffs(path):
+    # CPython 3.11's parser doubles its token array at each power of two.
+    # Crossing one moved compile peaks and peak RSS before: cli.py at 4145
+    # tokens (every run compiles it), probmodel.py at 8195.
+    limit = 4096 if path.name == "cli.py" else 8192
+    assert significant_tokens(path.read_bytes()) < limit
+
+
+# Each subcommand imports only the package modules it runs; every run loads
+# cli and names (the argument parser's choices), and every run but --help
+# loads reports to write its report.
+SEARCH_MODULES = ["constants", "probmodel", "reports", "rng", "spaces"]
+VERIFY_MODULES = ["inequalities", "probmodel", "reports", "rng", "spaces"]
 IMPORT_SETS = {
     "help": (["--help"], []),
     "bounds": (["bounds", "--formula", "extrap-c", "--p", "2", "--q", "4", "--A", "2",
-                "--b", "0.1"], []),
+                "--b", "0.1"], ["bounds", "reports"]),
     "estimate": (["estimate", "--space", "l2:2", "--depth", "2", "--trials", "4",
-                  "--restarts", "1"], ["constants", "probmodel", "rng", "spaces"]),
+                  "--restarts", "1"], SEARCH_MODULES),
     "atlas": (["atlas", "--spaces", "l2:2", "--ps", "2", "--depth", "2", "--trials", "4",
-               "--restarts", "1"], ["constants", "probmodel", "rng", "spaces"]),
+               "--restarts", "1"], SEARCH_MODULES),
     "bdg": (["bdg", "--space", "l2:2", "--p", "2", "--samples", "64", "--steps", "4"],
-            ["rng", "spaces", "stochint"]),
+            ["reports", "rng", "spaces", "stochint"]),
+    # of the verify suites, only extrapolation evaluates a closed form
     "verify": (["verify", "--suite", "all", "--depth", "2", "--trials", "2"],
-               ["inequalities", "probmodel", "rng", "spaces"]),
-    # of the pair suites, only extrapolation evaluates a closed form
+               ["bounds", *VERIFY_MODULES]),
     **{f"verify-{suite}": (["verify", "--suite", suite, "--depth", "2", "--trials", "2"],
-                           ["inequalities", "probmodel", "rng", "spaces"])
-       for suite in ("tail", "goodlambda", "davis")},
+                           VERIFY_MODULES)
+       for suite in ("levy", "tail", "goodlambda", "davis")},
 }
 
 RUN_CLI = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from decoupling_lab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]))
 """
 
 
@@ -159,9 +189,11 @@ def test_each_subcommand_imports_only_what_it_runs(command):
     code, modules = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     package = sorted(m.split(".")[1] for m in modules if m.startswith("decoupling_lab."))
-    assert package == sorted(["bounds", "cli", "reports", *runs])
+    assert package == sorted(["cli", "names", *runs])
     # bounds and --help start without numpy; closed forms are evaluated in decimal
-    assert ("numpy" in modules) == bool(runs)
+    assert ("numpy" in modules) == (command not in ("help", "bounds"))
+    # only a run that writes a report loads json
+    assert ("json" in modules) == (command != "help")
     assert not {"mpmath", "numpy.ma"} & set(modules)
     # one worker starts no process pool, and nothing loads fractions
     assert not {"concurrent.futures.process", "fractions"} & set(modules)

@@ -522,11 +522,12 @@ def test_pair_stack_at_the_batch_edge_holds_its_budget(text):
 
 
 def test_extrapolation_constant_is_evaluated_once_per_distinct_arguments(monkeypatch):
+    import decoupling_lab.bounds as bd
     import decoupling_lab.cli as cli
 
     calls = []
-    constant = iq.extrapolation_constant
-    monkeypatch.setattr(iq, "extrapolation_constant",
+    constant = bd.extrapolation_constant
+    monkeypatch.setattr(bd, "extrapolation_constant",
                         lambda *args: calls.append(args) or constant(*args))
     iq._extrapolation_value.cache_clear()
     out = io.StringIO()

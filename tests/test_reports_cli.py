@@ -345,6 +345,55 @@ def test_bdg_over_its_budgets_exits_2_before_any_draw(argv, flag):
     assert run.stderr.startswith(f"decoupling-lab: {flag}: ") and run.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", ["1", "2", "3"])
+def test_bdg_with_fewer_steps_than_intervals_names_the_flag(steps, capsys):
+    # the step-process families split the grid into 4 intervals
+    assert cli.main(["bdg", "--steps", steps, "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"decoupling-lab: --steps {steps}: ") and err.count("\n") == 1
+    assert "at least 4 steps" in err
+
+
+# sha256 of the parser's help texts at 80 columns, top level and per subcommand
+HELP_SHA256 = {
+    "": "fb00e2f5089f91821a8abf4861e195573b8f63995979e079e07afcbba7a35f76",
+    "verify": "86889cba99fc80371e7710871cc55cad5f6386428389f5597def1eb57d9b6a2d",
+    "estimate": "9966369712f8954bd684813a39428960256c2ec0f34a7b794a2e2055b8756027",
+    "bounds": "2d44878a7e28b0779658bb37e35b46ab6a04349c685bd40d7c9a97dc5874ac67",
+    "bdg": "012c3141e9416042db5508ec906aafbc4183d0f4388867262ebe2b588e22a789",
+    "atlas": "610678d3e3ea9c46bbbff78c1085b18dc3b1144c778524f9c7ffefe42a51f938",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_texts_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def _choices(parser) -> dict:
+    """Each subcommand's flags that take choices, by destination."""
+    subs = next(a for a in parser._actions if a.choices and a.dest == "command").choices
+    return {(name, action.dest): list(action.choices)
+            for name, sub in subs.items() for action in sub._actions if action.choices}
+
+
+def test_parser_choices_are_the_tables_the_engines_read():
+    import decoupling_lab.bounds as bd
+
+    choices = _choices(cli.build_parser())
+    for command in ("estimate", "atlas"):
+        assert choices[command, "direction"] == list(ct.DIRECTIONS)
+        assert choices[command, "family"] == sorted(ct.FAMILIES)
+    assert choices["bounds", "formula"] == sorted(bd.FORMULAS)
+    assert choices["verify", "suite"] == list(cli.VERIFY_SUITES)
+
+
 def test_bad_space_is_a_config_error(capsys):
     rc = cli.main(["estimate", "--space", "l3:4", "--workers", "1"])
     assert rc == 2
