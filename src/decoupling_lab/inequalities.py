@@ -236,11 +236,14 @@ class ProductModel:
 
     @property
     def floats(self) -> int:
-        """The enumerated partial sums: outcomes x (levels + 1) x dim floats."""
+        """The admission bound of the model's enumeration: outcomes x (levels
+        + 1) x dim floats, f_0..f_N at every path.  Its stack holds f_n once
+        per depth-n node, less than this; verify's windows and every
+        JOINT_LIMIT refusal count by this bound."""
         return self.outcome_count * (len(self.laws) + 1) * self.space.dim
 
     def require_enumerable(self):
-        """EnumerationError when the partial sums exceed JOINT_LIMIT floats."""
+        """EnumerationError when the admission bound (floats) exceeds JOINT_LIMIT."""
         if self.floats > JOINT_LIMIT:
             raise EnumerationError(f"product model needs {self.floats} partial-sum "
                                    f"floats, over budget {JOINT_LIMIT}")
@@ -261,8 +264,8 @@ class ProductStack(PathStack):
 
     Models of one shape share their outcome space, the paths of their tree
     (the first model's).  Each check reduces one model's contiguous slab at
-    a time.  A model whose partial sums exceed JOINT_LIMIT floats is refused
-    before anything is allocated.
+    a time.  A model whose admission bound (ProductModel.floats) exceeds
+    JOINT_LIMIT is refused before anything is allocated.
     """
 
     def __init__(self, models: Sequence[ProductModel]):
@@ -324,14 +327,14 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
     stack.require_symmetric(range(len(stack.sizes)), SYMMETRIC_LAWS)
     r = stack.space.r
     factor = _r_constant("levy", stack.space, lambda: 2.0 ** (1.0 - 1.0 / r))
-    norms, probs = stack.norms, stack.path_probs
+    terminal, probs = stack.node_norms[-1], stack.path_probs
     d_star = stack.d_star if "max-term" in variants else None
     reports = []
     for i, (t, variant) in enumerate(zip(ts, variants)):
         thresh = factor * t
         stat = stack.f_star[i] if variant == "max-sum" else d_star[i]
         lhs = float(probs[i][stat > t].sum())
-        rhs = 2.0 * float(probs[i][norms[i, :, -1] > thresh].sum())
+        rhs = 2.0 * float(probs[i][terminal[i] > thresh].sum())
         reports.append(_one_sided(f"levy-{variant}", {"t": t, "r": r, "atoms": 1}, lhs, rhs))
     return reports
 
@@ -339,9 +342,8 @@ def levy_reports(stack: ProductStack, ts: Sequence[float],
 def check_contraction(model: ProductModel, multipliers: Sequence[float], t: float) -> IneqReport:
     """Zero-one contraction: dropping terms costs at most the Levy constant.
 
-    The kept sub-sum is read off the model's own enumeration: its terminal
-    vector adds the path increments of the levels with multiplier 1, in level
-    order, the same float additions a model of the 0-1 scaled laws makes.
+    The kept sub-sum is f_N of the model whose laws are scaled by the 0-1
+    multipliers, on the model's own tree.
     """
     return contraction_reports(ProductStack((model,)), [multipliers], [t])[0]
 
@@ -360,14 +362,12 @@ def contraction_reports(stack: ProductStack, multipliers: Sequence[Sequence[floa
         if any(m not in (0.0, 1.0) for m in mults):
             raise ModelError("contraction multipliers must be 0 or 1")
         rows.append(mults)
-    probs = stack.path_probs
-    sub = np.zeros((len(rows), stack.tree.path_count, stack.space.dim))
-    for n in range(1, len(stack.sizes) + 1):
-        kept = [i for i, mults in enumerate(rows) if mults[n - 1] == 1.0]
-        if kept:
-            sub[kept] += stack.increments(n)[kept]
-    sub_norms = stack.space.norms(sub)
-    terminal = stack.norms[:, :, -1]
+    probs, kept = stack.path_probs, np.array(rows)
+    sub = PathStack(stack.tree, stack.space, [table * kept[:, n, None, None, None]
+                                              for n, table in enumerate(stack.tables)],
+                    stack.level_probs)
+    sub_norms = stack.space.norms(sub.terminal)
+    terminal = stack.node_norms[-1]
     reports = []
     for i, (mults, t) in enumerate(zip(rows, ts)):
         thresh = factor * t
@@ -397,7 +397,9 @@ def _symsum(stack: ProductStack, p: float) -> list[IneqReport]:
     space, probs = stack.space, stack.path_probs
     upper = _r_constant("symmetric-summand", space, lambda: lu_constants(p / space.r)[1], p)
     # ||f_1|| = ||d_1||: f_1 = 0.0 + d_1 differs from d_1 at most in the sign of a zero
-    first, total = (stack.norms[:, :, n] ** p for n in (1, -1))
+    norms = stack.node_norms
+    first = np.repeat(norms[1], stack.tree.stride(1), axis=-1) ** p
+    total = norms[-1] ** p
     return [_one_sided("symmetric-summand", {"p": p, "r": space.r}, float(first[i] @ probs[i]),
                        2.0 ** (1.0 - p) * upper * float(total[i] @ probs[i]), scaled=True)
             for i in range(len(stack.models))]
@@ -419,7 +421,7 @@ def reverse_kolmogorov_reports(stack: ProductStack, ts: Sequence[float],
     r = stack.space.r
     upper = _r_constant("reverse-kolmogorov", stack.space, lambda: lu_constants(p / r)[1], p)
     probs = stack.path_probs
-    terminal = stack.norms[:, :, -1] ** p
+    terminal = stack.node_norms[-1] ** p
     star = stack.d_star ** p
     reports = []
     for i, t in enumerate(ts):
@@ -752,6 +754,9 @@ def davis_reports(stack: PairStack) -> list[IneqReport]:
 # ---------------------------------------------------------------------------
 # verify's trial route
 
+# Trials a window holds at most, whatever their floats: a trial's objects
+# (trees, laws, sequences) outweigh a small trial's table floats.
+BATCH_TRIALS = 64
 # suites on random product models, which need at least two levels
 PRODUCT_SUITES = ("levy", "contraction", "revkol")
 # suites whose trials are checked on stacked product models
@@ -765,13 +770,14 @@ def verify_trials(suite: str, space_text: str, p: float, depth: int, start: int,
     holds=false.
 
     Each trial draws from its own stream.  Consecutive trials are taken in
-    windows whose tables (a product model's partial sums, a pair's increment
-    tables) hold at most BATCH_FLOATS floats together (_windows).  A window's
-    trials are grouped by tree shape, each group is split again to at most
-    BATCH_FLOATS floats at its check's peak, and each split is checked on one
-    stack (_reports); a trial's rows are encoded as its stack is done.  When
-    a window raises, its trials are checked again one at a time in index
-    order, so the first that fails alone raises its error.
+    windows of at most BATCH_TRIALS trials whose tables (a product model's
+    admission bound, a pair's increment tables) hold at most BATCH_FLOATS
+    floats together (_windows).  A window's trials are grouped by tree shape,
+    each group is split again to at most BATCH_FLOATS floats at its check's
+    peak, and each split is checked on one stack (_reports); a trial's rows
+    are encoded as its stack is done.  When a window raises, its trials are
+    checked again one at a time in index order, so the first that fails
+    alone raises its error.
     """
     space = parse_space(space_text)
     product = suite in STACKED_SUITES
@@ -816,14 +822,14 @@ def verify_trials(suite: str, space_text: str, p: float, depth: int, start: int,
 
 
 def _windows(trials, floats):
-    """Consecutive trials in windows whose floats total at most BATCH_FLOATS;
-    a trial over that runs alone.  A refused draw (ValueError) is raised
-    after the window of the trials drawn before it, so that an earlier
-    trial's error still comes first."""
+    """Consecutive trials in windows of at most BATCH_TRIALS trials whose
+    floats total at most BATCH_FLOATS; a trial over that runs alone.  A
+    refused draw (ValueError) is raised after the window of the trials drawn
+    before it, so that an earlier trial's error still comes first."""
     window, total = [], 0
     try:
         for trial in trials:
-            if window and total + floats(trial) > BATCH_FLOATS:
+            if window and (total + floats(trial) > BATCH_FLOATS or len(window) == BATCH_TRIALS):
                 yield window
                 window, total = [], 0
             window.append(trial)

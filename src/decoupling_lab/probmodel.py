@@ -186,10 +186,6 @@ class FiltrationTree:
         # paths sharing a depth-n node form a contiguous block of this length
         return self.path_count // self._counts[n]
 
-    def nodes_at(self, n: int) -> np.ndarray:
-        """Depth-n node id of every path, shape (path_count,)."""
-        return np.arange(self.path_count, dtype=np.int64) // self.stride(n)
-
     def ancestor(self, node_ids: np.ndarray, n: int, k: int) -> np.ndarray:
         """Depth-k ancestors of depth-n node ids (k <= n)."""
         factor = self._counts[n] // self._counts[k]
@@ -286,7 +282,8 @@ class AdaptedSequence:
         return PathStack(self.tree, self.space, [t[None] for t in self.tables])
 
     def path_increments(self, n: int) -> np.ndarray:
-        return self.paths.increments(n)[0]
+        """d_n at every path, (paths, dim)."""
+        return np.repeat(self.increments(n), self.tree.stride(n), axis=0)
 
     def terminal_moment(self, p: float) -> float:
         return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
@@ -301,15 +298,18 @@ class AdaptedSequence:
 
 
 class PathStack:
-    """Per-path statistics, masses and table-entry norms of a stack of
-    sequences on trees of one shape.
+    """Node values, masses and table-entry norms of a stack of sequences on
+    trees of one shape.
 
-    ``tree`` gives the shape and the path index (nodes_at).  tables[n-1] is
-    (models, num_nodes(n-1), a_n, dim), a product model's laws as broadcast
-    views over the parents; level_probs[n-1] is (models, a_n), by default
-    ``tree``'s on a model axis of length 1.  Each model's slab gets the float
-    operations it gets alone (sums and mass products level by level, norms
-    vector by vector), so its values do not depend on the stack.
+    tables[n-1] is (models, num_nodes(n-1), a_n, dim), a product model's laws
+    as broadcast views over the parents; level_probs[n-1] is (models, a_n),
+    by default ``tree``'s on a model axis of length 1.  Every statistic is
+    F_n-measurable, so it is formed once per depth-n node, growing down the
+    tree; the depth-N nodes are the paths.  A depth-n value is read at every
+    path as np.repeat(values, tree.stride(n), axis=-1): a node's paths are one
+    contiguous block, and the copy is C-ordered.  Each model's slab gets the
+    float operations it gets alone (sums and mass products level by level,
+    norms vector by vector), so its values do not depend on the stack.
     """
 
     def __init__(self, tree: FiltrationTree, space: Space, tables, level_probs=None):
@@ -325,12 +325,6 @@ class PathStack:
     def sizes(self) -> tuple[int, ...]:
         return self.tree.sizes
 
-    def increments(self, n: int) -> np.ndarray:
-        """d_n at every path, (models, paths, dim): the row of its depth-(n-1)
-        node and the letter of its depth-n node."""
-        nodes, size = self.tree.nodes_at(n), self.sizes[n - 1]
-        return self.tables[n - 1][:, nodes // size, nodes % size]
-
     def node_probs(self, n: int) -> np.ndarray:
         """The mass of every depth-n node, (models or 1, num_nodes(n)): the
         level masses multiplied in level order, as FiltrationTree.node_probs."""
@@ -344,33 +338,30 @@ class PathStack:
         return self.node_probs(self.tree.depth)
 
     @cached_property
-    def terminal(self) -> np.ndarray:
-        """f_N at every path, (models, paths, dim), grown node by node: node
-        u*a + j adds its table entry to u's sum, so each f_n is formed once
-        per depth-n node (the bits of partial_sums' last level)."""
-        f = np.zeros((len(self.tables[0]), 1, self.space.dim))
+    def node_sums(self) -> list[np.ndarray]:
+        """f_n at every depth-n node, n = 0..N, each (models, num_nodes(n), dim):
+        node u*a + j adds its table entry to u's sum."""
+        out = [np.zeros((len(self.tables[0]), 1, self.space.dim))]
         for table in self.tables:
-            f = (f[:, :, None, :] + table).reshape(len(f), -1, self.space.dim)
-        return f
-
-    @cached_property
-    def partial_sums(self) -> np.ndarray:
-        """f_0..f_N at every path, (models, paths, levels + 1, dim)."""
-        tree = self.tree
-        out = np.zeros((len(self.tables[0]), tree.path_count, tree.depth + 1, self.space.dim))
-        for n in range(1, tree.depth + 1):
-            out[:, :, n] = out[:, :, n - 1] + self.increments(n)
+            out.append((out[-1][:, :, None, :] + table).reshape(len(table), -1, self.space.dim))
         return out
 
+    @property
+    def terminal(self) -> np.ndarray:
+        """f_N at every path, (models, paths, dim)."""
+        return self.node_sums[-1]
+
     @cached_property
-    def norms(self) -> np.ndarray:
-        """||f_0||..||f_N|| at every path, (models, paths, levels + 1)."""
-        return self.space.norms(self.partial_sums)
+    def node_norms(self) -> list[np.ndarray]:
+        """||f_n|| at every depth-n node, n = 0..N, each (models, num_nodes(n))."""
+        return [self.space.norms(sums) for sums in self.node_sums]
 
     @cached_property
     def f_star(self) -> np.ndarray:
         """max_n ||f_n|| at every path, (models, paths)."""
-        return self.norms.max(axis=2)
+        norms = self.node_norms
+        return _running_max(norms[0], [level.reshape(len(level), -1, a)
+                                       for level, a in zip(norms[1:], self.sizes)])[-1]
 
     @cached_property
     def table_norms(self) -> list[np.ndarray]:
@@ -380,16 +371,23 @@ class PathStack:
     @cached_property
     def node_d_star(self) -> list[np.ndarray]:
         """d*_n = max_{m<=n} ||d_m|| at every depth-n node, n = 0..N, each
-        (models, num_nodes(n)): the running max grown node by node down the tree."""
-        out = [np.zeros((len(self.tables[0]), 1))]
-        for norms in self.table_norms:
-            out.append(np.maximum(out[-1][:, :, None], norms).reshape(len(norms), -1))
-        return out
+        (models, num_nodes(n))."""
+        return _running_max(np.zeros((len(self.tables[0]), 1)), self.table_norms)
 
     @cached_property
     def d_star(self) -> np.ndarray:
         """max_n ||d_n|| at every path, (models, paths)."""
         return self.node_d_star[-1]
+
+
+def _running_max(root: np.ndarray, levels) -> list[np.ndarray]:
+    """The running max of node values at every depth-n node, n = 0..N, each
+    (models, num_nodes(n)), grown node by node down the tree: root is
+    (models, 1), levels[n-1] is (models, num_nodes(n-1), a_n)."""
+    out = [root]
+    for values in levels:
+        out.append(np.maximum(out[-1][:, :, None], values).reshape(len(values), -1))
+    return out
 
 
 def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
@@ -542,7 +540,7 @@ def _tangent_gaps(pair: TangentPair, heads: np.ndarray) -> tuple[float, float]:
             d_law = np.bincount(row_ids, tree.levels[n - 1].probs, count)
             tangency = max(tangency, float(np.max(np.abs(d_law - e_law))))
         # the e-values' own ids, read at every path's depth-n node
-        ids.append(atom_ids(e_values)[tree.nodes_at(n)])
+        ids.append(np.repeat(atom_ids(e_values), tree.stride(n), axis=-1))
     masses = [np.bincount(level_ids, tree.path_probs) for level_ids in ids]
     shape = tuple(len(m) for m in masses)
     if math.prod(shape) > JOINT_LIMIT:
@@ -767,8 +765,9 @@ class WindowTable:
 
     atoms[k, l] holds what the good-lambda profile needs of the window that
     does not depend on its threshold A, per model and atom b of F_{k-1} (F_0
-    for k <= 1): (win, probs, mass, t_sup), the norm ||f_l - f_k|| of each
-    path and its mass, both (models, atoms, paths per atom), then the atom's
+    for k <= 1): (win, probs, mass, t_sup), the norm ||f_l - f_k|| (formed
+    once per depth-l node from the stack's node_sums) and the mass of each
+    path, both (models, atoms, paths per atom), then the atom's
     mass and the largest T_p over its nodes, each (models, atoms).  d_hat is
     each model's largest (E[||f_l - f_k||^p | atom] / E[T_p^p | atom])^(1/p)
     over windows and atoms: NaN if some ratio is inf / inf (large p).
@@ -806,15 +805,16 @@ class WindowTable:
                 self.norms[k, l] = norms
                 self.windows_built += 1
 
-        sums, path_probs = stack.partial_sums, stack.path_probs
+        sums, path_probs = stack.node_sums, stack.path_probs
         self.atoms: dict[tuple[int, int], tuple] = {}
         ratios = []
         for (k, l), t_nodes in self.norms.items():
             atoms = tree.num_nodes(max(k - 1, 0))
-            # C order, so that each atom's row is contiguous, as it is alone
-            t_paths = np.ascontiguousarray(t_nodes[:, tree.nodes_at(l - 1)]).reshape(
-                models, atoms, -1)
-            win = space.norms(sums[:, :, l] - sums[:, :, k]).reshape(models, atoms, -1)
+            t_paths = np.repeat(t_nodes, tree.stride(l - 1), axis=-1).reshape(models, atoms, -1)
+            # f_l - f_k at the depth-l nodes, each under its depth-k ancestor
+            diff = sums[l].reshape(models, tree.num_nodes(k), -1, dim) - sums[k][:, :, None]
+            win = np.repeat(space.norms(diff).reshape(models, -1), tree.stride(l),
+                            axis=-1).reshape(models, atoms, -1)
             probs = path_probs.reshape(len(path_probs), atoms, -1)
             mass = probs.sum(axis=2)
             t_sup = t_nodes.reshape(models, atoms, -1).max(axis=2)
@@ -835,7 +835,7 @@ class WindowTable:
         """T*_p(f) = max_n T_p(f^n) at every path, (models, paths)."""
         out = np.zeros((len(self.norms[0, 1]), self.tree.path_count))
         for n in range(1, self.tree.depth + 1):
-            out = np.maximum(out, self.norms[0, n][:, self.tree.nodes_at(n - 1)])
+            out = np.maximum(out, np.repeat(self.norms[0, n], self.tree.stride(n - 1), axis=-1))
         return out
 
 

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from conftest import path_sums
+
 import decoupling_lab.bounds as bd
 import decoupling_lab.cli as cli
 import decoupling_lab.constants as ct
@@ -60,7 +62,8 @@ def test_02_distributional_lemma_suite():
     ps = (0.5, 1.0, 2.0, 4.0)
 
     def threshold(gen, seq):
-        sups = seq.space.norms(seq.paths.partial_sums[0]).max(axis=1)
+        sups = seq.space.norms(path_sums(seq)).max(axis=1)
+        np.testing.assert_array_equal(seq.paths.f_star[0], sups)
         scale = float(np.quantile(sups, 0.7)) or 1.0
         return scale * float(gen.choice([0.5, 1.0, 1.5]))
 

@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import path_sums
+
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
@@ -239,11 +241,11 @@ def test_product_suites_build_each_model_once(monkeypatch):
     import decoupling_lab.cli as cli
 
     built = []
-    partial_sums = iq.ProductStack.partial_sums.func
+    node_sums = iq.ProductStack.node_sums.func
     counted = functools.cached_property(
-        lambda stack: built.extend(stack.models) or partial_sums(stack))
-    counted.__set_name__(iq.ProductStack, "partial_sums")
-    monkeypatch.setattr(iq.ProductStack, "partial_sums", counted)
+        lambda stack: built.extend(stack.models) or node_sums(stack))
+    counted.__set_name__(iq.ProductStack, "node_sums")
+    monkeypatch.setattr(iq.ProductStack, "node_sums", counted)
     # each model is enumerated in one stack; contraction reads its sub-sum
     # off that enumeration
     for suite in ("levy", "revkol", "contraction", "symsum"):
@@ -321,7 +323,9 @@ def test_stacked_product_reports_match_per_trial(text, monkeypatch):
                 factor = float(gen.choice([0.5, 1.0, 1.5]))
                 mults = (gen.integers(0, 2, size=len(model.laws)).astype(float)
                          if suite == "contraction" else None)
-                f_star = model.to_sequence().paths.norms[0].max(axis=1)
+                seq = model.to_sequence()
+                f_star = space.norms(path_sums(seq)).max(axis=1)
+                np.testing.assert_array_equal(seq.paths.f_star[0], f_star)
                 t = (float(np.quantile(f_star, 0.7)) or 1.0) * factor
                 variant = ("max-sum", "max-term")[index % 2]
                 want.append(_per_trial_values(suite, model, t, p, variant, mults))
@@ -675,8 +679,9 @@ def test_contraction():
                                    seq_lp(1.5, 10), sup_norm(4), nested([(1, 2), (3, 2)])],
                          ids=format_space)
 def test_contraction_sub_sum_matches_the_scaled_model_bit_for_bit(space, monkeypatch):
-    """The masked sum of the model's path increments has the terminal norms of
-    the model whose laws are scaled by the 0-1 multipliers, -0.0 atoms and all."""
+    """The kept sub-sum, f_N of the model's tables scaled by the 0-1
+    multipliers, has the terminal norms of the model whose laws are so
+    scaled, -0.0 atoms and all."""
     gen = stream(13, "contraction-bits")
     norms = type(space).norms
     signed_zeros = 0
@@ -692,15 +697,18 @@ def test_contraction_sub_sum_matches_the_scaled_model_bit_for_bit(space, monkeyp
         # a 0 multiplier turns the law's negative atoms into -0.0 increments
         signed_zeros += sum(np.signbit(law.values[law.values == 0]).any()
                             for law in scaled.laws)
-        want = scaled.to_sequence().paths.norms[0][:, -1]
-        # the sub-sum's norms are the one (models, outcomes) array the check
-        # takes, here for a stack of one
-        seen = []
+        want = space.norms(path_sums(scaled.to_sequence())[:, -1])
+        # the sub-sum's norms are those the check takes of the f_N of the one
+        # PathStack it builds, here for a stack of one
+        stacks, seen = [], []
+        monkeypatch.setattr(iq, "PathStack",
+                            lambda *args: stacks.append(pm.PathStack(*args)) or stacks[-1])
         monkeypatch.setattr(type(space), "norms",
-                            lambda self, arr: seen.append(norms(self, arr)) or seen[-1])
+                            lambda self, arr: seen.append((arr, norms(self, arr))) or seen[-1][1])
         iq.check_contraction(model, mults, 1.0)
         monkeypatch.undo()
-        [got] = [out[0] for out in seen if out.ndim == 2]
+        [sub] = stacks
+        [got] = [out[0] for arr, out in seen if arr is sub.terminal]
         np.testing.assert_array_equal(got, want)
     assert signed_zeros > 0
 
@@ -766,7 +774,8 @@ def test_reverse_kolmogorov_randomized():
         space = [euclid(4), sup_norm(4), seq_lp(0.5, 2)][i % 3]
         model = iq.random_product_model(gen, space, levels=3)
         seq = model.to_sequence()
-        sups = seq.space.norms(seq.paths.partial_sums[0]).max(axis=1)
+        sups = seq.space.norms(path_sums(seq)).max(axis=1)
+        np.testing.assert_array_equal(seq.paths.f_star[0], sups)
         t = float(np.quantile(sups, 0.6))
         assert iq.check_reverse_kolmogorov(model, t, [0.5, 1.0, 2.0][i % 3]).holds
 
@@ -798,7 +807,8 @@ def test_tail_comparison_exact():
 def test_conditional_norm_on_signs():
     pair = unit_pw_pair(3)
     for n in (1, 2, 3):
-        vals = iq.window_conditional_norm(pair, 2.0, 0, n)[pair.tree.nodes_at(n - 1)]
+        nodes = np.arange(pair.tree.path_count) // pair.tree.stride(n - 1)
+        vals = iq.window_conditional_norm(pair, 2.0, 0, n)[nodes]
         assert vals.shape == (pair.tree.path_count,)
         assert np.allclose(vals, math.sqrt(n), atol=1e-12)
     star = conditional_norm_star(pair, 2.0)
@@ -813,7 +823,8 @@ def test_conditional_norm_dual_route():
     pair = pm.decouple(seq)
     n = tree.depth
     for p in (0.5, 1.0, 2.0):
-        t_p = iq.window_conditional_norm(pair, p, 0, n)[tree.nodes_at(n - 1)]
+        t_p = iq.window_conditional_norm(pair, p, 0, n)[np.arange(tree.path_count)
+                                                         // tree.stride(n - 1)]
         lhs = float(t_p ** p @ tree.path_probs)
         assert lhs == pytest.approx(pm.g_terminal_moment(pair, p), rel=1e-12)
         # the running sup over n dominates the last window
@@ -910,12 +921,12 @@ def reference_bmo(pair, p, A):
     """The window profile at A and whether Chebyshev's chain holds there,
     every statistic recomputed per window and atom."""
     seq, tree = pair.seq, pair.tree
-    sums, path_probs = seq.paths.partial_sums[0], tree.path_probs
+    sums, path_probs = path_sums(seq), tree.path_probs
     b_hat, d_hat, cheb_ok = 0.0, 0.0, True
     for k in range(seq.depth):
         for l in range(k + 1, seq.depth + 1):
             t_nodes = reference_window_norm(pair, p, k, l)
-            t_paths = t_nodes[tree.nodes_at(l - 1)]
+            t_paths = t_nodes[np.arange(tree.path_count) // tree.stride(l - 1)]
             win = seq.space.norms(sums[:, l] - sums[:, k])
             atoms = tree.num_nodes(k - 1) if k > 0 else 1
             stride = tree.path_count // atoms
@@ -1023,7 +1034,7 @@ def _window_peak_at_the_budget_edge(monkeypatch, space):
     more floats than the budget, and the refusal one float below it."""
     pair = pm.decouple(pm.random_multiplier_sequence(stream(5, "window-peak"), pm.paley_walsh(9),
                                                      space))
-    pair.stack.partial_sums
+    pair.stack.node_sums
     window = 256 * 512 * space.dim
     block = min(256 * 512, pm.BLOCK_FLOATS // space.dim) * space.dim
     limit = window + window // space.dim + block + block // space.shape[-1][1]
@@ -1234,7 +1245,10 @@ def scaled_pair(pair, k):
 def product_verdicts(model, k, p):
     """The holds of every product check on the model scaled by 2^k, at
     thresholds read off the model and scaled by 2^k."""
-    t = float(np.quantile(model.to_sequence().paths.norms[0].max(axis=1), 0.7))
+    seq = model.to_sequence()
+    f_star = model.space.norms(path_sums(seq)).max(axis=1)
+    np.testing.assert_array_equal(seq.paths.f_star[0], f_star)
+    t = float(np.quantile(f_star, 0.7))
     scaled, ts = scaled_model(model, k), [2.0 ** k * t * f for f in (0.5, 1.0, 1.5)]
     mults = [float(n % 2) for n in range(len(model.laws))]
     xi, zeta = scaled.laws[:2]

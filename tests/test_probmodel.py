@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import path_sums
+
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
@@ -38,9 +40,7 @@ def test_paley_walsh_tree():
     assert tree.path_count == 8
     assert tree.sizes == (2, 2, 2)
     assert np.allclose(tree.path_probs, np.full(8, 0.125))
-    assert list(tree.nodes_at(1)) == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert list(tree.nodes_at(3)) == list(range(8))
-    assert tree.stride(2) == 2
+    assert [tree.stride(n) for n in range(4)] == [8, 4, 2, 1]
 
 
 def test_empty_tree_rejected():
@@ -119,9 +119,35 @@ def test_partial_sums_and_running_max():
     seq = pm.AdaptedSequence.from_multipliers(tree, euclid(2), mults)
     # f_2 = (xi_1, xi_2) on every path
     assert np.allclose(np.abs(seq.paths.terminal[0]), 1.0)
-    assert np.allclose(seq.paths.partial_sums[0][:, 1, 0], [1, 1, -1, -1])
+    assert np.allclose(seq.paths.node_sums[1][0][:, 0], [1, -1])
     assert np.allclose(seq.paths.f_star[0], math.sqrt(2.0))
     assert np.allclose(seq.paths.d_star[0], 1.0)
+
+
+@pytest.mark.parametrize("space", [euclid(3), seq_lp(0.5, 2), sup_norm(4)], ids=format_space)
+def test_node_walk_matches_the_path_sums(space):
+    # f_n, ||f_n|| and f* grow node by node; at every path they are the bits
+    # of the cumulative sums of the path increments, in a stack of several
+    # models as for each alone, on general and on product trees
+    gen = stream(3, "node-walk", format_space(space))
+    tree = pm.random_tree(gen, 4, symmetric=False)
+    seqs = [pm.random_general_sequence(gen, tree, space) for _ in range(3)]
+    models = [iq.random_product_model(gen, space, levels=3, atoms=3) for _ in range(3)]
+    tables = [np.stack(level) for level in zip(*(seq.tables for seq in seqs))]
+    stacks = [pm.PathStack(tree, space, tables), iq.ProductStack(models)]
+    for stack, members in zip(stacks, (seqs, [model.to_sequence() for model in models])):
+        for i, seq in enumerate(members):
+            sums = path_sums(seq)
+            norms = space.norms(sums)
+            for n in range(stack.tree.depth + 1):
+                stride = stack.tree.stride(n)
+                np.testing.assert_array_equal(np.repeat(stack.node_sums[n][i], stride, axis=0),
+                                              sums[:, n])
+                np.testing.assert_array_equal(np.repeat(stack.node_norms[n][i], stride),
+                                              norms[:, n])
+            np.testing.assert_array_equal(stack.terminal[i], sums[:, -1])
+            np.testing.assert_array_equal(stack.f_star[i], norms.max(axis=1))
+            np.testing.assert_array_equal(seq.paths.f_star[0], norms.max(axis=1))
 
 
 def test_from_multipliers_validation():
@@ -242,6 +268,25 @@ def test_joint_engine_budgets_heads_times_paths():
     assert pm.require_sign_patterns(pm.paley_walsh(11)) == 2048 * 2048
     with pytest.raises(pm.EnumerationError):
         pm.require_sign_patterns(pm.paley_walsh(12))
+
+
+def test_a_mass_gap_of_1e_9_is_no_equal_law():
+    # laws are equal up to LAW_TOL = 1e-12 of mass, so a gap a thousand
+    # times larger is seen by the symmetry and the tangency checks
+    skewed = pm.Level((1.0, -1.0), (0.5 + 1e-9, 0.5 - 1e-9))
+    assert not skewed.is_symmetric()
+    with pytest.raises(pm.ModelError, match="symmetric"):
+        iq.check_levy(iq.ProductModel(euclid(1), (skewed, pm.FAIR_SIGNS)), 0.5)
+    # the rows of level 2 put 0.5 +- 1e-9 of mass on +1, so the copy's e_2,
+    # which mixes both rows, has a law 1e-9 away from either row's
+    level = pm.Level((-1.0, 0.0, 1.0), (0.5 - 1e-9, 2e-9, 0.5 - 1e-9))
+    tree = pm.FiltrationTree([pm.FAIR_SIGNS, level])
+    tables = [[[[1.0], [-1.0]]], [[[1.0], [1.0], [-1.0]], [[1.0], [-1.0], [-1.0]]]]
+    seq = pm.AdaptedSequence(tree, euclid(1), tables)
+    assert not seq.is_conditionally_symmetric()
+    assert pm.verify_tangency(pm.decouple(seq)).gap == 0.0
+    result = pm.verify_tangency(pm.independent_copy(seq))
+    assert not result.ok and result.gap == pytest.approx(1e-9, rel=1e-3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -789,7 +834,8 @@ def ref_factorization_gap(pair) -> float:
     for members in ref_head_groups(tree, pair.mode):
         level_ids, level_masses = [], []
         for n in range(1, tree.depth + 1):
-            values = pm._e_values(seq, pair.mode, members[0], n)[tree.nodes_at(n)]
+            nodes = np.arange(tree.path_count) // tree.stride(n)
+            values = pm._e_values(seq, pair.mode, members[0], n)[nodes]
             ids, masses = ref_law_ids(values, tree.path_probs)
             level_ids.append(ids)
             level_masses.append(masses)

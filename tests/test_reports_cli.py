@@ -619,10 +619,12 @@ def test_verify_holds_little_beyond_its_encoded_report(tmp_path):
     # run holds beside that text does not grow with the trial count.  On
     # l2:32 at depth 2 a product batch (BATCH_FLOATS) holds at most 42
     # trials; the report of 150 trials is 0.5 MiB, and holding its rows as
-    # dicts would add 3 MiB.
-    def extra(trials):
-        out = tmp_path / f"{trials}.json"
-        argv = ["verify", "--suite", "all", "--space", "l2:32", "--depth", "2",
+    # dicts would add 3 MiB.  A pair suite's trials hold a few hundred table
+    # floats each, so there the window's trial count (BATCH_TRIALS) bounds
+    # what a window holds, not its floats.
+    def extra(suite, trials):
+        out = tmp_path / f"{suite}-{trials}.json"
+        argv = ["verify", "--suite", suite, "--space", "l2:32", "--depth", "2",
                 "--trials", str(trials), "--seed", "1", "--workers", "1", "--out", str(out)]
         tracemalloc.start()
         try:
@@ -632,9 +634,10 @@ def test_verify_holds_little_beyond_its_encoded_report(tmp_path):
             tracemalloc.stop()
         return peak - out.stat().st_size
 
-    extra(5)  # caches filled once per process
-    small, large = extra(50), extra(150)
-    assert large <= small + 128 * 1024, (small, large)
+    for suite in ("all", "extrapolation"):
+        extra(suite, 5)  # caches filled once per process
+        small, large = extra(suite, 50), extra(suite, 150)
+        assert large <= small + 128 * 1024, (suite, small, large)
 
 
 @pytest.mark.parametrize("argv, limit", [

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import path_sums
+
 import decoupling_lab.constants as ct
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
@@ -63,9 +65,9 @@ def test_terminal_moment_matches_path_sums(text):
                 for i in (1, 2, 3)]
         tables = [np.stack(level) for level in zip(*(seq.tables for seq in seqs))]
         stack = pm.PathStack(tree, space, tables)
-        np.testing.assert_array_equal(stack.terminal, stack.partial_sums[:, :, -1])
+        np.testing.assert_array_equal(stack.terminal, [path_sums(seq)[:, -1] for seq in seqs])
         for p in PS:
-            want = [float(tree.path_probs @ space.norms(seq.paths.partial_sums[0][:, -1]) ** p)
+            want = [float(tree.path_probs @ space.norms(path_sums(seq)[:, -1]) ** p)
                     for seq in seqs]
             assert [seq.terminal_moment(p) for seq in seqs] == want
             assert pm.terminal_moments(tree, space, tables, p) == want
@@ -73,7 +75,8 @@ def test_terminal_moment_matches_path_sums(text):
     models = [iq.random_product_model(stream(i, "f-side-product", text), space, levels=3)
               for i in range(3)]
     stack = iq.ProductStack(models)
-    np.testing.assert_array_equal(stack.terminal, stack.partial_sums[:, :, -1])
+    np.testing.assert_array_equal(stack.terminal, [path_sums(model.to_sequence())[:, -1]
+                                                   for model in models])
 
 
 @pytest.mark.parametrize("text", ("l2:3", "lp:0.5:3"))

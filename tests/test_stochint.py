@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decoupling_lab.rng as rng
 import decoupling_lab.stochint as st
 from decoupling_lab.probmodel import ModelError
 from decoupling_lab.rng import CHUNK, stream
@@ -424,6 +425,21 @@ def test_simulate_memory_is_one_block_budget(text):
     draws = st.GAMMA_INNER * proc.intervals * proc.rank
     assert _traced_peak(st.simulate, proc, drv, space, paths) <= (
         8 * (2 * st.BLOCK_FLOATS + draws + 3 * paths) + 256 * 1024)
+
+
+def test_two_chunks_of_one_run_draw_their_own_inner_normals(monkeypatch):
+    # deterministic coefficients are the same on every path, so a path's Monte
+    # Carlo gamma norm depends on its chunk's inner draws alone: two chunks
+    # that shared them would give every path one gamma norm
+    monkeypatch.setattr(rng, "CHUNK", 4)
+    monkeypatch.setattr(st, "CHUNK", 4)
+    space = sup_norm(4)
+    drv = st.BrownianDriver(2, steps=4)
+    gamma = st.simulate(st.make_family("deterministic", space, drv), drv, space, 8, seed=3).gamma
+    assert not st.is_hilbert_like(space)
+    np.testing.assert_allclose(gamma[:4], gamma[0], rtol=1e-12)
+    np.testing.assert_allclose(gamma[4:], gamma[4], rtol=1e-12)
+    assert abs(gamma[0] - gamma[4]) > 1e-6 * gamma[0]
 
 
 def test_simulate_admits_before_any_draw(monkeypatch):
