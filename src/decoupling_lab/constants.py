@@ -19,6 +19,7 @@ from .probmodel import (
     BATCH_FLOATS,
     AdaptedSequence,
     ModelError,
+    PairStack,
     TangentPair,
     decouple,
     g_terminal_moment,
@@ -28,7 +29,7 @@ from .probmodel import (
     require_joint_walk,
     require_sign_patterns,
     sample_paths,
-    sign_randomized_moment,
+    sign_randomized_moments,
     symmetric_three_point,
     terminal_moments,
 )
@@ -72,11 +73,11 @@ def ratio(
     pair = _require_pair(target)
     seq = pair.seq
     if method == "exact":
-        f_mom = seq.terminal_moment(p)
+        f_mom = terminal_moments(pair.stack, p)[0]
         if direction.startswith("decouple"):
             other = g_terminal_moment(pair, p)
         else:
-            other = sign_randomized_moment(seq, p)
+            other = sign_randomized_moments(pair.stack, p)[0]
     elif method == "mc":
         if not direction.startswith("decouple"):
             raise ValueError(
@@ -111,15 +112,12 @@ def multiplier_ratios(tree, space: Space, flats: np.ndarray, p: float,
                       direction: str) -> list[float]:
     """ratio(decouple(from_multipliers(...)), p, direction) of each row of
     flats (flat multiplier vectors on one tree), bit for bit, in one pass of
-    the moment engines over the batch."""
+    the moment engines over the batch's one PairStack."""
     tables = multiplier_tables(tree, _split_multipliers(tree, space.dim, flats))
-    f_moms = terminal_moments(tree, space, tables, p)
-    if direction.startswith("decouple"):
-        others = g_terminal_moments(tree, space, tables, p)
-    else:
-        others = [sign_randomized_moment(AdaptedSequence(tree, space, [t[b] for t in tables]), p)
-                  for b in range(len(flats))]
-    return [_moment_ratio(f, other, p, direction, space) for f, other in zip(f_moms, others)]
+    stack = PairStack(tree, space, tables)
+    engine = g_terminal_moments if direction.startswith("decouple") else sign_randomized_moments
+    return [_moment_ratio(f, other, p, direction, space)
+            for f, other in zip(terminal_moments(stack, p), engine(stack, p))]
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +220,12 @@ def search_worst_case(
 
     A candidate differs from the current model in one slot, and accepting a
     letter changes only that slot, so a slot's letters are measured in one
-    batch (multiplier_ratios, at most BATCH_FLOATS joint floats at a time)
-    before the sequential accept rule is replayed over them.  Once a letter
-    is accepted the slot's original letter comes up again; that candidate is
-    the model before the slot, so its value is the one already measured.
+    batch (multiplier_ratios, at most BATCH_FLOATS floats of the direction's
+    engine outcomes x dim at a time, so a batch of several models fits one
+    block of its engine) before the sequential accept rule is replayed over
+    them.  Once a letter is accepted the slot's original letter comes up
+    again; that candidate is the model before the slot, so its value is the
+    one already measured.
 
     The batch also measures ahead: the next slots' letters against the same
     model, as many slots as the window holds within the budget and one
@@ -244,12 +244,8 @@ def search_worst_case(
         raise ModelError("supnorm-signs searches sup-norm spaces")
     tree = _family_tree(tree_kind, depth)
     # refuse a model too large to measure before anything of its size exists
-    if direction.startswith("decouple"):
-        walk = require_joint_walk(tree)
-    else:
-        require_sign_patterns(tree)
-        walk = tree.path_count
-    batch = max(1, BATCH_FLOATS // (walk * space.dim))
+    outcomes = require_joint_walk if direction.startswith("decouple") else require_sign_patterns
+    batch = max(1, BATCH_FLOATS // (outcomes(tree) * space.dim))
     slots = sum(tree.num_nodes(n - 1) for n in range(1, depth + 1)) * space.dim
 
     def evaluate(flats: np.ndarray) -> list[float]:

@@ -25,7 +25,6 @@ enumerate.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -210,10 +209,8 @@ class FiltrationTree:
         return self.node_probs(self.depth)
 
     def node_probs(self, n: int) -> np.ndarray:
-        probs = np.ones(1)
-        for level in self.levels[:n]:
-            probs = np.multiply.outer(probs, level.probs).reshape(-1)
-        return probs
+        return _grow(np.multiply, np.ones((1, 1)),
+                     [level.probs[None, None] for level in self.levels[:n]])[-1][0]
 
 
 def paley_walsh(depth: int) -> FiltrationTree:
@@ -281,12 +278,8 @@ class AdaptedSequence:
         """The sequence's per-path statistics: its stack of one."""
         return PathStack(self.tree, self.space, [t[None] for t in self.tables])
 
-    def path_increments(self, n: int) -> np.ndarray:
-        """d_n at every path, (paths, dim)."""
-        return np.repeat(self.increments(n), self.tree.stride(n), axis=0)
-
     def terminal_moment(self, p: float) -> float:
-        return terminal_moments(self.tree, self.space, [t[None] for t in self.tables], p)[0]
+        return terminal_moments(self.paths, p)[0]
 
     def is_conditionally_symmetric(self) -> bool:
         """True when every conditional increment law is negation-invariant."""
@@ -328,10 +321,8 @@ class PathStack:
     def node_probs(self, n: int) -> np.ndarray:
         """The mass of every depth-n node, (models or 1, num_nodes(n)): the
         level masses multiplied in level order, as FiltrationTree.node_probs."""
-        probs = np.ones((len(self.level_probs[0]), 1))
-        for level in self.level_probs[:n]:
-            probs = (probs[:, :, None] * level[:, None, :]).reshape(len(probs), -1)
-        return probs
+        return _grow(np.multiply, np.ones((len(self.level_probs[0]), 1)),
+                     [level[:, None] for level in self.level_probs[:n]])[-1]
 
     @cached_property
     def path_probs(self) -> np.ndarray:
@@ -341,10 +332,7 @@ class PathStack:
     def node_sums(self) -> list[np.ndarray]:
         """f_n at every depth-n node, n = 0..N, each (models, num_nodes(n), dim):
         node u*a + j adds its table entry to u's sum."""
-        out = [np.zeros((len(self.tables[0]), 1, self.space.dim))]
-        for table in self.tables:
-            out.append((out[-1][:, :, None, :] + table).reshape(len(table), -1, self.space.dim))
-        return out
+        return _grow(np.add, np.zeros((len(self.tables[0]), 1, self.space.dim)), self.tables)
 
     @property
     def terminal(self) -> np.ndarray:
@@ -360,8 +348,8 @@ class PathStack:
     def f_star(self) -> np.ndarray:
         """max_n ||f_n|| at every path, (models, paths)."""
         norms = self.node_norms
-        return _running_max(norms[0], [level.reshape(len(level), -1, a)
-                                       for level, a in zip(norms[1:], self.sizes)])[-1]
+        return _grow(np.maximum, norms[0], [level.reshape(len(level), -1, a)
+                                            for level, a in zip(norms[1:], self.sizes)])[-1]
 
     @cached_property
     def table_norms(self) -> list[np.ndarray]:
@@ -372,7 +360,7 @@ class PathStack:
     def node_d_star(self) -> list[np.ndarray]:
         """d*_n = max_{m<=n} ||d_m|| at every depth-n node, n = 0..N, each
         (models, num_nodes(n))."""
-        return _running_max(np.zeros((len(self.tables[0]), 1)), self.table_norms)
+        return _grow(np.maximum, np.zeros((len(self.tables[0]), 1)), self.table_norms)
 
     @cached_property
     def d_star(self) -> np.ndarray:
@@ -380,13 +368,16 @@ class PathStack:
         return self.node_d_star[-1]
 
 
-def _running_max(root: np.ndarray, levels) -> list[np.ndarray]:
-    """The running max of node values at every depth-n node, n = 0..N, each
-    (models, num_nodes(n)), grown node by node down the tree: root is
-    (models, 1), levels[n-1] is (models, num_nodes(n-1), a_n)."""
+def _grow(op, root: np.ndarray, levels) -> list[np.ndarray]:
+    """Values at every depth-n node, n = 0..N, each (models, num_nodes(n),
+    ...), grown down the tree: node u*a + j holds op(u's value, levels[n-1]
+    at (u, j)).  root is (models, 1, ...); levels[n-1] is (models,
+    num_nodes(n-1), a_n, ...), either of the first two axes possibly 1 to
+    broadcast.  Sums, running maxima and masses all grow this way."""
     out = [root]
     for values in levels:
-        out.append(np.maximum(out[-1][:, :, None], values).reshape(len(values), -1))
+        child = op(out[-1][:, :, None], values)
+        out.append(child.reshape(len(child), -1, *child.shape[3:]))
     return out
 
 
@@ -397,16 +388,16 @@ def multiplier_tables(tree: FiltrationTree, multipliers) -> list[np.ndarray]:
             for level, mult in zip(tree.levels, multipliers)]
 
 
-def terminal_moments(tree: FiltrationTree, space: Space, tables, p: float) -> list[float]:
-    """E ||f_N||^p of each of a batch of sequences on one tree.
+def terminal_moments(stack: PathStack, p: float) -> list[float]:
+    """E ||f_N||^p of each sequence of a stack.
 
-    tables[n-1] has shape (batch, num_nodes(n-1), a_n, dim).  The norms of
-    PathStack.terminal, a C-ordered array, so each sequence's norms and
-    path-weighted sum (one contiguous row) are formed as for it alone and its
-    value does not depend on the batch.
+    The norms of the stack's terminal, a C-ordered array, so each sequence's
+    norms and path-weighted sum (one contiguous row) are formed as for it
+    alone and its value does not depend on the stack.
     """
-    values = space.norms(PathStack(tree, space, tables).terminal) ** p
-    return [float(tree.path_probs @ row) for row in values]
+    values = stack.space.norms(stack.terminal) ** p
+    return [float(probs @ row)
+            for probs, row in zip(np.broadcast_to(stack.path_probs, values.shape), values)]
 
 
 def sequence_spec(seq: AdaptedSequence) -> dict:
@@ -702,13 +693,12 @@ class PairStack(PathStack):
             yield weights, {key: out[key][..., tree.from_digit_reversed] for key in stats}
 
 
-def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,
-                       mode: str = "decoupled") -> list[float]:
-    """E ||g_N||^p of each of a batch of sequences on one tree, exact: one norm
-    per (head, omega~) outcome, each sequence's blocks summed as for it alone
-    (its own reduction over a contiguous (rows, paths) slab)."""
-    totals = [0.0] * len(tables[0])
-    for weights, stats in PairStack(tree, space, tables, mode).joint_blocks(("g_norm",)):
+def g_terminal_moments(stack: PairStack, p: float) -> list[float]:
+    """E ||g_N||^p of each pair of a stack, exact: one norm per (head,
+    omega~) outcome of joint_blocks, each pair's blocks summed as for it
+    alone (its own reduction over a contiguous (rows, paths) slab)."""
+    totals = [0.0] * len(stack.tables[0])
+    for weights, stats in stack.joint_blocks(("g_norm",)):
         weighted = weights * stats["g_norm"] ** p
         for b, row in enumerate(weighted):
             totals[b] += float(np.add.reduce(row, axis=None))
@@ -716,9 +706,8 @@ def g_terminal_moments(tree: FiltrationTree, space: Space, tables, p: float,
 
 
 def g_terminal_moment(pair: TangentPair, p: float) -> float:
-    """E ||g_N||^p of one pair, the batch of one of g_terminal_moments."""
-    return g_terminal_moments(pair.tree, pair.space, [t[None] for t in pair.seq.tables],
-                              p, pair.mode)[0]
+    """E ||g_N||^p of one pair, from its stack of one."""
+    return g_terminal_moments(pair.stack, p)[0]
 
 
 def pair_floats(sizes: tuple[int, ...], space: Space, models: int = 1) -> int:
@@ -840,32 +829,45 @@ class WindowTable:
 
 
 def require_sign_patterns(tree: FiltrationTree) -> int:
-    """The (sign pattern, path) combinations sign_randomized_moment sums over,
-    or EnumerationError past JOINT_LIMIT."""
+    """The (sign pattern, path) combinations sign_randomized_moments sums
+    over, or EnumerationError past JOINT_LIMIT."""
     combos = tree.path_count * 2 ** tree.depth
     if combos > JOINT_LIMIT:
-        raise EnumerationError(f"{combos} sign-path combinations exceed budget")
+        raise EnumerationError(f"{combos} sign-path combinations exceed budget {JOINT_LIMIT}")
     return combos
 
 
-def sign_randomized_moment(seq: AdaptedSequence, p: float) -> float:
-    """E || sum_k eps_k d_k ||^p over independent Rademacher signs, exact.
+def sign_randomized_moments(stack: PathStack, p: float) -> list[float]:
+    """E || sum_k eps_k d_k ||^p of each sequence of a stack, over
+    independent Rademacher signs, exact.
 
-    The 2^N sign patterns are taken in blocks of about BLOCK_FLOATS floats.
+    Sign pattern s gives level n the sign -1 where bit N-n of s is set, the
+    order of itertools.product((1.0, -1.0), repeat=N).  A block of patterns
+    is the PathStack of the stack's tables scaled by each pattern's signs,
+    one model per (sequence, pattern), and its terminal holds the signed
+    sums.  Block rows are counted across the stack: a block holds about
+    BLOCK_FLOATS floats of signed sums.  Each sequence's norms are summed
+    over the block's patterns on its own contiguous slab, block by block,
+    and weighted by its path masses, as for it alone.
     """
-    n, paths = seq.depth, seq.tree.path_count
-    require_sign_patterns(seq.tree)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    incs = [seq.path_increments(m) for m in range(1, n + 1)]
-    rows = max(1, BLOCK_FLOATS // max(1, paths * seq.dim))
-    total = np.zeros(paths)
-    for start in range(0, 2 ** n, rows):
-        block = signs[start:start + rows]
-        sums = np.zeros((len(block), paths, seq.dim))
-        for m, inc in enumerate(incs):
-            sums += block[:, m, None, None] * inc[None, :, :]
-        total += np.sum(seq.space.norms(sums) ** p, axis=0)
-    return float((total / 2 ** n) @ seq.tree.path_probs)
+    tree, space = stack.tree, stack.space
+    depth, paths = tree.depth, tree.path_count
+    patterns = require_sign_patterns(tree) // paths
+    models = len(stack.tables[0])
+    block_rows = max(1, BLOCK_FLOATS // max(1, models * paths * space.dim))
+    bits = np.arange(depth - 1, -1, -1)
+    totals = np.zeros((models, paths))
+    for start in range(0, patterns, block_rows):
+        index = np.arange(start, min(start + block_rows, patterns))
+        signs = 1.0 - 2.0 * (index[:, None] >> bits & 1)
+        # the signed stack lives only while its sums are normed
+        values = space.norms(PathStack(tree, space, [
+            (table[:, None] * signs[:, n, None, None, None]).reshape(-1, *table.shape[1:])
+            for n, table in enumerate(stack.tables)]).terminal) ** p
+        for total, slab in zip(totals, values.reshape(models, -1, paths)):
+            total += np.sum(slab, axis=0)
+    return [float((total / 2 ** depth) @ probs)
+            for total, probs in zip(totals, np.broadcast_to(stack.path_probs, totals.shape))]
 
 
 @dataclass(frozen=True)

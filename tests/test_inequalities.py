@@ -800,6 +800,50 @@ def test_tail_comparison_exact():
     assert [r.as_dict() for r in again] == [r.as_dict() for r in reports[:2]] * 3
 
 
+def brute_tail_masses(pair, ts):
+    """P(d* > t) summed over paths and P(e* > t) summed over (omega, omega~)
+    path pairs, at each t, with e_n = table[u_{n-1}(omega), j_n(omega~)] read
+    straight from the tables (no joint engine)."""
+    seq, tree = pair.seq, pair.tree
+    paths, probs = np.arange(tree.path_count), tree.path_probs
+    d_star = np.zeros(len(paths))
+    e_star = np.zeros((len(paths), len(paths)))
+    for n, table in enumerate(seq.tables, start=1):
+        norms = seq.space.norms(table)
+        parent = paths // tree.stride(n - 1)
+        letter = paths // tree.stride(n) % tree.sizes[n - 1]
+        d_star = np.maximum(d_star, norms[parent, letter])
+        e_star = np.maximum(e_star, norms[parent[:, None], letter[None, :]])
+    joint = np.outer(probs, probs)
+    return ([float(probs[d_star > t].sum()) for t in ts],
+            [float(joint[e_star > t].sum()) for t in ts])
+
+
+@pytest.mark.parametrize("text", ("l2:2", "linf:3", "lp:0.5:3"))
+def test_each_tail_bound_is_twice_the_other_brute_force_mass(text):
+    # P(e* > t) <= 2 P(d* > t) and P(d* > t) <= 2 P(e* > t): each report's
+    # rhs is twice the other's lhs, and each lhs is the brute-force mass, so a
+    # changed constant or a misread mass fails without reading a digest
+    tree = pm.FiltrationTree(pm.symmetric_three_point(2).levels + pm.paley_walsh(2).levels)
+    space = parse_space(text)
+    for case in range(3):
+        gen = stream(case, "tail-brute", text)
+        seq = (pm.random_multiplier_sequence if case == 0 else pm.random_general_sequence)(
+            gen, tree, space)
+        pair = pm.decouple(seq)
+        atoms = sorted(set(np.concatenate([space.norms(t).ravel() for t in seq.tables]).tolist()))
+        ts = [0.0, *atoms[::3], atoms[-1] + 1.0]
+        d_mass, e_mass = brute_tail_masses(pair, ts)
+        assert 0.0 < d_mass[0] and 0.0 < e_mass[0]
+        reports = iq.check_tail_comparison(pair, ts)
+        for t, e_by_d, d_by_e, d, e in zip(ts, reports[::2], reports[1::2], d_mass, e_mass):
+            assert (e_by_d.inequality, d_by_e.inequality) == ("tail-e-by-d", "tail-d-by-e")
+            assert e_by_d.params["t"] == d_by_e.params["t"] == t
+            assert e_by_d.rhs == 2.0 * d_by_e.lhs and d_by_e.rhs == 2.0 * e_by_d.lhs
+            assert d_by_e.lhs == pytest.approx(d, rel=1e-12, abs=1e-15)
+            assert e_by_d.lhs == pytest.approx(e, rel=1e-12, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # conditional norms and the window profile
 

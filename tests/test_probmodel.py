@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_sums
+from conftest import path_increments, path_sums
 
 import decoupling_lab.inequalities as iq
 import decoupling_lab.probmodel as pm
 from decoupling_lab.rng import stream
-from decoupling_lab.spaces import euclid, format_space, seq_lp, sup_norm
+from decoupling_lab.spaces import euclid, format_space, parse_space, seq_lp, sup_norm
 
 
 def unit_pw_seq(depth, dim=1):
@@ -533,9 +533,12 @@ def test_sign_randomization_matches_decoupling():
     seq = pm.random_multiplier_sequence(gen, tree, euclid(2))
     pair = pm.decouple(seq)
     for p in (1.0, 2.0, 3.0):
-        assert pm.sign_randomized_moment(seq, p) == pytest.approx(
-            pm.g_terminal_moment(pair, p), rel=1e-12
-        )
+        assert sign_moment(seq, p) == pytest.approx(pm.g_terminal_moment(pair, p), rel=1e-12)
+
+
+def sign_moment(seq, p):
+    """E||sum eps_k d_k||^p of one sequence: the engine on its stack of one."""
+    return pm.sign_randomized_moments(seq.paths, p)[0]
 
 
 def sign_moment_one_array(seq, p):
@@ -544,7 +547,7 @@ def sign_moment_one_array(seq, p):
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     total = np.zeros((2 ** n, seq.tree.path_count, seq.dim))
     for m in range(1, n + 1):
-        total += signs[:, m - 1][:, None, None] * seq.path_increments(m)[None, :, :]
+        total += signs[:, m - 1][:, None, None] * path_increments(seq, m)[None, :, :]
     return float((seq.space.norms(total) ** p).mean(axis=0) @ seq.tree.path_probs)
 
 
@@ -554,20 +557,38 @@ def test_sign_randomized_moment_in_blocks():
     tree = pm.FiltrationTree(pm.symmetric_three_point(3).levels + pm.paley_walsh(2).levels)
     small = pm.random_general_sequence(gen, tree, seq_lp(0.5, 3))
     for p in (0.5, 2.0):
-        assert pm.sign_randomized_moment(small, p) == sign_moment_one_array(small, p)
+        assert sign_moment(small, p) == sign_moment_one_array(small, p)
     # 2^9 sign patterns x 512 paths x 16 coordinates: three blocks, the last short
     tree = pm.paley_walsh(9)
     seq = pm.random_multiplier_sequence(gen, tree, sup_norm(16))
     assert 2 ** 9 * tree.path_count * 16 > 2 * pm.BLOCK_FLOATS
     for p in (1.0, 3.0):
-        assert pm.sign_randomized_moment(seq, p) == pytest.approx(
-            sign_moment_one_array(seq, p), rel=1e-12)
+        assert sign_moment(seq, p) == pytest.approx(sign_moment_one_array(seq, p), rel=1e-12)
 
 
 def test_sign_randomized_budget():
     seq = unit_pw_seq(12)
-    with pytest.raises(pm.EnumerationError):
-        pm.sign_randomized_moment(seq, 2.0)
+    # 2^12 sign patterns x 4096 paths, refused before a block is formed
+    with pytest.raises(pm.EnumerationError,
+                       match=f"16777216 sign-path combinations exceed budget {pm.JOINT_LIMIT}"):
+        pm.sign_randomized_moments(seq.paths, 2.0)
+
+
+@pytest.mark.parametrize("text", ("l2:3", "linf:4", "lp:0.5:3", "nested:1x2,3x2"))
+def test_stacked_moment_engines_match_each_stack_of_one(text):
+    # general (drifted, not symmetric) tables on trees of one shape, each with
+    # its own atoms and non-dyadic masses: every moment engine gives each
+    # model of a stack the value of its stack of one, bit for bit
+    space = parse_space(text)
+    gen = stream(25, "stacked-engines", text)
+    trees = [pm.FiltrationTree([random_level(gen, a) for a in (2, 3, 2)]) for _ in range(3)]
+    pairs = [pm.decouple(pm.random_general_sequence(gen, tree, space)) for tree in trees]
+    assert not any(pair.seq.is_conditionally_symmetric() for pair in pairs)
+    stack = pm.PairStack.of(pairs)
+    for p in (0.5, 1.0, 3.0):
+        for engine in (pm.terminal_moments, pm.g_terminal_moments, pm.sign_randomized_moments):
+            np.testing.assert_array_equal(engine(stack, p),
+                                          [engine(pair.stack, p)[0] for pair in pairs])
 
 
 def test_joint_blocks_cover_product_space(monkeypatch):

@@ -70,7 +70,7 @@ def test_terminal_moment_matches_path_sums(text):
             want = [float(tree.path_probs @ space.norms(path_sums(seq)[:, -1]) ** p)
                     for seq in seqs]
             assert [seq.terminal_moment(p) for seq in seqs] == want
-            assert pm.terminal_moments(tree, space, tables, p) == want
+            assert pm.terminal_moments(stack, p) == want
     # product models: each level a broadcast view over its parents
     models = [iq.random_product_model(stream(i, "f-side-product", text), space, levels=3)
               for i in range(3)]
@@ -156,6 +156,7 @@ def sequential_search(space, p, direction, family, budget, restarts, seed, depth
     ("l2:2", 1.0, "decouple-upper", "gaussian-multipliers", True),
     ("linf:3", 3.0, "decouple-lower", "gaussian-multipliers", True),
     ("linf:2", 1.0, "randomized-plus", "supnorm-signs", False),
+    ("lp:0.5:3", 1.0, "randomized-minus", "gaussian-multipliers", False),
 ])
 def test_search_replays_the_sequential_trajectory(text, p, direction, family, reaccepts):
     space = parse_space(text)
